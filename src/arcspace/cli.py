@@ -26,7 +26,14 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .jets import AffineScheme, Arc, jacobian_ideal, jet_ideal, ord_along_arc
+from .jets import (
+    AffineScheme,
+    Arc,
+    check_fitting_finite,
+    jacobian_ideal,
+    jet_ideal,
+    ord_along_arc,
+)
 from .localgeom import ecodim_jet, ecodim_window
 from .polyalg.mora import initial_ideal
 from .polyalg.oracles import initial_ideal_mismatches
@@ -86,13 +93,7 @@ def load_job(path: str, precision_override: int | None = None) -> Job:
     if dim is not None:
         # an explicitly declared dimension triggers the Fitting finiteness
         # check (warns when the arc's precision cannot decide it)
-        from .errors import InvalidCodimError
-        from .jets import check_fitting_finite
-
-        try:
-            check_fitting_finite(scheme, arc, dim)
-        except InvalidCodimError:
-            pass  # presentation not CI-shaped for this d; commands validate later
+        check_fitting_finite(scheme, arc, dim)
     return Job(scheme, arc, options)
 
 

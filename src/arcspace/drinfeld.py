@@ -25,7 +25,13 @@ from .errors import (
     VerificationError,
 )
 from .jets import AffineScheme, Arc, jacobian_ideal, jet_ideal, ord_along_arc, truncate_arc
-from .localgeom import LocalAnalysis, ecodim_at_point, edim_at_point, ecodim_window
+from .localgeom import (
+    LocalAnalysis,
+    ecodim_at_point,
+    ecodim_window,
+    edim_at_point,
+    jacobian_at,
+)
 from .polyalg.linalg import exact_rank, fraction_free_echelon, reduce_row
 from .polyalg.poly import Poly, poly_adjugate, poly_det
 from .polyalg.series import TruncSeries
@@ -146,9 +152,6 @@ class ProjectionMap:
             for k, coeff in enumerate(self.inverse[i]):
                 if coeff:
                     acc = acc + arc.components[k].scale(coeff)
-                else:
-                    # keep the conservative min-precision rule even for zero terms
-                    acc = acc + arc.components[k].scale(0)
             comps.append(acc)
         return Arc(arc.varset, comps)
 
@@ -441,8 +444,7 @@ def jet_cotangent_map(X: AffineScheme, proj: ProjectionMap, arc: Arc, n: int):
     arct = proj.apply_to_arc(arc)
     jp = truncate_arc(arct, n)
     gens_n = jet_ideal(Xt, n)
-    J = [[g.partial(v).evaluate(jp.values) for v in jp.varset] for g in gens_n]
-    ech, piv = fraction_free_echelon(J)
+    ech, piv = fraction_free_echelon(jacobian_at(gens_n, jp))
     nvars = len(jp.varset)
     N = X.ambient_dim
     rows = []
@@ -508,8 +510,7 @@ def drinfeld_tangent_check(model: DrinfeldModel, arc: Arc) -> TangentReport:
         return TangentReport(0, 0, ())
     e, d = model.e, model.d
     rows = tangent_matrix_rows(model, arc)
-    J = [[g.partial(v).evaluate(model.z) for v in model.varset] for g in model.equations]
-    ech, piv = fraction_free_echelon(J)
+    ech, piv = fraction_free_echelon(jacobian_at(model.equations, model.z))
     reduced = [reduce_row(r, ech, piv) for r in rows]
     rank = exact_rank(reduced)
     expected = 2 * d * e

@@ -19,11 +19,7 @@ from typing import Sequence
 from .errors import InsufficientPrecisionError, InvalidCodimError, VarsetMismatchError
 from .polyalg.poly import Poly, poly_det
 from .polyalg.series import OrdResult, TruncSeries, combine_ord_min
-from .polyalg.varset import VarId, VarSet
-
-
-def jet_var(v: VarId, j: int) -> VarId:
-    return v.derived(j)
+from .polyalg.varset import VarSet
 
 
 def jet_varset(ambient: VarSet, n: int) -> VarSet:
@@ -51,8 +47,14 @@ class AffineScheme:
                 raise VarsetMismatchError("generator over a different varset")
             if g.is_zero():
                 raise ValueError("generators must be nonzero")
-        if self.declared_dim is not None and not 0 <= self.declared_dim <= len(self.ambient):
-            raise ValueError("declared dimension out of range")
+        if self.declared_dim is not None:
+            if not 0 <= self.declared_dim <= len(self.ambient):
+                raise ValueError("declared dimension out of range")
+            # Krull: every component of V(g_1..g_c) in A^N has dimension >= N - c
+            bound = len(self.ambient) - len(self.generators)
+            if self.declared_dim < bound:
+                raise ValueError(
+                    f"declared dimension {self.declared_dim} is below N - c = {bound}")
 
     @property
     def ambient_dim(self) -> int:

@@ -18,7 +18,7 @@ from .errors import InternalInconsistencyError, PointNotOnSchemeError
 from .jets import AffineScheme, Arc, JetPoint, jet_ideal, truncate_arc
 from .polyalg.dimension import monomial_dim
 from .polyalg.linalg import exact_rank
-from .polyalg.mora import mora_standard_basis
+from .polyalg.mora import canonical_initial_forms, mora_standard_basis
 from .polyalg.orders import ANTIGRLEX, leading_monomial
 from .polyalg.parse import poly_to_string
 from .polyalg.poly import Poly, monomial_degree
@@ -66,6 +66,15 @@ def point_values(varset: VarSet, point) -> tuple[Fraction, ...]:
     return tuple(vals)
 
 
+def jacobian_at(gens: Sequence[Poly], point) -> list[list[Fraction]]:
+    """Jacobian matrix at a point, one row per generator (no rows for no gens)."""
+    if not gens:
+        return []
+    varset = gens[0].varset
+    values = point_values(varset, point)
+    return [[g.partial(v).evaluate(values) for v in varset] for g in gens]
+
+
 def translate_to_origin(gens: Sequence[Poly], point) -> list[Poly]:
     """Shift coordinates so the point becomes the origin.
 
@@ -89,11 +98,6 @@ def translate_to_origin(gens: Sequence[Poly], point) -> list[Poly]:
                 f"generator {poly_to_string(g)} does not vanish at the point")
         out.append(shifted)
     return out
-
-
-def _jacobian_rows(gens: Sequence[Poly], values: tuple[Fraction, ...]) -> list[list[Fraction]]:
-    varset = gens[0].varset
-    return [[g.partial(v).evaluate(values) for v in varset] for g in gens]
 
 
 def _find_pivot(g: Poly) -> tuple[int, Fraction] | None:
@@ -151,21 +155,6 @@ def _eliminate_smooth_directions(gens: Sequence[Poly]):
     return cur, linear_forms, active
 
 
-def _canonical_homogeneous_basis(forms: Sequence[Poly]) -> list[Poly]:
-    """Reduced basis of a homogeneous ideal under the local order.
-
-    Buchberger completion terminates on homogeneous input for any semigroup
-    order (reductions are degreewise finite), giving the canonical output.
-    """
-    from .polyalg.groebner import buchberger, interreduce, minimalize
-
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
-        return []
-    basis = buchberger(nonzero, ANTIGRLEX)
-    return interreduce(minimalize(basis, ANTIGRLEX), ANTIGRLEX)
-
-
 def edim_at_point(gens: Sequence[Poly], point) -> int:
     """dim of the Zariski cotangent space: nvars minus the Jacobian rank."""
     varset = gens[0].varset
@@ -174,12 +163,7 @@ def edim_at_point(gens: Sequence[Poly], point) -> int:
         if g.evaluate(values) != 0:
             raise PointNotOnSchemeError(
                 f"generator {poly_to_string(g)} does not vanish at the point")
-    return len(varset) - exact_rank(_jacobian_rows(gens, values))
-
-
-def tangent_cone_dim_at_point(gens: Sequence[Poly], point) -> int:
-    """Krull dimension of the tangent cone at the point."""
-    return ecodim_at_point(gens, point).tangent_cone_dim
+    return len(varset) - exact_rank(jacobian_at(gens, values))
 
 
 def ecodim_at_point(gens: Sequence[Poly], point) -> LocalAnalysis:
@@ -187,12 +171,12 @@ def ecodim_at_point(gens: Sequence[Poly], point) -> LocalAnalysis:
     varset = gens[0].varset
     nvars = len(varset)
     translated = translate_to_origin(gens, point)
-    jacobian_rank = exact_rank(_jacobian_rows(translated, (Fraction(0),) * nvars))
+    jacobian_rank = exact_rank(jacobian_at(translated, (Fraction(0),) * nvars))
     reduced, pivot_forms, active = _eliminate_smooth_directions(translated)
     basis = mora_standard_basis(reduced)
     lms = [leading_monomial(g, ANTIGRLEX) for g in basis]
     tangent_cone_dim = monomial_dim(lms, len(active))
-    forms = _canonical_homogeneous_basis(
+    forms = canonical_initial_forms(
         pivot_forms + [g.initial_form() for g in basis])
     # cross-checks between the pipelines: the canonical initial basis must
     # carry exactly jacobian_rank independent linear forms, and its leading

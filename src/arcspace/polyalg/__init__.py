@@ -17,15 +17,8 @@ from .orders import (
     make_monic,
 )
 from .parse import parse_poly, poly_to_string
-from .poly import (
-    Monomial,
-    Poly,
-    partial_derivative,
-    poly_adjugate,
-    poly_arith,
-    poly_det,
-)
-from .series import OrdResult, TruncSeries, combine_ord_min, series_ops, series_ord
+from .poly import Monomial, Poly, poly_adjugate, poly_det
+from .series import OrdResult, TruncSeries, combine_ord_min
 from .tpoly import TPoly, div_monic_t, substitute_tpoly
 from .varset import VarId, VarSet
 from .weierstrass import CoordinateSubstitution, regularize, weierstrass_divide, y_regular_order
@@ -38,8 +31,8 @@ __all__ = [
     "fraction_free_echelon", "groebner_basis", "initial_ideal",
     "leading_coefficient", "leading_monomial", "leading_term", "make_monic",
     "monomial_dim", "mora_normal_form", "mora_reduces_to_zero",
-    "mora_standard_basis", "normal_form", "parse_poly", "partial_derivative",
-    "poly_adjugate", "poly_arith", "poly_det", "poly_to_string", "rank_modulo",
-    "reduce_row", "reduces_to_zero", "regularize", "series_ops", "series_ord",
-    "spolynomial", "substitute_tpoly", "weierstrass_divide", "y_regular_order",
+    "mora_standard_basis", "normal_form", "parse_poly", "poly_adjugate",
+    "poly_det", "poly_to_string", "rank_modulo", "reduce_row", "reduces_to_zero",
+    "regularize", "spolynomial", "substitute_tpoly", "weierstrass_divide",
+    "y_regular_order",
 ]

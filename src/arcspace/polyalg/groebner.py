@@ -11,6 +11,7 @@ from ..errors import ResourceLimitError
 from .orders import MonomialOrder, leading_monomial, make_monic
 from .poly import (
     Poly,
+    monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -117,12 +118,18 @@ def buchberger(gens: list[Poly], order: MonomialOrder,
 
 
 def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Drop elements whose leading monomial is divisible by another's."""
+    """Drop elements whose leading monomial is divisible by another's.
+
+    Scanning by leading-monomial degree meets every proper divisor first,
+    under global and local orders alike.
+    """
     kept: list[Poly] = []
-    for f in sorted(basis, key=lambda g: order.key(leading_monomial(g, order))):
+    kept_lms: list = []
+    for f in sorted(basis, key=lambda g: monomial_degree(leading_monomial(g, order))):
         lmf = leading_monomial(f, order)
-        if all(not monomial_divides(leading_monomial(g, order), lmf) for g in kept):
+        if not any(monomial_divides(lm, lmf) for lm in kept_lms):
             kept.append(f)
+            kept_lms.append(lmf)
     return kept
 
 

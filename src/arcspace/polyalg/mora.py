@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from ..errors import ResourceLimitError
 from .orders import ANTIGRLEX, MonomialOrder, ecart, leading_monomial, make_monic
-from .groebner import interreduce, normal_form, spolynomial, term_mul
-from .poly import Poly, monomial_div, monomial_divides, monomial_lcm, monomial_mul
+from .groebner import _update_pairs, buchberger, interreduce, minimalize, spolynomial, term_mul
+from .poly import Poly, monomial_div, monomial_divides, monomial_lcm
 
 DEFAULT_WORK_LIMIT = 20_000_000
 
@@ -67,19 +67,6 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
     return h
 
 
-def _minimalize_local(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
-    # under the local order a proper divisor has the larger key, so scan descending
-    kept: list[Poly] = []
-    kept_lms: list = []
-    for f in sorted(basis, key=lambda g: order.key(leading_monomial(g, order)), reverse=True):
-        lmf = leading_monomial(f, order)
-        if any(monomial_divides(lm, lmf) for lm in kept_lms):
-            continue
-        kept.append(f)
-        kept_lms.append(lmf)
-    return kept
-
-
 def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
                         work_limit: int = DEFAULT_WORK_LIMIT) -> list[Poly]:
     """Standard basis of the ideal generated by gens in the localization at 0.
@@ -90,8 +77,6 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
     """
     if not order.is_local:
         raise ValueError("mora_standard_basis needs the local order")
-    from .groebner import _update_pairs
-
     budget = _Budget(work_limit)
     seeds = [make_monic(g, order) for g in gens if not g.is_zero()]
     # progressive interreduction of the input: each seed is replaced by its
@@ -120,21 +105,22 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
             G.append(make_monic(h, order))
             lmG.append(leading_monomial(h, order))
             pairs = _update_pairs(G, lmG, pairs, len(G) - 1, order)
-    G = _minimalize_local(G, order)
+    G = minimalize(G, order)
     if all(g.is_homogeneous() for g in G):
         G = interreduce(G, order)
     return sorted(G, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
 
 
-def canonical_initial_forms(basis: list[Poly], order: MonomialOrder = ANTIGRLEX) -> list[Poly]:
-    """Interreduced lowest-degree forms of a standard basis.
+def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX) -> list[Poly]:
+    """Reduced Groebner basis of the ideal generated by homogeneous forms.
 
-    The forms of a standard basis are themselves a Groebner basis of the
-    initial ideal (their leading monomials generate its leading-term ideal),
-    and being homogeneous they admit full interreduction.
+    Buchberger completion terminates on homogeneous input for any semigroup
+    order (reductions are degreewise finite), giving the canonical output.
     """
-    forms = [g.initial_form() for g in basis]
-    return interreduce(_minimalize_local(forms, order), order)
+    nonzero = [f for f in forms if not f.is_zero()]
+    if not nonzero:
+        return []
+    return interreduce(minimalize(buchberger(nonzero, order), order), order)
 
 
 def initial_ideal(gens: list[Poly], at_origin: bool = True,
@@ -143,19 +129,13 @@ def initial_ideal(gens: list[Poly], at_origin: bool = True,
     """Generators of the initial ideal: lowest-degree forms of a standard basis.
 
     The ideal must already be centered at the origin (translate first).  The
-    returned forms are a Groebner basis of ini(a) for the same local order and
-    are interreduced degreewise.
+    returned forms are the reduced Groebner basis of ini(a) for the same local
+    order.
     """
     if not at_origin:
         raise ValueError("translate the ideal to the origin first")
     basis = mora_standard_basis(gens, order, work_limit)
-    return canonical_initial_forms(basis, order)
-
-
-def leading_monomials_of_ideal(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
-                               work_limit: int = DEFAULT_WORK_LIMIT) -> list:
-    basis = mora_standard_basis(gens, order, work_limit)
-    return [leading_monomial(g, order) for g in basis]
+    return canonical_initial_forms([g.initial_form() for g in basis], order)
 
 
 def mora_reduces_to_zero(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLEX) -> bool:

@@ -74,10 +74,6 @@ def leading_term(f: Poly, order: MonomialOrder) -> Poly:
     return Poly(f.varset, {m: f.terms[m]})
 
 
-def sorted_monomials(f: Poly, order: MonomialOrder, reverse: bool = True) -> list[Monomial]:
-    return sorted(f.terms, key=order.key, reverse=reverse)
-
-
 def make_monic(f: Poly, order: MonomialOrder) -> Poly:
     c = leading_coefficient(f, order)
     return f.scale(1 / c)

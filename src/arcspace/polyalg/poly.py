@@ -8,7 +8,7 @@ construction and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..errors import VarsetMismatchError
 from .varset import VarId, VarSet
@@ -304,33 +304,6 @@ class Poly:
         if not self.terms:
             return self
         return self.homogeneous_part(self.min_degree())
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return a - b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    """Dispatch form of the ring operations: op in {"add", "sub", "mul"}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def partial_derivative(a: Poly, v: VarId | str) -> Poly:
-    return a.partial(v)
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:

@@ -187,14 +187,3 @@ class TruncSeries:
             result = result * self
         return result
 
-
-def series_ops(a: TruncSeries, b: TruncSeries, op: str) -> TruncSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def series_ord(a: TruncSeries) -> OrdResult:
-    return a.ord()

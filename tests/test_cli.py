@@ -163,6 +163,17 @@ def test_exit_code_certificate_failure(tmp_path, capsys):
     assert report["error"]["kind"] == "CertificateFailureError"
 
 
+def test_declared_dim_below_krull_bound(tmp_path, capsys):
+    # every component of a hypersurface in A^4 has dimension 3
+    path = write_doc(tmp_path, dict(QUADRIC_DOC, dim=1))
+    for argv in (["jet-ideal", path, "--level", "1"], ["ecodim", path, "--level", "1"],
+                 ["ord", path]):
+        code, report = run_cli(capsys, *argv)
+        assert code == 1
+        assert report["error"]["kind"] == "ValueError"
+        assert "N - c = 3" in report["error"]["message"]
+
+
 def test_exit_code_singular_arc(tmp_path, capsys):
     doc = {"schema": 1, "vars": ["x", "y"], "generators": ["x*y"], "arc": ["0", "0"]}
     code, report = run_cli(capsys, "drinfeld", write_doc(tmp_path, doc), "--seed", "0")

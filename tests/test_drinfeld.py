@@ -285,3 +285,15 @@ def test_random_unimodular_inverse():
                                     for i in range(n)]
         assert _matmul(Tinv, T) == [[1 if i == j else 0 for j in range(n)]
                                     for i in range(n)]
+
+
+def test_apply_to_arc_zero_coefficient_keeps_row_precision():
+    vs = VarSet(["x", "y"])
+    # T^-1 has rows (1, 0) and (1, 1): the imprecise y enters only the second
+    proj = ProjectionMap(ambient=vs, d=1, transform=((1, 0), (-1, 1)),
+                         inverse=((1, 0), (1, 1)))
+    arc = Arc(vs, [TruncSeries([0, 1], 8), TruncSeries([0, 0, 1], 3)])
+    new = proj.apply_to_arc(arc)
+    assert new.components[0] == TruncSeries([0, 1], 8)
+    assert new.components[1] == TruncSeries([0, 1, 1], 3)
+    assert new.precision == arc.precision == 3

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from arcspace.polyalg import (
+    ANTIGRLEX,
     GREVLEX,
     GRLEX,
     LEX,
@@ -14,6 +15,7 @@ from arcspace.polyalg import (
     reduces_to_zero,
     spolynomial,
 )
+from arcspace.polyalg.groebner import minimalize
 from arcspace.polyalg.orders import leading_monomial
 
 
@@ -87,3 +89,12 @@ def test_reduced_basis_is_deterministic(vs):
     b1 = groebner_basis(gens, GREVLEX)
     b2 = groebner_basis(list(reversed(gens)), GREVLEX)
     assert [str(g) for g in b1] == [str(g) for g in b2]
+
+
+def test_minimalize_drops_proper_divisors_under_every_order(vs):
+    # the local order ranks x above x^2, so a scan by order key would meet
+    # the divisor last; the scan by degree meets it first under every order
+    x, x2 = parse_poly("x", vs), parse_poly("x^2", vs)
+    for order in (ANTIGRLEX, GREVLEX, GRLEX, LEX):
+        assert minimalize([x, x2], order) == [x]
+        assert minimalize([x2, x], order) == [x]

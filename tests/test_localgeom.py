@@ -4,18 +4,27 @@ import pytest
 from fractions import Fraction
 
 from arcspace.errors import PointNotOnSchemeError
-from arcspace.jets import AffineScheme, Arc, jacobian_ideal, ord_along_arc
+from arcspace.jets import (
+    AffineScheme,
+    Arc,
+    jacobian_ideal,
+    jet_ideal,
+    ord_along_arc,
+    truncate_arc,
+)
 from arcspace.localgeom import (
+    _eliminate_smooth_directions,
     ecodim_at_point,
     ecodim_jet,
     ecodim_window,
     edim_at_point,
-    tangent_cone_dim_at_point,
+    jacobian_at,
     translate_to_origin,
 )
 from arcspace.polyalg import VarSet, parse_poly
+from arcspace.polyalg.oracles import initial_ideal_mismatches
 
-from conftest import monomial_arc
+from conftest import monomial_arc, random_arc, random_poly
 
 
 @pytest.fixture
@@ -44,6 +53,30 @@ def test_translate_off_scheme(plane):
         translate_to_origin([parse_poly("x - 1", plane)], [2, 0])
 
 
+def test_jacobian_at_matches_partials():
+    rng = random.Random(31)
+    vs = VarSet(["x", "y", "z"])
+    for _ in range(10):
+        gens = [random_poly(vs, rng) for _ in range(rng.randint(1, 3))]
+        values = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in vs]
+        expected = [[g.partial(v).evaluate(values) for v in vs] for g in gens]
+        assert jacobian_at(gens, values) == expected
+        mapping = {v.name: x for v, x in zip(vs, values) if x != 0}
+        assert jacobian_at(gens, mapping) == expected
+    assert jacobian_at([], [1, 2, 3]) == []
+
+
+def test_jacobian_at_jet_point(quadric):
+    rng = random.Random(32)
+    for n in (1, 2):
+        gens = jet_ideal(quadric, n)
+        jp = truncate_arc(random_arc(quadric.ambient, rng), n)
+        expected = [[g.partial(v).evaluate(jp.values) for v in jp.varset] for g in gens]
+        assert jacobian_at(gens, jp) == expected
+    with pytest.raises(ValueError):
+        jacobian_at(jet_ideal(quadric, 1), jp)
+
+
 def test_edim_node_and_smooth_point(plane):
     assert edim_at_point([parse_poly("x*y", plane)], [0, 0]) == 2
     assert edim_at_point([parse_poly("y - x^2", plane)], [0, 0]) == 1
@@ -53,8 +86,6 @@ def test_edim_node_and_smooth_point(plane):
 
 def test_edim_jet_formula(quadric):
     # edim of the level-N jet scheme at (t^m, 0,0,0) is 3(N+1) + m for m <= N
-    from arcspace.jets import jet_ideal, truncate_arc
-
     for m, N in [(1, 1), (1, 3), (2, 3), (3, 4)]:
         arc = monomial_arc(quadric, m)
         gens = jet_ideal(quadric, N)
@@ -70,10 +101,10 @@ def test_edim_jet_formula(quadric):
 
 
 def test_tangent_cone_dims(plane, quadric):
-    assert tangent_cone_dim_at_point([parse_poly("x*y", plane)], [0, 0]) == 1
-    assert tangent_cone_dim_at_point(list(quadric.generators), [0, 0, 0, 0]) == 3
+    assert ecodim_at_point([parse_poly("x*y", plane)], [0, 0]).tangent_cone_dim == 1
+    assert ecodim_at_point(list(quadric.generators), [0, 0, 0, 0]).tangent_cone_dim == 3
     gens = [parse_poly("y - x^2", plane), parse_poly("x^3", plane)]
-    assert tangent_cone_dim_at_point(gens, [0, 0]) == 0
+    assert ecodim_at_point(gens, [0, 0]).tangent_cone_dim == 0
 
 
 def test_ecodim_smooth_node_quadric(plane, quadric):
@@ -183,3 +214,19 @@ def test_random_points_never_break_concordance():
         a = ecodim_at_point(gens, [0, 0, 0])
         assert a.ecodim >= 0
         assert a.edim - a.tangent_cone_dim == a.ecodim
+
+
+def test_pivot_path_initial_forms_match_oracle():
+    # z - x^2 is solved for its jet coordinates z_p at every level, so the
+    # smooth directions are split off before Mora runs; the canonical forms
+    # built from the pivots and the basis must still cut out ini(a)
+    vs = VarSet(["x", "y", "z"])
+    X = AffineScheme(vs, (parse_poly("z - x^2", vs), parse_poly("y*z", vs)))
+    arc = Arc.from_strings(vs, ["t", "0", "t^2"])
+    for n, degree in [(1, 3), (2, 2)]:
+        gens = jet_ideal(X, n)
+        jp = truncate_arc(arc, n)
+        translated = translate_to_origin(gens, jp)
+        assert _eliminate_smooth_directions(translated)[1]
+        forms = ecodim_at_point(gens, jp).initial_forms
+        assert not initial_ideal_mismatches(translated, forms, degree=degree)

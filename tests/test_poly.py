@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from arcspace.errors import VarsetMismatchError
-from arcspace.polyalg import Poly, VarSet, parse_poly, partial_derivative, poly_arith
+from arcspace.polyalg import Poly, VarSet, parse_poly
 
 from conftest import random_poly
 
@@ -64,14 +64,12 @@ def test_partial_matches_finite_differences(vs):
         assert quotient.substitute({"h": 0}) == lifted
 
 
-def test_poly_arith_dispatch(vs):
+def test_ring_operators(vs):
     a = parse_poly("x + 1", vs)
     b = parse_poly("y", vs)
-    assert poly_arith(a, b, "add") == parse_poly("x + y + 1", vs)
-    assert poly_arith(a, b, "sub") == parse_poly("x - y + 1", vs)
-    assert poly_arith(a, b, "mul") == parse_poly("x*y + y", vs)
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "div")
+    assert a + b == parse_poly("x + y + 1", vs)
+    assert a - b == parse_poly("x - y + 1", vs)
+    assert a * b == parse_poly("x*y + y", vs)
 
 
 def test_varset_mismatch_raises(vs):
@@ -79,7 +77,7 @@ def test_varset_mismatch_raises(vs):
     with pytest.raises(VarsetMismatchError):
         parse_poly("x", vs) + parse_poly("x", other)
     with pytest.raises(VarsetMismatchError):
-        poly_arith(parse_poly("x", vs), parse_poly("y", other), "mul")
+        parse_poly("x", vs) * parse_poly("y", other)
 
 
 def test_zero_polynomial_has_empty_term_map(vs):
@@ -96,9 +94,9 @@ def test_substitution_and_extension(vs):
     assert f.extended(big) == parse_poly("x^2 + y", big)
 
 
-def test_partial_derivative_function_form(vs):
+def test_partial_of_triple_product(vs):
     f = parse_poly("x*y*z", vs)
-    assert partial_derivative(f, "y") == parse_poly("x*z", vs)
+    assert f.partial("y") == parse_poly("x*z", vs)
 
 
 def test_evaluate(vs):

@@ -2,24 +2,24 @@ import pytest
 from fractions import Fraction
 
 from arcspace.errors import InsufficientPrecisionError
-from arcspace.polyalg import OrdResult, TruncSeries, combine_ord_min, series_ops, series_ord
+from arcspace.polyalg import OrdResult, TruncSeries, combine_ord_min
 
 
 def test_ord_exact():
     s = TruncSeries([0, 0, 1, 0, 0, 1])  # t^2 + t^5, exact
-    assert series_ord(s) == OrdResult.exact(2)
-    assert str(series_ord(s)) == "2"
+    assert s.ord() == OrdResult.exact(2)
+    assert str(s.ord()) == "2"
 
 
 def test_ord_zero_exact_is_infinity():
-    assert series_ord(TruncSeries([])) == OrdResult.infinity()
+    assert TruncSeries([]).ord() == OrdResult.infinity()
     assert str(OrdResult.infinity()) == "infinity"
 
 
 def test_ord_zero_truncated_is_exhausted():
     s = TruncSeries([], precision=12)
-    assert series_ord(s) == OrdResult.exhausted(12)
-    assert str(series_ord(s)) == ">=12"
+    assert s.ord() == OrdResult.exhausted(12)
+    assert str(s.ord()) == ">=12"
 
 
 def test_trailing_zeros_trimmed_and_truncated():
@@ -58,13 +58,11 @@ def test_coefficient_access_and_precision_guard():
     assert exact.coefficient(100) == 0
 
 
-def test_series_ops_dispatch():
+def test_series_operators():
     a = TruncSeries([1])
     b = TruncSeries([0, 1])
-    assert series_ops(a, b, "add").coeffs == (1, 1)
-    assert series_ops(a, b, "mul").coeffs == (0, 1)
-    with pytest.raises(ValueError):
-        series_ops(a, b, "sub")
+    assert (a + b).coeffs == (1, 1)
+    assert (a * b).coeffs == (0, 1)
 
 
 def test_combine_ord_min_conservative():
