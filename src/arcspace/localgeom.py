@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InternalInconsistencyError, PointNotOnSchemeError
+from .errors import InternalInconsistencyError, PointNotOnSchemeError, VarsetMismatchError
 from .jets import AffineScheme, Arc, JetPoint, jet_ideal, truncate_arc
 from .polyalg.dimension import monomial_dim
 from .polyalg.linalg import exact_rank
@@ -67,12 +67,45 @@ def point_values(varset: VarSet, point) -> tuple[Fraction, ...]:
 
 
 def jacobian_at(gens: Sequence[Poly], point) -> list[list[Fraction]]:
-    """Jacobian matrix at a point, one row per generator (no rows for no gens)."""
+    """Jacobian matrix at a point, one row per generator (no rows for no gens).
+
+    All generators must share the first one's varset (else
+    VarsetMismatchError), since columns and point coordinates are read by
+    position.  Each row is read off the terms: d(c*x^a)/dx_i at p is
+    c*a_i*p_i^(a_i-1)*prod_{j!=i} p_j^a_j, which vanishes in every column
+    once two factors vanish, and lives only in column i when x_i is the one
+    vanishing factor and a_i = 1.
+    """
     if not gens:
         return []
     varset = gens[0].varset
+    if any(g.varset != varset for g in gens):
+        raise VarsetMismatchError("generators over different varsets")
     values = point_values(varset, point)
-    return [[g.partial(v).evaluate(values) for v in varset] for g in gens]
+    rows = []
+    for g in gens:
+        row = [Fraction(0)] * len(varset)
+        for mono, c in g.terms.items():
+            zero = None
+            prod = c
+            for i, e in enumerate(mono):
+                if not e:
+                    continue
+                if values[i]:
+                    prod *= values[i] ** e
+                elif zero is None:
+                    zero = i
+                else:
+                    break
+            else:
+                if zero is None:
+                    for i, e in enumerate(mono):
+                        if e:
+                            row[i] += prod * e / values[i]
+                elif mono[zero] == 1:
+                    row[zero] += prod
+        rows.append(row)
+    return rows
 
 
 def translate_to_origin(gens: Sequence[Poly], point) -> list[Poly]:

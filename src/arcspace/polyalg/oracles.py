@@ -91,29 +91,35 @@ class InitialIdealOracle:
         return all(x == 0 for x in reduce_row(target, ech, piv))
 
 
-def monomial_in_homogeneous_ideal(forms: Sequence[Poly], mono: Monomial) -> bool:
-    """Membership of a monomial in the ideal generated by homogeneous forms."""
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
-        return False
-    varset = nonzero[0].varset
-    k = monomial_degree(mono)
-    monos_k = [m for m in monomials_up_to(len(varset), k) if monomial_degree(m) == k]
+def _homogeneous_piece(forms: Sequence[Poly], nvars: int, k: int):
+    """Column index and echelon of all degree-k multiples of homogeneous forms."""
+    monos_k = [m for m in monomials_up_to(nvars, k) if monomial_degree(m) == k]
     col = {m: i for i, m in enumerate(monos_k)}
     rows = []
-    for f in nonzero:
+    for f in forms:
         df = f.total_degree()
-        if df > k:
+        if df < 0 or df > k:
             continue
-        shifts = [m for m in monomials_up_to(len(varset), k - df)
+        shifts = [m for m in monomials_up_to(nvars, k - df)
                   if monomial_degree(m) == k - df]
         for m in shifts:
             prod = {monomial_mul(m, fm): fc for fm, fc in f.terms.items()}
-            rows.append(_poly_row(Poly(varset, prod), col))
+            rows.append(_poly_row(Poly(f.varset, prod), col))
     echelon, pivots = fraction_free_echelon(rows)
-    target = [Fraction(0)] * len(monos_k)
+    return col, echelon, pivots
+
+
+def _piece_contains(piece, mono: Monomial) -> bool:
+    col, echelon, pivots = piece
+    target = [Fraction(0)] * len(col)
     target[col[mono]] = Fraction(1)
     return all(x == 0 for x in reduce_row(target, echelon, pivots))
+
+
+def monomial_in_homogeneous_ideal(forms: Sequence[Poly], mono: Monomial) -> bool:
+    """Membership of a monomial in the ideal generated by homogeneous forms."""
+    return _piece_contains(
+        _homogeneous_piece(forms, len(mono), monomial_degree(mono)), mono)
 
 
 def default_truncation_degree(gens: Sequence[Poly]) -> int:
@@ -129,10 +135,13 @@ def initial_ideal_mismatches(gens: Sequence[Poly], forms: Sequence[Poly],
     if degree is None:
         degree = default_truncation_degree(gens)
     oracle = InitialIdealOracle(gens, degree)
+    nvars = len(oracle.varset)
+    pieces = {k: _homogeneous_piece(forms, nvars, k) for k in range(1, degree + 1)}
     bad = []
     for mono in oracle.monos:
-        if monomial_degree(mono) == 0:
+        k = monomial_degree(mono)
+        if k == 0:
             continue
-        if monomial_in_homogeneous_ideal(forms, mono) != oracle.contains_monomial(mono):
+        if _piece_contains(pieces[k], mono) != oracle.contains_monomial(mono):
             bad.append(mono)
     return bad

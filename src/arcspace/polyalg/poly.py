@@ -244,8 +244,11 @@ class Poly:
             prod = c
             for i, e in enumerate(mono):
                 if e:
+                    if not vals[i]:
+                        break
                     prod *= vals[i] ** e
-            total += prod
+            else:
+                total += prod
         return total
 
     def substitute(self, mapping: Mapping[VarId | str, "Poly | Fraction | int"],

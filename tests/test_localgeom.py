@@ -3,7 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from arcspace.errors import PointNotOnSchemeError
+from arcspace.errors import PointNotOnSchemeError, VarsetMismatchError
 from arcspace.jets import (
     AffineScheme,
     Arc,
@@ -53,17 +53,58 @@ def test_translate_off_scheme(plane):
         translate_to_origin([parse_poly("x - 1", plane)], [2, 0])
 
 
+def _evaluate_reference(f, point):
+    """Poly.evaluate as first written: every term multiplied out."""
+    vals = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for mono, c in f.terms.items():
+        prod = c
+        for i, e in enumerate(mono):
+            if e:
+                prod *= vals[i] ** e
+        total += prod
+    return total
+
+
 def test_jacobian_at_matches_partials():
+    # points dense in zeros and exponents up to 5 reach every zero branch of
+    # jacobian_at and of Poly.evaluate: terms with two or more vanishing
+    # factors, and one vanishing factor with exponent 1 or >= 2
     rng = random.Random(31)
     vs = VarSet(["x", "y", "z"])
-    for _ in range(10):
-        gens = [random_poly(vs, rng) for _ in range(rng.randint(1, 3))]
-        values = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in vs]
+    seen = set()
+    for trial in range(60):
+        gens = [random_poly(vs, rng, max_degree=5, terms=5)
+                for _ in range(rng.randint(1, 3))]
+        values = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  if trial % 2 == 0 or rng.random() < 0.5 else Fraction(0)
+                  for _ in vs]
+        for g in gens:
+            assert g.evaluate(values) == _evaluate_reference(g, values)
+            for v in vs:
+                d = g.partial(v)
+                assert d.evaluate(values) == _evaluate_reference(d, values)
+            for mono in g.terms:
+                zeros = [e for e, x in zip(mono, values) if e and not x]
+                seen.add((min(len(zeros), 2), min(zeros[0], 2) if len(zeros) == 1 else 0))
         expected = [[g.partial(v).evaluate(values) for v in vs] for g in gens]
-        assert jacobian_at(gens, values) == expected
+        got = jacobian_at(gens, values)
+        assert got == expected
+        assert all(type(x) is Fraction for row in got for x in row)
         mapping = {v.name: x for v, x in zip(vs, values) if x != 0}
         assert jacobian_at(gens, mapping) == expected
+    # (vanishing factors, exponent of the one vanishing factor)
+    assert seen >= {(0, 0), (1, 1), (1, 2), (2, 0)}
     assert jacobian_at([], [1, 2, 3]) == []
+
+
+def test_jacobian_at_rejects_mixed_varsets():
+    # columns and coordinates are read by position, so a generator over a
+    # permuted varset would be differentiated in the wrong variable
+    xyz, zyx = VarSet(["x", "y", "z"]), VarSet(["z", "y", "x"])
+    gens = [parse_poly("x", xyz), parse_poly("x^2", zyx)]
+    with pytest.raises(VarsetMismatchError):
+        jacobian_at(gens, [1, 0, 3])
 
 
 def test_jacobian_at_jet_point(quadric):
@@ -223,7 +264,7 @@ def test_pivot_path_initial_forms_match_oracle():
     vs = VarSet(["x", "y", "z"])
     X = AffineScheme(vs, (parse_poly("z - x^2", vs), parse_poly("y*z", vs)))
     arc = Arc.from_strings(vs, ["t", "0", "t^2"])
-    for n, degree in [(1, 3), (2, 2)]:
+    for n, degree in [(1, 3), (2, 3)]:
         gens = jet_ideal(X, n)
         jp = truncate_arc(arc, n)
         translated = translate_to_origin(gens, jp)
