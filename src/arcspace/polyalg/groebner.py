@@ -3,13 +3,25 @@
 Pair selection is the normal strategy (smallest lcm under the active order,
 ties by pair index); pair elimination uses the lcm and chain criteria, as is
 standard.  Everything is deterministic.
+
+Division works on a ``_Remainder``, which ``normal_form`` here and
+``mora.mora_normal_form`` share: the remainder's terms live in one dict that a
+reduction step changes in place, only at the shifted terms of the reducer,
+and a heap of order ranks yields its leading monomial (heap division, after
+Monagan and Pearce, J. Symbolic Comput. 46 (2011)).  Neither loop copies the
+remainder or rescans it for its leading term.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+
 from ..errors import ResourceLimitError
 from .orders import MonomialOrder, leading_monomial, make_monic
 from .poly import (
+    Monomial,
     Poly,
     monomial_degree,
     monomial_div,
@@ -19,6 +31,88 @@ from .poly import (
 )
 
 DEFAULT_STEP_LIMIT = 2_000_000
+
+
+class _Remainder:
+    """A polynomial under division, changed in place.
+
+    ``terms`` holds each integral coefficient as an int, because int
+    arithmetic is many times faster than Fraction's and most coefficients of
+    jet ideals are integers; ``snapshot`` and ``pop`` hand out Fractions.
+    ``heap`` holds (rank, monomial) entries under the order's rank; an entry
+    whose term has since cancelled is dropped when it reaches the top.
+    ``degrees`` counts the terms of each total degree, so the ecart needs no
+    scan of the terms.
+    """
+
+    __slots__ = ("varset", "terms", "rank", "heap", "degrees")
+
+    def __init__(self, f: Poly, order: MonomialOrder):
+        self.varset = f.varset
+        self.terms = {m: c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
+        self.rank = rank = order.ranker(len(f.varset))
+        self.heap = [(rank(m), m) for m in self.terms]
+        heapify(self.heap)
+        self.degrees = Counter(map(sum, self.terms))
+
+    def lead(self) -> Monomial | None:
+        """The leading monomial; None once the remainder is zero."""
+        heap, terms = self.heap, self.terms
+        while heap:
+            m = heap[0][1]
+            if m in terms:
+                return m
+            heappop(heap)
+        return None
+
+    def ecart(self, lm: Monomial) -> int:
+        """Total degree minus the degree of the leading monomial lm."""
+        return max(self.degrees) - sum(lm)
+
+    def _remove(self, m: Monomial) -> int | Fraction:
+        degrees = self.degrees
+        d = sum(m)
+        degrees[d] -= 1
+        if not degrees[d]:
+            del degrees[d]
+        return self.terms.pop(m)
+
+    def pop(self, m: Monomial) -> Fraction:
+        """Remove the term at m; returns its coefficient."""
+        return Fraction(self._remove(m))
+
+    def reduce(self, g: Poly, lmg: Monomial, lm: Monomial) -> None:
+        """Subtract the multiple of g whose leading term is the term at lm.
+
+        Touches only the shifted terms of g; the term at lm cancels exactly
+        and is removed without arithmetic.
+        """
+        terms, heap, rank, degrees = self.terms, self.heap, self.rank, self.degrees
+        minus = -self._remove(lm) / g.terms[lmg]
+        if minus.denominator == 1:
+            minus = minus.numerator
+        shift = monomial_div(lm, lmg)
+        for m, c in g.terms.items():
+            if m == lmg:
+                continue
+            c = minus * (c.numerator if c.denominator == 1 else c)
+            m = monomial_mul(m, shift)
+            old = terms.get(m)
+            if old is None:
+                terms[m] = c
+                heappush(heap, (rank(m), m))
+                degrees[sum(m)] += 1
+            elif s := old + c:
+                terms[m] = s
+            else:
+                self._remove(m)
+
+    def snapshot(self) -> Poly:
+        """An immutable copy: its terms dict is not the working one."""
+        p = Poly.__new__(Poly)
+        p.varset = self.varset
+        p.terms = {m: Fraction(c) for m, c in self.terms.items()}
+        return p
 
 
 def term_mul(f: Poly, mono, coeff) -> Poly:
@@ -39,22 +133,20 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
     if f.is_zero() or not basis:
         return f
     lms = [leading_monomial(g, order) for g in basis]
+    h = _Remainder(f, order)
     remainder = Poly.zero(f.varset)
-    h = f
     steps = 0
-    while not h.is_zero():
+    while (lm := h.lead()) is not None:
         steps += 1
         if steps > step_limit:
             raise ResourceLimitError("division step limit exceeded")
-        lm = leading_monomial(h, order)
         for g, lmg in zip(basis, lms):
             if monomial_divides(lmg, lm):
-                factor = h.terms[lm] / g.terms[lmg]
-                h = h - term_mul(g, monomial_div(lm, lmg), factor)
+                h.reduce(g, lmg, lm)
                 break
         else:
-            remainder = remainder + Poly(h.varset, {lm: h.terms[lm]})
-            h = h - Poly(h.varset, {lm: h.terms[lm]})
+            # later leading monomials are smaller, so lm is a new term here
+            remainder.terms[lm] = h.pop(lm)
     return remainder
 
 

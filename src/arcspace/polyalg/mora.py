@@ -5,14 +5,20 @@ the ecart trick: intermediate remainders join the reducer pool, which makes
 the division terminate even though the order is not well-founded.  The weak
 normal form h of f satisfies u*f = sum q_i g_i + h for a unit u of the local
 ring, and either h = 0 or no leading monomial of the pool divides LM(h).
+
+The reduction step is groebner's ``_Remainder``, shared with ``normal_form``:
+the remainder is changed in place at the shifted terms of the reducer, a heap
+of the order's ranks yields LM(h), and a count of term degrees gives the ecart
+of h, so no step copies h or scans it.  Only a remainder that joins the pool
+is copied, because pool entries must not change under later steps.
 """
 
 from __future__ import annotations
 
 from ..errors import ResourceLimitError
-from .orders import ANTIGRLEX, MonomialOrder, ecart, leading_monomial, make_monic
-from .groebner import _update_pairs, buchberger, interreduce, minimalize, spolynomial, term_mul
-from .poly import Poly, monomial_div, monomial_divides, monomial_lcm
+from .orders import ANTIGRLEX, MonomialOrder, leading_monomial, make_monic
+from .groebner import _Remainder, _update_pairs, buchberger, interreduce, minimalize, spolynomial
+from .poly import Poly, monomial_divides, monomial_lcm
 
 DEFAULT_WORK_LIMIT = 20_000_000
 
@@ -48,23 +54,26 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
         return f
     if budget is None:
         budget = _Budget(work_limit)
-    pool = [g for g in basis if not g.is_zero()]
-    data = [(ecart(g, order), leading_monomial(g, order), i, g) for i, g in enumerate(pool)]
-    h = f
-    while not h.is_zero():
-        lm = leading_monomial(h, order)
-        candidates = [d for d in data if monomial_divides(d[1], lm)]
-        if not candidates:
-            return h
-        eh = ecart(h, order)
-        eg, lmg, _, g = min(candidates, key=lambda d: (d[0], order.key(d[1]), d[2]))
+    # (ecart, order key of the leading monomial, pool position, leading
+    # monomial, reducer): tuple order is the reducer tie-break
+    data = []
+    for g in basis:
+        if not g.is_zero():
+            lmg = leading_monomial(g, order)
+            data.append((g.total_degree() - sum(lmg), order.key(lmg), len(data), lmg, g))
+    h = _Remainder(f, order)
+    while (lm := h.lead()) is not None:
+        best = min((d for d in data if monomial_divides(d[3], lm)), default=None)
+        if best is None:
+            break
+        eg, _, _, lmg, g = best
+        eh = h.ecart(lm)
         if eg > eh:
-            data.append((eh, lm, len(data), h))
-        # the step scans h for its leading term and subtracts a multiple of g
+            data.append((eh, order.key(lm), len(data), lm, h.snapshot()))
+        # a step costs the reducer's terms plus the remainder's
         budget.spend(len(g.terms) + len(h.terms))
-        factor = h.terms[lm] / g.terms[lmg]
-        h = h - term_mul(g, monomial_div(lm, lmg), factor)
-    return h
+        h.reduce(g, lmg, lm)
+    return h.snapshot()
 
 
 def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,

@@ -8,6 +8,7 @@ construction and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Mapping, Sequence
 
 from ..errors import VarsetMismatchError
@@ -17,21 +18,21 @@ Monomial = tuple[int, ...]
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True if x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of x^a / x^b (caller guarantees divisibility)."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_degree(a: Monomial) -> int:
@@ -94,13 +95,13 @@ class Poly:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def min_degree(self) -> int:
         """Lowest total degree among terms; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return min(monomial_degree(m) for m in self.terms)
+        return min(map(sum, self.terms))
 
     def degree_in(self, v: VarId | str) -> int:
         i = self.varset.position(v)

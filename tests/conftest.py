@@ -54,6 +54,24 @@ def random_poly(varset: VarSet, rng: random.Random, max_degree: int = 3,
     return Poly(varset, data)
 
 
+def tuple_key(order, mono):
+    """The tuple sort key the orders were first defined by (larger key, larger
+    monomial), kept as the reference for their ranks."""
+    e = mono if order.priority is None else tuple(mono[p] for p in order.priority)
+    if order.kind == "lex":
+        return e
+    deg = sum(e)
+    if order.kind == "grlex":
+        return (deg, e)
+    if order.kind == "grevlex":
+        return (deg, tuple(-x for x in reversed(e)))
+    return (-deg, tuple(-x for x in e))
+
+
+def tuple_leading_monomial(f, order):
+    return max(f.terms, key=lambda m: tuple_key(order, m))
+
+
 def random_arc(varset: VarSet, rng: random.Random, degree: int = 4) -> Arc:
     """Random exact polynomial arc in the ambient space."""
     from arcspace.polyalg import TruncSeries

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from arcspace.polyalg import (
     parse_poly,
 )
 from arcspace.polyalg.orders import ecart, leading_monomial, leading_term, make_monic
+
+from conftest import tuple_key, tuple_leading_monomial
 
 
 def test_global_vs_local():
@@ -81,3 +84,43 @@ def test_zero_polynomial_has_no_leading_term():
     vs = VarSet(["x"])
     with pytest.raises(ValueError):
         leading_monomial(Poly.zero(vs), GREVLEX)
+
+
+def test_priority_must_cover_every_variable():
+    # a 2-position priority on 3 variables used to ignore z: compare gave 0
+    # and the leader of z + z^2 depended on the order the terms were inserted
+    vs = VarSet(["x", "y", "z"])
+    order = MonomialOrder("grlex", priority=(1, 0))
+    for text in ("z + z^2", "z^2 + z"):
+        with pytest.raises(ValueError, match="2 positions .* 3 variables"):
+            leading_monomial(parse_poly(text, vs), order)
+    with pytest.raises(ValueError, match="2 positions .* 3 variables"):
+        order.compare((0, 0, 1), (0, 0, 2))
+    with pytest.raises(ValueError, match="2 positions .* 3 variables"):
+        order.key((0, 0, 1))
+    with pytest.raises(ValueError, match="4 positions .* 3 variables"):
+        leading_monomial(parse_poly("z", vs), MonomialOrder("lex", priority=(3, 2, 1, 0)))
+
+
+@pytest.mark.parametrize("priority", [None, (2, 0, 3, 1)])
+@pytest.mark.parametrize("kind", ["grevlex", "grlex", "lex", "antigrlex"])
+def test_ranks_match_the_tuple_keys(kind, priority):
+    """leading_monomial, ecart, key and compare against the tuple key."""
+    order = MonomialOrder(kind, priority)
+    vs = VarSet(["a", "b", "c", "d"])
+    rng = random.Random(f"{kind}/{priority}")
+    for _ in range(80):
+        terms = {}
+        size = rng.randint(1, 40)
+        while len(terms) < size:
+            terms[tuple(rng.randint(0, 4) for _ in range(4))] = Fraction(rng.randint(1, 9))
+        f = Poly(vs, terms)
+        lm = tuple_leading_monomial(f, order)
+        assert leading_monomial(f, order) == lm
+        assert leading_monomial(Poly(vs, dict(reversed(terms.items()))), order) == lm
+        assert ecart(f, order) == f.total_degree() - sum(lm)
+        monos = list(f.terms)
+        assert sorted(monos, key=order.key) == sorted(monos, key=lambda m: tuple_key(order, m))
+        for a, b in zip(monos, monos[1:] + monos[:1]):
+            ka, kb = tuple_key(order, a), tuple_key(order, b)
+            assert order.compare(a, b) == (ka > kb) - (ka < kb)
