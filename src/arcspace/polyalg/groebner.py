@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from ..errors import ResourceLimitError
+from ..errors import ResourceLimitError, VarsetMismatchError
 from .orders import MonomialOrder, leading_monomial, make_monic
 from .poly import (
     Monomial,
@@ -37,8 +37,9 @@ class _Remainder:
     """A polynomial under division, changed in place.
 
     ``terms`` holds each integral coefficient as an int, because int
-    arithmetic is many times faster than Fraction's and most coefficients of
-    jet ideals are integers; ``snapshot`` and ``pop`` hand out Fractions.
+    arithmetic is many times faster than Fraction's and most coefficients met
+    in reducing jet ideals are integral (see ROADMAP item 2); ``snapshot`` and
+    ``pop`` hand out Fractions.
     ``heap`` holds (rank, monomial) entries under the order's rank; an entry
     whose term has since cancelled is dropped when it reaches the top.
     ``degrees`` counts the terms of each total degree, so the ecart needs no
@@ -115,6 +116,19 @@ class _Remainder:
         return p
 
 
+def _check_varsets(f: Poly, basis: list[Poly]) -> None:
+    """Raise VarsetMismatchError unless every reducer is over f's varset.
+
+    A reduction step reads exponent positions, so a reducer over another
+    varset would otherwise be applied silently at the wrong variables.
+    """
+    for g in basis:
+        if g.varset != f.varset:
+            raise VarsetMismatchError(
+                f"reducer over a different variable set: {g.varset!r} vs {f.varset!r}"
+            )
+
+
 def term_mul(f: Poly, mono, coeff) -> Poly:
     """Multiply by a single term coeff*x^mono."""
     p = Poly.__new__(Poly)
@@ -132,6 +146,7 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
     """
     if f.is_zero() or not basis:
         return f
+    _check_varsets(f, basis)
     lms = [leading_monomial(g, order) for g in basis]
     h = _Remainder(f, order)
     remainder = Poly.zero(f.varset)

@@ -17,7 +17,15 @@ from __future__ import annotations
 
 from ..errors import ResourceLimitError
 from .orders import ANTIGRLEX, MonomialOrder, leading_monomial, make_monic
-from .groebner import _Remainder, _update_pairs, buchberger, interreduce, minimalize, spolynomial
+from .groebner import (
+    _check_varsets,
+    _Remainder,
+    _update_pairs,
+    buchberger,
+    interreduce,
+    minimalize,
+    spolynomial,
+)
 from .poly import Poly, monomial_divides, monomial_lcm
 
 DEFAULT_WORK_LIMIT = 20_000_000
@@ -52,6 +60,7 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
     """
     if f.is_zero():
         return f
+    _check_varsets(f, basis)
     if budget is None:
         budget = _Budget(work_limit)
     # (ecart, order key of the leading monomial, pool position, leading

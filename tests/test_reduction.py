@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcspace.errors import ResourceLimitError
+from arcspace.errors import ResourceLimitError, VarsetMismatchError
 from arcspace.jets import jet_ideal, truncate_arc
 from arcspace.localgeom import translate_to_origin
 from arcspace.polyalg import (
@@ -260,3 +260,17 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
            for w in (work - 1, work)]
     assert new == old
     assert new[0] == "exhausted" and new[1] != "exhausted"
+
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda f, basis: mora_normal_form(f, basis),
+    lambda f, basis: normal_form(f, basis, GREVLEX),
+], ids=["mora_normal_form", "normal_form"])
+def test_reducers_over_another_varset_are_rejected(reduce):
+    """y over (y, x) has the exponent vector of x over (x, y); without a
+    varset check it would reduce x to zero."""
+    f = Poly.variable(VarSet(["x", "y"]), "x")
+    g = Poly.variable(VarSet(["y", "x"]), "y")
+    with pytest.raises(VarsetMismatchError):
+        reduce(f, [g])
