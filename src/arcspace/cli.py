@@ -33,9 +33,9 @@ from .jets import (
     jacobian_ideal,
     jet_ideal,
     ord_along_arc,
+    truncate_arc,
 )
-from .localgeom import ecodim_jet, ecodim_window
-from .polyalg.mora import initial_ideal
+from .localgeom import ecodim_jet, ecodim_window, translate_to_origin
 from .polyalg.oracles import initial_ideal_mismatches
 from .polyalg.parse import parse_poly, poly_to_string
 from .polyalg.varset import VarSet
@@ -132,27 +132,25 @@ def _oracle_report(gens, forms, degree: int) -> dict:
 
 def cmd_ecodim(job: Job, level: int | None, window: tuple[int, int] | None,
                trunc_degree: int | None) -> dict:
-    from .localgeom import translate_to_origin
-    from .jets import truncate_arc
-
     out = {"schema": SCHEMA_VERSION, "command": "ecodim"}
     if window is not None:
         report = ecodim_window(job.scheme, job.arc, *window)
         out.update(report.to_json())
-        check_level = window[1]
+        level = window[1]
+        analysis = report.per_level[level]
     elif level is not None:
         analysis = ecodim_jet(job.scheme, job.arc, level)
         out.update(analysis.to_json())
         out["level"] = level
-        check_level = level
     else:
         raise ValueError("ecodim needs --level or --window")
     if trunc_degree is not None:
-        gens = translate_to_origin(
-            jet_ideal(job.scheme, check_level),
-            truncate_arc(job.arc, check_level))
-        forms = initial_ideal(gens)
-        out["initial_ideal_oracle"] = _oracle_report(gens, forms, trunc_degree)
+        # the oracle checks the initial forms the report prints against the
+        # translated jet ideal they were computed from
+        gens = translate_to_origin(jet_ideal(job.scheme, level),
+                                   truncate_arc(job.arc, level))
+        out["initial_ideal_oracle"] = _oracle_report(gens, analysis.initial_forms,
+                                                     trunc_degree)
     return out
 
 

@@ -466,10 +466,6 @@ class TangentReport:
     expected: int
     matrix: tuple[tuple[Fraction, ...], ...] = field(repr=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.rank == self.expected
-
 
 def tangent_matrix_rows(model: DrinfeldModel, arc: Arc) -> list[list[Fraction]]:
     """Raw rows of the comparison tangent map, one per target jet coordinate.

@@ -1,11 +1,12 @@
 """Jet schemes and arcs.
 
-Jet ideals come from the universal Hasse-Schmidt derivation: D_p sends an
-ambient coordinate to its order-p jet coordinate and obeys the convolution
-Leibniz rule, so the order-n jet scheme of V(g_1..g_c) is cut out by all
-D_p(g_i) with p <= n.  Arcs are tuples of truncated series in t; composing a
-polynomial with an arc and reading the t-adic order gives contact orders with
-ideals, in particular with Jacobian (Fitting) ideals.
+Jet ideals and contact orders are both one composition (polyalg.poly.compose)
+read off in t.  Composing g with the universal jet x_i(t) = sum_{j<=n} x_i_j t^j
+mod t^(n+1) gives the universal Hasse-Schmidt derivatives D_0(g)..D_n(g) as its
+coefficients, and all D_p(g_i) with p <= n cut out the order-n jet scheme of
+V(g_1..g_c).  Arcs are tuples of truncated series in t; composing a polynomial
+with an arc and reading the t-adic order gives contact orders with ideals, in
+particular with Jacobian (Fitting) ideals.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InsufficientPrecisionError, InvalidCodimError, VarsetMismatchError
-from .polyalg.poly import Poly, poly_det
+from .polyalg.poly import Poly, compose, poly_det
 from .polyalg.series import OrdResult, TruncSeries, combine_ord_min
+from .polyalg.tpoly import TPoly, substitute_tpoly
 from .polyalg.varset import VarSet
 
 
@@ -69,10 +71,6 @@ class AffineScheme:
         if d < 0:
             raise ValueError("more generators than variables; declare a dimension")
         return d
-
-    @property
-    def dim_is_provisional(self) -> bool:
-        return self.declared_dim is None
 
 
 class Arc:
@@ -140,54 +138,38 @@ class JetPoint:
         if len(self.values) != len(self.varset):
             raise ValueError("values misaligned with the jet varset")
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return {v.name: x for v, x in zip(self.varset, self.values)}
-
 
 # -- Hasse-Schmidt derivatives ------------------------------------------------
+
+
+def _universal_jet_composite(f: Poly, n: int, target: VarSet) -> TPoly:
+    """f(x(t)) mod t^(n+1) at the universal jet x_i(t) = sum_{j<=n} x_i_j t^j,
+    whose coefficients are the jet variables of `target`."""
+    jets = [TPoly(target, [Poly.variable(target, v.derived(j)) for j in range(n + 1)], n + 1)
+            for v in f.varset]
+    return substitute_tpoly(f, jets)
 
 
 def hs_derivative(f: Poly, p: int, varset: VarSet | None = None) -> Poly:
     """The p-th universal Hasse-Schmidt derivative of f, in jet coordinates.
 
-    D_p is Q-linear, sends a coordinate x to x_p, and satisfies
-    D_p(gh) = sum over i+j=p of D_i(g) D_j(h).  The result only involves jet
-    variables of order <= p; pass a larger jet varset to embed directly.
+    D_p(f) is the t^p coefficient of f(sum_j x_j t^j): it is Q-linear, sends
+    a coordinate x to x_p, and satisfies D_p(gh) = sum over i+j=p of
+    D_i(g) D_j(h).  The result only involves jet variables of order <= p;
+    pass a larger jet varset to embed directly.
     """
     if p < 0:
         raise ValueError("derivative order must be nonnegative")
     target = varset if varset is not None else jet_varset(f.varset, p)
-    jet_polys: dict[tuple[int, int], Poly] = {}
-
-    def jet_poly(i: int, j: int) -> Poly:
-        if (i, j) not in jet_polys:
-            jet_polys[(i, j)] = Poly.variable(target, f.varset[i].derived(j))
-        return jet_polys[(i, j)]
-
-    total = Poly.zero(target)
-    for mono, coeff in f.terms.items():
-        # convolution over the factors of the monomial, truncated at order p
-        conv: list[Poly | None] = [None] * (p + 1)
-        conv[0] = Poly.const(target, coeff)
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                nxt: list[Poly | None] = [None] * (p + 1)
-                for a in range(p + 1):
-                    if conv[a] is None:
-                        continue
-                    for b in range(p + 1 - a):
-                        piece = conv[a] * jet_poly(i, b)
-                        nxt[a + b] = piece if nxt[a + b] is None else nxt[a + b] + piece
-                conv = nxt
-        if conv[p] is not None:
-            total = total + conv[p]
-    return total
+    return _universal_jet_composite(f, p, target).coefficient(p)
 
 
 def jet_ideal(X: AffineScheme, n: int) -> list[Poly]:
-    """Defining ideal of the order-n jet scheme inside A^((n+1)N)."""
+    """Defining ideal of the order-n jet scheme inside A^((n+1)N): D_0..D_n
+    of each generator, read off one composite per generator."""
     target = jet_varset(X.ambient, n)
-    return [hs_derivative(g, p, target) for g in X.generators for p in range(n + 1)]
+    composites = [_universal_jet_composite(g, n, target) for g in X.generators]
+    return [h.coefficient(p) for h in composites for p in range(n + 1)]
 
 
 # -- evaluation along arcs ----------------------------------------------------
@@ -197,19 +179,8 @@ def eval_along_arc(f: Poly, arc: Arc) -> TruncSeries:
     """Exact composite series f(alpha(t)), to the arc's precision."""
     if f.varset != arc.varset:
         raise VarsetMismatchError("polynomial and arc over different varsets")
-    powers: list[dict[int, TruncSeries]] = [dict() for _ in arc.components]
-    total = TruncSeries.zero()
-    for mono, c in f.terms.items():
-        term = TruncSeries.constant(c)
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = arc.components[i] ** e
-            term = term * cache[e]
-        total = total + term
-    return total
+    return compose(f, arc.components, lambda c, mono: TruncSeries.constant(c),
+                   TruncSeries.zero())
 
 
 def ord_along_arc(target: Poly | Sequence[Poly], arc: Arc) -> OrdResult:

@@ -141,8 +141,7 @@ def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX)
     return interreduce(minimalize(buchberger(nonzero, order), order), order)
 
 
-def initial_ideal(gens: list[Poly], at_origin: bool = True,
-                  order: MonomialOrder = ANTIGRLEX,
+def initial_ideal(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
                   work_limit: int = DEFAULT_WORK_LIMIT) -> list[Poly]:
     """Generators of the initial ideal: lowest-degree forms of a standard basis.
 
@@ -150,8 +149,6 @@ def initial_ideal(gens: list[Poly], at_origin: bool = True,
     returned forms are the reduced Groebner basis of ini(a) for the same local
     order.
     """
-    if not at_origin:
-        raise ValueError("translate the ideal to the origin first")
     basis = mora_standard_basis(gens, order, work_limit)
     return canonical_initial_forms([g.initial_form() for g in basis], order)
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from ..errors import VarsetMismatchError
 from .varset import VarId, VarSet
 
 Monomial = tuple[int, ...]
+R = TypeVar("R")
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -85,9 +86,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or all(monomial_degree(m) == 0 for m in self.terms)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.varset), Fraction(0))
 
@@ -115,9 +113,6 @@ class Poly:
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
-
-    def monomials(self) -> list[Monomial]:
-        return list(self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -252,42 +247,23 @@ class Poly:
                 total += prod
         return total
 
-    def substitute(self, mapping: Mapping[VarId | str, "Poly | Fraction | int"],
-                   varset: VarSet | None = None) -> "Poly":
-        """Substitute polynomials (or constants) for variables.
-
-        Variables not mentioned map to the identically-named variable of the
-        target varset (which defaults to this polynomial's own).
-        """
-        target = varset or self.varset
-        values: list[Poly] = []
-        explicit: dict[int, Poly] = {}
+    def substitute(self, mapping: Mapping[VarId | str, "Poly | Fraction | int"]) -> "Poly":
+        """Substitute polynomials (or constants) for some variables; the
+        variables the mapping leaves out stay as they are."""
+        varset = self.varset
+        values: list[Poly | None] = [None] * len(varset)
         for key, val in mapping.items():
-            idx = self.varset.position(key)
             if isinstance(val, (Fraction, int)):
-                explicit[idx] = Poly.const(target, val)
-            else:
-                if val.varset != target:
-                    raise VarsetMismatchError("substitution value over a different varset")
-                explicit[idx] = val
-        for i, v in enumerate(self.varset):
-            if i in explicit:
-                values.append(explicit[i])
-            else:
-                values.append(Poly.variable(target, v.name))
-        powers: list[dict[int, Poly]] = [dict() for _ in values]
-        out = Poly.zero(target)
-        for mono, c in self.terms.items():
-            term = Poly.const(target, c)
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = values[i] ** e
-                term = term * cache[e]
-            out = out + term
-        return out
+                val = Poly.const(varset, val)
+            elif val.varset != varset:
+                raise VarsetMismatchError("substitution value over a different varset")
+            values[varset.position(key)] = val
+        kept = [v is None for v in values]
+
+        def head(c: Fraction, mono: Monomial) -> Poly:
+            return Poly(varset, {tuple(e if k else 0 for e, k in zip(mono, kept)): c})
+
+        return compose(self, values, head, Poly.zero(varset))
 
     def extended(self, new_varset: VarSet) -> "Poly":
         """Re-express over a larger varset of which the current one is a prefix."""
@@ -308,6 +284,29 @@ class Poly:
         if not self.terms:
             return self
         return self.homogeneous_part(self.min_degree())
+
+
+def compose(f: Poly, values: Sequence[R | None], head: Callable[[Fraction, Monomial], R],
+            zero: R) -> R:
+    """f evaluated at ring elements: the sum, over the terms c*x^a of f, of
+    head(c, a) times values[i]**a_i for every i whose value is not None.
+
+    `head` turns a term into the ring element its product starts from; it
+    sees the whole exponent, so it can keep the exponents of the variables
+    left alone.  Each power values[i]**e is computed once, from the one below.
+    """
+    powers: list[list[R]] = [[v] for v in values]
+    total = zero
+    for mono, c in f.terms.items():
+        term = head(c, mono)
+        for i, e in enumerate(mono):
+            if e and values[i] is not None:
+                pw = powers[i]
+                while len(pw) < e:
+                    pw.append(pw[-1] * values[i])
+                term = term * pw[e - 1]
+        total = total + term
+    return total
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:

@@ -68,6 +68,15 @@ def combine_ord_min(results: Iterable[OrdResult]) -> OrdResult:
     return OrdResult.infinity()
 
 
+def min_precision(a: int | None, b: int | None) -> int | None:
+    """Precision of a sum or product: the smaller known one (None is exact)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
 class TruncSeries:
     __slots__ = ("coeffs", "precision")
 
@@ -135,23 +144,15 @@ class TruncSeries:
 
     # -- arithmetic (conservative min precision rule) ------------------------
 
-    @staticmethod
-    def _min_precision(a: "TruncSeries", b: "TruncSeries") -> int | None:
-        if a.precision is None:
-            return b.precision
-        if b.precision is None:
-            return a.precision
-        return min(a.precision, b.precision)
-
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         n = max(len(self.coeffs), len(other.coeffs))
         cs = [self._get(i) + other._get(i) for i in range(n)]
-        return TruncSeries(cs, self._min_precision(self, other))
+        return TruncSeries(cs, min_precision(self.precision, other.precision))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         n = max(len(self.coeffs), len(other.coeffs))
         cs = [self._get(i) - other._get(i) for i in range(n)]
-        return TruncSeries(cs, self._min_precision(self, other))
+        return TruncSeries(cs, min_precision(self.precision, other.precision))
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries([-c for c in self.coeffs], self.precision)
@@ -160,7 +161,7 @@ class TruncSeries:
         return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        prec = self._min_precision(self, other)
+        prec = min_precision(self.precision, other.precision)
         if not self.coeffs or not other.coeffs:
             return TruncSeries((), prec)
         n = len(self.coeffs) + len(other.coeffs) - 1

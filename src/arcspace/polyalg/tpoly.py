@@ -1,31 +1,40 @@
 """Univariate polynomials in t whose coefficients are multivariate Polys.
 
 Used for congruences mod q(t) and mod q(t)^2: division by a monic divisor is
-exact over any commutative coefficient ring.
+exact over any commutative coefficient ring.  Known only mod t^N (a
+precision), a TPoly also carries the universal jet that jet ideals come from.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from ..errors import NotMonicError, VarsetMismatchError
-from .poly import Poly
+from ..errors import InsufficientPrecisionError, NotMonicError, VarsetMismatchError
+from .poly import Poly, compose
+from .series import min_precision
 from .varset import VarSet
 
 
 class TPoly:
-    __slots__ = ("varset", "coeffs")
+    """Coefficients of t^0, t^1, ...; known mod t^precision, or exact when the
+    precision is None, with the min rule of TruncSeries in +, - and *."""
 
-    def __init__(self, varset: VarSet, coeffs: Sequence[Poly]):
+    __slots__ = ("varset", "coeffs", "precision")
+
+    def __init__(self, varset: VarSet, coeffs: Sequence[Poly], precision: int | None = None):
         cs = list(coeffs)
         for c in cs:
             if c.varset != varset:
                 raise VarsetMismatchError("coefficient over a different varset")
+        if precision is not None:
+            if precision < 0:
+                raise ValueError("precision must be nonnegative")
+            del cs[precision:]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.varset = varset
         self.coeffs = tuple(cs)
+        self.precision = precision
 
     @classmethod
     def zero(cls, varset: VarSet) -> "TPoly":
@@ -34,10 +43,6 @@ class TPoly:
     @classmethod
     def constant(cls, c: Poly) -> "TPoly":
         return cls(c.varset, (c,))
-
-    @classmethod
-    def from_scalars(cls, varset: VarSet, scalars: Sequence[Fraction | int]) -> "TPoly":
-        return cls(varset, [Poly.const(varset, s) for s in scalars])
 
     @classmethod
     def t_power(cls, varset: VarSet, k: int) -> "TPoly":
@@ -55,52 +60,57 @@ class TPoly:
     def coefficient(self, k: int) -> Poly:
         if k < len(self.coeffs):
             return self.coeffs[k]
-        return Poly.zero(self.varset)
+        if self.precision is None or k < self.precision:
+            return Poly.zero(self.varset)
+        raise InsufficientPrecisionError(k + 1, self.precision)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TPoly)
             and self.varset == other.varset
             and self.coeffs == other.coeffs
+            and self.precision == other.precision
         )
+
+    def _get(self, i: int) -> Poly:
+        return self.coeffs[i] if i < len(self.coeffs) else Poly.zero(self.varset)
 
     def __add__(self, other: "TPoly") -> "TPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(self.varset, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        return TPoly(self.varset, [self._get(i) + other._get(i) for i in range(n)],
+                     min_precision(self.precision, other.precision))
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(self.varset, [self.coefficient(i) - other.coefficient(i) for i in range(n)])
+        return TPoly(self.varset, [self._get(i) - other._get(i) for i in range(n)],
+                     min_precision(self.precision, other.precision))
 
     def __neg__(self) -> "TPoly":
-        return TPoly(self.varset, [-c for c in self.coeffs])
+        return TPoly(self.varset, [-c for c in self.coeffs], self.precision)
 
     def __mul__(self, other: "TPoly") -> "TPoly":
+        prec = min_precision(self.precision, other.precision)
         if self.is_zero() or other.is_zero():
-            return TPoly.zero(self.varset)
-        out = [Poly.zero(self.varset) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
+            return TPoly(self.varset, (), prec)
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        if prec is not None:
+            n = min(n, prec)
+        out = [Poly.zero(self.varset) for _ in range(n)]
+        for i, a in enumerate(self.coeffs[:n]):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TPoly(self.varset, out)
+            for j, b in enumerate(other.coeffs[:n - i]):
+                if not b.is_zero():
+                    out[i + j] = out[i + j] + a * b
+        return TPoly(self.varset, out, prec)
 
     def scale(self, c: Poly) -> "TPoly":
-        return TPoly(self.varset, [x * c for x in self.coeffs])
-
-    def __pow__(self, n: int) -> "TPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = TPoly.constant(Poly.one(self.varset))
-        for _ in range(n):
-            result = result * self
-        return result
+        return TPoly(self.varset, [x * c for x in self.coeffs], self.precision)
 
     def div_monic(self, q: "TPoly") -> tuple["TPoly", "TPoly"]:
         """Exact division by a monic divisor: self = quot*q + rem, deg rem < deg q."""
+        if self.precision is not None or q.precision is not None:
+            raise ValueError("division needs exact t-polynomials")
         if not q.is_monic():
             raise NotMonicError("divisor is not monic in t")
         dq = q.degree()
@@ -139,16 +149,5 @@ def substitute_tpoly(f: Poly, values: Sequence[TPoly]) -> TPoly:
     for v in values:
         if v.varset != target:
             raise VarsetMismatchError("values over different varsets")
-    powers: list[dict[int, TPoly]] = [dict() for _ in values]
-    total = TPoly.zero(target)
-    for mono, c in f.terms.items():
-        term = TPoly.constant(Poly.const(target, c))
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = values[i] ** e
-            term = term * cache[e]
-        total = total + term
-    return total
+    return compose(f, values, lambda c, mono: TPoly.constant(Poly.const(target, c)),
+                   TPoly.zero(target))

@@ -93,12 +93,5 @@ class VarSet:
             raise KeyError(f"variable {v.name} not in this set")
         return self._pos[v]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.vars)
-
-    def extended(self, extra: Iterable[VarId | str]) -> "VarSet":
-        """New set with additional variables appended after the current ones."""
-        return VarSet(self.vars + tuple(as_varid(v) for v in extra))
-
     def is_prefix_of(self, other: "VarSet") -> bool:
         return len(self) <= len(other) and other.vars[: len(self)] == self.vars

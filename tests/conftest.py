@@ -81,3 +81,48 @@ def random_arc(varset: VarSet, rng: random.Random, degree: int = 4) -> Arc:
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(degree + 1)]
         comps.append(TruncSeries(coeffs))
     return Arc(varset, comps)
+
+
+def convolution_hs_derivative(f, p: int, varset=None):
+    """D_p(f) by the truncated convolution over the factors of each monomial,
+    as hs_derivative was first written: the reference for the composite."""
+    from arcspace.jets import jet_varset
+    from arcspace.polyalg import Poly
+
+    target = varset if varset is not None else jet_varset(f.varset, p)
+    total = Poly.zero(target)
+    for mono, coeff in f.terms.items():
+        conv = [Poly.const(target, coeff)] + [None] * p
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                nxt = [None] * (p + 1)
+                for a in range(p + 1):
+                    if conv[a] is None:
+                        continue
+                    for b in range(p + 1 - a):
+                        piece = conv[a] * Poly.variable(target, f.varset[i].derived(b))
+                        nxt[a + b] = piece if nxt[a + b] is None else nxt[a + b] + piece
+                conv = nxt
+        if conv[p] is not None:
+            total = total + conv[p]
+    return total
+
+
+def substitute_every_variable(f, mapping):
+    """f with the mapping substituted, as Poly.substitute was first written:
+    every variable gets a value (itself when unmapped), and each term is the
+    product of the powers of all of them."""
+    from arcspace.polyalg import Poly
+
+    vs = f.varset
+    values = [Poly.variable(vs, v) for v in vs]
+    for key, val in mapping.items():
+        values[vs.position(key)] = val if isinstance(val, Poly) else Poly.const(vs, val)
+    out = Poly.zero(vs)
+    for mono, c in f.terms.items():
+        term = Poly.const(vs, c)
+        for i, e in enumerate(mono):
+            if e:
+                term = term * values[i] ** e
+        out = out + term
+    return out

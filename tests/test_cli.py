@@ -116,6 +116,21 @@ def test_ecodim_oracle_flag(tmp_path, capsys):
     assert report["initial_ideal_oracle"]["pass"] is True
 
 
+def test_ecodim_window_oracle_checks_reported_forms(tmp_path, capsys):
+    # z - x^2 sends its jet coordinates down the pivot path; the oracle runs
+    # on the initial forms printed for the top level of the window
+    doc = {"schema": 1, "vars": ["x", "y", "z"], "generators": ["z - x^2", "y*z"],
+           "arc": ["t", "0", "t^2"]}
+    path = write_doc(tmp_path, doc)
+    code, report = run_cli(capsys, "ecodim", path, "--window", "1:2", "--trunc-degree", "2")
+    assert code == 0
+    assert report["window"] == [1, 2]
+    assert report["initial_ideal_oracle"] == {"degree": 2, "pass": True, "mismatches": []}
+    code, level2 = run_cli(capsys, "ecodim", path, "--level", "2")
+    assert code == 0
+    assert report["initial_forms"] == level2["initial_forms"]
+
+
 def test_drinfeld_first_example(tmp_path, capsys):
     code, report = run_cli(capsys, "drinfeld", write_doc(tmp_path, QUADRIC_DOC),
                            "--seed", "0")

@@ -20,7 +20,7 @@ from arcspace.polyalg import OrdResult, Poly, TPoly, TruncSeries, VarSet, parse_
 from arcspace.polyalg.poly import poly_det
 from arcspace.polyalg.tpoly import substitute_tpoly
 
-from conftest import monomial_arc, random_arc, random_poly
+from conftest import convolution_hs_derivative, monomial_arc, random_arc, random_poly
 
 
 def hs_by_substitution(f, p):
@@ -63,6 +63,38 @@ def test_hs_matches_substitution_oracle_random():
         f = random_poly(vs, rng, max_degree=3, terms=3)
         p = rng.randint(0, 4)
         assert hs_derivative(f, p) == hs_by_substitution(f, p)
+
+
+def test_jet_ideal_matches_convolution_reference():
+    # one composite per generator gives every D_p the per-order convolution gives
+    rng = random.Random(7)
+    names = ["x", "y", "z", "w"]
+    for nvars in range(1, 5):
+        vs = VarSet(names[:nvars])
+        for n in range(7):
+            gens = tuple(g for g in (random_poly(vs, rng, max_degree=4, terms=3)
+                                     for _ in range(2)) if not g.is_zero())
+            if not gens:
+                continue
+            X = AffineScheme(vs, gens)
+            target = jet_varset(vs, n)
+            expected = [convolution_hs_derivative(g, p, target) for g in gens
+                        for p in range(n + 1)]
+            assert jet_ideal(X, n) == expected
+            p = rng.randint(0, n)
+            assert hs_derivative(gens[0], p) == convolution_hs_derivative(gens[0], p)
+
+
+def test_hs_derivative_into_larger_varset_matches_reference():
+    vs = VarSet(["x", "y", "z"])
+    rng = random.Random(11)
+    for _ in range(12):
+        f = random_poly(vs, rng, max_degree=4, terms=4)
+        p = rng.randint(0, 4)
+        target = jet_varset(vs, p + rng.randint(1, 3))
+        dp = hs_derivative(f, p, varset=target)
+        assert dp.varset == target
+        assert dp == convolution_hs_derivative(f, p, target)
 
 
 def test_hs_weight_scaling():

@@ -227,14 +227,6 @@ def test_local_analysis_json(plane):
     assert data["stabilized"] is None
 
 
-def test_initial_ideal_requires_origin():
-    from arcspace.polyalg import initial_ideal
-
-    vs = VarSet(["x", "y"])
-    with pytest.raises(ValueError):
-        initial_ideal([parse_poly("x*y", vs)], at_origin=False)
-
-
 def test_random_points_never_break_concordance():
     # the two ecodim pipelines must agree on arbitrary local ideals
     from conftest import random_poly

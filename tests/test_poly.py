@@ -94,6 +94,26 @@ def test_substitution_and_extension(vs):
     assert f.extended(big) == parse_poly("x^2 + y", big)
 
 
+def test_substitute_matches_every_variable_reference(vs):
+    from conftest import substitute_every_variable
+
+    rng = random.Random(23)
+    for _ in range(25):
+        f = random_poly(vs, rng, max_degree=4, terms=5)
+        mapping = {}
+        for v in vs:
+            kind = rng.randrange(3)
+            if kind == 1:
+                mapping[v.name] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            elif kind == 2:
+                mapping[v] = random_poly(vs, rng, max_degree=2, terms=2)
+        assert f.substitute(mapping) == substitute_every_variable(f, mapping)
+        assert f.substitute({}) == f
+        constants = {v: rng.randint(-2, 2) for v in vs}
+        assert f.substitute(constants) == Poly.const(vs, f.evaluate(
+            [constants[v] for v in vs]))
+
+
 def test_partial_of_triple_product(vs):
     f = parse_poly("x*y*z", vs)
     assert f.partial("y") == parse_poly("x*z", vs)
