@@ -33,7 +33,7 @@ from .localgeom import (
     jacobian_at,
 )
 from .polyalg.linalg import exact_rank, fraction_free_echelon, reduce_row
-from .polyalg.poly import Poly, poly_adjugate, poly_det
+from .polyalg.poly import Poly, _accumulate, _finished, poly_adjugate, poly_det
 from .polyalg.series import TruncSeries
 from .polyalg.tpoly import TPoly, substitute_tpoly
 from .polyalg.varset import VarId, VarSet
@@ -146,13 +146,9 @@ class ProjectionMap:
         """The same arc in the new coordinates (components mixed by T^-1)."""
         if self.is_identity():
             return arc
-        comps = []
-        for i in range(len(self.ambient)):
-            acc = TruncSeries.zero()
-            for k, coeff in enumerate(self.inverse[i]):
-                if coeff:
-                    acc = acc + arc.components[k].scale(coeff)
-            comps.append(acc)
+        comps = [TruncSeries.sum_of(arc.components[k].scale(coeff)
+                                    for k, coeff in enumerate(row) if coeff)
+                 for row in self.inverse]
         return Arc(arc.varset, comps)
 
     def transformed_scheme(self, X: AffineScheme) -> AffineScheme:
@@ -191,13 +187,9 @@ def ci_reduce(X: AffineScheme, arc: Arc, d: int | None = None, seed=0,
     rng = _as_rng(seed)
     for _ in range(resample_limit + 1):
         rows = [[rng.randint(-bound, bound) for _ in X.generators] for _ in range(c)]
-        gens = []
-        for row in rows:
-            g = Poly.zero(X.ambient)
-            for coeff, p in zip(row, X.generators):
-                if coeff:
-                    g = g + p.scale(coeff)
-            gens.append(g)
+        gens = [Poly.sum_of(X.ambient, (p.scale(coeff)
+                                        for coeff, p in zip(row, X.generators) if coeff))
+                for row in rows]
         if any(g.is_zero() for g in gens):
             continue
         Xci = AffineScheme(X.ambient, tuple(gens), d)
@@ -320,15 +312,18 @@ class _ModReducer:
         return self.table[k]
 
     def reduce(self, g: TPoly) -> TPoly:
-        out = TPoly.zero(g.varset)
-        for k, coeff in enumerate(g.coeffs):
-            if coeff.is_zero():
-                continue
-            if k < self.dq:
-                out = out + TPoly(g.varset, [Poly.zero(g.varset)] * k + [coeff])
-            else:
-                out = out + self.t_power_rem(k).scale(coeff)
-        return out
+        """g mod q: one accumulator per t-coefficient below deg q collects the
+        low coefficients of g and every product g_k * (t^k mod q)."""
+        vs = g.varset
+        accs = [dict(c.terms) for c in g.coeffs[:self.dq]]
+        accs += ({} for _ in range(self.dq - len(accs)))
+        for k in range(self.dq, len(g.coeffs)):
+            coeff = g.coeffs[k].terms
+            if coeff:
+                for acc, r in zip(accs, self.t_power_rem(k).coeffs):
+                    if r.terms:
+                        _accumulate(acc, r.terms, coeff)
+        return TPoly(vs, [_finished(vs, acc) for acc in accs])
 
 
 def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
@@ -374,9 +369,7 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
     # adj(dp/dy) * p = 0 mod q(t)^2
     adj = poly_adjugate(ymat)
     for i in range(c):
-        entry = Poly.zero(Xci.ambient)
-        for j in range(c):
-            entry = entry + adj[i][j] * gens_new[j]
+        entry = Poly.sum_of(Xci.ambient, (adj[i][j] * gens_new[j] for j in range(c)))
         rem = mod_q2.reduce(substitute_tpoly(entry, values))
         equations += [rem.coefficient(k) for k in range(2 * e)]
 

@@ -180,7 +180,7 @@ def eval_along_arc(f: Poly, arc: Arc) -> TruncSeries:
     if f.varset != arc.varset:
         raise VarsetMismatchError("polynomial and arc over different varsets")
     return compose(f, arc.components, lambda c, mono: TruncSeries.constant(c),
-                   TruncSeries.zero())
+                   TruncSeries.sum_of)
 
 
 def ord_along_arc(target: Poly | Sequence[Poly], arc: Arc) -> OrdResult:

@@ -23,6 +23,8 @@ from .orders import MonomialOrder, leading_monomial, make_monic
 from .poly import (
     Monomial,
     Poly,
+    _accumulate,
+    _finished,
     monomial_degree,
     monomial_div,
     monomial_divides,
@@ -110,10 +112,7 @@ class _Remainder:
 
     def snapshot(self) -> Poly:
         """An immutable copy: its terms dict is not the working one."""
-        p = Poly.__new__(Poly)
-        p.varset = self.varset
-        p.terms = {m: Fraction(c) for m, c in self.terms.items()}
-        return p
+        return _finished(self.varset, self.terms)
 
 
 def _check_varsets(f: Poly, basis: list[Poly]) -> None:
@@ -127,14 +126,6 @@ def _check_varsets(f: Poly, basis: list[Poly]) -> None:
             raise VarsetMismatchError(
                 f"reducer over a different variable set: {g.varset!r} vs {f.varset!r}"
             )
-
-
-def term_mul(f: Poly, mono, coeff) -> Poly:
-    """Multiply by a single term coeff*x^mono."""
-    p = Poly.__new__(Poly)
-    p.varset = f.varset
-    p.terms = {monomial_mul(m, mono): c * coeff for m, c in f.terms.items()}
-    return p
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
@@ -166,12 +157,21 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
 
 
 def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
+    """S(f, g) = (L/lt(f)) f - (L/lt(g)) g, L the lcm of the leading
+    monomials, built in one accumulator.  A leading coefficient of 1, as on
+    the monic bases of ``buchberger`` and ``mora_standard_basis``, scales
+    nothing."""
+    if f.varset != g.varset:
+        raise VarsetMismatchError(
+            f"operands over different variable sets: {f.varset!r} vs {g.varset!r}")
     lmf = leading_monomial(f, order)
     lmg = leading_monomial(g, order)
     lcm = monomial_lcm(lmf, lmg)
-    sf = term_mul(f, monomial_div(lcm, lmf), 1 / f.terms[lmf])
-    sg = term_mul(g, monomial_div(lcm, lmg), 1 / g.terms[lmg])
-    return sf - sg
+    acc: dict[Monomial, Fraction | int] = {}
+    for h, lm, sign in ((f, lmf, 1), (g, lmg, -1)):
+        lc = h.terms[lm]
+        _accumulate(acc, h.terms, {monomial_div(lcm, lm): 1 if lc == 1 else 1 / lc}, sign)
+    return _finished(f.varset, acc)
 
 
 def _update_pairs(G: list[Poly], lmG: list, P: set, f_index: int, order: MonomialOrder) -> set:

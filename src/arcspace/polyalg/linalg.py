@@ -12,19 +12,25 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from .poly import rational
+
 
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
 def _as_integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators, as ints; an entry that is
+    not an int or a Fraction is a TypeError."""
     out = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
         denom = 1
-        for x in fr:
-            denom = _lcm(denom, x.denominator)
-        out.append([int(x * denom) for x in fr])
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"matrix entry {x!r} is not an int or a Fraction")
+            if x.denominator != 1:
+                denom = _lcm(denom, x.denominator)
+        out.append([x.numerator * (denom // x.denominator) for x in row])
     return out
 
 
@@ -74,7 +80,7 @@ def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
 def reduce_row(row: Sequence[Fraction | int], echelon: Sequence[Sequence[int]],
                pivot_cols: Sequence[int]) -> list[Fraction]:
     """Eliminate the pivot positions of `row` against an echelon basis."""
-    out = [Fraction(x) for x in row]
+    out = [rational(x) for x in row]
     for erow, c in zip(echelon, pivot_cols):
         if out[c] != 0:
             factor = out[c] / erow[c]

@@ -1,15 +1,26 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A monomial is a dense exponent tuple aligned with the declaring VarSet; a
-polynomial maps monomials to nonzero Fractions.  Values are immutable after
+polynomial maps monomials to nonzero Fractions, and only Fractions: a
+constructor accepts int and Fraction coefficients and rejects any other type
+(a float would bring its binary rounding in).  Values are immutable after
 construction and every operation is a pure function of its inputs.
+
+Sums and products are built by one in-place kernel, ``_accumulate``: it adds
+a term dict, or the product of two term dicts, into a mutable accumulator
+dict, which holds each integral coefficient as an int (int arithmetic is many
+times faster than Fraction's, and most coefficients met in building jet
+ideals and the formal model are integral) and drops the terms that cancel.
+``_finished`` turns an accumulator into a Poly of Fractions that shares no
+dict with it.  A sum of many terms is one accumulator (``Poly.sum_of``,
+``TPoly.sum_of``), not a chain of copies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from ..errors import VarsetMismatchError
 from .varset import VarId, VarSet
@@ -44,6 +55,56 @@ def monomial_support(a: Monomial) -> frozenset[int]:
     return frozenset(i for i, e in enumerate(a) if e)
 
 
+def rational(c: Fraction | int) -> Fraction:
+    """c as a Fraction; any type but int and Fraction is a TypeError."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
+def _accumulate(acc: dict[Monomial, Fraction | int], a: Mapping[Monomial, Fraction | int],
+                b: Mapping[Monomial, Fraction | int] | None = None,
+                c: Fraction | int = 1) -> None:
+    """Add c*a, or c*a*b when b is given, into the accumulator acc, in place.
+
+    a and b are term dicts of nonzero coefficients and c is nonzero.  acc
+    holds each integral coefficient met here as an int and loses every term
+    that cancels; it shares nothing with a or b.
+    """
+    get = acc.get
+    bs = None if b is None else [(m, y.numerator if y.denominator == 1 else y)
+                                 for m, y in b.items()]
+    for ma, x in a.items():
+        if x.denominator == 1:
+            x = x.numerator
+        if c != 1:
+            x = x * c
+        if bs is None:
+            s = get(ma, 0) + x
+            if s:
+                acc[ma] = s
+            else:
+                del acc[ma]
+            continue
+        for mb, y in bs:
+            m = tuple(map(add, ma, mb))
+            s = get(m, 0) + x * y
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+
+
+def _finished(varset: VarSet, acc: Mapping[Monomial, Fraction | int]) -> "Poly":
+    """The Poly of an accumulator: Fraction coefficients in a dict of its own."""
+    p = Poly.__new__(Poly)
+    p.varset = varset
+    p.terms = {m: x if type(x) is Fraction else Fraction(x) for m, x in acc.items()}
+    return p
+
+
 class Poly:
     __slots__ = ("varset", "terms")
 
@@ -52,7 +113,7 @@ class Poly:
         n = len(varset)
         if terms:
             for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                c = rational(coeff)
                 if c == 0:
                     continue
                 if len(mono) != n:
@@ -68,8 +129,19 @@ class Poly:
         return cls(varset)
 
     @classmethod
+    def sum_of(cls, varset: VarSet, polys: Iterable["Poly"]) -> "Poly":
+        """The sum of polys, all over varset, added up in one accumulator."""
+        acc: dict[Monomial, Fraction | int] = {}
+        for p in polys:
+            if p.varset != varset:
+                raise VarsetMismatchError(
+                    f"operands over different variable sets: {varset!r} vs {p.varset!r}")
+            _accumulate(acc, p.terms)
+        return _finished(varset, acc)
+
+    @classmethod
     def const(cls, varset: VarSet, c: Fraction | int) -> "Poly":
-        return cls(varset, {(0,) * len(varset): Fraction(c)})
+        return cls(varset, {(0,) * len(varset): c})
 
     @classmethod
     def one(cls, varset: VarSet) -> "Poly":
@@ -124,31 +196,15 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        p = Poly.__new__(Poly)
-        p.varset = self.varset
-        p.terms = out
-        return p
+        acc = dict(self.terms)
+        _accumulate(acc, other.terms)
+        return _finished(self.varset, acc)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) - c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        p = Poly.__new__(Poly)
-        p.varset = self.varset
-        p.terms = out
-        return p
+        acc = dict(self.terms)
+        _accumulate(acc, other.terms, c=-1)
+        return _finished(self.varset, acc)
 
     def __neg__(self) -> "Poly":
         p = Poly.__new__(Poly)
@@ -160,24 +216,14 @@ class Poly:
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = monomial_mul(ma, mb)
-                s = out.get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        p = Poly.__new__(Poly)
-        p.varset = self.varset
-        p.terms = out
-        return p
+        acc: dict[Monomial, Fraction | int] = {}
+        _accumulate(acc, self.terms, other.terms)
+        return _finished(self.varset, acc)
 
     __rmul__ = __mul__
 
     def scale(self, c: Fraction | int) -> "Poly":
-        c = Fraction(c)
+        c = rational(c)
         if c == 0:
             return Poly.zero(self.varset)
         p = Poly.__new__(Poly)
@@ -263,7 +309,7 @@ class Poly:
         def head(c: Fraction, mono: Monomial) -> Poly:
             return Poly(varset, {tuple(e if k else 0 for e, k in zip(mono, kept)): c})
 
-        return compose(self, values, head, Poly.zero(varset))
+        return compose(self, values, head, lambda terms: Poly.sum_of(varset, terms))
 
     def extended(self, new_varset: VarSet) -> "Poly":
         """Re-express over a larger varset of which the current one is a prefix."""
@@ -287,26 +333,30 @@ class Poly:
 
 
 def compose(f: Poly, values: Sequence[R | None], head: Callable[[Fraction, Monomial], R],
-            zero: R) -> R:
+            sum_of: Callable[[Iterable[R]], R]) -> R:
     """f evaluated at ring elements: the sum, over the terms c*x^a of f, of
     head(c, a) times values[i]**a_i for every i whose value is not None.
 
     `head` turns a term into the ring element its product starts from; it
     sees the whole exponent, so it can keep the exponents of the variables
     left alone.  Each power values[i]**e is computed once, from the one below.
+    `sum_of` is the ring's in-place sum; it receives the products one by one
+    and gives the ring's zero for a zero f.
     """
     powers: list[list[R]] = [[v] for v in values]
-    total = zero
-    for mono, c in f.terms.items():
-        term = head(c, mono)
-        for i, e in enumerate(mono):
-            if e and values[i] is not None:
-                pw = powers[i]
-                while len(pw) < e:
-                    pw.append(pw[-1] * values[i])
-                term = term * pw[e - 1]
-        total = total + term
-    return total
+
+    def products() -> Iterator[R]:
+        for mono, c in f.terms.items():
+            term = head(c, mono)
+            for i, e in enumerate(mono):
+                if e and values[i] is not None:
+                    pw = powers[i]
+                    while len(pw) < e:
+                        pw.append(pw[-1] * values[i])
+                    term = term * pw[e - 1]
+            yield term
+
+    return sum_of(products())
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -319,16 +369,15 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
             raise ValueError("matrix is not square")
     if n == 1:
         return rows[0][0]
-    varset = rows[0][0].varset
-    total = Poly.zero(varset)
+    acc: dict[Monomial, Fraction | int] = {}
     for j in range(n):
         entry = rows[0][j]
         if entry.is_zero():
             continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cof = entry * poly_det(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
+        minor = poly_det([[rows[i][k] for k in range(n) if k != j] for i in range(1, n)])
+        entry._check(minor)
+        _accumulate(acc, entry.terms, minor.terms, -1 if j % 2 else 1)
+    return _finished(rows[0][0].varset, acc)
 
 
 def poly_adjugate(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from ..errors import InsufficientPrecisionError
+from .poly import rational
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class TruncSeries:
     __slots__ = ("coeffs", "precision")
 
     def __init__(self, coeffs: Iterable[Fraction | int], precision: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [rational(c) for c in coeffs]
         if precision is not None:
             if precision < 0:
                 raise ValueError("precision must be nonnegative")
@@ -96,6 +97,18 @@ class TruncSeries:
     @classmethod
     def zero(cls, precision: int | None = None) -> "TruncSeries":
         return cls((), precision)
+
+    @staticmethod
+    def sum_of(items: Iterable["TruncSeries"]) -> "TruncSeries":
+        """The sum of items, added up in place; its precision is the least of theirs."""
+        cs: list[Fraction] = []
+        precision = None
+        for x in items:
+            precision = min_precision(precision, x.precision)
+            cs += [Fraction(0)] * (len(x.coeffs) - len(cs))
+            for k, c in enumerate(x.coeffs):
+                cs[k] += c
+        return TruncSeries(cs, precision)
 
     @classmethod
     def constant(cls, c: Fraction | int, precision: int | None = None) -> "TruncSeries":
@@ -145,20 +158,13 @@ class TruncSeries:
     # -- arithmetic (conservative min precision rule) ------------------------
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [self._get(i) + other._get(i) for i in range(n)]
-        return TruncSeries(cs, min_precision(self.precision, other.precision))
+        return TruncSeries.sum_of((self, other))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [self._get(i) - other._get(i) for i in range(n)]
-        return TruncSeries(cs, min_precision(self.precision, other.precision))
+        return TruncSeries.sum_of((self, -other))
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries([-c for c in self.coeffs], self.precision)
-
-    def _get(self, i: int) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         prec = min_precision(self.precision, other.precision)
@@ -178,7 +184,8 @@ class TruncSeries:
         return TruncSeries(cs, prec)
 
     def scale(self, c: Fraction | int) -> "TruncSeries":
-        return TruncSeries([x * Fraction(c) for x in self.coeffs], self.precision)
+        c = rational(c)
+        return TruncSeries([x * c for x in self.coeffs], self.precision)
 
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:

@@ -7,17 +7,26 @@ precision), a TPoly also carries the universal jet that jet ideals come from.
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 from ..errors import InsufficientPrecisionError, NotMonicError, VarsetMismatchError
-from .poly import Poly, compose
+from .poly import Monomial, Poly, _accumulate, _finished, compose
 from .series import min_precision
 from .varset import VarSet
 
 
+def _check(a: VarSet, b: VarSet) -> None:
+    if a != b:
+        raise VarsetMismatchError(f"operands over different varsets: {a!r} vs {b!r}")
+
+
 class TPoly:
     """Coefficients of t^0, t^1, ...; known mod t^precision, or exact when the
-    precision is None, with the min rule of TruncSeries in +, - and *."""
+    precision is None, with the min rule of TruncSeries in +, - and *.
+
+    Sums and products keep one accumulator per t-coefficient (see the
+    ``poly`` module), so no coefficient is copied once per summand."""
 
     __slots__ = ("varset", "coeffs", "precision")
 
@@ -39,6 +48,19 @@ class TPoly:
     @classmethod
     def zero(cls, varset: VarSet) -> "TPoly":
         return cls(varset, ())
+
+    @classmethod
+    def sum_of(cls, varset: VarSet, items: Iterable["TPoly"]) -> "TPoly":
+        """The sum of items, all over varset; its precision is the least of theirs."""
+        accs: list[dict[Monomial, Fraction | int]] = []
+        precision = None
+        for x in items:
+            _check(varset, x.varset)
+            precision = min_precision(precision, x.precision)
+            accs += ({} for _ in range(len(x.coeffs) - len(accs)))
+            for acc, c in zip(accs, x.coeffs):
+                _accumulate(acc, c.terms)
+        return cls(varset, [_finished(varset, acc) for acc in accs], precision)
 
     @classmethod
     def constant(cls, c: Poly) -> "TPoly":
@@ -72,67 +94,58 @@ class TPoly:
             and self.precision == other.precision
         )
 
-    def _get(self, i: int) -> Poly:
-        return self.coeffs[i] if i < len(self.coeffs) else Poly.zero(self.varset)
-
     def __add__(self, other: "TPoly") -> "TPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(self.varset, [self._get(i) + other._get(i) for i in range(n)],
-                     min_precision(self.precision, other.precision))
+        return TPoly.sum_of(self.varset, (self, other))
 
     def __sub__(self, other: "TPoly") -> "TPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(self.varset, [self._get(i) - other._get(i) for i in range(n)],
-                     min_precision(self.precision, other.precision))
+        return TPoly.sum_of(self.varset, (self, -other))
 
     def __neg__(self) -> "TPoly":
         return TPoly(self.varset, [-c for c in self.coeffs], self.precision)
 
     def __mul__(self, other: "TPoly") -> "TPoly":
+        _check(self.varset, other.varset)
         prec = min_precision(self.precision, other.precision)
         if self.is_zero() or other.is_zero():
             return TPoly(self.varset, (), prec)
         n = len(self.coeffs) + len(other.coeffs) - 1
         if prec is not None:
             n = min(n, prec)
-        out = [Poly.zero(self.varset) for _ in range(n)]
+        accs: list[dict[Monomial, Fraction | int]] = [{} for _ in range(n)]
         for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs[:n - i]):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TPoly(self.varset, out, prec)
+            if a.terms:
+                for acc, b in zip(accs[i:], other.coeffs):
+                    if b.terms:
+                        _accumulate(acc, a.terms, b.terms)
+        return TPoly(self.varset, [_finished(self.varset, acc) for acc in accs], prec)
 
     def scale(self, c: Poly) -> "TPoly":
         return TPoly(self.varset, [x * c for x in self.coeffs], self.precision)
 
     def div_monic(self, q: "TPoly") -> tuple["TPoly", "TPoly"]:
         """Exact division by a monic divisor: self = quot*q + rem, deg rem < deg q."""
+        _check(self.varset, q.varset)
         if self.precision is not None or q.precision is not None:
             raise ValueError("division needs exact t-polynomials")
         if not q.is_monic():
             raise NotMonicError("divisor is not monic in t")
         dq = q.degree()
-        rem = list(self.coeffs)
-        if len(rem) <= dq:
-            return TPoly.zero(self.varset), self
-        quot = [Poly.zero(self.varset)] * (len(rem) - dq)
+        vs = self.varset
+        if len(self.coeffs) <= dq:
+            return TPoly.zero(vs), self
+        rem = [dict(c.terms) for c in self.coeffs]
+        quot = [Poly.zero(vs)] * (len(rem) - dq)
         for k in range(len(rem) - 1, dq - 1, -1):
-            c = rem[k]
-            if c.is_zero():
-                continue
-            quot[k - dq] = c
-            rem[k] = Poly.zero(self.varset)
-            for j in range(dq):
-                rem[k - dq + j] = rem[k - dq + j] - c * q.coeffs[j]
-        return TPoly(self.varset, quot), TPoly(self.varset, rem[:dq])
+            if rem[k]:
+                c = quot[k - dq] = _finished(vs, rem[k])
+                for acc, qj in zip(rem[k - dq:k], q.coeffs):
+                    if qj.terms:
+                        _accumulate(acc, c.terms, qj.terms, -1)
+        return TPoly(vs, quot), TPoly(vs, [_finished(vs, acc) for acc in rem[:dq]])
 
 
 def div_monic_t(g: TPoly, q: TPoly) -> tuple[TPoly, TPoly]:
     """g = quot*q + rem with deg_t(rem) < deg_t(q), exact over the coefficient ring."""
-    if g.varset != q.varset:
-        raise VarsetMismatchError("operands over different varsets")
     return g.div_monic(q)
 
 
@@ -150,4 +163,4 @@ def substitute_tpoly(f: Poly, values: Sequence[TPoly]) -> TPoly:
         if v.varset != target:
             raise VarsetMismatchError("values over different varsets")
     return compose(f, values, lambda c, mono: TPoly.constant(Poly.const(target, c)),
-                   TPoly.zero(target))
+                   lambda terms: TPoly.sum_of(target, terms))
