@@ -22,6 +22,7 @@ from .errors import (
     InsufficientPrecisionError,
     InternalInconsistencyError,
     InvalidCodimError,
+    VarsetMismatchError,
     VerificationError,
 )
 from .jets import AffineScheme, Arc, jacobian_ideal, jet_ideal, ord_along_arc, truncate_arc
@@ -33,7 +34,7 @@ from .localgeom import (
     jacobian_at,
 )
 from .polyalg.linalg import exact_rank, fraction_free_echelon, reduce_row
-from .polyalg.poly import Poly, _accumulate, _finished, poly_adjugate, poly_det
+from .polyalg.poly import Poly, poly_adjugate, poly_det
 from .polyalg.series import TruncSeries
 from .polyalg.tpoly import TPoly, substitute_tpoly
 from .polyalg.varset import VarId, VarSet
@@ -312,18 +313,14 @@ class _ModReducer:
         return self.table[k]
 
     def reduce(self, g: TPoly) -> TPoly:
-        """g mod q: one accumulator per t-coefficient below deg q collects the
-        low coefficients of g and every product g_k * (t^k mod q)."""
-        vs = g.varset
-        accs = [dict(c.terms) for c in g.coeffs[:self.dq]]
-        accs += ({} for _ in range(self.dq - len(accs)))
-        for k in range(self.dq, len(g.coeffs)):
-            coeff = g.coeffs[k].terms
-            if coeff:
-                for acc, r in zip(accs, self.t_power_rem(k).coeffs):
-                    if r.terms:
-                        _accumulate(acc, r.terms, coeff)
-        return TPoly(vs, [_finished(vs, acc) for acc in accs])
+        """g mod q: the low coefficients of g plus every g_k * (t^k mod q),
+        added up in one accumulator per t-coefficient."""
+        if g.varset != self.qt.varset:
+            raise VarsetMismatchError(
+                f"reducing over a different varset: {g.varset!r} vs {self.qt.varset!r}")
+        return TPoly.combination(TPoly(g.varset, g.coeffs[:self.dq]), [
+            (coeff, self.t_power_rem(k))
+            for k, coeff in enumerate(g.coeffs) if k >= self.dq and coeff.terms])
 
 
 def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,

@@ -8,12 +8,14 @@ construction and every operation is a pure function of its inputs.
 
 Sums and products are built by one in-place kernel, ``_accumulate``: it adds
 a term dict, or the product of two term dicts, into a mutable accumulator
-dict, which holds each integral coefficient as an int (int arithmetic is many
-times faster than Fraction's, and most coefficients met in building jet
-ideals and the formal model are integral) and drops the terms that cancel.
-``_finished`` turns an accumulator into a Poly of Fractions that shares no
-dict with it.  A sum of many terms is one accumulator (``Poly.sum_of``,
-``TPoly.sum_of``), not a chain of copies.
+dict, which holds each integral coefficient as an int and drops the terms
+that cancel.  Int arithmetic is many times faster than Fraction's, and
+integral coefficients dominate: on the perfbench workloads (seeds 1 and 2)
+99.9% of the products the kernel forms on model-build have two integral
+factors, and 80-87% on jet-ecodim and verify-dgk.  ``_finished`` turns an
+accumulator into a Poly of Fractions that shares no dict with it.  A sum of
+many terms is one accumulator (``Poly.sum_of``, ``TPoly.sum_of``,
+``TPoly.combination``), not a chain of copies.
 """
 
 from __future__ import annotations
@@ -369,15 +371,18 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
             raise ValueError("matrix is not square")
     if n == 1:
         return rows[0][0]
+    first = rows[0][0]
     acc: dict[Monomial, Fraction | int] = {}
     for j in range(n):
         entry = rows[0][j]
+        # zero entries too: the result is labelled with the first entry's varset
+        first._check(entry)
         if entry.is_zero():
             continue
         minor = poly_det([[rows[i][k] for k in range(n) if k != j] for i in range(1, n)])
         entry._check(minor)
         _accumulate(acc, entry.terms, minor.terms, -1 if j % 2 else 1)
-    return _finished(rows[0][0].varset, acc)
+    return _finished(first.varset, acc)
 
 
 def poly_adjugate(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:

@@ -63,6 +63,25 @@ class TPoly:
         return cls(varset, [_finished(varset, acc) for acc in accs], precision)
 
     @classmethod
+    def combination(cls, base: "TPoly", pairs: Iterable[tuple[Poly, "TPoly"]]) -> "TPoly":
+        """base plus the sum of c*x over the pairs (c, x), all over base's
+        varset, in one accumulator per t-coefficient; its precision is the
+        least of base's and the x's."""
+        varset = base.varset
+        precision = base.precision
+        accs = [dict(c.terms) for c in base.coeffs]
+        for c, x in pairs:
+            _check(varset, c.varset)
+            _check(varset, x.varset)
+            precision = min_precision(precision, x.precision)
+            if c.terms:
+                accs += ({} for _ in range(len(x.coeffs) - len(accs)))
+                for acc, xk in zip(accs, x.coeffs):
+                    if xk.terms:
+                        _accumulate(acc, xk.terms, c.terms)
+        return cls(varset, [_finished(varset, acc) for acc in accs], precision)
+
+    @classmethod
     def constant(cls, c: Poly) -> "TPoly":
         return cls(c.varset, (c,))
 

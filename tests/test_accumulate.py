@@ -139,6 +139,10 @@ def test_tpoly_sums_and_products_match_the_copying_loops():
             (a + b2, copy_tpoly_add(a, b2)),
             (TPoly.sum_of(VS, [a, b, c]), copy_tpoly_add(copy_tpoly_add(a, b), c)),
             (a.scale(cp), TPoly(VS, [copy_mul(x, cp) for x in a.coeffs], a.precision)),
+            (TPoly.combination(a, [(cp, b), (cp, c)]),
+             copy_tpoly_add(copy_tpoly_add(a, TPoly(VS, [copy_mul(x, cp) for x in b.coeffs],
+                                                    b.precision)),
+                            TPoly(VS, [copy_mul(x, cp) for x in c.coeffs], c.precision))),
             ((a + b) * (a - b), copy_tpoly_add(copy_tpoly_mul(a, a), copy_tpoly_mul(b, b), -1)),
         ]
         for got, want in cases:
@@ -248,6 +252,14 @@ def test_varset_mismatches_still_raise():
         lambda: tx.div_monic(TPoly.t_power(OTHER, 1)),
         lambda: spolynomial(x, y, GREVLEX),
         lambda: poly_det([[x, x], [y, y]]),
+        # a zero first entry over VS labels the result; the rest are over OTHER
+        lambda: poly_det([[Poly.zero(VS), y], [y, y]]),
+        lambda: _ModReducer(TPoly(VS, [x, Poly.one(VS)])).reduce(
+            TPoly(OTHER, [y, y, Poly.one(OTHER)])),
+        # below the degree of q no table row is used, so only reduce's own check sees it
+        lambda: _ModReducer(TPoly(VS, [x, x, Poly.one(VS)])).reduce(TPoly(OTHER, [y])),
+        lambda: TPoly.combination(tx, [(y, tx)]),
+        lambda: TPoly.combination(tx, [(x, ty)]),
         lambda: substitute_tpoly(x, [tx, ty, tx]),
     ]
     for call in calls:
