@@ -105,17 +105,11 @@ class ProjectionMap:
     d: int
     transform: tuple[tuple[int, ...], ...]
     inverse: tuple[tuple[int, ...], ...]
-    seed: int | None = None
     attempt: int = 0
 
     @property
     def c(self) -> int:
         return len(self.ambient) - self.d
-
-    @property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The d x N matrix of the projection in the original coordinates."""
-        return tuple(tuple(Fraction(x) for x in row) for row in self.inverse[: self.d])
 
     @property
     def x_vars(self) -> tuple[VarId, ...]:
@@ -216,7 +210,6 @@ def choose_projection(Xci: AffineScheme, arc: Arc, seed=0,
         raise InvalidCodimError("choose_projection needs a complete intersection")
     e = _require_exact_contact_order(Xci, arc, d)
     rng = _as_rng(seed)
-    seed_val = seed if isinstance(seed, int) else None
     for attempt in range(resample_limit + 1):
         if attempt == 0:
             T, Tinv = _identity(N), _identity(N)
@@ -227,7 +220,6 @@ def choose_projection(Xci: AffineScheme, arc: Arc, seed=0,
             d=d,
             transform=tuple(map(tuple, T)),
             inverse=tuple(map(tuple, Tinv)),
-            seed=seed_val,
             attempt=attempt,
         )
         gens_new = [proj.apply_to_poly(g) for g in Xci.generators]
@@ -272,9 +264,6 @@ class DrinfeldModel:
 
     def xbar_position(self, i: int, n: int) -> int:
         return self.e + i * 2 * self.e + n
-
-    def ybar_position(self, j: int, n: int) -> int:
-        return self.e + 2 * self.e * self.d + j * self.e + n
 
 
 def model_varset(e: int, d: int, c: int) -> VarSet:
@@ -454,7 +443,6 @@ def jet_cotangent_map(X: AffineScheme, proj: ProjectionMap, arc: Arc, n: int):
 class TangentReport:
     rank: int
     expected: int
-    matrix: tuple[tuple[Fraction, ...], ...] = field(repr=False)
 
 
 def tangent_matrix_rows(model: DrinfeldModel, arc: Arc) -> list[list[Fraction]]:
@@ -493,7 +481,7 @@ def drinfeld_tangent_check(model: DrinfeldModel, arc: Arc) -> TangentReport:
     the cotangent space of (Z, z) must be surjective, i.e. of rank 2de.
     """
     if model.is_smooth_marker:
-        return TangentReport(0, 0, ())
+        return TangentReport(0, 0)
     e, d = model.e, model.d
     rows = tangent_matrix_rows(model, arc)
     ech, piv = fraction_free_echelon(jacobian_at(model.equations, model.z))
@@ -502,7 +490,7 @@ def drinfeld_tangent_check(model: DrinfeldModel, arc: Arc) -> TangentReport:
     expected = 2 * d * e
     if rank != expected:
         raise VerificationError("tangent-level comparison rank", rank, expected)
-    return TangentReport(rank, expected, tuple(map(tuple, reduced)))
+    return TangentReport(rank, expected)
 
 
 # -- full pipeline ------------------------------------------------------------------
@@ -545,9 +533,6 @@ def drinfeld_pipeline(X: AffineScheme, arc: Arc, seed=0,
     rng = _as_rng(seed)
     Xci = ci_reduce(X, arc, d, rng, resample_limit, bound)
     proj, e2 = choose_projection(Xci, arc, rng, resample_limit, bound)
-    if isinstance(seed, int):
-        proj = ProjectionMap(proj.ambient, proj.d, proj.transform, proj.inverse,
-                             seed, proj.attempt)
     if e2 != e:
         raise InternalInconsistencyError(f"contact orders disagree: {e} vs {e2}")
     model = build_drinfeld_model(Xci, proj, arc, e)

@@ -21,7 +21,7 @@ from .polyalg.linalg import exact_rank
 from .polyalg.mora import canonical_initial_forms, mora_standard_basis
 from .polyalg.orders import ANTIGRLEX, leading_monomial
 from .polyalg.parse import poly_to_string
-from .polyalg.poly import Poly, monomial_degree
+from .polyalg.poly import Poly, monomial_degree, rational
 from .polyalg.varset import VarSet
 
 
@@ -50,7 +50,8 @@ class LocalAnalysis:
 
 
 def point_values(varset: VarSet, point) -> tuple[Fraction, ...]:
-    """Normalize a point (JetPoint, mapping, or aligned sequence) to a tuple."""
+    """Normalize a point (JetPoint, mapping, or aligned sequence) to a tuple;
+    a coordinate that is not an int or a Fraction is a TypeError."""
     if isinstance(point, JetPoint):
         if point.varset != varset:
             raise ValueError("jet point over a different varset")
@@ -58,9 +59,9 @@ def point_values(varset: VarSet, point) -> tuple[Fraction, ...]:
     if isinstance(point, Mapping):
         vals = [Fraction(0)] * len(varset)
         for key, val in point.items():
-            vals[varset.position(key)] = Fraction(val)
+            vals[varset.position(key)] = rational(val)
         return tuple(vals)
-    vals = [Fraction(v) for v in point]
+    vals = [rational(v) for v in point]
     if len(vals) != len(varset):
         raise ValueError("point has wrong length")
     return tuple(vals)

@@ -1,8 +1,11 @@
 """Buchberger's algorithm and reduced Groebner bases for global orders.
 
-Pair selection is the normal strategy (smallest lcm under the active order,
-ties by pair index); pair elimination uses the lcm and chain criteria, as is
-standard.  Everything is deterministic.
+The S-pair completion loop, ``_complete``, is written once, with the normal
+form as its argument (Greuel-Pfister, ch. 1): ``buchberger`` passes the full
+normal form and ``mora.mora_standard_basis`` Mora's weak one.  Pair selection
+is the normal strategy (smallest lcm under the active order, ties by pair
+index); pair elimination uses the lcm and chain criteria, as is standard.
+Everything is deterministic.
 
 Division works on a ``_Remainder``, which ``normal_form`` here and
 ``mora.mora_normal_form`` share: the remainder's terms live in one dict that a
@@ -17,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from typing import Callable
 
 from ..errors import ResourceLimitError, VarsetMismatchError
 from .orders import MonomialOrder, leading_monomial, make_monic
@@ -174,17 +178,19 @@ def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     return _finished(f.varset, acc)
 
 
-def _update_pairs(G: list[Poly], lmG: list, P: set, f_index: int, order: MonomialOrder) -> set:
-    """Gebauer-Moeller style pair update when G[f_index] enters the basis."""
+def _update_pairs(lmG: list, P: set, order: MonomialOrder) -> None:
+    """Gebauer-Moeller style update of the pair set P, in place, when the last
+    of the leading monomials lmG enters the basis."""
+    f_index = len(lmG) - 1
     lmf = lmG[f_index]
     # chain criterion on existing pairs
-    P = {
+    P.difference_update([
         (i, j)
         for (i, j) in P
-        if not monomial_divides(lmf, monomial_lcm(lmG[i], lmG[j]))
-        or monomial_lcm(lmG[i], lmG[j]) == monomial_lcm(lmG[i], lmf)
-        or monomial_lcm(lmG[i], lmG[j]) == monomial_lcm(lmG[j], lmf)
-    }
+        if monomial_divides(lmf, L := monomial_lcm(lmG[i], lmG[j]))
+        and L != monomial_lcm(lmG[i], lmf)
+        and L != monomial_lcm(lmG[j], lmf)
+    ])
     lcms: dict = {}
     for i in range(f_index):
         lcms.setdefault(monomial_lcm(lmG[i], lmf), []).append(i)
@@ -197,31 +203,39 @@ def _update_pairs(G: list[Poly], lmG: list, P: set, f_index: int, order: Monomia
         if any(monomial_lcm(lmG[i], lmf) == monomial_mul(lmG[i], lmf) for i in lcms[L]):
             continue
         P.add((min(lcms[L]), f_index))
-    return P
+
+
+def _complete(gens: list[Poly], order: MonomialOrder,
+              nf: Callable[[Poly, list[Poly]], Poly]) -> list[Poly]:
+    """The S-pair completion of the nonzero gens, made monic: the pair of least
+    lcm under the order (ties by pair index) is taken next, and the remainder
+    nf(s, G) of its S-polynomial s enters the basis unless it is zero."""
+    G: list[Poly] = []
+    lmG: list = []
+    P: set = set()
+
+    def enter(f: Poly) -> None:
+        G.append(make_monic(f, order))
+        lmG.append(leading_monomial(f, order))
+        _update_pairs(lmG, P, order)
+
+    for f in gens:
+        enter(f)
+    while P:
+        i, j = min(P, key=lambda p: (order.key(monomial_lcm(lmG[p[0]], lmG[p[1]])), p))
+        P.remove((i, j))
+        r = nf(spolynomial(G[i], G[j], order), G)
+        if not r.is_zero():
+            enter(r)
+    return G
 
 
 def buchberger(gens: list[Poly], order: MonomialOrder,
                step_limit: int = DEFAULT_STEP_LIMIT) -> list[Poly]:
     """Raw (non-reduced) Groebner basis."""
-    G: list[Poly] = []
-    lmG: list = []
-    P: set = set()
-    for f in gens:
-        if f.is_zero():
-            continue
-        G.append(make_monic(f, order))
-        lmG.append(leading_monomial(f, order))
-        P = _update_pairs(G, lmG, P, len(G) - 1, order)
-    while P:
-        i, j = min(P, key=lambda p: (order.key(monomial_lcm(lmG[p[0]], lmG[p[1]])), p))
-        P.remove((i, j))
-        s = spolynomial(G[i], G[j], order)
-        r = normal_form(s, G, order, step_limit)
-        if not r.is_zero():
-            G.append(make_monic(r, order))
-            lmG.append(leading_monomial(r, order))
-            P = _update_pairs(G, lmG, P, len(G) - 1, order)
-    return G
+    # normal_form is read from the globals at each call: a wrapper must see every division
+    return _complete([f for f in gens if not f.is_zero()], order,
+                     lambda s, basis: normal_form(s, basis, order, step_limit))
 
 
 def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:

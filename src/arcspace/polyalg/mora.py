@@ -11,6 +11,10 @@ the remainder is changed in place at the shifted terms of the reducer, a heap
 of the order's ranks yields LM(h), and a count of term degrees gives the ecart
 of h, so no step copies h or scans it.  Only a remainder that joins the pool
 is copied, because pool entries must not change under later steps.
+
+The standard basis is groebner's S-pair completion loop, ``_complete``, with
+the weak normal form in place of the full one, after a pre-interreduction of
+the generators.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from ..errors import ResourceLimitError
 from .orders import ANTIGRLEX, MonomialOrder, leading_monomial, make_monic
 from .groebner import (
     _check_varsets,
+    _complete,
     _Remainder,
-    _update_pairs,
     buchberger,
     interreduce,
     minimalize,
-    spolynomial,
 )
-from .poly import Poly, monomial_divides, monomial_lcm
+from .poly import Poly, monomial_divides
 
 DEFAULT_WORK_LIMIT = 20_000_000
 
@@ -105,27 +108,12 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
         h = mora_normal_form(g, pre, order, budget=budget) if pre else g
         if not h.is_zero():
             pre.append(make_monic(h, order))
-    G: list[Poly] = []
-    lmG: list = []
-    pairs: set = set()
-    for g in pre:
-        G.append(g)
-        lmG.append(leading_monomial(g, order))
-        pairs = _update_pairs(G, lmG, pairs, len(G) - 1, order)
-    if not G:
-        return []
-    while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(monomial_lcm(lmG[p[0]], lmG[p[1]])), p))
-        pairs.remove((i, j))
-        s = spolynomial(G[i], G[j], order)
-        h = mora_normal_form(s, G, order, budget=budget)
-        if not h.is_zero():
-            G.append(make_monic(h, order))
-            lmG.append(leading_monomial(h, order))
-            pairs = _update_pairs(G, lmG, pairs, len(G) - 1, order)
-    G = minimalize(G, order)
+    # mora_normal_form is read from the globals at each call (see groebner.buchberger)
+    G = minimalize(_complete(pre, order,
+                             lambda s, basis: mora_normal_form(s, basis, order, budget=budget)),
+                   order)
     if all(g.is_homogeneous() for g in G):
-        G = interreduce(G, order)
+        return interreduce(G, order)  # sorted as below
     return sorted(G, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
 
 

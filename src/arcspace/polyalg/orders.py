@@ -106,8 +106,10 @@ def leading_term(f: Poly, order: MonomialOrder) -> Poly:
 
 
 def make_monic(f: Poly, order: MonomialOrder) -> Poly:
+    """f divided by its leading coefficient; f itself when that is already 1
+    (a Poly is immutable, so the caller cannot tell)."""
     c = leading_coefficient(f, order)
-    return f.scale(1 / c)
+    return f if c == 1 else f.scale(1 / c)
 
 
 def ecart(f: Poly, order: MonomialOrder) -> int:

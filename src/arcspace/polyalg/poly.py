@@ -279,10 +279,11 @@ class Poly:
         return Poly(self.varset, out)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Value at a rational point given as a sequence aligned to the varset."""
+        """Value at a rational point given as a sequence aligned to the varset;
+        a coordinate that is not an int or a Fraction is a TypeError."""
         if len(point) != len(self.varset):
             raise ValueError("point has wrong length")
-        vals = [Fraction(x) for x in point]
+        vals = [rational(x) for x in point]
         total = Fraction(0)
         for mono, c in self.terms.items():
             prod = c

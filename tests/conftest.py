@@ -296,3 +296,100 @@ def copy_integer_rows(rows):
             denom = denom * x.denominator // math.gcd(denom, x.denominator)
         out.append([int(x * denom) for x in fr])
     return out
+
+
+# -- the two S-pair loops groebner._complete replaced, kept as references --
+# Each looks its normal form up on the library module at call time, so a test
+# that patches groebner.normal_form or mora.mora_normal_form sees the calls of
+# the reference and of the library alike.
+
+
+def reference_update_pairs(G, lmG, P, f_index, order):
+    """Gebauer-Moeller pair update as groebner._update_pairs was written: a
+    new pair set, with every lcm of the chain criterion computed afresh."""
+    from arcspace.polyalg.poly import monomial_divides, monomial_lcm, monomial_mul
+
+    lmf = lmG[f_index]
+    P = {
+        (i, j)
+        for (i, j) in P
+        if not monomial_divides(lmf, monomial_lcm(lmG[i], lmG[j]))
+        or monomial_lcm(lmG[i], lmG[j]) == monomial_lcm(lmG[i], lmf)
+        or monomial_lcm(lmG[i], lmG[j]) == monomial_lcm(lmG[j], lmf)
+    }
+    lcms = {}
+    for i in range(f_index):
+        lcms.setdefault(monomial_lcm(lmG[i], lmf), []).append(i)
+    minimal = []
+    for L in sorted(lcms, key=order.key):
+        if all(not monomial_divides(M, L) for M in minimal):
+            minimal.append(L)
+    for L in minimal:
+        if any(monomial_lcm(lmG[i], lmf) == monomial_mul(lmG[i], lmf) for i in lcms[L]):
+            continue
+        P.add((min(lcms[L]), f_index))
+    return P
+
+
+def reference_buchberger(gens, order, step_limit=None):
+    """groebner.buchberger with its own S-pair loop, as first written."""
+    from arcspace.polyalg import groebner
+    from arcspace.polyalg.orders import leading_monomial, make_monic
+    from arcspace.polyalg.poly import monomial_lcm
+
+    if step_limit is None:
+        step_limit = groebner.DEFAULT_STEP_LIMIT
+    G, lmG, P = [], [], set()
+    for f in gens:
+        if f.is_zero():
+            continue
+        G.append(make_monic(f, order))
+        lmG.append(leading_monomial(f, order))
+        P = reference_update_pairs(G, lmG, P, len(G) - 1, order)
+    while P:
+        i, j = min(P, key=lambda p: (order.key(monomial_lcm(lmG[p[0]], lmG[p[1]])), p))
+        P.remove((i, j))
+        s = groebner.spolynomial(G[i], G[j], order)
+        r = groebner.normal_form(s, G, order, step_limit)
+        if not r.is_zero():
+            G.append(make_monic(r, order))
+            lmG.append(leading_monomial(r, order))
+            P = reference_update_pairs(G, lmG, P, len(G) - 1, order)
+    return G
+
+
+def reference_mora_standard_basis(gens, order, work_limit=None):
+    """mora.mora_standard_basis with its own S-pair loop, as first written."""
+    from arcspace.polyalg import groebner, mora
+    from arcspace.polyalg.orders import leading_monomial, make_monic
+    from arcspace.polyalg.poly import monomial_lcm
+
+    if work_limit is None:
+        work_limit = mora.DEFAULT_WORK_LIMIT
+    budget = mora._Budget(work_limit)
+    seeds = [make_monic(g, order) for g in gens if not g.is_zero()]
+    pre = []
+    for g in seeds:
+        h = mora.mora_normal_form(g, pre, order, budget=budget) if pre else g
+        if not h.is_zero():
+            pre.append(make_monic(h, order))
+    G, lmG, pairs = [], [], set()
+    for g in pre:
+        G.append(g)
+        lmG.append(leading_monomial(g, order))
+        pairs = reference_update_pairs(G, lmG, pairs, len(G) - 1, order)
+    if not G:
+        return []
+    while pairs:
+        i, j = min(pairs, key=lambda p: (order.key(monomial_lcm(lmG[p[0]], lmG[p[1]])), p))
+        pairs.remove((i, j))
+        s = groebner.spolynomial(G[i], G[j], order)
+        h = mora.mora_normal_form(s, G, order, budget=budget)
+        if not h.is_zero():
+            G.append(make_monic(h, order))
+            lmG.append(leading_monomial(h, order))
+            pairs = reference_update_pairs(G, lmG, pairs, len(G) - 1, order)
+    G = groebner.minimalize(G, order)
+    if all(g.is_homogeneous() for g in G):
+        G = groebner.interreduce(G, order)
+    return sorted(G, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)

@@ -118,6 +118,21 @@ def test_jacobian_at_jet_point(quadric):
         jacobian_at(jet_ideal(quadric, 1), jp)
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_points_take_rational_coordinates_only(plane, bad):
+    # a float would bring its binary rounding in, and a str is not parsed:
+    # both forms of a point, and every entry point that takes one, refuse them
+    gens = [parse_poly("x^2 - y", plane)]
+    for point in ([bad, Fraction(1, 4)], {"x": bad, "y": Fraction(1, 4)}):
+        for fn in (jacobian_at, edim_at_point, translate_to_origin, ecodim_at_point):
+            with pytest.raises(TypeError):
+                fn(gens, point)
+    # the same point in exact coordinates is accepted in both forms
+    for point in ([Fraction(1, 2), Fraction(1, 4)], {"x": Fraction(1, 2), "y": Fraction(1, 4)}):
+        assert edim_at_point(gens, point) == 1
+        assert ecodim_at_point(gens, point).ecodim == 0
+
+
 def test_edim_node_and_smooth_point(plane):
     assert edim_at_point([parse_poly("x*y", plane)], [0, 0]) == 2
     assert edim_at_point([parse_poly("y - x^2", plane)], [0, 0]) == 1

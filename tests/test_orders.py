@@ -80,6 +80,18 @@ def test_leading_data():
     assert ecart(f, ANTIGRLEX) == 1
 
 
+def test_make_monic_returns_a_monic_input_itself():
+    vs = VarSet(["x", "y"])
+    f = parse_poly("x^2 - 2*y", vs)
+    assert make_monic(f, GREVLEX) is f
+    g = parse_poly("-2*x^2 + y", vs)
+    assert make_monic(g, GREVLEX) == parse_poly("x^2 - 1/2*y", vs)
+    assert make_monic(g, ANTIGRLEX) is g  # y leads locally, with coefficient 1
+    h = parse_poly("x^2 + 3*y", vs)
+    assert make_monic(h, ANTIGRLEX) == parse_poly("1/3*x^2 + y", vs)
+    assert h == parse_poly("x^2 + 3*y", vs)  # the input is left as it was
+
+
 def test_zero_polynomial_has_no_leading_term():
     vs = VarSet(["x"])
     with pytest.raises(ValueError):

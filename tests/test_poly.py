@@ -124,6 +124,14 @@ def test_evaluate(vs):
     assert f.evaluate([2, 3, Fraction(1, 3)]) == Fraction(4 * 3) - 1 + Fraction(1, 2)
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/2"])
+def test_evaluate_takes_rational_coordinates_only(vs, bad):
+    # a float would be computed with its binary rounding, a str parsed
+    f = parse_poly("x^2 + y", vs)
+    with pytest.raises(TypeError):
+        f.evaluate([bad, 0, 0])
+
+
 def test_pow(vs):
     x_plus_y = parse_poly("x + y", vs)
     assert x_plus_y ** 0 == Poly.one(vs)
