@@ -259,14 +259,14 @@ class DrinfeldModel:
     def is_smooth_marker(self) -> bool:
         return self.e == 0
 
-    def q_position(self, n: int) -> int:
-        return n
-
     def xbar_position(self, i: int, n: int) -> int:
-        return self.e + i * 2 * self.e + n
+        return self.varset.position(VarId("xbar", (i, n)))
 
 
 def model_varset(e: int, d: int, c: int) -> VarSet:
+    """The model's coordinates: the coefficients q_n of q(t) = t^e + ..., then
+    the 2e coefficients xbar_(i, n) of each x-part and the e coefficients
+    ybar_(j, n) of each y-part."""
     names: list[VarId] = []
     names += [VarId("q", (n,)) for n in range(e)]
     names += [VarId("xbar", (i, n)) for i in range(d) for n in range(2 * e)]
@@ -324,17 +324,14 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
     if prec is not None and prec < 2 * e:
         raise InsufficientPrecisionError(2 * e, prec)
     vs = model_varset(e, d, c)
-    m = len(vs)
 
-    def var_poly(idx: int) -> Poly:
-        return Poly(vs, {tuple(1 if t == idx else 0 for t in range(m)): Fraction(1)})
+    def unknown(family: str, k: int, length: int) -> TPoly:
+        """The t-polynomial with the coefficients family_(k, n), n < length."""
+        return TPoly(vs, [Poly.variable(vs, VarId(family, (k, n))) for n in range(length)])
 
-    qt = TPoly(vs, [var_poly(n) for n in range(e)] + [Poly.one(vs)])
-    values: list[TPoly] = []
-    for i in range(d):
-        values.append(TPoly(vs, [var_poly(e + i * 2 * e + n) for n in range(2 * e)]))
-    for j in range(c):
-        values.append(TPoly(vs, [var_poly(e + 2 * e * d + j * e + n) for n in range(e)]))
+    qt = TPoly(vs, [Poly.variable(vs, VarId("q", (n,))) for n in range(e)] + [Poly.one(vs)])
+    values = ([unknown("xbar", i, 2 * e) for i in range(d)]
+              + [unknown("ybar", j, e) for j in range(c)])
 
     gens_new = [proj.apply_to_poly(g) for g in Xci.generators]
     mod_q = _ModReducer(qt)
@@ -361,14 +358,10 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
 
     equations = [q for q in equations if not q.is_zero()]
 
-    zvals = [Fraction(0)] * m
-    for i in range(d):
-        for n in range(2 * e):
-            zvals[e + i * 2 * e + n] = arc_new.components[i].coefficient(n)
-    for j in range(c):
-        for n in range(e):
-            zvals[e + 2 * e * d + j * e + n] = arc_new.components[d + j].coefficient(n)
-    z = tuple(zvals)
+    # z: q = 0, and xbar and ybar read off the arc's x- and y-parts
+    parts = {"xbar": arc_new.components[:d], "ybar": arc_new.components[d:]}
+    z = tuple(Fraction(0) if v.family == "q" else
+              parts[v.family][v.indices[0]].coefficient(v.indices[1]) for v in vs)
     for q in equations:
         if q.evaluate(z) != 0:
             raise InternalInconsistencyError(
@@ -450,7 +443,8 @@ def tangent_matrix_rows(model: DrinfeldModel, arc: Arc) -> list[list[Fraction]]:
 
     Row (i, n) carries dxbar_i^(n) plus, for n >= e, the dq-block entries
     2 a_i^(k+2e) on dq^(l) with k + l = n - e (the differential of
-    xbar(t) + c(t) q(t)^2 at the base point, truncated mod t^(2e)).
+    xbar(t) + c(t) q(t)^2 at the base point, truncated mod t^(2e)).  The
+    coordinate q_l is column l: ``model_varset`` puts the q's first.
     """
     e, d = model.e, model.d
     arct = model.projection.apply_to_arc(arc)
@@ -467,7 +461,7 @@ def tangent_matrix_rows(model: DrinfeldModel, arc: Arc) -> list[list[Fraction]]:
                 for l in range(e):
                     k = n - e - l
                     if k >= 0:
-                        row[model.q_position(l)] += 2 * arct.components[i].coefficient(k + 2 * e)
+                        row[l] += 2 * arct.components[i].coefficient(k + 2 * e)
             rows.append(row)
     return rows
 

@@ -13,6 +13,10 @@ reduction step changes in place, only at the shifted terms of the reducer,
 and a heap of order ranks yields its leading monomial (heap division, after
 Monagan and Pearce, J. Symbolic Comput. 46 (2011)).  Neither loop copies the
 remainder or rescans it for its leading term.
+
+Each basis computation spends one work budget, a ``_Budget``, across all of
+its divisions, interreduction included; ``_Remainder.reduce`` charges every
+step the reducer's terms plus the remainder's, so the cutoff is deterministic.
 """
 
 from __future__ import annotations
@@ -36,7 +40,26 @@ from .poly import (
     monomial_mul,
 )
 
-DEFAULT_STEP_LIMIT = 2_000_000
+DEFAULT_WORK_LIMIT = 20_000_000
+
+
+class _Budget:
+    """Work countdown shared by every division of one basis computation.
+
+    Work is counted in terms touched, so a computation on huge polynomials
+    trips the limit after comparable effort to one on many small ones.
+    """
+
+    __slots__ = ("limit", "remaining")
+
+    def __init__(self, limit: int = DEFAULT_WORK_LIMIT):
+        self.limit = self.remaining = limit
+
+    def spend(self, cost: int) -> None:
+        self.remaining -= cost
+        if self.remaining < 0:
+            raise ResourceLimitError(
+                f"reduction work budget of {self.limit} terms exhausted")
 
 
 class _Remainder:
@@ -49,12 +72,13 @@ class _Remainder:
     ``heap`` holds (rank, monomial) entries under the order's rank; an entry
     whose term has since cancelled is dropped when it reaches the top.
     ``degrees`` counts the terms of each total degree, so the ecart needs no
-    scan of the terms.
+    scan of the terms.  ``budget`` pays for each reduction step.
     """
 
-    __slots__ = ("varset", "terms", "rank", "heap", "degrees")
+    __slots__ = ("varset", "terms", "rank", "heap", "degrees", "budget")
 
-    def __init__(self, f: Poly, order: MonomialOrder):
+    def __init__(self, f: Poly, order: MonomialOrder, budget: _Budget | None):
+        self.budget = budget or _Budget()
         self.varset = f.varset
         self.terms = {m: c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
         self.rank = rank = order.ranker(len(f.varset))
@@ -92,9 +116,11 @@ class _Remainder:
         """Subtract the multiple of g whose leading term is the term at lm.
 
         Touches only the shifted terms of g; the term at lm cancels exactly
-        and is removed without arithmetic.
+        and is removed without arithmetic.  The step costs the reducer's
+        terms plus the remainder's, paid before anything changes.
         """
         terms, heap, rank, degrees = self.terms, self.heap, self.rank, self.degrees
+        self.budget.spend(len(g.terms) + len(terms))
         minus = -self._remove(lm) / g.terms[lmg]
         if minus.denominator == 1:
             minus = minus.numerator
@@ -133,23 +159,21 @@ def _check_varsets(f: Poly, basis: list[Poly]) -> None:
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
-                step_limit: int = DEFAULT_STEP_LIMIT) -> Poly:
-    """Full remainder of f on division by basis.
+                budget: _Budget | None = None) -> Poly:
+    """Full remainder of f on division by basis, paid from budget (a fresh
+    default one when None).
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
+    Moving a leading term to the remainder costs nothing.
     """
     if f.is_zero() or not basis:
         return f
     _check_varsets(f, basis)
     lms = [leading_monomial(g, order) for g in basis]
-    h = _Remainder(f, order)
+    h = _Remainder(f, order, budget)
     remainder = Poly.zero(f.varset)
-    steps = 0
     while (lm := h.lead()) is not None:
-        steps += 1
-        if steps > step_limit:
-            raise ResourceLimitError("division step limit exceeded")
         for g, lmg in zip(basis, lms):
             if monomial_divides(lmg, lm):
                 h.reduce(g, lmg, lm)
@@ -231,11 +255,13 @@ def _complete(gens: list[Poly], order: MonomialOrder,
 
 
 def buchberger(gens: list[Poly], order: MonomialOrder,
-               step_limit: int = DEFAULT_STEP_LIMIT) -> list[Poly]:
-    """Raw (non-reduced) Groebner basis."""
+               budget: _Budget | None = None) -> list[Poly]:
+    """Raw (non-reduced) Groebner basis; every division is paid from budget
+    (a fresh default one when None)."""
+    budget = budget or _Budget()
     # normal_form is read from the globals at each call: a wrapper must see every division
     return _complete([f for f in gens if not f.is_zero()], order,
-                     lambda s, basis: normal_form(s, basis, order, step_limit))
+                     lambda s, basis: normal_form(s, basis, order, budget=budget))
 
 
 def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
@@ -254,26 +280,33 @@ def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
     return kept
 
 
-def interreduce(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
+def interreduce(basis: list[Poly], order: MonomialOrder,
+                budget: _Budget | None = None) -> list[Poly]:
+    """Each element reduced by the others and made monic, sorted with the
+    greatest leading monomial first; divisions are paid from budget (a fresh
+    default one when None)."""
+    budget = budget or _Budget()
     out = []
     for i, f in enumerate(basis):
         others = basis[:i] + basis[i + 1 :]
-        r = normal_form(f, others, order)
+        r = normal_form(f, others, order, budget=budget)
         if not r.is_zero():
             out.append(make_monic(r, order))
     return sorted(out, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
 
 
 def groebner_basis(gens: list[Poly], order: MonomialOrder,
-                   step_limit: int = DEFAULT_STEP_LIMIT) -> list[Poly]:
-    """Reduced Groebner basis (unique for the given global order)."""
+                   work_limit: int = DEFAULT_WORK_LIMIT) -> list[Poly]:
+    """Reduced Groebner basis (unique for the given global order), computed
+    within one budget of work_limit terms touched."""
     if not order.is_global:
         raise ValueError("groebner_basis needs a global order; use mora_standard_basis")
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return []
-    G = buchberger(nonzero, order, step_limit)
-    return interreduce(minimalize(G, order), order)
+    budget = _Budget(work_limit)
+    G = buchberger(nonzero, order, budget)
+    return interreduce(minimalize(G, order), order, budget)
 
 
 def reduces_to_zero(f: Poly, basis: list[Poly], order: MonomialOrder) -> bool:

@@ -14,14 +14,17 @@ is copied, because pool entries must not change under later steps.
 
 The standard basis is groebner's S-pair completion loop, ``_complete``, with
 the weak normal form in place of the full one, after a pre-interreduction of
-the generators.
+the generators.  A standard basis, and a canonicalization of initial forms,
+each spend one groebner ``_Budget`` across all of their divisions; the step
+charge is the one ``_Remainder.reduce`` makes for ``normal_form`` too.
 """
 
 from __future__ import annotations
 
-from ..errors import ResourceLimitError
 from .orders import ANTIGRLEX, MonomialOrder, leading_monomial, make_monic
 from .groebner import (
+    DEFAULT_WORK_LIMIT,
+    _Budget,
     _check_varsets,
     _complete,
     _Remainder,
@@ -31,32 +34,11 @@ from .groebner import (
 )
 from .poly import Poly, monomial_divides
 
-DEFAULT_WORK_LIMIT = 20_000_000
-
-
-class _Budget:
-    """Shared work countdown across one basis computation.
-
-    Work is counted in reducer terms touched, so a computation on huge
-    polynomials trips the limit after comparable effort to one on many small
-    ones; the cutoff is deterministic and machine-independent.
-    """
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, work: int):
-        self.remaining = work
-
-    def spend(self, cost: int = 1) -> None:
-        self.remaining -= cost
-        if self.remaining < 0:
-            raise ResourceLimitError("standard-basis reduction work budget exhausted")
-
 
 def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLEX,
-                     work_limit: int = DEFAULT_WORK_LIMIT,
                      budget: _Budget | None = None) -> Poly:
-    """Weak normal form of f against basis (Mora reduction).
+    """Weak normal form of f against basis (Mora reduction), paid from budget
+    (a fresh default one when None).
 
     Reducer selection: minimal ecart, ties by leading monomial under the
     order, then by position in the pool.
@@ -64,8 +46,6 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
     if f.is_zero():
         return f
     _check_varsets(f, basis)
-    if budget is None:
-        budget = _Budget(work_limit)
     # (ecart, order key of the leading monomial, pool position, leading
     # monomial, reducer): tuple order is the reducer tie-break
     data = []
@@ -73,7 +53,7 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
         if not g.is_zero():
             lmg = leading_monomial(g, order)
             data.append((g.total_degree() - sum(lmg), order.key(lmg), len(data), lmg, g))
-    h = _Remainder(f, order)
+    h = _Remainder(f, order, budget)
     while (lm := h.lead()) is not None:
         best = min((d for d in data if monomial_divides(d[3], lm)), default=None)
         if best is None:
@@ -82,15 +62,14 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
         eh = h.ecart(lm)
         if eg > eh:
             data.append((eh, order.key(lm), len(data), lm, h.snapshot()))
-        # a step costs the reducer's terms plus the remainder's
-        budget.spend(len(g.terms) + len(h.terms))
         h.reduce(g, lmg, lm)
     return h.snapshot()
 
 
 def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
                         work_limit: int = DEFAULT_WORK_LIMIT) -> list[Poly]:
-    """Standard basis of the ideal generated by gens in the localization at 0.
+    """Standard basis of the ideal generated by gens in the localization at 0,
+    computed within one budget of work_limit terms touched.
 
     Leading terms of the output generate the leading-term ideal.  The result
     is minimal and monic; tails are fully interreduced only when every element
@@ -113,12 +92,14 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
                              lambda s, basis: mora_normal_form(s, basis, order, budget=budget)),
                    order)
     if all(g.is_homogeneous() for g in G):
-        return interreduce(G, order)  # sorted as below
+        return interreduce(G, order, budget)  # sorted as below
     return sorted(G, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
 
 
-def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX) -> list[Poly]:
-    """Reduced Groebner basis of the ideal generated by homogeneous forms.
+def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX,
+                            work_limit: int = DEFAULT_WORK_LIMIT) -> list[Poly]:
+    """Reduced Groebner basis of the ideal generated by homogeneous forms,
+    computed within one budget of work_limit terms touched.
 
     Buchberger completion terminates on homogeneous input for any semigroup
     order (reductions are degreewise finite), giving the canonical output.
@@ -126,18 +107,19 @@ def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX)
     nonzero = [f for f in forms if not f.is_zero()]
     if not nonzero:
         return []
-    return interreduce(minimalize(buchberger(nonzero, order), order), order)
+    budget = _Budget(work_limit)
+    return interreduce(minimalize(buchberger(nonzero, order, budget), order), order, budget)
 
 
-def initial_ideal(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
-                  work_limit: int = DEFAULT_WORK_LIMIT) -> list[Poly]:
+def initial_ideal(gens: list[Poly], order: MonomialOrder = ANTIGRLEX) -> list[Poly]:
     """Generators of the initial ideal: lowest-degree forms of a standard basis.
 
     The ideal must already be centered at the origin (translate first).  The
     returned forms are the reduced Groebner basis of ini(a) for the same local
-    order.
+    order.  The standard basis and the canonicalization each spend one
+    default budget.
     """
-    basis = mora_standard_basis(gens, order, work_limit)
+    basis = mora_standard_basis(gens, order)
     return canonical_initial_forms([g.initial_form() for g in basis], order)
 
 

@@ -56,16 +56,17 @@ def combine_ord_min(results: Iterable[OrdResult]) -> OrdResult:
     An Exhausted(N) wins over any Exact(k) with k > N: the true minimum could
     sit anywhere in [N, k], so only the lower bound survives.
     """
-    exacts = [r.value for r in results if r.kind == "exact"]
-    bounds = [r.value for r in results if r.kind == "exhausted"]
-    if exacts:
-        k = min(exacts)
-        if not bounds or k <= min(bounds):
-            return OrdResult.exact(k)
+    exacts: list[int] = []
+    bounds: list[int] = []
+    for r in results:
+        if r.kind == "exact":
+            exacts.append(r.value)
+        elif r.kind == "exhausted":
+            bounds.append(r.value)
+    if exacts and (not bounds or min(exacts) <= min(bounds)):
+        return OrdResult.exact(min(exacts))
     if bounds:
         return OrdResult.exhausted(min(bounds))
-    if exacts:
-        return OrdResult.exact(min(exacts))
     return OrdResult.infinity()
 
 
@@ -113,10 +114,6 @@ class TruncSeries:
     @classmethod
     def constant(cls, c: Fraction | int, precision: int | None = None) -> "TruncSeries":
         return cls((c,), precision)
-
-    @classmethod
-    def t_power(cls, k: int, precision: int | None = None) -> "TruncSeries":
-        return cls([0] * k + [1], precision)
 
     # -- queries -----------------------------------------------------------
 
@@ -186,12 +183,3 @@ class TruncSeries:
     def scale(self, c: Fraction | int) -> "TruncSeries":
         c = rational(c)
         return TruncSeries([x * c for x in self.coeffs], self.precision)
-
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise ValueError("negative power of a series")
-        result = TruncSeries.constant(1, self.precision)
-        for _ in range(n):
-            result = result * self
-        return result
-

@@ -331,14 +331,16 @@ def reference_update_pairs(G, lmG, P, f_index, order):
     return P
 
 
-def reference_buchberger(gens, order, step_limit=None):
-    """groebner.buchberger with its own S-pair loop, as first written."""
+def reference_buchberger(gens, order, work_limit=None):
+    """groebner.buchberger with its own S-pair loop, as first written, with
+    every division paid from one budget."""
     from arcspace.polyalg import groebner
     from arcspace.polyalg.orders import leading_monomial, make_monic
     from arcspace.polyalg.poly import monomial_lcm
 
-    if step_limit is None:
-        step_limit = groebner.DEFAULT_STEP_LIMIT
+    if work_limit is None:
+        work_limit = groebner.DEFAULT_WORK_LIMIT
+    budget = groebner._Budget(work_limit)
     G, lmG, P = [], [], set()
     for f in gens:
         if f.is_zero():
@@ -350,7 +352,7 @@ def reference_buchberger(gens, order, step_limit=None):
         i, j = min(P, key=lambda p: (order.key(monomial_lcm(lmG[p[0]], lmG[p[1]])), p))
         P.remove((i, j))
         s = groebner.spolynomial(G[i], G[j], order)
-        r = groebner.normal_form(s, G, order, step_limit)
+        r = groebner.normal_form(s, G, order, budget=budget)
         if not r.is_zero():
             G.append(make_monic(r, order))
             lmG.append(leading_monomial(r, order))
@@ -359,14 +361,15 @@ def reference_buchberger(gens, order, step_limit=None):
 
 
 def reference_mora_standard_basis(gens, order, work_limit=None):
-    """mora.mora_standard_basis with its own S-pair loop, as first written."""
+    """mora.mora_standard_basis with its own S-pair loop, as first written,
+    with every division, interreduction included, paid from one budget."""
     from arcspace.polyalg import groebner, mora
     from arcspace.polyalg.orders import leading_monomial, make_monic
     from arcspace.polyalg.poly import monomial_lcm
 
     if work_limit is None:
-        work_limit = mora.DEFAULT_WORK_LIMIT
-    budget = mora._Budget(work_limit)
+        work_limit = groebner.DEFAULT_WORK_LIMIT
+    budget = groebner._Budget(work_limit)
     seeds = [make_monic(g, order) for g in gens if not g.is_zero()]
     pre = []
     for g in seeds:
@@ -391,5 +394,30 @@ def reference_mora_standard_basis(gens, order, work_limit=None):
             pairs = reference_update_pairs(G, lmG, pairs, len(G) - 1, order)
     G = groebner.minimalize(G, order)
     if all(g.is_homogeneous() for g in G):
-        G = groebner.interreduce(G, order)
+        G = groebner.interreduce(G, order, budget)
     return sorted(G, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
+
+
+def work_spent(monkeypatch, compute, *args):
+    """The work the basis computation compute(*args) spends from its budget.
+
+    Asserts that it makes exactly one budget: a second one would leave part of
+    the computation outside the limit a caller sets.
+    """
+    from arcspace.polyalg import groebner, mora
+
+    made = []
+
+    class Recorded(groebner._Budget):
+        __slots__ = ()
+
+        def __init__(self, *limit):
+            super().__init__(*limit)
+            made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_Budget", Recorded)
+        m.setattr(mora, "_Budget", Recorded)
+        compute(*args)
+    (budget,) = made
+    return budget.limit - budget.remaining

@@ -3,8 +3,9 @@ it replaced (``reference_buchberger`` and ``reference_mora_standard_basis`` in
 ``conftest.py``), on seeded random ideals.
 
 Both must give equal bases, hand the same ordered sequence of inputs to the
-normal form (recorded by patching the module global the loops look it up
-in), leave the same work budget and trip the same limits.
+normal forms (recorded by patching the module globals the loops look them up
+in), leave the same work budget and trip the same limits.  Each basis
+computation spends one budget, interreduction included.
 """
 
 import random
@@ -15,29 +16,33 @@ import pytest
 from arcspace.errors import ResourceLimitError
 from arcspace.polyalg import ANTIGRLEX, GREVLEX, GRLEX, LEX, MonomialOrder, Poly, VarSet
 from arcspace.polyalg import groebner, mora
-from arcspace.polyalg.groebner import buchberger
-from arcspace.polyalg.mora import mora_standard_basis
+from arcspace.polyalg.groebner import _Budget, buchberger, groebner_basis
+from arcspace.polyalg.mora import canonical_initial_forms, mora_standard_basis
 
-from conftest import reference_buchberger, reference_mora_standard_basis
+from conftest import reference_buchberger, reference_mora_standard_basis, work_spent
 
 VS = VarSet(["x", "y", "z"])
 
 
-def _traced(monkeypatch, module, name, fn, *args):
-    """The outcome of fn(*args) and, for each call of module.name it made, the
-    inputs and the work budget left after the call (None without a budget)."""
+def _traced(monkeypatch, fn, *args):
+    """The outcome of fn(*args) and, for each call of groebner.normal_form or
+    mora.mora_normal_form it made, the name, the inputs and the work budget
+    left after the call (None without a budget)."""
     calls = []
-    original = getattr(module, name)
 
-    def record(f, basis, *rest, **kwargs):
-        try:
-            return original(f, basis, *rest, **kwargs)
-        finally:
-            budget = kwargs.get("budget")
-            calls.append((f, tuple(basis), None if budget is None else budget.remaining))
+    def recorder(name, original):
+        def record(f, basis, *rest, **kwargs):
+            try:
+                return original(f, basis, *rest, **kwargs)
+            finally:
+                budget = kwargs.get("budget")
+                calls.append((name, f, tuple(basis),
+                              None if budget is None else budget.remaining))
+        return record
 
     with monkeypatch.context() as m:
-        m.setattr(module, name, record)
+        for module, name in ((groebner, "normal_form"), (mora, "mora_normal_form")):
+            m.setattr(module, name, recorder(name, getattr(module, name)))
         try:
             outcome = fn(*args)
         except ResourceLimitError:
@@ -68,11 +73,12 @@ def _ideals(seed: int, count: int, degrees: tuple[int, ...], terms: int):
 def test_buchberger_matches_the_reference_loop(monkeypatch, order):
     tripped = completed = 0
     for gens in _ideals(5, 12, (2,), 3):
-        for limit in (1, 2, 4, groebner.DEFAULT_STEP_LIMIT):
-            got = _traced(monkeypatch, groebner, "normal_form", buchberger, gens, order, limit)
-            want = _traced(monkeypatch, groebner, "normal_form",
-                           reference_buchberger, gens, order, limit)
+        W = work_spent(monkeypatch, buchberger, gens, order)
+        for limit in sorted({1, W // 2, max(W - 1, 0), W, groebner.DEFAULT_WORK_LIMIT}):
+            got = _traced(monkeypatch, buchberger, gens, order, _Budget(limit))
+            want = _traced(monkeypatch, reference_buchberger, gens, order, limit)
             assert got == want
+            assert (got[0] is ResourceLimitError) == (limit < W)
             if got[0] is ResourceLimitError:
                 tripped += 1
             elif got[1]:
@@ -86,19 +92,38 @@ def test_buchberger_matches_the_reference_loop(monkeypatch, order):
 @pytest.mark.parametrize("degrees, terms", [((2,), 3), ((2, 3), 2)],
                          ids=["quadrics", "binomials"])
 def test_mora_matches_the_reference_loop_at_the_work_limit(monkeypatch, order, degrees, terms):
-    worked = 0
+    worked = interreduced = 0
     for gens in _ideals(5, 12, degrees, terms):
-        _, calls = _traced(monkeypatch, mora, "mora_normal_form",
-                           mora_standard_basis, gens, order)
-        W = mora.DEFAULT_WORK_LIMIT - calls[-1][2] if calls else 0
+        # the whole computation's spend, interreduction included
+        W = work_spent(monkeypatch, mora_standard_basis, gens, order)
         for limit in (W - 1, W):
-            got = _traced(monkeypatch, mora, "mora_normal_form",
-                          mora_standard_basis, gens, order, limit)
-            want = _traced(monkeypatch, mora, "mora_normal_form",
-                           reference_mora_standard_basis, gens, order, limit)
+            got = _traced(monkeypatch, mora_standard_basis, gens, order, limit)
+            want = _traced(monkeypatch, reference_mora_standard_basis, gens, order, limit)
             assert got == want
             if W:
                 assert (got[0] is ResourceLimitError) == (limit == W - 1)
         worked += W > 0
+        interreduced += any(call[0] == "normal_form" for call in got[1])
     assert worked
+    if degrees == (2,):
+        assert interreduced
 
+
+
+@pytest.mark.parametrize("compute, order", [
+    (groebner_basis, GREVLEX), (groebner_basis, LEX),
+    (canonical_initial_forms, ANTIGRLEX), (canonical_initial_forms, GREVLEX),
+], ids=["groebner_basis-grevlex", "groebner_basis-lex",
+        "canonical_initial_forms-antigrlex", "canonical_initial_forms-grevlex"])
+def test_reduced_bases_run_out_at_their_whole_spend(monkeypatch, compute, order):
+    """The one budget covers completion and interreduction: it runs out at
+    W - 1 and suffices at W, W the work of the whole computation."""
+    beyond_completion = 0
+    for gens in _ideals(7, 6, (2,), 3):
+        W = work_spent(monkeypatch, compute, gens, order)
+        with pytest.raises(ResourceLimitError):
+            compute(gens, order, W - 1)
+        assert compute(gens, order, W) == compute(gens, order)
+        beyond_completion += W > work_spent(monkeypatch, buchberger, gens, order)
+    # the interreduction is paid from the same budget
+    assert beyond_completion

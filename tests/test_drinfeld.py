@@ -226,8 +226,8 @@ def test_tangent_dq_block_scaling(quadric):
     for n in range(2 * e):
         for i in range(d):
             for l in range(e):
-                base = rows[idx][model.q_position(l)]
-                assert rows_s[idx][model.q_position(l)] == lam ** (n + e - l) * base
+                base = rows[idx][l]
+                assert rows_s[idx][l] == lam ** (n + e - l) * base
                 if base:
                     checked += 1
             idx += 1

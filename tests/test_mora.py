@@ -130,10 +130,11 @@ def test_mora_post_check_on_golden_jet_ideal(quadric):
 
 def test_work_budget_trips(vs):
     from arcspace.errors import ResourceLimitError
+    from arcspace.polyalg.groebner import _Budget
 
     with pytest.raises(ResourceLimitError):
         mora_normal_form(parse_poly("x", vs), [parse_poly("x - x^2", vs)],
-                         work_limit=1)
+                         budget=_Budget(1))
     gens = [parse_poly("y - x^2", vs), parse_poly("y^2 - x^3", vs)]
     with pytest.raises(ResourceLimitError):
         mora_standard_basis(gens, work_limit=3)

@@ -3,7 +3,8 @@
 The reference loops below copy the remainder on every step and rescan it for
 its leading monomial with the tuple key; ``mora_normal_form`` and
 ``normal_form`` must take the same steps, return the same polynomials and
-charge the same work.
+charge the same work: a reduction step costs the reducer's terms plus the
+remainder's, and moving a leading term to the remainder costs nothing.
 """
 
 import random
@@ -25,11 +26,12 @@ from arcspace.polyalg import (
     groebner,
     initial_ideal,
     mora,
+    parse_poly,
 )
-from arcspace.polyalg.groebner import _Remainder, normal_form
-from arcspace.polyalg.mora import DEFAULT_WORK_LIMIT, _Budget, mora_normal_form
+from arcspace.polyalg.groebner import _Budget, _Remainder, normal_form
+from arcspace.polyalg.mora import mora_normal_form
 
-from conftest import monomial_arc, random_poly, tuple_key, tuple_leading_monomial
+from conftest import monomial_arc, random_poly, tuple_key, tuple_leading_monomial, work_spent
 
 
 def _divides(a, b):
@@ -68,20 +70,17 @@ def reference_mora_normal_form(f, basis, order, budget, appended):
     return h
 
 
-def reference_normal_form(f, basis, order, step_limit=groebner.DEFAULT_STEP_LIMIT):
+def reference_normal_form(f, basis, order, budget):
     if f.is_zero() or not basis:
         return f
     lms = [tuple_leading_monomial(g, order) for g in basis]
     remainder = Poly.zero(f.varset)
     h = f
-    steps = 0
     while not h.is_zero():
-        steps += 1
-        if steps > step_limit:
-            raise ResourceLimitError("division step limit exceeded")
         lm = tuple_leading_monomial(h, order)
         for g, lmg in zip(basis, lms):
             if _divides(lmg, lm):
+                budget.spend(len(g.terms) + len(h.terms))
                 quotient = tuple(x - y for x, y in zip(lm, lmg))
                 h = h - _shifted(g, quotient, h.terms[lm] / g.terms[lmg])
                 break
@@ -173,7 +172,7 @@ def test_mora_step_matches_the_copy_per_step_loop(monkeypatch):
         pooled += len(appended)
         work = WORK - ref_budget.remaining
         for limit in sorted({0, 1, work // 2, work - 1}):
-            assert _outcome(lambda: mora_normal_form(f, basis, ANTIGRLEX, work_limit=limit)) \
+            assert _outcome(lambda: mora_normal_form(f, basis, ANTIGRLEX, budget=_Budget(limit))) \
                 == _outcome(lambda: reference_mora_normal_form(
                     f, basis, ANTIGRLEX, _Budget(limit), []))
     assert pooled > 0
@@ -186,18 +185,36 @@ def test_normal_form_matches_the_copy_per_step_loop(order, monkeypatch):
     vs = VarSet(["x", "y", "z"])
     rng = random.Random(f"normal-form/{order}")
     RemainderSpy(monkeypatch)
+    tripped = completed = 0
     for _ in range(40):
         f = random_poly(vs, rng, max_degree=4, terms=rng.randint(1, 12))
         basis = [g for g in (random_poly(vs, rng, max_degree=3, terms=rng.randint(1, 4))
                              for _ in range(rng.randint(1, 4))) if not g.is_zero()]
-        expected = _outcome(lambda: reference_normal_form(f, basis, order, 300))
-        got = _outcome(lambda: normal_form(f, basis, order, 300))
+        ref_budget, budget = _Budget(), _Budget()
+        expected = reference_normal_form(f, basis, order, ref_budget)
+        got = normal_form(f, basis, order, budget)
         assert got == expected
-        if got != "exhausted":
-            assert all(type(c) is Fraction for c in got.terms.values())
-        for limit in range(0, 8):
-            assert _outcome(lambda: normal_form(f, basis, order, limit)) \
-                == _outcome(lambda: reference_normal_form(f, basis, order, limit))
+        assert budget.remaining == ref_budget.remaining
+        assert all(type(c) is Fraction for c in got.terms.values())
+        work = budget.limit - budget.remaining
+        for limit in sorted({*range(0, 8), max(work - 1, 0), work, 300}):
+            ref_budget, budget = _Budget(limit), _Budget(limit)
+            got = _outcome(lambda: normal_form(f, basis, order, budget))
+            assert got == _outcome(lambda: reference_normal_form(f, basis, order, ref_budget))
+            assert budget.remaining == ref_budget.remaining
+            assert (got == "exhausted") == (limit < work)
+            tripped += got == "exhausted"
+            completed += got != "exhausted" and limit < 300
+    # the comparison is not vacuous: some limits trip, some small ones suffice
+    assert tripped and completed
+
+
+def test_normal_form_pays_nothing_for_terms_no_reducer_divides():
+    vs = VarSet(["x", "y"])
+    f = parse_poly("x^2 + 3*x*y - y^3", vs)
+    budget = _Budget(0)
+    assert normal_form(f, [parse_poly("x^3 - y", vs)], GREVLEX, budget) == f
+    assert budget.remaining == 0
 
 
 def test_normal_form_on_homogeneous_forms_under_the_local_order(monkeypatch):
@@ -208,7 +225,10 @@ def test_normal_form_on_homogeneous_forms_under_the_local_order(monkeypatch):
         forms = [random_poly(vs, rng, max_degree=3, terms=4).homogeneous_part(d)
                  for d in (3, 2, 2, 3)]
         f, basis = forms[0], [g for g in forms[1:] if not g.is_zero()]
-        assert normal_form(f, basis, ANTIGRLEX) == reference_normal_form(f, basis, ANTIGRLEX)
+        ref_budget, budget = _Budget(), _Budget()
+        assert normal_form(f, basis, ANTIGRLEX, budget) \
+            == reference_normal_form(f, basis, ANTIGRLEX, ref_budget)
+        assert budget.remaining == ref_budget.remaining
 
 
 def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch):
@@ -218,10 +238,9 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     gens = translate_to_origin(jet_ideal(quadric, 4), truncate_arc(monomial_arc(quadric, 3), 4))
     spy = RemainderSpy(monkeypatch)
     seen = {"mora": 0, "pooled": 0, "groebner": 0}
-    spent: list[_Budget] = []
 
-    def checked_mora(f, basis, order=ANTIGRLEX, work_limit=DEFAULT_WORK_LIMIT, budget=None):
-        budget = budget if budget is not None else _Budget(work_limit)
+    def checked_mora(f, basis, order=ANTIGRLEX, budget=None):
+        budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
         appended: list = []
         expected = reference_mora_normal_form(f, basis, order, ref_budget, appended)
@@ -230,12 +249,14 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         assert budget.remaining == ref_budget.remaining
         seen["mora"] += 1
         seen["pooled"] += len(appended)
-        spent.append(budget)
         return got
 
-    def checked_nf(f, basis, order, step_limit=groebner.DEFAULT_STEP_LIMIT):
-        got = normal_form(f, basis, order, step_limit)
-        assert got == reference_normal_form(f, basis, order, step_limit)
+    def checked_nf(f, basis, order, budget=None):
+        budget = budget if budget is not None else _Budget()
+        ref_budget = _Budget(budget.remaining)
+        got = normal_form(f, basis, order, budget)
+        assert got == reference_normal_form(f, basis, order, ref_budget)
+        assert budget.remaining == ref_budget.remaining
         seen["groebner"] += 1
         return got
 
@@ -247,12 +268,12 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     spy.check_unchanged()
 
     # the whole standard basis runs out of work at the same limit either way
-    work = DEFAULT_WORK_LIMIT - spent[-1].remaining
     monkeypatch.setattr(mora, "mora_normal_form", mora_normal_form)
+    work = work_spent(monkeypatch, mora.mora_standard_basis, gens)
     new = [_outcome(lambda: mora.mora_standard_basis(gens, work_limit=w))
            for w in (work - 1, work)]
 
-    def reference(f, basis, order=ANTIGRLEX, work_limit=DEFAULT_WORK_LIMIT, budget=None):
+    def reference(f, basis, order=ANTIGRLEX, budget=None):
         return reference_mora_normal_form(f, basis, order, budget, [])
 
     monkeypatch.setattr(mora, "mora_normal_form", reference)
