@@ -56,6 +56,18 @@ class Job:
     options: dict
 
 
+def _integer(value, key: str) -> int:
+    """A document's integer under key: an int, or a string of a decimal
+    integer.  A float or a bool is a ValueError, as int() would truncate it
+    to a value the document does not state."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{key!r} must be an integer, not {value!r}")
+
+
 def load_job(path: str, precision_override: int | None = None) -> Job:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -74,14 +86,14 @@ def load_job(path: str, precision_override: int | None = None) -> Job:
     generators = tuple(parse_poly(str(g), varset) for g in gen_texts)
     dim = data.get("dim")
     if dim is not None:
-        dim = int(dim)
+        dim = _integer(dim, "dim")
     scheme = AffineScheme(varset, generators, dim)
     arc_texts = data.get("arc")
     if not isinstance(arc_texts, list) or len(arc_texts) != len(varset):
         raise ValueError("document needs an 'arc' list matching 'vars'")
     precision = data.get("precision")
     if precision is not None:
-        precision = int(precision)
+        precision = _integer(precision, "precision")
         if precision < 1:
             raise ValueError("precision must be >= 1")
     if precision_override is not None:
@@ -227,7 +239,7 @@ def _default_seed(args_seed: int | None, options: dict) -> int:
     if args_seed is not None:
         return args_seed
     if options.get("seed") is not None:
-        return int(options["seed"])
+        return _integer(options["seed"], "seed")
     env = os.environ.get("ARCSPACE_SEED")
     return int(env) if env else 0
 
@@ -255,7 +267,7 @@ def _check_precision_cap(job: Job, *levels: int | None) -> None:
     cap = job.options.get("precision_cap", 64)
     if cap is None:
         return
-    cap = int(cap)
+    cap = _integer(cap, "precision_cap")
     for lvl in levels:
         if lvl is not None and lvl >= cap:
             raise ValueError(f"requested level {lvl} reaches the precision cap {cap}")
@@ -271,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             if flag_value is not None:
                 return flag_value
             if job.options.get(key) is not None:
-                return int(job.options[key])
+                return _integer(job.options[key], key)
             return default
 
         if args.subcommand == "jet-ideal":
@@ -286,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
                 level = job.options.get("level")
                 if level is None:
                     raise ValueError("ecodim needs --level or --window")
-                level = int(level)
+                level = _integer(level, "level")
             _check_precision_cap(job, level, *(window or ()))
             trunc = opt_int(args.trunc_degree, "trunc_degree", None)
             report = cmd_ecodim(job, level, window, trunc)

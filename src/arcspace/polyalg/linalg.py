@@ -21,9 +21,13 @@ def _lcm(a: int, b: int) -> int:
 
 def _as_integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     """Each row times the lcm of its denominators, as ints; an entry that is
-    not an int or a Fraction is a TypeError."""
+    not an int or a Fraction is a TypeError, and rows of differing lengths
+    are a ValueError."""
     out = []
-    for row in rows:
+    for k, row in enumerate(rows):
+        if out and len(row) != len(out[0]):
+            raise ValueError(f"ragged matrix: row {k} has {len(row)} entries, "
+                             f"row 0 has {len(out[0])}")
         denom = 1
         for x in row:
             if not isinstance(x, (int, Fraction)):

@@ -316,3 +316,49 @@ def test_ecodim_window_not_stabilized(tmp_path, capsys):
     assert code == 0
     assert report["stabilized"] is False
     assert report["per_level"] == {"0": 1, "1": 2, "2": 3, "3": 4, "4": 5}
+
+
+# (key, whether it sits in the options block, a command that reads it, a valid value)
+INTEGER_KEYS = [
+    ("dim", False, ["ord"], 3),
+    ("precision", False, ["ord"], 8),
+    ("seed", True, ["drinfeld"], 9),
+    ("level", True, ["ecodim"], 1),
+    ("trunc_degree", True, ["ecodim", "--level", "1"], 1),
+    ("resample_limit", True, ["drinfeld"], 5),
+    ("precision_cap", True, ["ecodim", "--level", "1"], 64),
+]
+
+
+def _doc_with(key, in_options, value):
+    if in_options:
+        return dict(QUADRIC_DOC, options={key: value})
+    return dict(QUADRIC_DOC, **{key: value})
+
+
+@pytest.mark.parametrize("key, in_options, argv, good", INTEGER_KEYS)
+@pytest.mark.parametrize("bad", [2.9, 1.0, True])
+def test_document_integers_refuse_floats_and_bools(tmp_path, capsys, key, in_options,
+                                                   argv, good, bad):
+    # int() would truncate 2.9 to 2 and read true as 1: the run would go on
+    # with a value the document does not state
+    path = write_doc(tmp_path, _doc_with(key, in_options, bad))
+    code, report = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 1
+    assert report["error"]["kind"] == "ValueError"
+    assert repr(key) in report["error"]["message"]
+
+
+@pytest.mark.parametrize("key, in_options, argv, good", INTEGER_KEYS)
+def test_document_integers_take_ints_and_decimal_strings(tmp_path, capsys, key, in_options,
+                                                         argv, good):
+    reports = []
+    for value in (good, str(good)):
+        path = write_doc(tmp_path, _doc_with(key, in_options, value))
+        code, report = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 0
+        reports.append(report)
+    assert reports[0] == reports[1]
+    path = write_doc(tmp_path, _doc_with(key, in_options, "2.5"))
+    code, report = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 1 and repr(key) in report["error"]["message"]

@@ -1,4 +1,6 @@
 import random
+
+import pytest
 from fractions import Fraction
 
 from arcspace.polyalg import exact_rank, fraction_free_echelon, rank_modulo, reduce_row
@@ -69,3 +71,18 @@ def test_echelon_pivots_are_deterministic():
     ech, piv = fraction_free_echelon(m)
     assert piv == [0, 1, 2]
     assert len(ech) == 3
+
+
+@pytest.mark.parametrize("rows, k, length, width", [
+    ([[1, 0], [0, 0, 5]], 1, 3, 2),
+    ([[0, 0], [0, 0, 5]], 1, 3, 2),
+    ([[1, 0, 0], [0, 5]], 1, 2, 3),
+])
+def test_ragged_matrix_is_refused(rows, k, length, width):
+    # the width read off the first row would drop or miss the longer row's
+    # entries and give a wrong rank, or index past the shorter one
+    message = f"row {k} has {length} entries, row 0 has {width}"
+    with pytest.raises(ValueError, match=message):
+        exact_rank(rows)
+    with pytest.raises(ValueError, match=message):
+        fraction_free_echelon(rows)

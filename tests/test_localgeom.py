@@ -21,7 +21,8 @@ from arcspace.localgeom import (
     jacobian_at,
     translate_to_origin,
 )
-from arcspace.polyalg import VarSet, parse_poly
+from arcspace.drinfeld import drinfeld_pipeline
+from arcspace.polyalg import Poly, VarSet, parse_poly
 from arcspace.polyalg.oracles import initial_ideal_mismatches
 
 from conftest import monomial_arc, random_arc, random_poly
@@ -96,6 +97,69 @@ def test_jacobian_at_matches_partials():
     # (vanishing factors, exponent of the one vanishing factor)
     assert seen >= {(0, 0), (1, 1), (1, 2), (2, 0)}
     assert jacobian_at([], [1, 2, 3]) == []
+
+
+def _partials_at(gens, values):
+    """The Jacobian as partial-then-evaluate, the reference for jacobian_at."""
+    vs = gens[0].varset
+    return [[g.partial(v).evaluate(values) for v in vs] for g in gens]
+
+
+def test_jacobian_at_int_and_fraction_paths():
+    # jacobian_at and Poly.evaluate hold integral coefficients and coordinates
+    # as ints and fall back to Fractions term by term; points mixing
+    # integral, zero and non-integral coordinates, coefficients of both kinds
+    # and exponents up to 5 run both arms of P*a_i/p_i (P // p_i on ints, /
+    # otherwise) with a_i >= 2, and the zero polynomial gives a zero row
+    rng = random.Random(33)
+    vs = VarSet(["x", "y", "z", "w"])
+    seen = set()
+    for trial in range(80):
+        gens = [random_poly(vs, rng, max_degree=5, terms=6)
+                for _ in range(rng.randint(1, 3))]
+        if trial % 2:
+            gens = [Poly(vs, {m: c.numerator for m, c in g.terms.items()}) for g in gens]
+        if trial % 5 == 0:
+            gens.append(Poly.zero(vs))
+        values = [rng.choice((Fraction(0), Fraction(rng.randint(-4, 4)),
+                              Fraction(rng.choice((-5, -3, 1, 3, 7)), rng.choice((2, 3)))))
+                  for _ in vs]
+        for g in gens:
+            value = g.evaluate(values)
+            assert type(value) is Fraction
+            assert value == _evaluate_reference(g, values)
+            for mono, c in g.terms.items():
+                if any(e and not x for e, x in zip(mono, values)):
+                    continue
+                integral = c.denominator == 1 and all(
+                    x.denominator == 1 for e, x in zip(mono, values) if e)
+                for e, x in zip(mono, values):
+                    if e >= 2:
+                        seen.add(("//" if integral else "/", x.denominator == 1))
+        expected = _partials_at(gens, values)
+        assert expected == [[_evaluate_reference(g.partial(v), values) for v in vs]
+                            for g in gens]
+        got = jacobian_at(gens, values)
+        assert got == expected
+        assert all(type(x) is Fraction for row in got for x in row)
+    # (arm, whether the coordinate raised to a_i >= 2 is integral)
+    assert seen == {("//", True), ("/", True), ("/", False)}
+    assert Poly.zero(vs).evaluate([1, 2, 3, 4]) == 0
+    assert type(Poly.zero(vs).evaluate([1, 2, 3, 4])) is Fraction
+    assert jacobian_at([Poly.zero(vs)], [1, 0, Fraction(1, 2), 4]) == [[0, 0, 0, 0]]
+
+
+def test_jacobian_at_model_point(ci_fixture):
+    # the CI fixture's model at an arc with a half-integral coefficient has
+    # non-integral coordinates in z
+    arc = Arc.from_strings(ci_fixture.ambient, ["t + 1/2*t^2", "0", "0", "0"])
+    model = drinfeld_pipeline(ci_fixture, arc, 4, with_dims=False).model
+    assert any(x.denominator != 1 for x in model.z)
+    got = jacobian_at(model.equations, model.z)
+    assert got == _partials_at(model.equations, model.z)
+    assert all(type(x) is Fraction for row in got for x in row)
+    for q in model.equations:
+        assert q.evaluate(model.z) == _evaluate_reference(q, model.z) == 0
 
 
 def test_jacobian_at_rejects_mixed_varsets():
