@@ -167,6 +167,8 @@ def hs_derivative(f: Poly, p: int, varset: VarSet | None = None) -> Poly:
 def jet_ideal(X: AffineScheme, n: int) -> list[Poly]:
     """Defining ideal of the order-n jet scheme inside A^((n+1)N): D_0..D_n
     of each generator, read off one composite per generator."""
+    if n < 0:
+        raise ValueError(f"jet level must be nonnegative, not {n}")
     target = jet_varset(X.ambient, n)
     composites = [_universal_jet_composite(g, n, target) for g in X.generators]
     return [h.coefficient(p) for h in composites for p in range(n + 1)]
@@ -239,6 +241,8 @@ def check_fitting_finite(X: AffineScheme, arc: Arc, d: int) -> OrdResult:
 
 def truncate_arc(arc: Arc, n: int) -> JetPoint:
     """Image of the arc in the order-n jet space (coefficients through t^n)."""
+    if n < 0:
+        raise ValueError(f"jet level must be nonnegative, not {n}")
     for comp in arc.components:
         if comp.precision is not None and n >= comp.precision:
             raise InsufficientPrecisionError(n + 1, comp.precision)

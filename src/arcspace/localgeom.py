@@ -10,7 +10,7 @@ linear data; a mismatch signals a basis bug and is reported as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -27,7 +27,14 @@ from .polyalg.varset import VarSet
 
 @dataclass(frozen=True)
 class LocalAnalysis:
-    """Report at a rational point; `stabilized` is set only by window reports."""
+    """Report at a rational point; `stabilized` is set only by window reports.
+
+    `standard_basis` is the Mora standard basis of the generators translated
+    to the origin, kept so that a jet level above can start from it; it is
+    None when smooth directions were split off first, since the basis then
+    belongs to the reduced ideal.  It is not part of the report: two analyses
+    with equal invariants compare equal whatever basis each found.
+    """
 
     nvars: int
     jacobian_rank: int
@@ -36,6 +43,7 @@ class LocalAnalysis:
     ecodim: int
     initial_forms: tuple[Poly, ...]
     stabilized: bool | None = None
+    standard_basis: tuple[Poly, ...] | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -212,6 +220,8 @@ def _eliminate_smooth_directions(gens: Sequence[Poly]):
 
 def edim_at_point(gens: Sequence[Poly], point) -> int:
     """dim of the Zariski cotangent space: nvars minus the Jacobian rank."""
+    if not gens:
+        raise ValueError("empty generator list")
     varset = gens[0].varset
     values = point_values(varset, point)
     for g in gens:
@@ -221,14 +231,32 @@ def edim_at_point(gens: Sequence[Poly], point) -> int:
     return len(varset) - exact_rank(jacobian_at(gens, values))
 
 
-def ecodim_at_point(gens: Sequence[Poly], point) -> LocalAnalysis:
-    """Full local analysis with both embedding-codimension formulas checked."""
+def ecodim_at_point(gens: Sequence[Poly], point,
+                    below: LocalAnalysis | None = None) -> LocalAnalysis:
+    """Full local analysis with both embedding-codimension formulas checked.
+
+    below, when given, is the analysis of the generators that involve only the
+    first below.nvars variables, at the point's first below.nvars coordinates:
+    the jet scheme one level down, along the same arc.  Mora then starts from
+    its standard basis and adds only the other generators, so no S-pair of the
+    level below is reduced again.  It does so only when neither analysis split
+    off a smooth direction; otherwise the basis is computed from the
+    generators alone.  Either way the result is the same.
+    """
+    if not gens:
+        raise ValueError("empty generator list")
     varset = gens[0].varset
     nvars = len(varset)
     translated = translate_to_origin(gens, point)
     jacobian_rank = exact_rank(jacobian_at(translated, (Fraction(0),) * nvars))
     reduced, pivot_forms, active = _eliminate_smooth_directions(translated)
-    basis = mora_standard_basis(reduced)
+    if pivot_forms or below is None or below.standard_basis is None:
+        basis = mora_standard_basis(reduced)
+    else:
+        k = below.nvars
+        basis = mora_standard_basis(
+            [g for g in reduced if any(any(m[k:]) for m in g.terms)],
+            basis=[g.extended(varset) for g in below.standard_basis])
     lms = [leading_monomial(g, ANTIGRLEX) for g in basis]
     tangent_cone_dim = monomial_dim(lms, len(active))
     forms = canonical_initial_forms(
@@ -257,6 +285,7 @@ def ecodim_at_point(gens: Sequence[Poly], point) -> LocalAnalysis:
         tangent_cone_dim=tangent_cone_dim,
         ecodim=ecodim,
         initial_forms=tuple(forms),
+        standard_basis=None if pivot_forms else tuple(basis),
     )
 
 
@@ -289,9 +318,22 @@ class WindowReport:
 
 
 def ecodim_window(X: AffineScheme, arc: Arc, n_lo: int, n_hi: int) -> WindowReport:
+    """Local analyses of the jet schemes of levels n_lo..n_hi at the truncated
+    arc, each equal to ``ecodim_jet(X, arc, n)``, and whether their ecodim is
+    the same at every level.
+
+    Level n adds only D_n(g_i) to the jet ideal of level n - 1, in new
+    variables, so each level above n_lo starts its standard basis from the one
+    of the level below (the ``below`` of ``ecodim_at_point``) and pays only for
+    the work beyond it.  A level where smooth directions were split off, and
+    the level above it, compute theirs from their own generators instead.
+    """
     if n_lo > n_hi or n_lo < 0:
         raise ValueError("bad window")
-    per_level = {n: ecodim_jet(X, arc, n) for n in range(n_lo, n_hi + 1)}
+    per_level: dict[int, LocalAnalysis] = {}
+    below = None
+    for n in range(n_lo, n_hi + 1):
+        below = per_level[n] = ecodim_at_point(jet_ideal(X, n), truncate_arc(arc, n), below)
     values = {a.ecodim for a in per_level.values()}
     return WindowReport(
         window=(n_lo, n_hi),

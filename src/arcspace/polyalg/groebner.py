@@ -5,7 +5,9 @@ form as its argument (Greuel-Pfister, ch. 1): ``buchberger`` passes the full
 normal form and ``mora.mora_standard_basis`` Mora's weak one.  Pair selection
 is the normal strategy (smallest lcm under the active order, ties by pair
 index); pair elimination uses the lcm and chain criteria, as is standard.
-Everything is deterministic.
+Everything is deterministic.  The loop can start from a ``basis`` whose own
+S-pairs are known to reduce, such as the standard basis of a smaller ideal:
+only the pairs with the new generators are formed, under the same criteria.
 
 Division works on a ``_Remainder``, which ``normal_form`` here and
 ``mora.mora_normal_form`` share: the remainder's terms live in one dict that a
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..errors import ResourceLimitError, VarsetMismatchError
 from .orders import MonomialOrder, leading_monomial, make_monic
@@ -230,12 +232,19 @@ def _update_pairs(lmG: list, P: set, order: MonomialOrder) -> None:
 
 
 def _complete(gens: list[Poly], order: MonomialOrder,
-              nf: Callable[[Poly, list[Poly]], Poly]) -> list[Poly]:
-    """The S-pair completion of the nonzero gens, made monic: the pair of least
-    lcm under the order (ties by pair index) is taken next, and the remainder
-    nf(s, G) of its S-polynomial s enters the basis unless it is zero."""
-    G: list[Poly] = []
-    lmG: list = []
+              nf: Callable[[Poly, list[Poly]], Poly],
+              basis: Sequence[Poly] = ()) -> list[Poly]:
+    """The S-pair completion of basis + gens, all nonzero, made monic: the pair
+    of least lcm under the order (ties by pair index) is taken next, and the
+    remainder nf(s, G) of its S-polynomial s enters the basis unless it is zero.
+
+    The S-pairs among the elements of basis must already be known to reduce
+    (basis is a Groebner or standard basis of its own ideal): they open the
+    list G with no pairs among themselves, and only pairs with a later
+    element are formed.
+    """
+    G = [make_monic(f, order) for f in basis]
+    lmG = [leading_monomial(f, order) for f in G]
     P: set = set()
 
     def enter(f: Poly) -> None:

@@ -14,12 +14,17 @@ is copied, because pool entries must not change under later steps.
 
 The standard basis is groebner's S-pair completion loop, ``_complete``, with
 the weak normal form in place of the full one, after a pre-interreduction of
-the generators.  A standard basis, and a canonicalization of initial forms,
-each spend one groebner ``_Budget`` across all of their divisions; the step
-charge is the one ``_Remainder.reduce`` makes for ``normal_form`` too.
+the generators.  Given a ``basis`` that is already a standard basis, such as
+the one of the jet ideal a level down, the pre-interreduction starts from it
+and the loop forms only the S-pairs with the new generators.  A standard
+basis, and a canonicalization of initial forms, each spend one groebner
+``_Budget`` across all of their divisions; the step charge is the one
+``_Remainder.reduce`` makes for ``normal_form`` too.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .orders import ANTIGRLEX, MonomialOrder, leading_monomial, make_monic
 from .groebner import (
@@ -67,29 +72,35 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
 
 
 def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
-                        work_limit: int = DEFAULT_WORK_LIMIT) -> list[Poly]:
-    """Standard basis of the ideal generated by gens in the localization at 0,
-    computed within one budget of work_limit terms touched.
+                        work_limit: int = DEFAULT_WORK_LIMIT,
+                        basis: Sequence[Poly] = ()) -> list[Poly]:
+    """Standard basis of the ideal generated by basis + gens in the localization
+    at 0, computed within one budget of work_limit terms touched.
 
-    Leading terms of the output generate the leading-term ideal.  The result
-    is minimal and monic; tails are fully interreduced only when every element
-    is homogeneous (tail reduction need not terminate under a local order).
+    basis, when given, must be a standard basis of its own ideal under the
+    order: its S-pairs are not formed again, and it seeds the interreduction
+    of gens.  Leading terms of the output generate the leading-term ideal.  The
+    result is minimal and monic; tails are fully interreduced only when every
+    element is homogeneous (tail reduction need not terminate under a local
+    order).
     """
     if not order.is_local:
         raise ValueError("mora_standard_basis needs the local order")
     budget = _Budget(work_limit)
+    known = [make_monic(g, order) for g in basis if not g.is_zero()]
     seeds = [make_monic(g, order) for g in gens if not g.is_zero()]
     # progressive interreduction of the input: each seed is replaced by its
     # weak normal form against the ones already kept, which stays in the ideal
     # (unit multipliers) and makes the reducers in the pair loop smaller
-    pre: list[Poly] = []
+    pre = list(known)
     for g in seeds:
         h = mora_normal_form(g, pre, order, budget=budget) if pre else g
         if not h.is_zero():
             pre.append(make_monic(h, order))
     # mora_normal_form is read from the globals at each call (see groebner.buchberger)
-    G = minimalize(_complete(pre, order,
-                             lambda s, basis: mora_normal_form(s, basis, order, budget=budget)),
+    G = minimalize(_complete(pre[len(known):], order,
+                             lambda s, pool: mora_normal_form(s, pool, order, budget=budget),
+                             known),
                    order)
     if all(g.is_homogeneous() for g in G):
         return interreduce(G, order, budget)  # sorted as below

@@ -189,6 +189,14 @@ def test_declared_dim_below_krull_bound(tmp_path, capsys):
         assert "N - c = 3" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["jet-ideal", "ecodim"])
+def test_negative_level_is_an_input_error(tmp_path, capsys, command):
+    code, report = run_cli(capsys, command, write_doc(tmp_path, QUADRIC_DOC), "--level", "-1")
+    assert code == 1
+    assert report["error"]["kind"] == "ValueError"
+    assert "jet level must be nonnegative" in report["error"]["message"]
+
+
 def test_exit_code_singular_arc(tmp_path, capsys):
     doc = {"schema": 1, "vars": ["x", "y"], "generators": ["x*y"], "arc": ["0", "0"]}
     code, report = run_cli(capsys, "drinfeld", write_doc(tmp_path, doc), "--seed", "0")

@@ -18,6 +18,7 @@ from arcspace.polyalg import ANTIGRLEX, GREVLEX, GRLEX, LEX, MonomialOrder, Poly
 from arcspace.polyalg import groebner, mora
 from arcspace.polyalg.groebner import _Budget, buchberger, groebner_basis
 from arcspace.polyalg.mora import canonical_initial_forms, mora_standard_basis
+from arcspace.polyalg.orders import leading_monomial
 
 from conftest import reference_buchberger, reference_mora_standard_basis, work_spent
 
@@ -108,6 +109,27 @@ def test_mora_matches_the_reference_loop_at_the_work_limit(monkeypatch, order, d
     if degrees == (2,):
         assert interreduced
 
+
+
+@pytest.mark.parametrize("order", [ANTIGRLEX, MonomialOrder("antigrlex", (2, 0, 1))],
+                         ids=["antigrlex", "antigrlex-priority"])
+@pytest.mark.parametrize("degrees, terms", [((2,), 3), ((2, 3), 2)],
+                         ids=["quadrics", "binomials"])
+def test_mora_from_a_standard_basis_matches_from_scratch(order, degrees, terms):
+    """A standard basis B of the first generators, extended by the others,
+    gives the leading ideal and the initial forms of the whole ideal."""
+    grew = 0
+    for gens in _ideals(11, 12, degrees, terms):
+        B = mora_standard_basis(gens[:2], order)
+        got = mora_standard_basis(gens[2:], order, basis=B)
+        want = mora_standard_basis(gens, order)
+        lms = {leading_monomial(g, order) for g in got}
+        assert lms == {leading_monomial(g, order) for g in want}
+        assert (canonical_initial_forms([g.initial_form() for g in got], order)
+                == canonical_initial_forms([g.initial_form() for g in want], order))
+        grew += lms != {leading_monomial(g, order) for g in B}
+    # the comparison is not vacuous: the new generators enlarge the leading ideal
+    assert grew
 
 
 @pytest.mark.parametrize("compute, order", [

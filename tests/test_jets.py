@@ -220,6 +220,13 @@ def test_truncate_arc_basics(quadric):
     assert jp0.values == arc.special_point()
 
 
+def test_negative_levels_are_refused(quadric):
+    with pytest.raises(ValueError, match="nonnegative"):
+        jet_ideal(quadric, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        truncate_arc(monomial_arc(quadric, 1), -1)
+
+
 def test_truncate_arc_precision_guard(quadric):
     comps = [TruncSeries([0, 1], precision=3) for _ in range(4)]
     arc = Arc(quadric.ambient, comps)

@@ -269,6 +269,90 @@ def test_window_stabilization(quadric):
     assert [w.per_level[n].ecodim for n in (2, 3, 4)] == [1, 1, 1]
 
 
+def _quadric_arc(X, rng, e1, e2):
+    """(a*c, a*d, b*c, -b*d) on x0*x3 + x1*x2 = 0: ord a = ord b = e1 and
+    ord c = ord d = e2, so the Jacobian contact order is e1 + e2."""
+    def factor(k):
+        return [Fraction(0)] * k + [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                             rng.choice((1, 2))) for _ in range(2)]
+
+    def mul(u, v):
+        out = [Fraction(0)] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+        return out
+
+    a, b, c, d = factor(e1), factor(e1), factor(e2), factor(e2)
+    comps = [mul(a, c), mul(a, d), mul(b, c), [-x for x in mul(b, d)]]
+    return Arc.from_strings(X.ambient, [
+        " + ".join(f"({x})*t^{k}" for k, x in enumerate(comp) if x) or "0" for comp in comps])
+
+
+def _sum_of_squares_arc(X, e):
+    # x0 = 2 t^e, x1 = t^e (1 - t), x2 = t^e (3 + t/2), x3 = -(x1^2 + x2^2)/x0
+    return Arc.from_strings(X.ambient, [
+        f"2*t^{e}", f"t^{e} - t^{e + 1}", f"3*t^{e} + 1/2*t^{e + 1}",
+        f"-5*t^{e} - 1/2*t^{e + 1} - 5/8*t^{e + 2}"])
+
+
+def _window_matches_single_levels(monkeypatch, X, arc, n_lo, n_hi):
+    """Assert that every level of the window equals ecodim_jet at that level;
+    returns how many levels started Mora from the level below."""
+    from arcspace import localgeom
+
+    seeded = []
+    original = localgeom.mora_standard_basis
+
+    def recording(gens, *args, **kwargs):
+        seeded.append(bool(kwargs.get("basis")))
+        return original(gens, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(localgeom, "mora_standard_basis", recording)
+        window = ecodim_window(X, arc, n_lo, n_hi)
+    assert len(seeded) == n_hi - n_lo + 1 and not seeded[0]
+    for n in range(n_lo, n_hi + 1):
+        # every invariant, initial_forms included; the basis found is not compared
+        assert window.per_level[n] == ecodim_jet(X, arc, n)
+    return sum(seeded)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_window_levels_equal_single_levels(monkeypatch, quadric, e):
+    S = AffineScheme(quadric.ambient, (parse_poly("x0*x3 + x1^2 + x2^2", quadric.ambient),))
+    rng = random.Random(40 + e)
+    arcs = [(quadric, _quadric_arc(quadric, rng, e1, e - e1)) for e1 in range(e + 1)]
+    arcs += [(quadric, monomial_arc(quadric, e)), (S, _sum_of_squares_arc(S, e))]
+    for X, arc in arcs:
+        assert ord_along_arc(jacobian_ideal(X), arc).value == e
+        # no jet ideal here splits off a smooth direction, so every level
+        # above the lowest starts from the one below
+        assert _window_matches_single_levels(monkeypatch, X, arc, 2 * e, 2 * e + 2) == 2
+
+
+def test_window_levels_equal_single_levels_node(monkeypatch, node):
+    arc = Arc.from_strings(node.ambient, ["0", "0"])
+    assert _window_matches_single_levels(monkeypatch, node, arc, 0, 4) == 4
+
+
+def test_window_levels_that_split_start_from_their_generators(monkeypatch):
+    # x_p - (y^2)_p has the pivot x_p at every level, so the smooth directions
+    # are split off and no level can start from the one below
+    vs = VarSet(["x", "y"])
+    X = AffineScheme(vs, (parse_poly("x - y^2", vs),))
+    arc = Arc.from_strings(vs, ["t^2", "t"])
+    assert _window_matches_single_levels(monkeypatch, X, arc, 0, 3) == 0
+    window = ecodim_window(X, arc, 0, 3)
+    assert all(a.standard_basis is None for a in window.per_level.values())
+
+
+def test_empty_generator_list_is_a_value_error():
+    for analyse in (ecodim_at_point, edim_at_point):
+        with pytest.raises(ValueError, match="empty generator list"):
+            analyse([], [])
+
+
 def test_monotone_bound(quadric):
     # ecodim at jet level <= contact order with the Jacobian ideal
     for m in (1, 2):
