@@ -241,7 +241,10 @@ def ecodim_at_point(gens: Sequence[Poly], point,
     its standard basis and adds only the other generators, so no S-pair of the
     level below is reduced again.  It does so only when neither analysis split
     off a smooth direction; otherwise the basis is computed from the
-    generators alone.  Either way the result is the same.
+    generators alone.  The canonicalization of the initial forms always
+    starts from below.initial_forms, the reduced basis of the whole initial
+    ideal a level down, which the initial ideal here contains.  Either way
+    the result is the same.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -260,7 +263,8 @@ def ecodim_at_point(gens: Sequence[Poly], point,
     lms = [leading_monomial(g, ANTIGRLEX) for g in basis]
     tangent_cone_dim = monomial_dim(lms, len(active))
     forms = canonical_initial_forms(
-        pivot_forms + [g.initial_form() for g in basis])
+        pivot_forms + [g.initial_form() for g in basis],
+        basis=() if below is None else [f.extended(varset) for f in below.initial_forms])
     # cross-checks between the pipelines: the canonical initial basis must
     # carry exactly jacobian_rank independent linear forms, and its leading
     # monomials must cut the tangent cone to the same dimension
@@ -323,10 +327,11 @@ def ecodim_window(X: AffineScheme, arc: Arc, n_lo: int, n_hi: int) -> WindowRepo
     the same at every level.
 
     Level n adds only D_n(g_i) to the jet ideal of level n - 1, in new
-    variables, so each level above n_lo starts its standard basis from the one
-    of the level below (the ``below`` of ``ecodim_at_point``) and pays only for
-    the work beyond it.  A level where smooth directions were split off, and
-    the level above it, compute theirs from their own generators instead.
+    variables, so each level above n_lo starts its standard basis and the
+    canonicalization of its initial forms from those of the level below (the
+    ``below`` of ``ecodim_at_point``) and pays only for the work beyond them.
+    A level where smooth directions were split off, and the level above it,
+    compute their standard bases from their own generators instead.
     """
     if n_lo > n_hi or n_lo < 0:
         raise ValueError("bad window")

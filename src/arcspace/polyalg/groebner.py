@@ -5,9 +5,15 @@ form as its argument (Greuel-Pfister, ch. 1): ``buchberger`` passes the full
 normal form and ``mora.mora_standard_basis`` Mora's weak one.  Pair selection
 is the normal strategy (smallest lcm under the active order, ties by pair
 index); pair elimination uses the lcm and chain criteria, as is standard.
-Everything is deterministic.  The loop can start from a ``basis`` whose own
-S-pairs are known to reduce, such as the standard basis of a smaller ideal:
-only the pairs with the new generators are formed, under the same criteria.
+Each pair is keyed once, when it is formed, on a heap, and a pair the chain
+criterion drops later is skipped when it reaches the top.  The loop hands
+the normal form the leading monomials it keeps, so no division recomputes
+them.  Everything is deterministic.  The loop can start from a ``basis``
+whose own S-pairs are known to reduce, such as the standard basis of a
+smaller ideal: only the pairs with the new generators are formed, under the
+same criteria.  ``buchberger`` given such a basis first reduces each new
+generator against it and drops those that reduce to zero; this is how
+``mora.canonical_initial_forms`` climbs a jet tower.
 
 Division works on a ``_Remainder``, which ``normal_form`` here and
 ``mora.mora_normal_form`` share: the remainder's terms live in one dict that a
@@ -69,8 +75,9 @@ class _Remainder:
 
     ``terms`` holds each integral coefficient as an int, because int
     arithmetic is many times faster than Fraction's and most coefficients met
-    in reducing jet ideals are integral (see ROADMAP item 2); ``snapshot`` and
-    ``pop`` hand out Fractions.
+    in reducing jet ideals are integral (the share measured on the benchmark
+    workloads is in the ``poly`` module docstring); ``snapshot`` and ``pop``
+    hand out Fractions.
     ``heap`` holds (rank, monomial) entries under the order's rank; an entry
     whose term has since cancelled is dropped when it reaches the top.
     ``degrees`` counts the terms of each total degree, so the ecart needs no
@@ -161,9 +168,10 @@ def _check_varsets(f: Poly, basis: list[Poly]) -> None:
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
-                budget: _Budget | None = None) -> Poly:
+                budget: _Budget | None = None, lms: Sequence[Monomial] | None = None) -> Poly:
     """Full remainder of f on division by basis, paid from budget (a fresh
-    default one when None).
+    default one when None).  lms, when given, are the leading monomials of
+    basis, in the same positions; they are computed when None.
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
@@ -172,7 +180,8 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
     if f.is_zero() or not basis:
         return f
     _check_varsets(f, basis)
-    lms = [leading_monomial(g, order) for g in basis]
+    if lms is None:
+        lms = [leading_monomial(g, order) for g in basis]
     h = _Remainder(f, order, budget)
     remainder = Poly.zero(f.varset)
     while (lm := h.lead()) is not None:
@@ -204,9 +213,11 @@ def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     return _finished(f.varset, acc)
 
 
-def _update_pairs(lmG: list, P: set, order: MonomialOrder) -> None:
+def _update_pairs(lmG: list, P: set, heap: list, order: MonomialOrder) -> None:
     """Gebauer-Moeller style update of the pair set P, in place, when the last
-    of the leading monomials lmG enters the basis."""
+    of the leading monomials lmG enters the basis.  Each new pair is also
+    pushed onto heap as (order key of its lcm, pair); a pair the chain
+    criterion removes from P stays on heap until it is popped."""
     f_index = len(lmG) - 1
     lmf = lmG[f_index]
     # chain criterion on existing pairs
@@ -228,49 +239,90 @@ def _update_pairs(lmG: list, P: set, order: MonomialOrder) -> None:
         # lcm (product) criterion: skip coprime leading monomials
         if any(monomial_lcm(lmG[i], lmf) == monomial_mul(lmG[i], lmf) for i in lcms[L]):
             continue
-        P.add((min(lcms[L]), f_index))
+        pair = (min(lcms[L]), f_index)
+        P.add(pair)
+        heappush(heap, (order.key(L), pair))
 
 
 def _complete(gens: list[Poly], order: MonomialOrder,
-              nf: Callable[[Poly, list[Poly]], Poly],
+              nf: Callable[[Poly, list[Poly], list[Monomial]], Poly],
               basis: Sequence[Poly] = ()) -> list[Poly]:
     """The S-pair completion of basis + gens, all nonzero, made monic: the pair
     of least lcm under the order (ties by pair index) is taken next, and the
-    remainder nf(s, G) of its S-polynomial s enters the basis unless it is zero.
+    remainder nf(s, G, lmG) of its S-polynomial s enters the basis unless it
+    is zero; lmG holds the leading monomials of G.
 
     The S-pairs among the elements of basis must already be known to reduce
     (basis is a Groebner or standard basis of its own ideal): they open the
     list G with no pairs among themselves, and only pairs with a later
     element are formed.
+
+    Each pair is keyed once, when it is formed, on a heap; P is the set of
+    live pairs, so an entry whose pair the chain criterion has since removed
+    is skipped when it reaches the top.
     """
     G = [make_monic(f, order) for f in basis]
     lmG = [leading_monomial(f, order) for f in G]
     P: set = set()
+    heap: list = []
 
     def enter(f: Poly) -> None:
         G.append(make_monic(f, order))
         lmG.append(leading_monomial(f, order))
-        _update_pairs(lmG, P, order)
+        _update_pairs(lmG, P, heap, order)
 
     for f in gens:
         enter(f)
     while P:
-        i, j = min(P, key=lambda p: (order.key(monomial_lcm(lmG[p[0]], lmG[p[1]])), p))
-        P.remove((i, j))
-        r = nf(spolynomial(G[i], G[j], order), G)
+        pair = heappop(heap)[1]
+        if pair not in P:
+            continue
+        P.remove(pair)
+        i, j = pair
+        r = nf(spolynomial(G[i], G[j], order), G, lmG)
         if not r.is_zero():
             enter(r)
     return G
 
 
+def _reduce_in_turn(gens: list[Poly], order: MonomialOrder,
+                    nf: Callable[[Poly, list[Poly], list[Monomial]], Poly],
+                    basis: Sequence[Poly] = ()) -> list[Poly]:
+    """Each of gens, in turn, replaced by its remainder nf(f, pool, lms)
+    against basis and the ones kept before it (lms the pool's leading
+    monomials) and made monic; zero remainders are dropped.  What is kept
+    generates the same ideal together with basis, and gives the pair loop
+    smaller reducers."""
+    pool = list(basis)
+    lms = [leading_monomial(g, order) for g in pool]
+    for f in gens:
+        r = nf(f, pool, lms) if pool else f
+        if not r.is_zero():
+            pool.append(make_monic(r, order))
+            lms.append(leading_monomial(r, order))
+    return pool[len(basis):]
+
+
 def buchberger(gens: list[Poly], order: MonomialOrder,
-               budget: _Budget | None = None) -> list[Poly]:
-    """Raw (non-reduced) Groebner basis; every division is paid from budget
-    (a fresh default one when None)."""
+               budget: _Budget | None = None, basis: Sequence[Poly] = ()) -> list[Poly]:
+    """Raw (non-reduced) Groebner basis of basis + gens; every division is
+    paid from budget (a fresh default one when None).
+
+    basis, when given, must be a Groebner basis of its own ideal: its S-pairs
+    are not formed again, and each generator is first reduced against basis
+    and the generators kept before it, so that only nonzero remainders enter
+    the completion.
+    """
     budget = budget or _Budget()
-    # normal_form is read from the globals at each call: a wrapper must see every division
-    return _complete([f for f in gens if not f.is_zero()], order,
-                     lambda s, basis: normal_form(s, basis, order, budget=budget))
+
+    def nf(f: Poly, G: list[Poly], lms: list[Monomial]) -> Poly:
+        # normal_form is read from the globals at each call: a wrapper must see every division
+        return normal_form(f, G, order, budget=budget, lms=lms)
+
+    gens = [f for f in gens if not f.is_zero()]
+    if basis:
+        gens = _reduce_in_turn(gens, order, nf, basis)
+    return _complete(gens, order, nf, basis)
 
 
 def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
@@ -291,14 +343,15 @@ def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 def interreduce(basis: list[Poly], order: MonomialOrder,
                 budget: _Budget | None = None) -> list[Poly]:
-    """Each element reduced by the others and made monic, sorted with the
-    greatest leading monomial first; divisions are paid from budget (a fresh
-    default one when None)."""
+    """Each element, all nonzero, reduced by the others and made monic, sorted
+    with the greatest leading monomial first; divisions are paid from budget
+    (a fresh default one when None)."""
     budget = budget or _Budget()
+    lms = [leading_monomial(g, order) for g in basis]
     out = []
     for i, f in enumerate(basis):
-        others = basis[:i] + basis[i + 1 :]
-        r = normal_form(f, others, order, budget=budget)
+        r = normal_form(f, basis[:i] + basis[i + 1:], order, budget=budget,
+                        lms=lms[:i] + lms[i + 1:])
         if not r.is_zero():
             out.append(make_monic(r, order))
     return sorted(out, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)

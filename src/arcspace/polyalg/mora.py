@@ -16,10 +16,13 @@ The standard basis is groebner's S-pair completion loop, ``_complete``, with
 the weak normal form in place of the full one, after a pre-interreduction of
 the generators.  Given a ``basis`` that is already a standard basis, such as
 the one of the jet ideal a level down, the pre-interreduction starts from it
-and the loop forms only the S-pairs with the new generators.  A standard
-basis, and a canonicalization of initial forms, each spend one groebner
-``_Budget`` across all of their divisions; the step charge is the one
-``_Remainder.reduce`` makes for ``normal_form`` too.
+and the loop forms only the S-pairs with the new generators.  The
+canonicalization of initial forms climbs the tower the same way: given the
+reduced Groebner basis of the initial ideal a level down, Buchberger starts
+from it, and only the forms that do not reduce to zero against it enter the
+completion.  A standard basis, and a canonicalization of initial forms, each
+spend one groebner ``_Budget`` across all of their divisions; the step
+charge is the one ``_Remainder.reduce`` makes for ``normal_form`` too.
 """
 
 from __future__ import annotations
@@ -32,18 +35,22 @@ from .groebner import (
     _Budget,
     _check_varsets,
     _complete,
+    _reduce_in_turn,
     _Remainder,
     buchberger,
     interreduce,
     minimalize,
 )
-from .poly import Poly, monomial_divides
+from .poly import Monomial, Poly, monomial_divides
 
 
 def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLEX,
-                     budget: _Budget | None = None) -> Poly:
+                     budget: _Budget | None = None,
+                     lms: Sequence[Monomial] | None = None) -> Poly:
     """Weak normal form of f against basis (Mora reduction), paid from budget
-    (a fresh default one when None).
+    (a fresh default one when None).  lms, when given, are the leading
+    monomials of basis, in the same positions, and basis has no zero element;
+    when None, zeros are dropped and the leading monomials computed.
 
     Reducer selection: minimal ecart, ties by leading monomial under the
     order, then by position in the pool.
@@ -51,13 +58,13 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
     if f.is_zero():
         return f
     _check_varsets(f, basis)
+    if lms is None:
+        basis = [g for g in basis if not g.is_zero()]
+        lms = [leading_monomial(g, order) for g in basis]
     # (ecart, order key of the leading monomial, pool position, leading
     # monomial, reducer): tuple order is the reducer tie-break
-    data = []
-    for g in basis:
-        if not g.is_zero():
-            lmg = leading_monomial(g, order)
-            data.append((g.total_degree() - sum(lmg), order.key(lmg), len(data), lmg, g))
+    data = [(g.total_degree() - sum(lmg), order.key(lmg), i, lmg, g)
+            for i, (g, lmg) in enumerate(zip(basis, lms))]
     h = _Remainder(f, order, budget)
     while (lm := h.lead()) is not None:
         best = min((d for d in data if monomial_divides(d[3], lm)), default=None)
@@ -87,39 +94,41 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
     if not order.is_local:
         raise ValueError("mora_standard_basis needs the local order")
     budget = _Budget(work_limit)
+
+    def nf(f: Poly, pool: list[Poly], lms: list[Monomial]) -> Poly:
+        # mora_normal_form is read from the globals at each call (see groebner.buchberger)
+        return mora_normal_form(f, pool, order, budget=budget, lms=lms)
+
     known = [make_monic(g, order) for g in basis if not g.is_zero()]
-    seeds = [make_monic(g, order) for g in gens if not g.is_zero()]
-    # progressive interreduction of the input: each seed is replaced by its
-    # weak normal form against the ones already kept, which stays in the ideal
-    # (unit multipliers) and makes the reducers in the pair loop smaller
-    pre = list(known)
-    for g in seeds:
-        h = mora_normal_form(g, pre, order, budget=budget) if pre else g
-        if not h.is_zero():
-            pre.append(make_monic(h, order))
-    # mora_normal_form is read from the globals at each call (see groebner.buchberger)
-    G = minimalize(_complete(pre[len(known):], order,
-                             lambda s, pool: mora_normal_form(s, pool, order, budget=budget),
-                             known),
-                   order)
+    # progressive interreduction of the input: each generator is replaced by
+    # its weak normal form against the ones already kept, which stays in the
+    # ideal (unit multipliers) and makes the reducers in the pair loop smaller
+    pre = _reduce_in_turn([make_monic(g, order) for g in gens if not g.is_zero()],
+                          order, nf, known)
+    G = minimalize(_complete(pre, order, nf, known), order)
     if all(g.is_homogeneous() for g in G):
         return interreduce(G, order, budget)  # sorted as below
     return sorted(G, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
 
 
 def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX,
-                            work_limit: int = DEFAULT_WORK_LIMIT) -> list[Poly]:
-    """Reduced Groebner basis of the ideal generated by homogeneous forms,
-    computed within one budget of work_limit terms touched.
+                            work_limit: int = DEFAULT_WORK_LIMIT,
+                            basis: Sequence[Poly] = ()) -> list[Poly]:
+    """Reduced Groebner basis of the ideal generated by the homogeneous
+    basis + forms, computed within one budget of work_limit terms touched.
 
-    Buchberger completion terminates on homogeneous input for any semigroup
-    order (reductions are degreewise finite), giving the canonical output.
+    basis, when given, must be a Groebner basis of its own ideal under the
+    order, such as the initial forms of the jet ideal a level down:
+    Buchberger starts from it (see ``groebner.buchberger``).  Buchberger
+    completion terminates on homogeneous input for any semigroup order
+    (reductions are degreewise finite), and the reduced basis is unique, so
+    the output is canonical either way.
     """
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
+    if not basis and all(f.is_zero() for f in forms):
         return []
     budget = _Budget(work_limit)
-    return interreduce(minimalize(buchberger(nonzero, order, budget), order), order, budget)
+    return interreduce(minimalize(buchberger(forms, order, budget, basis), order),
+                       order, budget)
 
 
 def initial_ideal(gens: list[Poly], order: MonomialOrder = ANTIGRLEX) -> list[Poly]:

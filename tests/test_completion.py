@@ -132,6 +132,65 @@ def test_mora_from_a_standard_basis_matches_from_scratch(order, degrees, terms):
     assert grew
 
 
+@pytest.mark.parametrize("order", [ANTIGRLEX, GREVLEX], ids=["antigrlex", "grevlex"])
+@pytest.mark.parametrize("degree", [2, 3], ids=["quadrics", "cubics"])
+def test_canonicalization_from_a_reduced_basis_matches_from_scratch(monkeypatch, order, degree):
+    """The reduced basis B of the first forms, extended by the others, gives
+    the reduced basis of all of them within one budget; a new form already in
+    the ideal of B never enters the completion."""
+    x, z = Poly.variable(VS, "x"), Poly.variable(VS, "z")
+    entered = []
+    complete = groebner._complete
+    monkeypatch.setattr(groebner, "_complete",
+                        lambda gens, *rest: entered.append(len(gens)) or complete(gens, *rest))
+    grew = 0
+    for forms in _ideals(13, 12, (degree,), 3):
+        forms.append(x * forms[0] - z * forms[1])
+        B = canonical_initial_forms(forms[:2], order)
+        want = canonical_initial_forms(forms, order)
+        entered.clear()
+        assert canonical_initial_forms(forms[2:], order, basis=B) == want
+        assert entered == [len(forms) - 3]
+        work_spent(monkeypatch, canonical_initial_forms, forms[2:], order,
+                   groebner.DEFAULT_WORK_LIMIT, B)
+        grew += want != B
+    # the comparison is not vacuous: the new forms enlarge the basis
+    assert grew
+
+
+def _chain_removals(monkeypatch):
+    """The pairs the chain criterion removes from the live set P, recorded
+    while the completion loops run; each must keep its heap entry until it
+    is popped and skipped."""
+    removed = []
+    update = groebner._update_pairs
+
+    def recording(lmG, P, heap, order):
+        before = set(P)
+        update(lmG, P, heap, order)
+        stale = before - P
+        assert stale <= {pair for _, pair in heap}
+        removed.extend(stale)
+
+    monkeypatch.setattr(groebner, "_update_pairs", recording)
+    return removed
+
+
+@pytest.mark.parametrize("compute, reference, order", [
+    (buchberger, reference_buchberger, GREVLEX),
+    (mora_standard_basis, reference_mora_standard_basis, ANTIGRLEX),
+], ids=["buchberger", "mora"])
+def test_pairs_removed_after_they_were_pushed_are_skipped(monkeypatch, compute, reference, order):
+    """The pair heap deletes lazily: a pair the chain criterion drops after it
+    was pushed is skipped when popped, so the normal forms see the inputs of
+    the reference loop, which selects by a minimum over the live set."""
+    removed = _chain_removals(monkeypatch)
+    for gens in _ideals(5, 12, (2, 3), 2):
+        assert _traced(monkeypatch, compute, gens, order) \
+            == _traced(monkeypatch, reference, gens, order)
+    assert removed
+
+
 @pytest.mark.parametrize("compute, order", [
     (groebner_basis, GREVLEX), (groebner_basis, LEX),
     (canonical_initial_forms, ANTIGRLEX), (canonical_initial_forms, GREVLEX),

@@ -298,24 +298,32 @@ def _sum_of_squares_arc(X, e):
 
 def _window_matches_single_levels(monkeypatch, X, arc, n_lo, n_hi):
     """Assert that every level of the window equals ecodim_jet at that level;
-    returns how many levels started Mora from the level below."""
+    returns how many levels started Mora from the level below, and how many
+    started the canonicalization of their initial forms from it."""
     from arcspace import localgeom
 
-    seeded = []
-    original = localgeom.mora_standard_basis
+    seeded = {"mora_standard_basis": [], "canonical_initial_forms": []}
 
-    def recording(gens, *args, **kwargs):
-        seeded.append(bool(kwargs.get("basis")))
-        return original(gens, *args, **kwargs)
+    def recording(name):
+        original = getattr(localgeom, name)
+
+        def record(*args, **kwargs):
+            seeded[name].append(bool(kwargs.get("basis")))
+            return original(*args, **kwargs)
+        return record
 
     with monkeypatch.context() as m:
-        m.setattr(localgeom, "mora_standard_basis", recording)
+        for name in seeded:
+            m.setattr(localgeom, name, recording(name))
         window = ecodim_window(X, arc, n_lo, n_hi)
-    assert len(seeded) == n_hi - n_lo + 1 and not seeded[0]
+    for levels in seeded.values():
+        assert len(levels) == n_hi - n_lo + 1 and not levels[0]
     for n in range(n_lo, n_hi + 1):
-        # every invariant, initial_forms included; the basis found is not compared
-        assert window.per_level[n] == ecodim_jet(X, arc, n)
-    return sum(seeded)
+        single = ecodim_jet(X, arc, n)
+        assert window.per_level[n].initial_forms == single.initial_forms
+        # every invariant; the basis found is not compared
+        assert window.per_level[n] == single
+    return sum(seeded["mora_standard_basis"]), sum(seeded["canonical_initial_forms"])
 
 
 @pytest.mark.parametrize("e", [1, 2])
@@ -328,21 +336,23 @@ def test_window_levels_equal_single_levels(monkeypatch, quadric, e):
         assert ord_along_arc(jacobian_ideal(X), arc).value == e
         # no jet ideal here splits off a smooth direction, so every level
         # above the lowest starts from the one below
-        assert _window_matches_single_levels(monkeypatch, X, arc, 2 * e, 2 * e + 2) == 2
+        assert _window_matches_single_levels(monkeypatch, X, arc, 2 * e, 2 * e + 2) == (2, 2)
 
 
 def test_window_levels_equal_single_levels_node(monkeypatch, node):
     arc = Arc.from_strings(node.ambient, ["0", "0"])
-    assert _window_matches_single_levels(monkeypatch, node, arc, 0, 4) == 4
+    assert _window_matches_single_levels(monkeypatch, node, arc, 0, 4) == (4, 4)
 
 
 def test_window_levels_that_split_start_from_their_generators(monkeypatch):
     # x_p - (y^2)_p has the pivot x_p at every level, so the smooth directions
-    # are split off and no level can start from the one below
+    # are split off and no level can start Mora from the one below; the
+    # initial forms of each level still contain those of the level below, so
+    # every level above the lowest starts its canonicalization from them
     vs = VarSet(["x", "y"])
     X = AffineScheme(vs, (parse_poly("x - y^2", vs),))
     arc = Arc.from_strings(vs, ["t^2", "t"])
-    assert _window_matches_single_levels(monkeypatch, X, arc, 0, 3) == 0
+    assert _window_matches_single_levels(monkeypatch, X, arc, 0, 3) == (0, 3)
     window = ecodim_window(X, arc, 0, 3)
     assert all(a.standard_basis is None for a in window.per_level.values())
 

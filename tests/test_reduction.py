@@ -237,24 +237,30 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     Mora's pool there."""
     gens = translate_to_origin(jet_ideal(quadric, 4), truncate_arc(monomial_arc(quadric, 3), 4))
     spy = RemainderSpy(monkeypatch)
-    seen = {"mora": 0, "pooled": 0, "groebner": 0}
+    seen = {"mora": 0, "pooled": 0, "groebner": 0, "forwarded": 0}
 
-    def checked_mora(f, basis, order=ANTIGRLEX, budget=None):
+    def forwarded(basis, order, lms):
+        # leading monomials the completion loop hands in are those of basis
+        assert lms is None or list(lms) == [tuple_leading_monomial(g, order) for g in basis]
+        seen["forwarded"] += lms is not None
+        return lms
+
+    def checked_mora(f, basis, order=ANTIGRLEX, budget=None, lms=None):
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
         appended: list = []
         expected = reference_mora_normal_form(f, basis, order, ref_budget, appended)
-        got = mora_normal_form(f, basis, order, budget=budget)
+        got = mora_normal_form(f, basis, order, budget=budget, lms=forwarded(basis, order, lms))
         assert got == expected
         assert budget.remaining == ref_budget.remaining
         seen["mora"] += 1
         seen["pooled"] += len(appended)
         return got
 
-    def checked_nf(f, basis, order, budget=None):
+    def checked_nf(f, basis, order, budget=None, lms=None):
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
-        got = normal_form(f, basis, order, budget)
+        got = normal_form(f, basis, order, budget, lms=forwarded(basis, order, lms))
         assert got == reference_normal_form(f, basis, order, ref_budget)
         assert budget.remaining == ref_budget.remaining
         seen["groebner"] += 1
@@ -265,6 +271,7 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     forms = initial_ideal(gens)
     assert forms
     assert seen["mora"] > 0 and seen["pooled"] > 0 and seen["groebner"] > 0
+    assert seen["forwarded"] > 0
     spy.check_unchanged()
 
     # the whole standard basis runs out of work at the same limit either way
@@ -273,7 +280,7 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     new = [_outcome(lambda: mora.mora_standard_basis(gens, work_limit=w))
            for w in (work - 1, work)]
 
-    def reference(f, basis, order=ANTIGRLEX, budget=None):
+    def reference(f, basis, order=ANTIGRLEX, budget=None, lms=None):
         return reference_mora_normal_form(f, basis, order, budget, [])
 
     monkeypatch.setattr(mora, "mora_normal_form", reference)
