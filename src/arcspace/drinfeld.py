@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CertificateFailureError,
@@ -25,8 +26,8 @@ from .errors import (
     VarsetMismatchError,
     VerificationError,
 )
-from .jets import AffineScheme, Arc, jacobian_ideal, jet_ideal, ord_along_arc, truncate_arc
-from .localgeom import (
+from .jets import AffineScheme, Arc, jacobian_ideal, jet_jacobian_at, ord_along_arc
+from .localgeom import (  # noqa: F401 - edim_at_point stays importable from here
     LocalAnalysis,
     ecodim_at_point,
     ecodim_window,
@@ -160,6 +161,11 @@ def _require_exact_contact_order(X: AffineScheme, arc: Arc, d: int) -> int:
     return res.value
 
 
+def _check_resample_limit(resample_limit: int) -> None:
+    if resample_limit < 0:
+        raise ValueError(f"resample limit must be nonnegative, not {resample_limit}")
+
+
 def ci_reduce(X: AffineScheme, arc: Arc, d: int | None = None, seed=0,
               resample_limit: int = DEFAULT_RESAMPLE_LIMIT,
               bound: int = DEFAULT_COEFF_BOUND) -> AffineScheme:
@@ -169,6 +175,7 @@ def ci_reduce(X: AffineScheme, arc: Arc, d: int | None = None, seed=0,
     when the contact order of the reduced Jacobian ideal matches the original;
     otherwise resample, up to the limit.
     """
+    _check_resample_limit(resample_limit)
     if d is None:
         d = X.dim
     N = X.ambient_dim
@@ -203,6 +210,7 @@ def choose_projection(Xci: AffineScheme, arc: Arc, seed=0,
     Attempt 0 is the identity split (y = last c coordinates); further attempts
     draw random unimodular changes.
     """
+    _check_resample_limit(resample_limit)
     N = Xci.ambient_dim
     d = Xci.dim
     c = N - d
@@ -261,6 +269,12 @@ class DrinfeldModel:
 
     def xbar_position(self, i: int, n: int) -> int:
         return self.varset.position(VarId("xbar", (i, n)))
+
+    @cached_property
+    def jacobian_echelon(self) -> tuple[list[list[int]], list[int]]:
+        """fraction_free_echelon of the equations' Jacobian at z: built once,
+        shared by the edim and tangent checks."""
+        return fraction_free_echelon(jacobian_at(self.equations, self.z))
 
 
 def model_varset(e: int, d: int, c: int) -> VarSet:
@@ -373,14 +387,15 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
 
 
 def verify_drinfeld_edim(model: DrinfeldModel) -> int:
-    """Embedding dimension at the base point; must equal 2*d*e."""
+    """Embedding dimension at the base point; must equal 2*d*e.
+
+    build_drinfeld_model has checked that every equation vanishes at z, so
+    this is m minus the rank of the Jacobian at z.
+    """
     if model.is_smooth_marker:
         return 0
     expected = 2 * model.d * model.e
-    if model.equations:
-        observed = edim_at_point(list(model.equations), model.z)
-    else:
-        observed = model.m
+    observed = model.m - len(model.jacobian_echelon[0])
     if observed != expected:
         raise VerificationError("model embedding dimension", observed, expected)
     return observed
@@ -414,11 +429,9 @@ def jet_cotangent_map(X: AffineScheme, proj: ProjectionMap, arc: Arc, n: int):
     """
     Xt = proj.transformed_scheme(X)
     arct = proj.apply_to_arc(arc)
-    jp = truncate_arc(arct, n)
-    gens_n = jet_ideal(Xt, n)
-    ech, piv = fraction_free_echelon(jacobian_at(gens_n, jp))
-    nvars = len(jp.varset)
+    ech, piv = fraction_free_echelon(jet_jacobian_at(Xt, arct, n))
     N = X.ambient_dim
+    nvars = N * (n + 1)
     rows = []
     for j in range(n + 1):
         for i in range(proj.d):
@@ -478,7 +491,7 @@ def drinfeld_tangent_check(model: DrinfeldModel, arc: Arc) -> TangentReport:
         return TangentReport(0, 0)
     e, d = model.e, model.d
     rows = tangent_matrix_rows(model, arc)
-    ech, piv = fraction_free_echelon(jacobian_at(model.equations, model.z))
+    ech, piv = model.jacobian_echelon
     reduced = [reduce_row(r, ech, piv) for r in rows]
     rank = exact_rank(reduced)
     expected = 2 * d * e

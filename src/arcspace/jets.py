@@ -7,6 +7,11 @@ coefficients, and all D_p(g_i) with p <= n cut out the order-n jet scheme of
 V(g_1..g_c).  Arcs are tuples of truncated series in t; composing a polynomial
 with an arc and reading the t-adic order gives contact orders with ideals, in
 particular with Jacobian (Fitting) ideals.
+
+The Jacobian of the jet ideal at a truncated arc needs no jet ideal: by the
+chain rule dD_k(g)/dx_i_j = D_(k-j)(dg/dx_i), so at the arc's order-n jet its
+entry in row D_k(g), column x_i_j is the t^(k-j) coefficient of
+(dg/dx_i)(alpha(t)) for j <= k, and 0 for j > k.
 """
 
 from __future__ import annotations
@@ -251,3 +256,27 @@ def truncate_arc(arc: Arc, n: int) -> JetPoint:
         comp.coefficient(j) for j in range(n + 1) for comp in arc.components
     )
     return JetPoint(n, target, values)
+
+
+def jet_jacobian_at(X: AffineScheme, arc: Arc, n: int) -> list[list[Fraction]]:
+    """jacobian_at(jet_ideal(X, n), truncate_arc(arc, n)), read off the arc.
+
+    Rows follow jet_ideal (generator-major, then k) and columns the
+    level-major jet varset.  By the chain rule in the module docstring each
+    partial dg/dx_i is composed once with the arc mod t^(n+1), and its
+    coefficient of t^(k-j) fills row D_k(g), column x_i_j for every j <= k.
+    """
+    jp = truncate_arc(arc, n)
+    N = len(arc.varset)
+    truncated = Arc(arc.varset, [TruncSeries(jp.values[i::N], n + 1) for i in range(N)])
+    zero = Fraction(0)
+    rows = []
+    for g in X.generators:
+        series = [eval_along_arc(g.partial(v), truncated) for v in X.ambient]
+        for k in range(n + 1):
+            row = [zero] * len(jp.varset)
+            for j in range(k + 1):
+                for i, s in enumerate(series):
+                    row[j * N + i] = s.coefficient(k - j)
+            rows.append(row)
+    return rows

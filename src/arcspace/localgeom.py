@@ -89,9 +89,9 @@ def jacobian_at(gens: Sequence[Poly], point) -> list[list[Fraction]]:
     Integral coefficients and coordinates are held as ints, each power p_i^k
     is formed once per call, and the entries are summed in ints wherever the
     inputs are ints: P // p_i is exact, since p_i^(a_i) divides P.  Every
-    entry is handed out as a Fraction.  On a seed-1 model-build pass all
-    36546 coefficients this reads are integral, as are 1107 of its 1248
-    coordinates (754 of them 0).
+    entry is handed out as a Fraction.  On a seed-1 model-build pass, where
+    it runs once per model, all 16631 coefficients this reads are integral,
+    as are 224 of its 248 coordinates (161 of them 0).
     """
     if not gens:
         return []

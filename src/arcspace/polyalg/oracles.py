@@ -134,6 +134,8 @@ def initial_ideal_mismatches(gens: Sequence[Poly], forms: Sequence[Poly],
     the brute-force oracle disagree about membership (empty list = agreement)."""
     if degree is None:
         degree = default_truncation_degree(gens)
+    if degree < 1:
+        raise ValueError(f"truncation degree must be at least 1, not {degree}")
     oracle = InitialIdealOracle(gens, degree)
     nvars = len(oracle.varset)
     pieces = {k: _homogeneous_piece(forms, nvars, k) for k in range(1, degree + 1)}

@@ -370,3 +370,34 @@ def test_document_integers_take_ints_and_decimal_strings(tmp_path, capsys, key, 
     path = write_doc(tmp_path, _doc_with(key, in_options, "2.5"))
     code, report = run_cli(capsys, argv[0], path, *argv[1:])
     assert code == 1 and repr(key) in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["drinfeld", "verify-dgk"])
+def test_negative_resample_limit_is_an_input_error(tmp_path, capsys, command):
+    # before, -3 ran no draw at all and reported a certificate failure
+    # "in -2 attempts" with exit code 2
+    path = write_doc(tmp_path, QUADRIC_DOC)
+    code, report = run_cli(capsys, command, path, "--resample-limit", "-3")
+    assert code == 1
+    assert report["error"]["kind"] == "ValueError"
+    assert "resample limit" in report["error"]["message"]
+    path = write_doc(tmp_path, dict(QUADRIC_DOC, options={"resample_limit": -3}))
+    code, report = run_cli(capsys, command, path)
+    assert code == 1 and report["error"]["kind"] == "ValueError"
+    code, report = run_cli(capsys, command, path, "--resample-limit", "0")
+    assert code == 0
+
+
+@pytest.mark.parametrize("degree", ["-1", "0"])
+def test_truncation_degree_below_one_is_an_input_error(tmp_path, capsys, degree):
+    # before, the oracle checked no monomial and reported "pass": true
+    path = write_doc(tmp_path, QUADRIC_DOC)
+    code, report = run_cli(capsys, "ecodim", path, "--level", "1", "--trunc-degree", degree)
+    assert code == 1
+    assert report["error"]["kind"] == "ValueError"
+    assert "truncation degree" in report["error"]["message"]
+    path = write_doc(tmp_path, dict(QUADRIC_DOC, options={"trunc_degree": int(degree)}))
+    code, report = run_cli(capsys, "ecodim", path, "--level", "1")
+    assert code == 1 and report["error"]["kind"] == "ValueError"
+    code, report = run_cli(capsys, "ecodim", path, "--level", "1", "--trunc-degree", "1")
+    assert code == 0 and report["initial_ideal_oracle"]["pass"] is True

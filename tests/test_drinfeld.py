@@ -7,6 +7,7 @@ from arcspace.errors import CertificateFailureError, VerificationError
 from arcspace.drinfeld import (
     DrinfeldModel,
     ProjectionMap,
+    TangentReport,
     build_drinfeld_model,
     choose_projection,
     ci_reduce,
@@ -19,9 +20,12 @@ from arcspace.drinfeld import (
     verify_drinfeld_dims,
     verify_drinfeld_edim,
 )
-from arcspace.jets import AffineScheme, Arc, jacobian_ideal, ord_along_arc
+import arcspace.drinfeld
+import arcspace.jets
+from arcspace.jets import AffineScheme, Arc, jacobian_ideal, jet_ideal, ord_along_arc, truncate_arc
+from arcspace.localgeom import edim_at_point, jacobian_at
 from arcspace.polyalg import TPoly, TruncSeries, VarSet, parse_poly
-from arcspace.polyalg.linalg import exact_rank
+from arcspace.polyalg.linalg import exact_rank, fraction_free_echelon, reduce_row
 from arcspace.polyalg.tpoly import substitute_tpoly
 
 from conftest import monomial_arc
@@ -162,6 +166,64 @@ def test_smooth_marker():
     assert res.e == 0
     assert res.model.is_smooth_marker and res.model.m == 0
     assert res.edim == 0 and res.analysis.ecodim == 0
+    assert verify_drinfeld_edim(res.model) == 0
+    assert drinfeld_tangent_check(res.model, arc) == TangentReport(0, 0)
+
+
+def _models(quadric, ci_fixture):
+    """(model, arc) pairs of the quadric (e = 1, 2) and of the CI fixture (c = 2)."""
+    cases = [(quadric, monomial_arc(quadric, 1), 0), (quadric, monomial_arc(quadric, 2), 0),
+             (ci_fixture, monomial_arc(ci_fixture, 1), 5)]
+    return [(drinfeld_pipeline(X, arc, seed=seed, with_dims=False).model, arc)
+            for X, arc, seed in cases]
+
+
+def test_model_checks_share_one_jacobian_at_z(quadric, ci_fixture, monkeypatch):
+    calls = []
+
+    def counted(gens, point):
+        calls.append(len(gens))
+        return jacobian_at(gens, point)
+
+    monkeypatch.setattr(arcspace.drinfeld, "jacobian_at", counted)
+    pairs = _models(quadric, ci_fixture)
+    reports = [drinfeld_tangent_check(model, arc) for model, arc in pairs]
+    assert verify_drinfeld_edim(pairs[0][0]) == 6
+    assert calls == [len(model.equations) for model, _ in pairs]
+    monkeypatch.undo()
+    assert [pairs[-1][0].c, pairs[-1][0].m] == [2, 14]
+    for (model, arc), report in zip(pairs, reports):
+        ech, piv = fraction_free_echelon(jacobian_at(model.equations, model.z))
+        assert model.jacobian_echelon == (ech, piv)
+        expected = 2 * model.d * model.e
+        assert verify_drinfeld_edim(model) == edim_at_point(list(model.equations),
+                                                            model.z) == expected
+        rows = [reduce_row(r, ech, piv) for r in tangent_matrix_rows(model, arc)]
+        assert report == TangentReport(exact_rank(rows), expected)
+        assert report.rank == expected
+
+
+def test_jet_cotangent_rows_match_the_jet_ideal_jacobian(quadric, ci_fixture, monkeypatch):
+    # the rows reduced against the Jacobian of the whole jet ideal, as they
+    # were computed before the Jacobian was read off the arc
+    expected = []
+    for X, (model, arc) in zip((quadric, quadric, ci_fixture), _models(quadric, ci_fixture)):
+        proj = model.projection
+        for n in (model.e, 2 * model.e - 1, 2 * model.e + 1):
+            jp = truncate_arc(proj.apply_to_arc(arc), n)
+            ech, piv = fraction_free_echelon(
+                jacobian_at(jet_ideal(proj.transformed_scheme(X), n), jp))
+            units = [[Fraction(int(k == j * X.ambient_dim + i)) for k in range(len(jp.varset))]
+                     for j in range(n + 1) for i in range(proj.d)]
+            expected.append((X, proj, arc, n, [reduce_row(u, ech, piv) for u in units]))
+
+    def refused(*args):
+        raise AssertionError("jet_cotangent_map composed with the universal jet")
+
+    # every jet ideal and Hasse-Schmidt derivative is read off this composite
+    monkeypatch.setattr(arcspace.jets, "_universal_jet_composite", refused)
+    for X, proj, arc, n, rows in expected:
+        assert jet_cotangent_map(X, proj, arc, n) == rows
 
 
 def test_jet_cotangent_identity_on_affine_space():

@@ -12,10 +12,12 @@ from arcspace.jets import (
     hs_derivative,
     jacobian_ideal,
     jet_ideal,
+    jet_jacobian_at,
     jet_varset,
     ord_along_arc,
     truncate_arc,
 )
+from arcspace.localgeom import jacobian_at
 from arcspace.polyalg import OrdResult, Poly, TPoly, TruncSeries, VarSet, parse_poly
 from arcspace.polyalg.poly import poly_det
 from arcspace.polyalg.tpoly import substitute_tpoly
@@ -225,6 +227,8 @@ def test_negative_levels_are_refused(quadric):
         jet_ideal(quadric, -1)
     with pytest.raises(ValueError, match="nonnegative"):
         truncate_arc(monomial_arc(quadric, 1), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        jet_jacobian_at(quadric, monomial_arc(quadric, 1), -1)
 
 
 def test_truncate_arc_precision_guard(quadric):
@@ -263,3 +267,52 @@ def test_hs_consistency_with_arc_coefficients(quadric):
                 fp = hs_derivative(f, p)
                 jp = truncate_arc(arc, p)
                 assert fp.evaluate(jp.values) == series.coefficient(p)
+
+
+def _rational_arc(varset, rng, degree):
+    """Exact arc with non-integral coefficients, constant terms included."""
+    return Arc(varset, [TruncSeries([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                     for _ in range(rng.randint(0, degree + 1))])
+                        for _ in varset])
+
+
+def _nonzero_poly(varset, rng):
+    while True:
+        f = random_poly(varset, rng, max_degree=3, terms=4)
+        if not f.is_zero():
+            return f
+
+
+def test_jet_jacobian_at_is_the_jacobian_of_the_jet_ideal(quadric, ci_fixture):
+    # the chain rule dD_k(g)/dx_i_j = D_(k-j)(dg/dx_i) against the Jacobian of
+    # the jet ideal itself, entry for entry: c = 1 and c = 2, rational
+    # coefficients, arcs on and off X, levels 0-6
+    rng = random.Random(71)
+    vs = VarSet(["x", "y", "z"])
+    cases = [(quadric, monomial_arc(quadric, 2)), (ci_fixture, monomial_arc(ci_fixture, 1))]
+    for c in (1, 2):
+        for _ in range(3):
+            X = AffineScheme(vs, tuple(_nonzero_poly(vs, rng) for _ in range(c)))
+            cases += [(X, random_arc(vs, rng, degree=3)), (X, _rational_arc(vs, rng, 3))]
+    assert any(any(arc.special_point()) for _, arc in cases)
+    assert any(c.denominator != 1 for X, _ in cases for g in X.generators
+               for c in g.terms.values())
+    for X, arc in cases:
+        for n in range(7):
+            got = jet_jacobian_at(X, arc, n)
+            assert got == jacobian_at(jet_ideal(X, n), truncate_arc(arc, n))
+            assert len(got) == len(X.generators) * (n + 1)
+            assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_jet_jacobian_at_keeps_the_precision_guard(quadric):
+    arc = Arc(quadric.ambient, [TruncSeries([1, k, 2], precision=3) for k in range(4)])
+    assert jet_jacobian_at(quadric, arc, 2) == jacobian_at(jet_ideal(quadric, 2),
+                                                          truncate_arc(arc, 2))
+    for n in (3, 4):
+        with pytest.raises(InsufficientPrecisionError) as got:
+            jet_jacobian_at(quadric, arc, n)
+        with pytest.raises(InsufficientPrecisionError) as before:
+            truncate_arc(arc, n)
+        assert (got.value.needed, got.value.have, str(got.value)) == (
+            before.value.needed, before.value.have, str(before.value))
