@@ -32,10 +32,10 @@ from .jets import (
     check_fitting_finite,
     jacobian_ideal,
     jet_ideal,
+    jet_ideal_at,
     ord_along_arc,
-    truncate_arc,
 )
-from .localgeom import ecodim_jet, ecodim_window, translate_to_origin
+from .localgeom import ecodim_jet, ecodim_window
 from .polyalg.oracles import initial_ideal_mismatches
 from .polyalg.parse import parse_poly, poly_to_string
 from .polyalg.varset import VarSet
@@ -159,8 +159,7 @@ def cmd_ecodim(job: Job, level: int | None, window: tuple[int, int] | None,
     if trunc_degree is not None:
         # the oracle checks the initial forms the report prints against the
         # translated jet ideal they were computed from
-        gens = translate_to_origin(jet_ideal(job.scheme, level),
-                                   truncate_arc(job.arc, level))
+        gens = jet_ideal_at(job.scheme, job.arc, level)
         out["initial_ideal_oracle"] = _oracle_report(gens, analysis.initial_forms,
                                                      trunc_degree)
     return out

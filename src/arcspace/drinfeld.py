@@ -563,8 +563,8 @@ def verify_dgk(X: AffineScheme, arc: Arc, seed=0, window: tuple[int, int] | None
     levels = sorted({n for n in (e, 2 * e - 1, 2 * e + 1) if n >= 0})
     cot = {}
     for n in levels:
-        rows = jet_cotangent_map(X, result.model.projection, arc, n)
-        cot[str(n)] = exact_rank(rows)
+        # jet_cotangent_map has checked that its rows are independent
+        cot[str(n)] = len(jet_cotangent_map(X, result.model.projection, arc, n))
     report["jet_cotangent_ranks"] = cot
     tangent = drinfeld_tangent_check(result.model, arc)
     report["tangent_rank"] = tangent.rank

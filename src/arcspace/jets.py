@@ -8,6 +8,13 @@ V(g_1..g_c).  Arcs are tuples of truncated series in t; composing a polynomial
 with an arc and reading the t-adic order gives contact orders with ideals, in
 particular with Jacobian (Fitting) ideals.
 
+The jet ideal moved to a truncated arc is one composition too: the t^k
+coefficient of g(alpha(t) + x(t)) mod t^(n+1), with alpha the arc's n-jet and
+x(t) the universal jet, is D_k(g) with the point shifted to the origin.  It
+involves only the x_i_j with j <= k, so the first m + 1 coefficients of the
+level-n composite, restricted to the level-m jet variables, are the shifted
+jet ideal of level m: a jet window shifts once, at its top level.
+
 The Jacobian of the jet ideal at a truncated arc needs no jet ideal: by the
 chain rule dD_k(g)/dx_i_j = D_(k-j)(dg/dx_i), so at the arc's order-n jet its
 entry in row D_k(g), column x_i_j is the t^(k-j) coefficient of
@@ -22,7 +29,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InsufficientPrecisionError, InvalidCodimError, VarsetMismatchError
+from .errors import (
+    InsufficientPrecisionError,
+    InvalidCodimError,
+    PointNotOnSchemeError,
+    VarsetMismatchError,
+)
+from .polyalg.parse import parse_poly, poly_to_string
 from .polyalg.poly import Poly, compose, poly_det
 from .polyalg.series import OrdResult, TruncSeries, combine_ord_min
 from .polyalg.tpoly import TPoly, substitute_tpoly
@@ -96,8 +109,6 @@ class Arc:
     def from_strings(cls, varset: VarSet, entries: Sequence[str],
                      precision: int | None = None) -> "Arc":
         """Parse arc entries with the polynomial grammar restricted to t."""
-        from .polyalg.parse import parse_poly
-
         tset = VarSet(["t"])
         comps = []
         for text in entries:
@@ -256,6 +267,40 @@ def truncate_arc(arc: Arc, n: int) -> JetPoint:
         comp.coefficient(j) for j in range(n + 1) for comp in arc.components
     )
     return JetPoint(n, target, values)
+
+
+def jet_ideal_at(X: AffineScheme, arc: Arc, n: int) -> list[Poly]:
+    """The jet ideal jet_ideal(X, n) with the point truncate_arc(arc, n)
+    moved to the origin (as localgeom.translate_to_origin would), read off one
+    shifted composite per generator (see the module docstring), in
+    jet_ideal's order: generator-major, then k.
+
+    A coefficient with a nonzero constant term means the arc leaves X below
+    order n + 1, and raises PointNotOnSchemeError naming D_k(g_i).
+    """
+    jp = truncate_arc(arc, n)
+    if arc.varset != X.ambient:
+        raise VarsetMismatchError("scheme and arc over different varsets")
+    target = jp.varset
+    N = len(X.ambient)
+    jets = []
+    for i, v in enumerate(X.ambient):
+        coeffs = []
+        for j in range(n + 1):
+            x, a = Poly.variable(target, v.derived(j)), jp.values[j * N + i]
+            coeffs.append(x + Poly.const(target, a) if a else x)
+        jets.append(TPoly(target, coeffs, n + 1))
+    out = []
+    for i, g in enumerate(X.generators, 1):
+        composite = substitute_tpoly(g, jets)
+        for k in range(n + 1):
+            d = composite.coefficient(k)
+            if d.constant_term() != 0:
+                raise PointNotOnSchemeError(
+                    f"D_{k}(g_{i}) does not vanish at the {n}-jet of the arc, "
+                    f"where g_{i} = {poly_to_string(g)}")
+            out.append(d)
+    return out
 
 
 def jet_jacobian_at(X: AffineScheme, arc: Arc, n: int) -> list[list[Fraction]]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalInconsistencyError, PointNotOnSchemeError, VarsetMismatchError
-from .jets import AffineScheme, Arc, JetPoint, jet_ideal, truncate_arc
+from .jets import AffineScheme, Arc, JetPoint, jet_ideal_at, jet_varset
 from .polyalg.dimension import monomial_dim
 from .polyalg.linalg import exact_rank
 from .polyalg.mora import canonical_initial_forms, mora_standard_basis
@@ -295,12 +295,14 @@ def ecodim_at_point(gens: Sequence[Poly], point,
 
 def ecodim_jet(X: AffineScheme, arc: Arc, n: int) -> LocalAnalysis:
     """Local analysis of the order-n jet scheme at the truncated arc."""
-    return ecodim_at_point(jet_ideal(X, n), truncate_arc(arc, n))
+    gens = jet_ideal_at(X, arc, n)
+    return ecodim_at_point(gens, (Fraction(0),) * len(gens[0].varset))
 
 
 @dataclass(frozen=True)
 class WindowReport:
-    """Finite-level ecodim data over a level window, with a stabilization flag.
+    """Finite-level ecodim data over a level window, with a stabilization flag,
+    set only when the window has at least two levels and they agree.
 
     The infinite-level value is only certified by stabilization together with
     outside information (e.g. the formal-model computation); the report never
@@ -323,8 +325,14 @@ class WindowReport:
 
 def ecodim_window(X: AffineScheme, arc: Arc, n_lo: int, n_hi: int) -> WindowReport:
     """Local analyses of the jet schemes of levels n_lo..n_hi at the truncated
-    arc, each equal to ``ecodim_jet(X, arc, n)``, and whether their ecodim is
-    the same at every level.
+    arc, each equal to ``ecodim_jet(X, arc, n)``, and whether the window has
+    at least two levels and their ecodim is the same at every level.
+
+    The jet ideal is shifted to the arc once, at n_hi, by ``jet_ideal_at``.
+    Level n < n_hi takes the first n + 1 coefficients of each generator's
+    shifted composite, restricted to the level-n jet variables: the t^k
+    coefficient involves only x_i_j with j <= k, and the level-major layout
+    makes those a prefix.  Each level is then analysed at the origin.
 
     Level n adds only D_n(g_i) to the jet ideal of level n - 1, in new
     variables, so each level above n_lo starts its standard basis and the
@@ -335,14 +343,18 @@ def ecodim_window(X: AffineScheme, arc: Arc, n_lo: int, n_hi: int) -> WindowRepo
     """
     if n_lo > n_hi or n_lo < 0:
         raise ValueError("bad window")
+    top = jet_ideal_at(X, arc, n_hi)
     per_level: dict[int, LocalAnalysis] = {}
     below = None
     for n in range(n_lo, n_hi + 1):
-        below = per_level[n] = ecodim_at_point(jet_ideal(X, n), truncate_arc(arc, n), below)
+        varset = jet_varset(X.ambient, n)
+        gens = [top[i + k].restricted(varset)
+                for i in range(0, len(top), n_hi + 1) for k in range(n + 1)]
+        below = per_level[n] = ecodim_at_point(gens, (Fraction(0),) * len(varset), below)
     values = {a.ecodim for a in per_level.values()}
     return WindowReport(
         window=(n_lo, n_hi),
         per_level=per_level,
         ecodim=per_level[n_hi].ecodim,
-        stabilized=len(values) == 1,
+        stabilized=n_hi > n_lo and len(values) == 1,
     )

@@ -5,6 +5,11 @@ the ecart trick: intermediate remainders join the reducer pool, which makes
 the division terminate even though the order is not well-founded.  The weak
 normal form h of f satisfies u*f = sum q_i g_i + h for a unit u of the local
 ring, and either h = 0 or no leading monomial of the pool divides LM(h).
+The reducer is the pool entry of least (ecart, order key of its leading
+monomial, position) whose leading monomial divides LM(h).  The pool is sorted
+by that tuple once per division, so each step takes the first entry that
+divides; a remainder that joins the pool is inserted in order, and since its
+position is the largest so far it follows every entry it ties with.
 
 The reduction step is groebner's ``_Remainder``, shared with ``normal_form``:
 the remainder is changed in place at the shifted terms of the reducer, a heap
@@ -27,6 +32,7 @@ charge is the one ``_Remainder.reduce`` makes for ``normal_form`` too.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Sequence
 
 from .orders import ANTIGRLEX, MonomialOrder, leading_monomial, make_monic
@@ -53,7 +59,8 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
     when None, zeros are dropped and the leading monomials computed.
 
     Reducer selection: minimal ecart, ties by leading monomial under the
-    order, then by position in the pool.
+    order, then by position in the pool (kept sorted, see the module
+    docstring).
     """
     if f.is_zero():
         return f
@@ -62,18 +69,19 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
         basis = [g for g in basis if not g.is_zero()]
         lms = [leading_monomial(g, order) for g in basis]
     # (ecart, order key of the leading monomial, pool position, leading
-    # monomial, reducer): tuple order is the reducer tie-break
-    data = [(g.total_degree() - sum(lmg), order.key(lmg), i, lmg, g)
-            for i, (g, lmg) in enumerate(zip(basis, lms))]
+    # monomial, reducer), sorted: tuple order is the reducer tie-break
+    data = sorted((g.total_degree() - sum(lmg), order.key(lmg), i, lmg, g)
+                  for i, (g, lmg) in enumerate(zip(basis, lms)))
     h = _Remainder(f, order, budget)
     while (lm := h.lead()) is not None:
-        best = min((d for d in data if monomial_divides(d[3], lm)), default=None)
-        if best is None:
+        for eg, _, _, lmg, g in data:
+            if monomial_divides(lmg, lm):
+                break
+        else:
             break
-        eg, _, _, lmg, g = best
         eh = h.ecart(lm)
         if eg > eh:
-            data.append((eh, order.key(lm), len(data), lm, h.snapshot()))
+            insort(data, (eh, order.key(lm), len(data), lm, h.snapshot()))
         h.reduce(g, lmg, lm)
     return h.snapshot()
 

@@ -346,6 +346,19 @@ class Poly:
         p.terms = {m + pad: c for m, c in self.terms.items()}
         return p
 
+    def restricted(self, new_varset: VarSet) -> "Poly":
+        """Re-express over a prefix of the current varset: the inverse of
+        ``extended``.  A term in a dropped variable is a VarsetMismatchError."""
+        if not new_varset.is_prefix_of(self.varset):
+            raise VarsetMismatchError("target is not a prefix of the current varset")
+        k = len(new_varset)
+        if any(any(m[k:]) for m in self.terms):
+            raise VarsetMismatchError("polynomial involves a variable outside the target")
+        p = Poly.__new__(Poly)
+        p.varset = new_varset
+        p.terms = {m[:k]: c for m, c in self.terms.items()}
+        return p
+
     def homogeneous_part(self, degree: int) -> "Poly":
         return Poly(self.varset, {m: c for m, c in self.terms.items()
                                   if monomial_degree(m) == degree})

@@ -326,6 +326,33 @@ def test_ecodim_window_not_stabilized(tmp_path, capsys):
     assert report["per_level"] == {"0": 1, "1": 2, "2": 3, "3": 4, "4": 5}
 
 
+def test_one_level_window_has_not_stabilized(tmp_path, capsys):
+    # one level compares nothing: neither report may claim stabilization
+    path = write_doc(tmp_path, QUADRIC_DOC)
+    code, report = run_cli(capsys, "ecodim", path, "--window", "3:3")
+    assert code == 0
+    assert report["stabilized"] is False
+    assert report["ecodim"] == 1 and report["per_level"] == {"3": 1}
+    code, report = run_cli(capsys, "verify-dgk", path, "--seed", "0", "--window", "2:2")
+    assert code == 0
+    assert report["jet_window"]["stabilized"] is False
+    assert report["cross_validated"] is False
+    assert report["certified"] and report["ecodim"] == 1
+
+
+def test_arc_off_the_scheme_is_an_input_error(tmp_path, capsys):
+    # x0*x3 + x1*x2 along (1, t, 1, t^3) is t: the arc leaves X at order 1
+    doc = dict(QUADRIC_DOC, arc=["1", "t", "1", "t^3"])
+    path = write_doc(tmp_path, doc)
+    code, report = run_cli(capsys, "ecodim", path, "--level", "0")
+    assert code == 0 and report["ecodim"] == 0
+    for argv in (["--level", "1"], ["--window", "0:2"], ["--level", "2", "--trunc-degree", "2"]):
+        code, report = run_cli(capsys, "ecodim", path, *argv)
+        assert code == 1
+        assert report["error"]["kind"] == "PointNotOnSchemeError"
+        assert report["error"]["message"].startswith("D_1(g_1) does not vanish")
+
+
 # (key, whether it sits in the options block, a command that reads it, a valid value)
 INTEGER_KEYS = [
     ("dim", False, ["ord"], 3),

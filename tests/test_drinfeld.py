@@ -324,6 +324,31 @@ def test_cross_validation_against_jet_window(quadric):
     assert report["tangent_rank"] == 6
 
 
+def test_verify_dgk_ranks_each_cotangent_map_once(quadric, monkeypatch):
+    # jet_cotangent_map raises unless its rows have rank d(n+1), so the
+    # report reads their number instead of ranking them a second time
+    returned, ranked = [], []
+    cotangent, rank = arcspace.drinfeld.jet_cotangent_map, arcspace.drinfeld.exact_rank
+
+    def recording_map(*args):
+        rows = cotangent(*args)
+        returned.append((rows, [list(r) for r in rows]))
+        return rows
+
+    def recording_rank(rows):
+        ranked.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(arcspace.drinfeld, "jet_cotangent_map", recording_map)
+    monkeypatch.setattr(arcspace.drinfeld, "exact_rank", recording_rank)
+    report = verify_dgk(quadric, monomial_arc(quadric, 1), seed=0)
+    assert report["jet_cotangent_ranks"] == {"1": 6, "3": 12}
+    assert [len(rows) for rows, _ in returned] == [6, 12]
+    for rows, copy in returned:
+        assert exact_rank(copy) == len(rows)
+        assert sum(r is rows for r in ranked) == 1  # inside jet_cotangent_map
+
+
 def test_verify_errors_carry_values():
     with pytest.raises(VerificationError) as err:
         raise VerificationError("demo", 3, 5)

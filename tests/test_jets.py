@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from arcspace.errors import InsufficientPrecisionError, InvalidCodimError
+from arcspace.errors import (
+    InsufficientPrecisionError,
+    InvalidCodimError,
+    PointNotOnSchemeError,
+    VarsetMismatchError,
+)
 from arcspace.jets import (
     AffineScheme,
     Arc,
@@ -12,12 +17,13 @@ from arcspace.jets import (
     hs_derivative,
     jacobian_ideal,
     jet_ideal,
+    jet_ideal_at,
     jet_jacobian_at,
     jet_varset,
     ord_along_arc,
     truncate_arc,
 )
-from arcspace.localgeom import jacobian_at
+from arcspace.localgeom import jacobian_at, translate_to_origin
 from arcspace.polyalg import OrdResult, Poly, TPoly, TruncSeries, VarSet, parse_poly
 from arcspace.polyalg.poly import poly_det
 from arcspace.polyalg.tpoly import substitute_tpoly
@@ -316,3 +322,101 @@ def test_jet_jacobian_at_keeps_the_precision_guard(quadric):
             truncate_arc(arc, n)
         assert (got.value.needed, got.value.have, str(got.value)) == (
             before.value.needed, before.value.have, str(before.value))
+
+
+def _arc_on_scheme(rng, c):
+    """A scheme in x, y, z with c generators and an arc on it.
+
+    Along alpha = (p(s(t)), q(s(t)), s(t)) both x - p(z) and y - q(z)
+    vanish, so every combination r1*(x - p(z)) + r2*(y - q(z)) does too.
+    p, q, r1, r2 and s have non-integral coefficients; s has a nonzero
+    constant term.
+    """
+    vs, zs = VarSet(["x", "y", "z"]), VarSet(["z"])
+    s = TruncSeries([Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))]
+                    + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)])
+    p, q = (random_poly(zs, rng, max_degree=2, terms=3) for _ in range(2))
+    alpha = Arc(vs, [eval_along_arc(p, Arc(zs, [s])), eval_along_arc(q, Arc(zs, [s])), s])
+
+    def in_z(f):
+        return Poly(vs, {(0, 0, e): k for (e,), k in f.terms.items()})
+
+    lines = [Poly.variable(vs, "x") - in_z(p), Poly.variable(vs, "y") - in_z(q)]
+    gens = []
+    while len(gens) < c:
+        r1, r2 = (random_poly(vs, rng, max_degree=1, terms=2) for _ in range(2))
+        g = r1 * lines[0] + r2 * lines[1]
+        if not g.is_zero():
+            gens.append(g)
+    return AffineScheme(vs, tuple(gens)), alpha
+
+
+def _shifted_oracle(X, arc, n):
+    return translate_to_origin(jet_ideal(X, n), truncate_arc(arc, n))
+
+
+def _first_failure(X, arc, n):
+    """(i, k) of the first D_k(g_i), generator-major, that does not vanish
+    at the arc's n-jet: k is the order of g_i along the arc."""
+    for i, g in enumerate(X.generators, 1):
+        res = ord_along_arc(g, arc)
+        if res.is_exact and res.value <= n:
+            return i, res.value
+    return None
+
+
+def test_jet_ideal_at_is_the_translated_jet_ideal(quadric, ci_fixture):
+    # c = 1 and the CI fixture (c = 2), random schemes through random arcs
+    # with non-integral coefficients and nonzero constant terms, and arcs off
+    # the scheme, at levels 0-6
+    rng = random.Random(131)
+    vs = VarSet(["x", "y", "z"])
+    on = [(quadric, monomial_arc(quadric, 2)), (ci_fixture, monomial_arc(ci_fixture, 1))]
+    off = [(quadric, Arc.from_strings(quadric.ambient, ["1", "t", "1", "t^3"]))]
+    for c in (1, 2):
+        for _ in range(3):
+            on.append(_arc_on_scheme(rng, c))
+            X = AffineScheme(vs, tuple(_nonzero_poly(vs, rng) for _ in range(c)))
+            off += [(X, random_arc(vs, rng, degree=3)), (X, _rational_arc(vs, rng, 3))]
+    assert all(any(arc.special_point()) for _, arc in on[2:])
+    assert all(any(k.denominator != 1 for comp in arc.components for k in comp.coeffs)
+               for _, arc in on[2:])
+    raised = 0
+    for X, arc in on + off:
+        for n in range(7):
+            failure = _first_failure(X, arc, n)
+            if failure is not None:
+                with pytest.raises(PointNotOnSchemeError):
+                    _shifted_oracle(X, arc, n)
+                with pytest.raises(PointNotOnSchemeError) as got:
+                    jet_ideal_at(X, arc, n)
+                i, k = failure
+                assert f"D_{k}(g_{i}) does not vanish" in str(got.value)
+                raised += 1
+                continue
+            got, expected = jet_ideal_at(X, arc, n), _shifted_oracle(X, arc, n)
+            assert got == expected
+            assert [g.varset for g in got] == [g.varset for g in expected]
+            assert all(type(x) is Fraction for g in got for x in g.terms.values())
+    assert all(_first_failure(X, arc, 6) is None for X, arc in on)
+    assert raised > len(off)
+
+
+def test_jet_ideal_at_keeps_the_precision_guard(quadric):
+    arc = Arc(quadric.ambient, [TruncSeries([0, k, 2], precision=3) for k in range(4)])
+    assert jet_ideal_at(quadric, arc, 0) == _shifted_oracle(quadric, arc, 0)
+    for n in (3, 4):
+        with pytest.raises(InsufficientPrecisionError) as got:
+            jet_ideal_at(quadric, arc, n)
+        with pytest.raises(InsufficientPrecisionError) as before:
+            truncate_arc(arc, n)
+        assert (got.value.needed, got.value.have, str(got.value)) == (
+            before.value.needed, before.value.have, str(before.value))
+    with pytest.raises(ValueError, match="nonnegative"):
+        jet_ideal_at(quadric, arc, -1)
+
+
+def test_jet_ideal_at_rejects_an_arc_over_another_varset(quadric):
+    arc = Arc.from_strings(VarSet(["y0", "y1", "y2", "y3"]), ["t", "0", "0", "0"])
+    with pytest.raises(VarsetMismatchError):
+        jet_ideal_at(quadric, arc, 1)

@@ -13,6 +13,7 @@ from arcspace.jets import (
     truncate_arc,
 )
 from arcspace.localgeom import (
+    LocalAnalysis,
     _eliminate_smooth_directions,
     ecodim_at_point,
     ecodim_jet,
@@ -355,6 +356,45 @@ def test_window_levels_that_split_start_from_their_generators(monkeypatch):
     assert _window_matches_single_levels(monkeypatch, X, arc, 0, 3) == (0, 3)
     window = ecodim_window(X, arc, 0, 3)
     assert all(a.standard_basis is None for a in window.per_level.values())
+
+
+def test_window_levels_are_the_translated_jet_ideals(monkeypatch, quadric, ci_fixture):
+    # the jet ideal is shifted once, at the top of the window; every level
+    # below analyses the restriction of its coefficients, which must be the
+    # jet ideal of that level translated to the truncated arc, at the origin
+    from arcspace import jets, localgeom
+
+    shifted, seen = [], []
+
+    def shifted_once(*args):
+        shifted.append(args[-1])
+        return jets.jet_ideal_at(*args)
+
+    def recording(gens, point, below=None):
+        seen.append((list(gens), point))
+        return LocalAnalysis(len(point), 0, len(point), len(point), 0, ())
+
+    monkeypatch.setattr(localgeom, "jet_ideal_at", shifted_once)
+    monkeypatch.setattr(localgeom, "ecodim_at_point", recording)
+    rational = _quadric_arc(quadric, random.Random(17), 0, 0)
+    for X, arc, n_lo, n_hi in [(quadric, monomial_arc(quadric, 2), 0, 6),
+                               (quadric, rational, 1, 4),
+                               (ci_fixture, monomial_arc(ci_fixture, 1), 2, 5)]:
+        shifted.clear()
+        seen.clear()
+        window = ecodim_window(X, arc, n_lo, n_hi)
+        assert shifted == [n_hi] and sorted(window.per_level) == list(range(n_lo, n_hi + 1))
+        for n, (gens, point) in zip(range(n_lo, n_hi + 1), seen, strict=True):
+            assert gens == translate_to_origin(jet_ideal(X, n), truncate_arc(arc, n))
+            assert point == (0,) * len(gens[0].varset)
+    assert all(rational.special_point())
+
+
+def test_one_level_window_has_not_stabilized(quadric):
+    window = ecodim_window(quadric, monomial_arc(quadric, 1), 3, 3)
+    assert window.per_level == {3: ecodim_jet(quadric, monomial_arc(quadric, 1), 3)}
+    assert window.ecodim == 1 and window.stabilized is False
+    assert window.to_json()["stabilized"] is False
 
 
 def test_empty_generator_list_is_a_value_error():

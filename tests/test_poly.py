@@ -94,6 +94,21 @@ def test_substitution_and_extension(vs):
     assert f.extended(big) == parse_poly("x^2 + y", big)
 
 
+def test_restricted_inverts_extended(vs):
+    rng = random.Random(29)
+    big = VarSet(["x", "y", "z", "w"])
+    for _ in range(20):
+        f = random_poly(vs, rng)
+        assert f.extended(big).restricted(vs) == f
+        assert f.restricted(vs) == f
+    assert parse_poly("x*y - 1/2", vs).restricted(VarSet(["x", "y"])) \
+        == parse_poly("x*y - 1/2", VarSet(["x", "y"]))
+    with pytest.raises(VarsetMismatchError, match="outside the target"):
+        parse_poly("x + w", big).restricted(vs)
+    with pytest.raises(VarsetMismatchError, match="not a prefix"):
+        parse_poly("x", vs).restricted(VarSet(["y"]))
+
+
 def test_substitute_matches_every_variable_reference(vs):
     from conftest import substitute_every_variable
 

@@ -8,6 +8,7 @@ remainder's, and moving a leading term to the remainder costs nothing.
 """
 
 import random
+from bisect import insort
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,41 @@ def test_mora_step_matches_the_copy_per_step_loop(monkeypatch):
                     f, basis, ANTIGRLEX, _Budget(limit), []))
     assert pooled > 0
     spy.check_unchanged()
+
+
+def test_mora_sorted_pool_breaks_ties_by_position(monkeypatch):
+    vs = VarSet(["x", "y", "z"])
+    # equal ecart (1) and equal leading monomial (x): the earlier entry wins
+    f = parse_poly("x", vs)
+    for basis, expected in (
+            (["x + y^2", "x + z^2"], "-y^2"),
+            (["x + z^2", "x + y^2"], "-z^2")):
+        pool = [parse_poly(g, vs) for g in basis]
+        got = mora_normal_form(f, pool, ANTIGRLEX, budget=_Budget())
+        assert got == reference_mora_normal_form(f, pool, ANTIGRLEX, _Budget(), [])
+        assert got == parse_poly(expected, vs)
+
+    # a remainder that joins the pool goes in at its place in the order, not
+    # at the end.  It never ties with an entry already there on (ecart, key):
+    # such an entry would divide LM(h) with ecart(h) and be the reducer, and a
+    # reducer of ecart <= ecart(h) does not pool h.  Later steps must pick what
+    # the reference loop picks.
+    inserted = {"inside": 0, "tied": 0}
+
+    def checked_insort(data, entry):
+        assert entry[2] == len(data)  # the largest position so far
+        inserted["tied"] += any(d[:2] == entry[:2] for d in data)
+        inserted["inside"] += any(d > entry for d in data)
+        insort(data, entry)
+
+    monkeypatch.setattr(mora, "insort", checked_insort)
+    rng = random.Random(419)
+    for _ in range(80):
+        f, basis = _local_case(rng, vs)
+        assert _outcome(lambda: mora_normal_form(f, basis, ANTIGRLEX, budget=_Budget(WORK))) \
+            == _outcome(lambda: reference_mora_normal_form(
+                f, basis, ANTIGRLEX, _Budget(WORK), []))
+    assert inserted["inside"] > 0 and inserted["tied"] == 0
 
 
 @pytest.mark.parametrize("order", [GREVLEX, GRLEX, LEX, MonomialOrder("grlex", (2, 0, 1)),
