@@ -167,8 +167,7 @@ def _check_resample_limit(resample_limit: int) -> None:
 
 
 def ci_reduce(X: AffineScheme, arc: Arc, d: int | None = None, seed=0,
-              resample_limit: int = DEFAULT_RESAMPLE_LIMIT,
-              bound: int = DEFAULT_COEFF_BOUND) -> AffineScheme:
+              resample_limit: int = DEFAULT_RESAMPLE_LIMIT) -> AffineScheme:
     """Complete-intersection reduction: c = N - d random combinations.
 
     A hypersurface presentation is returned unchanged.  Draws are accepted
@@ -188,7 +187,8 @@ def ci_reduce(X: AffineScheme, arc: Arc, d: int | None = None, seed=0,
     e = _require_exact_contact_order(X, arc, d)
     rng = _as_rng(seed)
     for _ in range(resample_limit + 1):
-        rows = [[rng.randint(-bound, bound) for _ in X.generators] for _ in range(c)]
+        rows = [[rng.randint(-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND) for _ in X.generators]
+                for _ in range(c)]
         gens = [Poly.sum_of(X.ambient, (p.scale(coeff)
                                         for coeff, p in zip(row, X.generators) if coeff))
                 for row in rows]
@@ -203,8 +203,7 @@ def ci_reduce(X: AffineScheme, arc: Arc, d: int | None = None, seed=0,
 
 
 def choose_projection(Xci: AffineScheme, arc: Arc, seed=0,
-                      resample_limit: int = DEFAULT_RESAMPLE_LIMIT,
-                      bound: int = DEFAULT_COEFF_BOUND) -> tuple[ProjectionMap, int]:
+                      resample_limit: int = DEFAULT_RESAMPLE_LIMIT) -> tuple[ProjectionMap, int]:
     """Coordinate change certified by ord(det(dp/dy)) = ord(Jac) = e.
 
     Attempt 0 is the identity split (y = last c coordinates); further attempts
@@ -222,7 +221,7 @@ def choose_projection(Xci: AffineScheme, arc: Arc, seed=0,
         if attempt == 0:
             T, Tinv = _identity(N), _identity(N)
         else:
-            T, Tinv = _random_unimodular(N, rng, bound)
+            T, Tinv = _random_unimodular(N, rng, DEFAULT_COEFF_BOUND)
         proj = ProjectionMap(
             ambient=Xci.ambient,
             d=d,
@@ -532,14 +531,13 @@ class PipelineResult:
 
 def drinfeld_pipeline(X: AffineScheme, arc: Arc, seed=0,
                       resample_limit: int = DEFAULT_RESAMPLE_LIMIT,
-                      bound: int = DEFAULT_COEFF_BOUND,
                       with_dims: bool = True) -> PipelineResult:
     """ci_reduce + choose_projection + model build + quantitative checks."""
     d = X.dim
     e = _require_exact_contact_order(X, arc, d)
     rng = _as_rng(seed)
-    Xci = ci_reduce(X, arc, d, rng, resample_limit, bound)
-    proj, e2 = choose_projection(Xci, arc, rng, resample_limit, bound)
+    Xci = ci_reduce(X, arc, d, rng, resample_limit)
+    proj, e2 = choose_projection(Xci, arc, rng, resample_limit)
     if e2 != e:
         raise InternalInconsistencyError(f"contact orders disagree: {e} vs {e2}")
     model = build_drinfeld_model(Xci, proj, arc, e)
@@ -549,15 +547,14 @@ def drinfeld_pipeline(X: AffineScheme, arc: Arc, seed=0,
 
 
 def verify_dgk(X: AffineScheme, arc: Arc, seed=0, window: tuple[int, int] | None = None,
-               window_width: int = 2,
-               resample_limit: int = DEFAULT_RESAMPLE_LIMIT,
-               bound: int = DEFAULT_COEFF_BOUND) -> dict:
+               resample_limit: int = DEFAULT_RESAMPLE_LIMIT) -> dict:
     """The full verification: model quantities, cotangent ranks, jet window.
 
     Cross-validates the model's embedding codimension against the stabilized
-    finite-level value of the jet-scheme analyses.
+    finite-level value of the jet-scheme analyses over window, by default
+    the levels 2e..2e+2.
     """
-    result = drinfeld_pipeline(X, arc, seed, resample_limit, bound, with_dims=True)
+    result = drinfeld_pipeline(X, arc, seed, resample_limit, with_dims=True)
     e = result.e
     report = result.report(seed if isinstance(seed, int) else None)
     levels = sorted({n for n in (e, 2 * e - 1, 2 * e + 1) if n >= 0})
@@ -569,7 +566,7 @@ def verify_dgk(X: AffineScheme, arc: Arc, seed=0, window: tuple[int, int] | None
     tangent = drinfeld_tangent_check(result.model, arc)
     report["tangent_rank"] = tangent.rank
     if window is None:
-        window = (2 * e, 2 * e + window_width)
+        window = (2 * e, 2 * e + 2)
     win = ecodim_window(X, arc, *window)
     report["jet_window"] = win.to_json()
     if win.stabilized and result.analysis is not None:

@@ -1,11 +1,20 @@
 """Brute-force linear-algebra oracle for initial ideals.
 
 Independent of the standard-basis machinery: the degree-<=D graded pieces of
-the initial ideal are read off from an echelon form of all truncated products
-(generator x monomial), with columns ordered by ascending (degree, lex).  A
-row whose pivot sits in degree k has every lower-degree entry equal to zero,
-so its degree-k part is an initial form, and those parts span the degree-k
-piece of ini(a).  Used to cross-check initial_ideal.
+the initial ideal are read off a sparse echelon form of all truncated products
+x^s*g (terms of degree > D dropped), computed by exact elimination over Q.
+
+A row is a dict from monomials to coefficients.  Its pivot is its least
+monomial in columns ordered by ascending (degree, lex), and a pivot row is
+stored scaled to 1 at its pivot.  A row is inserted by subtracting pivot rows
+until its least monomial is no pivot, so no two pivot rows share a pivot.  A
+row whose pivot sits in degree k then has no terms below degree k, and any
+element of the span whose lowest degree is k is a combination of rows with
+pivots in degree >= k; so the degree-k parts of the rows pivoting in degree k
+span the degree-k piece of ini(a) (Greuel-Pfister, ch. 5).  For homogeneous
+forms every row is its own degree-k part, so the same routine yields the
+degree-<=D part of the ideal they generate.  Used to cross-check
+initial_ideal.
 """
 
 from __future__ import annotations
@@ -14,8 +23,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .linalg import fraction_free_echelon, reduce_row
+from ..errors import VarsetMismatchError
 from .poly import Monomial, Poly, monomial_degree, monomial_mul
+
+Row = dict[Monomial, Fraction]
 
 
 def monomials_up_to(nvars: int, degree: int) -> list[Monomial]:
@@ -32,118 +43,92 @@ def monomials_up_to(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
-def _poly_row(p: Poly, col: dict[Monomial, int]) -> list[Fraction]:
-    row = [Fraction(0)] * len(col)
-    for mono, c in p.terms.items():
-        if mono in col:
-            row[col[mono]] = c
-    return row
+def _column(mono: Monomial) -> tuple[int, Monomial]:
+    return monomial_degree(mono), mono
 
 
-class InitialIdealOracle:
-    """Graded membership data for ini(a) up to a degree bound."""
-
-    def __init__(self, gens: Sequence[Poly], degree: int):
-        if not gens:
-            raise ValueError("need generators")
-        self.varset = gens[0].varset
-        self.degree = degree
-        self.monos = monomials_up_to(len(self.varset), degree)
-        self.col = {m: i for i, m in enumerate(self.monos)}
-        rows: list[list[Fraction]] = []
-        for g in gens:
-            if g.is_zero():
-                continue
-            low = g.min_degree()
-            for m in self.monos:
-                if monomial_degree(m) + low > degree:
-                    continue
-                prod: dict[Monomial, Fraction] = {}
-                for gm, gc in g.terms.items():
-                    t = monomial_mul(m, gm)
-                    if monomial_degree(t) <= degree:
-                        prod[t] = prod.get(t, Fraction(0)) + gc
-                p = Poly(g.varset, prod)
-                if not p.is_zero():
-                    rows.append(_poly_row(p, self.col))
-        echelon, pivots = fraction_free_echelon(rows)
-        self._ini_by_degree: dict[int, list[list[Fraction]]] = {}
-        for row, piv in zip(echelon, pivots):
-            k = monomial_degree(self.monos[piv])
-            ini_row = [
-                Fraction(x) if monomial_degree(self.monos[j]) == k else Fraction(0)
-                for j, x in enumerate(row)
-            ]
-            self._ini_by_degree.setdefault(k, []).append(ini_row)
-        self._echelon_by_degree = {
-            k: fraction_free_echelon(rows_k) for k, rows_k in self._ini_by_degree.items()
-        }
-
-    def contains_monomial(self, mono: Monomial) -> bool:
-        k = monomial_degree(mono)
-        if k > self.degree:
-            raise ValueError("monomial exceeds the oracle degree bound")
-        if k not in self._echelon_by_degree:
-            return False
-        ech, piv = self._echelon_by_degree[k]
-        target = [Fraction(0)] * len(self.monos)
-        target[self.col[mono]] = Fraction(1)
-        return all(x == 0 for x in reduce_row(target, ech, piv))
+def _reduce(row: Row, pivots: dict[Monomial, Row]) -> Monomial | None:
+    """Subtract pivot rows from row in place until its least monomial is no
+    pivot; return that monomial, or None once the row is zero."""
+    while row:
+        lead = min(row, key=_column)
+        pivot_row = pivots.get(lead)
+        if pivot_row is None:
+            return lead
+        c = row[lead]
+        for mono, v in pivot_row.items():
+            w = row.get(mono, 0) - c * v
+            if w:
+                row[mono] = w
+            else:
+                del row[mono]
+    return None
 
 
-def _homogeneous_piece(forms: Sequence[Poly], nvars: int, k: int):
-    """Column index and echelon of all degree-k multiples of homogeneous forms."""
-    monos_k = [m for m in monomials_up_to(nvars, k) if monomial_degree(m) == k]
-    col = {m: i for i, m in enumerate(monos_k)}
-    rows = []
-    for f in forms:
-        df = f.total_degree()
-        if df < 0 or df > k:
+def _echelon(rows: list[Row]) -> dict[Monomial, Row]:
+    """Pivot rows keyed by pivot, each scaled to 1 at its pivot."""
+    pivots: dict[Monomial, Row] = {}
+    for row in rows:
+        lead = _reduce(row, pivots)
+        if lead is not None:
+            inv = 1 / row[lead]
+            pivots[lead] = {mono: c * inv for mono, c in row.items()}
+    return pivots
+
+
+def _initial_piece(polys: Sequence[Poly], degree: int) -> dict[Monomial, Row]:
+    """Echelon of the degree-<=degree pieces of ini(polys), one pivot row per
+    pivot, each row homogeneous."""
+    products = []
+    for g in polys:
+        low = g.min_degree()
+        if low < 0:
             continue
-        shifts = [m for m in monomials_up_to(nvars, k - df)
-                  if monomial_degree(m) == k - df]
-        for m in shifts:
-            prod = {monomial_mul(m, fm): fc for fm, fc in f.terms.items()}
-            rows.append(_poly_row(Poly(f.varset, prod), col))
-    echelon, pivots = fraction_free_echelon(rows)
-    return col, echelon, pivots
+        for s in monomials_up_to(len(g.varset), degree - low):
+            row: Row = {}
+            for mono, c in g.terms.items():
+                t = monomial_mul(s, mono)
+                if monomial_degree(t) <= degree:
+                    row[t] = c
+            products.append(row)
+    forms = []
+    for lead, row in _echelon(products).items():
+        k = monomial_degree(lead)
+        forms.append({mono: c for mono, c in row.items() if monomial_degree(mono) == k})
+    return _echelon(forms)
 
 
-def _piece_contains(piece, mono: Monomial) -> bool:
-    col, echelon, pivots = piece
-    target = [Fraction(0)] * len(col)
-    target[col[mono]] = Fraction(1)
-    return all(x == 0 for x in reduce_row(target, echelon, pivots))
+def _member(mono: Monomial, piece: dict[Monomial, Row]) -> bool:
+    return _reduce({mono: Fraction(1)}, piece) is None
+
+
+def _check_varsets(polys: Sequence[Poly], varset) -> None:
+    if any(p.varset != varset for p in polys):
+        raise VarsetMismatchError("generators and forms over different varsets")
 
 
 def monomial_in_homogeneous_ideal(forms: Sequence[Poly], mono: Monomial) -> bool:
     """Membership of a monomial in the ideal generated by homogeneous forms."""
-    return _piece_contains(
-        _homogeneous_piece(forms, len(mono), monomial_degree(mono)), mono)
-
-
-def default_truncation_degree(gens: Sequence[Poly]) -> int:
-    """Default degree bound for truncated local checks: max(4, 1 + max deg)."""
-    return max(4, 1 + max((g.total_degree() for g in gens if not g.is_zero()),
-                          default=0))
+    if not forms:
+        return False
+    _check_varsets(forms, forms[0].varset)
+    if len(mono) != len(forms[0].varset):
+        raise VarsetMismatchError("monomial and forms over different varsets")
+    return _member(mono, _initial_piece(forms, monomial_degree(mono)))
 
 
 def initial_ideal_mismatches(gens: Sequence[Poly], forms: Sequence[Poly],
-                             degree: int | None = None) -> list[Monomial]:
-    """Monomials of degree <= degree on which the returned initial forms and
-    the brute-force oracle disagree about membership (empty list = agreement)."""
-    if degree is None:
-        degree = default_truncation_degree(gens)
+                             degree: int) -> list[Monomial]:
+    """Monomials of degree 1..degree, in monomials_up_to order, on which the
+    ideal of the homogeneous forms and ini(gens) disagree about membership
+    (empty list = agreement)."""
+    if not gens:
+        raise ValueError("need generators")
     if degree < 1:
         raise ValueError(f"truncation degree must be at least 1, not {degree}")
-    oracle = InitialIdealOracle(gens, degree)
-    nvars = len(oracle.varset)
-    pieces = {k: _homogeneous_piece(forms, nvars, k) for k in range(1, degree + 1)}
-    bad = []
-    for mono in oracle.monos:
-        k = monomial_degree(mono)
-        if k == 0:
-            continue
-        if _piece_contains(pieces[k], mono) != oracle.contains_monomial(mono):
-            bad.append(mono)
-    return bad
+    varset = gens[0].varset
+    _check_varsets([*gens, *forms], varset)
+    oracle = _initial_piece(gens, degree)
+    claimed = _initial_piece(forms, degree)
+    return [mono for mono in monomials_up_to(len(varset), degree)[1:]
+            if _member(mono, claimed) != _member(mono, oracle)]

@@ -116,6 +116,15 @@ def test_ecodim_oracle_flag(tmp_path, capsys):
     assert report["initial_ideal_oracle"]["pass"] is True
 
 
+def test_ecodim_oracle_on_a_sixteen_variable_jet_level(tmp_path, capsys):
+    doc = dict(QUADRIC_DOC, arc=["t^2", "0", "0", "0"])
+    code, report = run_cli(capsys, "ecodim", write_doc(tmp_path, doc),
+                           "--level", "3", "--trunc-degree", "3")
+    assert code == 0
+    assert (report["nvars"], report["edim"], report["dim"]) == (16, 14, 12)
+    assert report["initial_ideal_oracle"] == {"degree": 3, "pass": True, "mismatches": []}
+
+
 def test_ecodim_window_oracle_checks_reported_forms(tmp_path, capsys):
     # z - x^2 sends its jet coordinates down the pivot path; the oracle runs
     # on the initial forms printed for the top level of the window

@@ -1,8 +1,9 @@
 """Property-based checks of the polynomial ring with hypothesis.
 
 The ring axioms, the Leibniz rule for ``partial`` and ``substitute`` as a ring
-homomorphism are checked on generated polynomials over Q in x, y, z.  The
-runs are derandomized, so every run draws the same examples.
+homomorphism are checked on generated polynomials over Q in x, y, z, and so is
+Mora's initial ideal against the brute-force truncation oracle.  The runs are
+derandomized, so every run draws the same examples.
 """
 
 import pytest
@@ -11,7 +12,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from arcspace.polyalg import Poly, VarSet  # noqa: E402
+from arcspace.polyalg import Poly, VarSet, initial_ideal  # noqa: E402
+from arcspace.polyalg.oracles import initial_ideal_mismatches  # noqa: E402
 
 VS = VarSet(["x", "y", "z"])
 
@@ -70,3 +72,17 @@ def test_substitute_is_a_ring_homomorphism(f, g, mapping, c):
     assert phi(f * g) == phi(f) * phi(g)
     assert phi(Poly.const(VS, c)) == Poly.const(VS, c)
     assert phi(Poly.one(VS)) == Poly.one(VS)
+
+
+# no constant term, total degree <= 3, at most 3 terms: larger cubic systems
+# can run Mora for minutes within its budget
+local_monomials = st.tuples(*[st.integers(0, 3)] * len(VS)).filter(
+    lambda m: 1 <= sum(m) <= 3)
+local_polys = st.dictionaries(local_monomials, coefficients.filter(bool),
+                              min_size=1, max_size=3).map(lambda terms: Poly(VS, terms))
+
+
+@checked
+@given(st.lists(local_polys, min_size=1, max_size=2))
+def test_mora_initial_ideal_agrees_with_the_truncation_oracle(gens):
+    assert initial_ideal_mismatches(gens, initial_ideal(gens), 4) == []
