@@ -32,7 +32,6 @@ from .jets import (
     check_fitting_finite,
     jacobian_ideal,
     jet_ideal,
-    jet_ideal_at,
     ord_along_arc,
 )
 from .localgeom import ecodim_jet, ecodim_window
@@ -159,9 +158,8 @@ def cmd_ecodim(job: Job, level: int | None, window: tuple[int, int] | None,
     if trunc_degree is not None:
         # the oracle checks the initial forms the report prints against the
         # translated jet ideal they were computed from
-        gens = jet_ideal_at(job.scheme, job.arc, level)
-        out["initial_ideal_oracle"] = _oracle_report(gens, analysis.initial_forms,
-                                                     trunc_degree)
+        out["initial_ideal_oracle"] = _oracle_report(analysis.generators,
+                                                     analysis.initial_forms, trunc_degree)
     return out
 
 

@@ -32,8 +32,11 @@ class LocalAnalysis:
     `standard_basis` is the Mora standard basis of the generators translated
     to the origin, kept so that a jet level above can start from it; it is
     None when smooth directions were split off first, since the basis then
-    belongs to the reduced ideal.  It is not part of the report: two analyses
-    with equal invariants compare equal whatever basis each found.
+    belongs to the reduced ideal.  `generators` are the generators translated
+    to the origin, kept so that a check of the initial forms (the CLI's
+    truncation oracle) needs no second translation.  Neither is part of the
+    report: two analyses with equal invariants compare equal whatever basis
+    each found.
     """
 
     nvars: int
@@ -44,6 +47,7 @@ class LocalAnalysis:
     initial_forms: tuple[Poly, ...]
     stabilized: bool | None = None
     standard_basis: tuple[Poly, ...] | None = field(default=None, compare=False, repr=False)
+    generators: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -290,6 +294,7 @@ def ecodim_at_point(gens: Sequence[Poly], point,
         ecodim=ecodim,
         initial_forms=tuple(forms),
         standard_basis=None if pivot_forms else tuple(basis),
+        generators=tuple(translated),
     )
 
 

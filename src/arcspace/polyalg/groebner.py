@@ -20,7 +20,13 @@ Division works on a ``_Remainder``, which ``normal_form`` here and
 reduction step changes in place, only at the shifted terms of the reducer,
 and a heap of order ranks yields its leading monomial (heap division, after
 Monagan and Pearce, J. Symbolic Comput. 46 (2011)).  Neither loop copies the
-remainder or rescans it for its leading term.
+remainder or rescans it for its leading term.  Division is fraction-free:
+the remainder is one exact scale times a dict of ints, and each reducer
+enters as its integer multiple (see ``_Remainder``).  That multiple is made
+the first time a step needs it and kept in a list that the completion loop
+hands every division next to the leading monomials, so it is made at most
+once per basis computation (``_integral``).  Only the polynomials handed
+out are Fractions again.
 
 Each basis computation spends one work budget, a ``_Budget``, across all of
 its divisions, interreduction included; ``_Remainder.reduce`` charges every
@@ -32,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from ..errors import ResourceLimitError, VarsetMismatchError
@@ -49,6 +56,10 @@ from .poly import (
 )
 
 DEFAULT_WORK_LIMIT = 20_000_000
+
+# nf(f, basis, lms, ints): the normal form the completion loop divides by,
+# given the leading monomials and integer multiples of basis
+_NormalForm = Callable[[Poly, list[Poly], list[Monomial], list], Poly]
 
 
 class _Budget:
@@ -70,13 +81,45 @@ class _Budget:
                 f"reduction work budget of {self.limit} terms exhausted")
 
 
-class _Remainder:
-    """A polynomial under division, changed in place.
+def _cleared(f: Poly) -> tuple[dict[Monomial, int], int]:
+    """(F, L) with f = F / L: L the lcm of the denominators of f and F a dict
+    of ints.  F is primitive when f is monic, since then no prime of L
+    divides every coefficient of F."""
+    terms = f.terms
+    L = lcm(*(c.denominator for c in terms.values()))
+    if L == 1:
+        return {m: c.numerator for m, c in terms.items()}, 1
+    return {m: c.numerator * (L // c.denominator) for m, c in terms.items()}, L
 
-    ``terms`` holds each integral coefficient as an int, because int
-    arithmetic is many times faster than Fraction's and most coefficients met
-    in reducing jet ideals are integral (the share measured on the benchmark
-    workloads is in the ``poly`` module docstring); ``snapshot`` and ``pop``
+
+def _integral(ints: list[dict[Monomial, int] | None], basis: Sequence[Poly],
+              i: int) -> dict[Monomial, int]:
+    """The integer multiple of the reducer basis[i] that division subtracts,
+    made the first time a step needs it and kept in ints[i] (None until
+    then): most reducers of a basis computation never divide anything."""
+    G = ints[i]
+    if G is None:
+        G = ints[i] = _cleared(basis[i])[0]
+    return G
+
+
+class _Remainder:
+    """A polynomial under division, changed in place, held as scale*terms.
+
+    ``terms`` is a dict of ints, the denominators of f cleared once on entry,
+    and ``scale`` one exact Fraction; the polynomial is their product at
+    every step.  A reducer comes in as an integer multiple G (see
+    ``_integral``), and a step cancels the leading term with
+    terms <- a*terms - b*x^shift*G, where a and b are the leading
+    coefficients of G and of terms divided by their gcd q (signed so that
+    a > 0), and scale <- scale / a (fraction-free elimination, as Bareiss's
+    in ``linalg.fraction_free_echelon``).  When a is
+    not 1 the content of terms is divided out into scale, so the ints stay as
+    small as the coefficients they stand for.  When a is 1 a step is int
+    arithmetic on the shifted terms of G and nothing else, and with scale 1
+    and a reducer whose leading coefficient is 1 it computes no gcd either:
+    on seed-1 passes a is 1 in 93% (verify-dgk) and 97% (jet-ecodim) of the
+    steps, and 46% and 69% are of the second kind.  ``pop`` and ``snapshot``
     hand out Fractions.
     ``heap`` holds (rank, monomial) entries under the order's rank; an entry
     whose term has since cancelled is dropped when it reaches the top.
@@ -84,12 +127,13 @@ class _Remainder:
     scan of the terms.  ``budget`` pays for each reduction step.
     """
 
-    __slots__ = ("varset", "terms", "rank", "heap", "degrees", "budget")
+    __slots__ = ("varset", "terms", "scale", "rank", "heap", "degrees", "budget")
 
     def __init__(self, f: Poly, order: MonomialOrder, budget: _Budget | None):
         self.budget = budget or _Budget()
         self.varset = f.varset
-        self.terms = {m: c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
+        self.terms, L = _cleared(f)
+        self.scale = 1 if L == 1 else Fraction(1, L)
         self.rank = rank = order.ranker(len(f.varset))
         self.heap = [(rank(m), m) for m in self.terms]
         heapify(self.heap)
@@ -109,7 +153,7 @@ class _Remainder:
         """Total degree minus the degree of the leading monomial lm."""
         return max(self.degrees) - sum(lm)
 
-    def _remove(self, m: Monomial) -> int | Fraction:
+    def _remove(self, m: Monomial) -> int:
         degrees = self.degrees
         d = sum(m)
         degrees[d] -= 1
@@ -119,25 +163,35 @@ class _Remainder:
 
     def pop(self, m: Monomial) -> Fraction:
         """Remove the term at m; returns its coefficient."""
-        return Fraction(self._remove(m))
+        c, s = self._remove(m), self.scale
+        return Fraction(c) if s == 1 else Fraction(c * s.numerator, s.denominator)
 
-    def reduce(self, g: Poly, lmg: Monomial, lm: Monomial) -> None:
-        """Subtract the multiple of g whose leading term is the term at lm.
+    def reduce(self, G: dict[Monomial, int], lmg: Monomial, lm: Monomial) -> None:
+        """Subtract the multiple of the reducer G (integer terms, leading
+        monomial lmg) that cancels the term at lm.
 
-        Touches only the shifted terms of g; the term at lm cancels exactly
-        and is removed without arithmetic.  The step costs the reducer's
-        terms plus the remainder's, paid before anything changes.
+        Touches only the shifted terms of G unless the leading coefficient of
+        G does not divide the one at lm; the term at lm cancels exactly and is
+        removed without arithmetic.  The step costs the reducer's terms plus
+        the remainder's, paid before anything changes.
         """
         terms, heap, rank, degrees = self.terms, self.heap, self.rank, self.degrees
-        self.budget.spend(len(g.terms) + len(terms))
-        minus = -self._remove(lm) / g.terms[lmg]
-        if minus.denominator == 1:
-            minus = minus.numerator
+        self.budget.spend(len(G) + len(terms))
+        b = self._remove(lm)
+        a = G[lmg]
+        if a != 1:
+            q = gcd(a, b) if a > 0 else -gcd(a, b)
+            a //= q
+            b //= q
+            if a != 1:
+                for m, c in terms.items():
+                    terms[m] = a * c
+        minus = -b
         shift = monomial_div(lm, lmg)
-        for m, c in g.terms.items():
+        for m, c in G.items():
             if m == lmg:
                 continue
-            c = minus * (c.numerator if c.denominator == 1 else c)
+            c *= minus
             m = monomial_mul(m, shift)
             old = terms.get(m)
             if old is None:
@@ -148,10 +202,20 @@ class _Remainder:
                 terms[m] = s
             else:
                 self._remove(m)
+        if a != 1 and terms:
+            content = gcd(*terms.values())
+            if content != 1:
+                for m, c in terms.items():
+                    terms[m] = c // content
+            self.scale = Fraction(self.scale.numerator * content, self.scale.denominator * a)
 
     def snapshot(self) -> Poly:
-        """An immutable copy: its terms dict is not the working one."""
-        return _finished(self.varset, self.terms)
+        """The polynomial, as an immutable Poly of Fractions."""
+        s = self.scale
+        if s == 1:
+            return _finished(self.varset, self.terms)
+        n, d = s.numerator, s.denominator
+        return _finished(self.varset, {m: Fraction(c * n, d) for m, c in self.terms.items()})
 
 
 def _check_varsets(f: Poly, basis: list[Poly]) -> None:
@@ -168,10 +232,14 @@ def _check_varsets(f: Poly, basis: list[Poly]) -> None:
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
-                budget: _Budget | None = None, lms: Sequence[Monomial] | None = None) -> Poly:
+                budget: _Budget | None = None, lms: Sequence[Monomial] | None = None,
+                ints: list[dict[Monomial, int] | None] | None = None) -> Poly:
     """Full remainder of f on division by basis, paid from budget (a fresh
     default one when None).  lms, when given, are the leading monomials of
-    basis, in the same positions; they are computed when None.
+    basis, in the same positions; they are computed when None.  ints, when
+    given, holds the integer multiples of basis in the same positions, None
+    for those not made yet; the division fills in those it uses (see
+    ``_integral``).
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
@@ -182,12 +250,14 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
     _check_varsets(f, basis)
     if lms is None:
         lms = [leading_monomial(g, order) for g in basis]
+    if ints is None:
+        ints = [None] * len(basis)
     h = _Remainder(f, order, budget)
     remainder = Poly.zero(f.varset)
     while (lm := h.lead()) is not None:
-        for g, lmg in zip(basis, lms):
+        for i, lmg in enumerate(lms):
             if monomial_divides(lmg, lm):
-                h.reduce(g, lmg, lm)
+                h.reduce(_integral(ints, basis, i), lmg, lm)
                 break
         else:
             # later leading monomials are smaller, so lm is a new term here
@@ -244,13 +314,13 @@ def _update_pairs(lmG: list, P: set, heap: list, order: MonomialOrder) -> None:
         heappush(heap, (order.key(L), pair))
 
 
-def _complete(gens: list[Poly], order: MonomialOrder,
-              nf: Callable[[Poly, list[Poly], list[Monomial]], Poly],
+def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
               basis: Sequence[Poly] = ()) -> list[Poly]:
     """The S-pair completion of basis + gens, all nonzero, made monic: the pair
     of least lcm under the order (ties by pair index) is taken next, and the
-    remainder nf(s, G, lmG) of its S-polynomial s enters the basis unless it
-    is zero; lmG holds the leading monomials of G.
+    remainder nf(s, G, lmG, intG) of its S-polynomial s enters the basis
+    unless it is zero; lmG and intG hold the leading monomials and the
+    integer multiples of G, each made once, when its element enters.
 
     The S-pairs among the elements of basis must already be known to reduce
     (basis is a Groebner or standard basis of its own ideal): they open the
@@ -263,12 +333,14 @@ def _complete(gens: list[Poly], order: MonomialOrder,
     """
     G = [make_monic(f, order) for f in basis]
     lmG = [leading_monomial(f, order) for f in G]
+    intG: list = [None] * len(G)
     P: set = set()
     heap: list = []
 
     def enter(f: Poly) -> None:
         G.append(make_monic(f, order))
         lmG.append(leading_monomial(f, order))
+        intG.append(None)
         _update_pairs(lmG, P, heap, order)
 
     for f in gens:
@@ -279,27 +351,28 @@ def _complete(gens: list[Poly], order: MonomialOrder,
             continue
         P.remove(pair)
         i, j = pair
-        r = nf(spolynomial(G[i], G[j], order), G, lmG)
+        r = nf(spolynomial(G[i], G[j], order), G, lmG, intG)
         if not r.is_zero():
             enter(r)
     return G
 
 
-def _reduce_in_turn(gens: list[Poly], order: MonomialOrder,
-                    nf: Callable[[Poly, list[Poly], list[Monomial]], Poly],
+def _reduce_in_turn(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
                     basis: Sequence[Poly] = ()) -> list[Poly]:
-    """Each of gens, in turn, replaced by its remainder nf(f, pool, lms)
-    against basis and the ones kept before it (lms the pool's leading
-    monomials) and made monic; zero remainders are dropped.  What is kept
-    generates the same ideal together with basis, and gives the pair loop
-    smaller reducers."""
+    """Each of gens, in turn, replaced by its remainder nf(f, pool, lms, ints)
+    against basis and the ones kept before it (lms and ints the pool's
+    leading monomials and integer multiples) and made monic; zero remainders
+    are dropped.  What is kept generates the same ideal together with basis,
+    and gives the pair loop smaller reducers."""
     pool = list(basis)
     lms = [leading_monomial(g, order) for g in pool]
+    ints: list = [None] * len(pool)
     for f in gens:
-        r = nf(f, pool, lms) if pool else f
+        r = nf(f, pool, lms, ints) if pool else f
         if not r.is_zero():
             pool.append(make_monic(r, order))
             lms.append(leading_monomial(r, order))
+            ints.append(None)
     return pool[len(basis):]
 
 
@@ -315,9 +388,9 @@ def buchberger(gens: list[Poly], order: MonomialOrder,
     """
     budget = budget or _Budget()
 
-    def nf(f: Poly, G: list[Poly], lms: list[Monomial]) -> Poly:
+    def nf(f: Poly, G: list[Poly], lms: list[Monomial], ints: list) -> Poly:
         # normal_form is read from the globals at each call: a wrapper must see every division
-        return normal_form(f, G, order, budget=budget, lms=lms)
+        return normal_form(f, G, order, budget=budget, lms=lms, ints=ints)
 
     gens = [f for f in gens if not f.is_zero()]
     if basis:

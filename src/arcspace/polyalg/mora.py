@@ -12,10 +12,14 @@ divides; a remainder that joins the pool is inserted in order, and since its
 position is the largest so far it follows every entry it ties with.
 
 The reduction step is groebner's ``_Remainder``, shared with ``normal_form``:
-the remainder is changed in place at the shifted terms of the reducer, a heap
-of the order's ranks yields LM(h), and a count of term degrees gives the ecart
-of h, so no step copies h or scans it.  Only a remainder that joins the pool
-is copied, because pool entries must not change under later steps.
+the remainder is one exact scale times integer terms, changed in place at the
+shifted terms of the reducer, a heap of the order's ranks yields LM(h), and a
+count of term degrees gives the ecart of h, so no step copies h or scans it.
+Pool entries are integer multiples of their polynomials, as a step needs
+them.  A remainder that joins the pool joins as a copy of its integer terms,
+scale left behind (a reducer's multiple plays no part in the step), because
+pool entries must not change under later steps; only the returned remainder
+is made a Poly of Fractions.
 
 The standard basis is groebner's S-pair completion loop, ``_complete``, with
 the weak normal form in place of the full one, after a pre-interreduction of
@@ -41,6 +45,7 @@ from .groebner import (
     _Budget,
     _check_varsets,
     _complete,
+    _integral,
     _reduce_in_turn,
     _Remainder,
     buchberger,
@@ -52,11 +57,15 @@ from .poly import Monomial, Poly, monomial_divides
 
 def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLEX,
                      budget: _Budget | None = None,
-                     lms: Sequence[Monomial] | None = None) -> Poly:
+                     lms: Sequence[Monomial] | None = None,
+                     ints: list[dict[Monomial, int] | None] | None = None) -> Poly:
     """Weak normal form of f against basis (Mora reduction), paid from budget
     (a fresh default one when None).  lms, when given, are the leading
     monomials of basis, in the same positions, and basis has no zero element;
-    when None, zeros are dropped and the leading monomials computed.
+    when None, zeros are dropped and the leading monomials computed.  ints,
+    when given, holds the integer multiples of basis in the same positions,
+    None for those not made yet; the division fills in those it uses (see
+    ``groebner._integral``).
 
     Reducer selection: minimal ecart, ties by leading monomial under the
     order, then by position in the pool (kept sorted, see the module
@@ -68,21 +77,25 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
     if lms is None:
         basis = [g for g in basis if not g.is_zero()]
         lms = [leading_monomial(g, order) for g in basis]
+    if ints is None:
+        ints = [None] * len(basis)
     # (ecart, order key of the leading monomial, pool position, leading
-    # monomial, reducer), sorted: tuple order is the reducer tie-break
-    data = sorted((g.total_degree() - sum(lmg), order.key(lmg), i, lmg, g)
+    # monomial, integer terms of a pooled remainder or None for an element of
+    # basis), sorted: tuple order is the reducer tie-break
+    data = sorted((g.total_degree() - sum(lmg), order.key(lmg), i, lmg, None)
                   for i, (g, lmg) in enumerate(zip(basis, lms)))
     h = _Remainder(f, order, budget)
     while (lm := h.lead()) is not None:
-        for eg, _, _, lmg, g in data:
+        for eg, _, i, lmg, G in data:
             if monomial_divides(lmg, lm):
                 break
         else:
             break
         eh = h.ecart(lm)
         if eg > eh:
-            insort(data, (eh, order.key(lm), len(data), lm, h.snapshot()))
-        h.reduce(g, lmg, lm)
+            # h joins as its integer terms: the scale plays no part in a reducer
+            insort(data, (eh, order.key(lm), len(data), lm, dict(h.terms)))
+        h.reduce(_integral(ints, basis, i) if G is None else G, lmg, lm)
     return h.snapshot()
 
 
@@ -103,9 +116,9 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
         raise ValueError("mora_standard_basis needs the local order")
     budget = _Budget(work_limit)
 
-    def nf(f: Poly, pool: list[Poly], lms: list[Monomial]) -> Poly:
+    def nf(f: Poly, pool: list[Poly], lms: list[Monomial], ints: list) -> Poly:
         # mora_normal_form is read from the globals at each call (see groebner.buchberger)
-        return mora_normal_form(f, pool, order, budget=budget, lms=lms)
+        return mora_normal_form(f, pool, order, budget=budget, lms=lms, ints=ints)
 
     known = [make_monic(g, order) for g in basis if not g.is_zero()]
     # progressive interreduction of the input: each generator is replaced by

@@ -140,6 +140,71 @@ def test_ecodim_window_oracle_checks_reported_forms(tmp_path, capsys):
     assert report["initial_forms"] == level2["initial_forms"]
 
 
+# the reports of the two commands below, byte for byte, as printed when the
+# oracle shifted the top jet ideal a second time
+_TRUNC_REPORT_HEAD = """{
+  "command": "ecodim",
+  "dim": 4,
+  "ecodim": 1,
+  "edim": 5,
+  "initial_forms": [
+    "z_2 - 2*x_1",
+    "z_1 - 2*x_0",
+    "z_0",
+    "y_0",
+    "x_0^2*y_1",
+    "x_0^4*y_2"
+  ],
+  "initial_ideal_oracle": {
+    "degree": 2,
+    "mismatches": [],
+    "pass": true
+  },
+  "jacobian_rank": 4,
+"""
+_TRUNC_REPORTS = {
+    "--window": _TRUNC_REPORT_HEAD + """  "nvars": 9,
+  "per_level": {
+    "1": 1,
+    "2": 1
+  },
+  "schema": 1,
+  "stabilized": true,
+  "window": [
+    1,
+    2
+  ]
+}
+""",
+    "--level": _TRUNC_REPORT_HEAD + """  "level": 2,
+  "nvars": 9,
+  "schema": 1,
+  "stabilized": null
+}
+""",
+}
+
+
+@pytest.mark.parametrize("flag, value", [("--window", "1:2"), ("--level", "2")])
+def test_ecodim_oracle_shifts_the_jet_ideal_once(tmp_path, capsys, monkeypatch, flag, value):
+    import arcspace.localgeom
+
+    calls = []
+    shift = arcspace.localgeom.jet_ideal_at
+
+    def counted(*args):
+        calls.append(args[2])
+        return shift(*args)
+
+    monkeypatch.setattr(arcspace.localgeom, "jet_ideal_at", counted)
+    monkeypatch.setattr("arcspace.cli.jet_ideal_at", counted, raising=False)
+    doc = {"schema": 1, "vars": ["x", "y", "z"], "generators": ["z - x^2", "y*z"],
+           "arc": ["t", "0", "t^2"]}
+    assert main(["ecodim", write_doc(tmp_path, doc), flag, value, "--trunc-degree", "2"]) == 0
+    assert capsys.readouterr().out == _TRUNC_REPORTS[flag]
+    assert calls == [2]
+
+
 def test_drinfeld_first_example(tmp_path, capsys):
     code, report = run_cli(capsys, "drinfeld", write_doc(tmp_path, QUADRIC_DOC),
                            "--seed", "0")

@@ -1,7 +1,9 @@
 import random
+import signal
 
 import pytest
 
+from arcspace.errors import ResourceLimitError
 from arcspace.polyalg import (
     ANTIGRLEX,
     GREVLEX,
@@ -129,7 +131,6 @@ def test_mora_post_check_on_golden_jet_ideal(quadric):
 
 
 def test_work_budget_trips(vs):
-    from arcspace.errors import ResourceLimitError
     from arcspace.polyalg.groebner import _Budget
 
     with pytest.raises(ResourceLimitError):
@@ -166,3 +167,34 @@ def test_canonical_initial_forms_completes_to_reduced_basis(vs):
                                     parse_poly("x^2", vs)]) == [
         parse_poly("y", vs), parse_poly("x", vs)]
     assert canonical_initial_forms([Poly.zero(vs)]) == []
+
+
+class _Overran(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.xfail(strict=True, raises=_Overran,
+                   reason="the budget counts terms, not coefficient size: each step "
+                          "of this input costs more time than the one before")
+def test_a_small_budget_bounds_the_time_of_a_standard_basis():
+    """Three generators of degree 3 with work_limit=200000 (1% of the default)
+    ran for more than 40 s without running out: the coefficients grow while
+    the charge per step does not.  When the budget charges coefficient size,
+    this returns or raises ResourceLimitError well inside 3 s."""
+    vs = VarSet(["x", "y", "z"])
+    gens = [parse_poly(g, vs) for g in
+            ("1/2*x^2*z + 2*z^2 + 2*x", "2*x^2 + x*y", "-3*x*y^2 - 4*z")]
+
+    def overran(signum, frame):
+        raise _Overran
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, 3)
+    try:
+        mora_standard_basis(gens, work_limit=200_000)
+    except ResourceLimitError:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -7,6 +7,7 @@ charge the same work: a reduction step costs the reducer's terms plus the
 remainder's, and moving a leading term to the remainder costs nothing.
 """
 
+import math
 import random
 from bisect import insort
 from fractions import Fraction
@@ -93,13 +94,28 @@ def reference_normal_form(f, basis, order, budget):
 
 
 class RemainderSpy:
-    """Checks the heap's leader and the degree count against a scan of the
-    working terms, and records every Poly a remainder hands out (pool entries
-    and results) with a copy of its terms taken when it was handed out."""
+    """Checks every remainder against a scan and every step against a
+    Fraction-valued step, and records what a remainder hands out.
+
+    A remainder holds its polynomial as ``scale * terms`` with int terms.  The
+    spy checks the heap's leader and the degree count against a scan of the
+    terms.  After each reduction step it checks that the terms are ints, that
+    ``scale * terms`` equals the remainder before the step minus the multiple
+    of the reducer that cancels its leading term (the copy-per-step loops'
+    step), and that the terms are primitive whenever the step had to scale
+    them up (a != 1).  A step with scale 1 and a reducer of leading
+    coefficient 1 must call no gcd and leave the scale alone.  It records
+    every Poly a remainder hands out (results) and every integer copy Mora
+    pools, each with a copy of its terms taken when it was handed out.
+    """
 
     def __init__(self, monkeypatch):
         self.handed: list[tuple[Poly, dict]] = []
+        self.pooled: list[tuple[dict, dict]] = []
+        self.steps = {"integral": 0, "scaled": 0}
+        self.gcd_calls = 0
         lead, ecart, snapshot = _Remainder.lead, _Remainder.ecart, _Remainder.snapshot
+        reduce = _Remainder.reduce
 
         def checked_lead(remainder):
             lm = lead(remainder)
@@ -111,20 +127,71 @@ class RemainderSpy:
             assert e == max(map(sum, remainder.terms)) - sum(lm)
             return e
 
+        def checked_reduce(remainder, G, lmg, lm):
+            expected = _value(remainder)
+            factor = Fraction(expected[lm]) / G[lmg]
+            quotient = tuple(x - y for x, y in zip(lm, lmg))
+            for m, c in G.items():
+                m = tuple(x + y for x, y in zip(m, quotient))
+                if v := expected.get(m, 0) - factor * c:
+                    expected[m] = v
+                else:
+                    del expected[m]
+            a = abs(G[lmg]) // math.gcd(G[lmg], remainder.terms[lm])
+            integral = remainder.scale == 1 and G[lmg] == 1
+            scale, calls = remainder.scale, self.gcd_calls
+            reduce(remainder, G, lmg, lm)
+            assert all(type(c) is int for c in remainder.terms.values())
+            assert _value(remainder) == expected
+            if a != 1:
+                self.steps["scaled"] += 1
+                assert math.gcd(*remainder.terms.values()) in (0, 1)
+            if integral:
+                self.steps["integral"] += 1
+                assert self.gcd_calls == calls and remainder.scale is scale
+
+        def counted_gcd(*args):
+            self.gcd_calls += 1
+            return math.gcd(*args)
+
         def checked_snapshot(remainder):
             p = snapshot(remainder)
             assert p.terms is not remainder.terms
             self.handed.append((p, dict(p.terms)))
             return p
 
+        def checked_insort(data, entry):
+            self.pooled.append((entry[4], dict(entry[4])))
+            insort(data, entry)
+
         monkeypatch.setattr(_Remainder, "lead", checked_lead)
         monkeypatch.setattr(_Remainder, "ecart", checked_ecart)
+        monkeypatch.setattr(_Remainder, "reduce", checked_reduce)
         monkeypatch.setattr(_Remainder, "snapshot", checked_snapshot)
+        monkeypatch.setattr(groebner, "gcd", counted_gcd)
+        monkeypatch.setattr(mora, "insort", checked_insort)
 
     def check_unchanged(self):
         for p, terms in self.handed:
             assert p.terms == terms
             assert all(type(c) is Fraction for c in p.terms.values())
+        for G, terms in self.pooled:
+            assert G == terms
+            assert all(type(c) is int for c in G.values())
+
+
+def _value(remainder):
+    """The terms of the polynomial a remainder stands for, scale * terms."""
+    s = remainder.scale
+    return dict(remainder.terms) if s == 1 else {m: s * c for m, c in remainder.terms.items()}
+
+
+def _proportional(G, h):
+    """True if the int terms G are a nonzero multiple of the Poly h."""
+    if G.keys() != h.terms.keys():
+        return False
+    ratios = {Fraction(c) / h.terms[m] for m, c in G.items()}
+    return len(ratios) == 1
 
 
 def _outcome(call):
@@ -161,15 +228,19 @@ def test_mora_step_matches_the_copy_per_step_loop(monkeypatch):
         ref_budget, budget = _Budget(WORK), _Budget(WORK)
         expected = _outcome(lambda: reference_mora_normal_form(
             f, basis, ANTIGRLEX, ref_budget, appended))
-        before = len(spy.handed)
+        handed, pooled_before = len(spy.handed), len(spy.pooled)
         got = _outcome(lambda: mora_normal_form(f, basis, ANTIGRLEX, budget=budget))
         assert got == expected
         assert budget.remaining == ref_budget.remaining
         if got == "exhausted":
             continue
-        # one snapshot per pool append, one for the result
-        assert len(spy.handed) - before == len(appended) + 1
+        # one snapshot, for the result; one integer copy per pool append,
+        # each a multiple of the remainder the reference loop pooled
+        assert len(spy.handed) - handed == 1
         assert got is spy.handed[-1][0]
+        copies = [G for G, _ in spy.pooled[pooled_before:]]
+        assert len(copies) == len(appended)
+        assert all(_proportional(G, h) for G, h in zip(copies, appended))
         pooled += len(appended)
         work = WORK - ref_budget.remaining
         for limit in sorted({0, 1, work // 2, work - 1}):
@@ -177,6 +248,7 @@ def test_mora_step_matches_the_copy_per_step_loop(monkeypatch):
                 == _outcome(lambda: reference_mora_normal_form(
                     f, basis, ANTIGRLEX, _Budget(limit), []))
     assert pooled > 0
+    assert spy.steps["integral"] > 0 and spy.steps["scaled"] > 0
     spy.check_unchanged()
 
 
@@ -220,7 +292,7 @@ def test_mora_sorted_pool_breaks_ties_by_position(monkeypatch):
 def test_normal_form_matches_the_copy_per_step_loop(order, monkeypatch):
     vs = VarSet(["x", "y", "z"])
     rng = random.Random(f"normal-form/{order}")
-    RemainderSpy(monkeypatch)
+    spy = RemainderSpy(monkeypatch)
     tripped = completed = 0
     for _ in range(40):
         f = random_poly(vs, rng, max_degree=4, terms=rng.randint(1, 12))
@@ -243,6 +315,7 @@ def test_normal_form_matches_the_copy_per_step_loop(order, monkeypatch):
             completed += got != "exhausted" and limit < 300
     # the comparison is not vacuous: some limits trip, some small ones suffice
     assert tripped and completed
+    assert spy.steps["scaled"] > 0
 
 
 def test_normal_form_pays_nothing_for_terms_no_reducer_divides():
@@ -273,7 +346,7 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     Mora's pool there."""
     gens = translate_to_origin(jet_ideal(quadric, 4), truncate_arc(monomial_arc(quadric, 3), 4))
     spy = RemainderSpy(monkeypatch)
-    seen = {"mora": 0, "pooled": 0, "groebner": 0, "forwarded": 0}
+    seen = {"mora": 0, "pooled": 0, "groebner": 0, "forwarded": 0, "integral": 0, "kept": 0}
 
     def forwarded(basis, order, lms):
         # leading monomials the completion loop hands in are those of basis
@@ -281,22 +354,37 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         seen["forwarded"] += lms is not None
         return lms
 
-    def checked_mora(f, basis, order=ANTIGRLEX, budget=None, lms=None):
+    def integral(basis, ints):
+        # the integer reducers handed in, in the positions of basis, are None
+        # (not made yet) or multiples of basis; made ones are kept for later
+        # divisions of the same basis computation
+        if ints is not None:
+            assert len(ints) == len(basis)
+            assert all(_proportional(G, g) for G, g in zip(ints, basis) if G is not None)
+            seen["integral"] += 1
+            seen["kept"] += sum(G is not None for G in ints)
+        return ints
+
+    def checked_mora(f, basis, order=ANTIGRLEX, budget=None, lms=None, ints=None):
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
         appended: list = []
         expected = reference_mora_normal_form(f, basis, order, ref_budget, appended)
-        got = mora_normal_form(f, basis, order, budget=budget, lms=forwarded(basis, order, lms))
+        got = mora_normal_form(f, basis, order, budget=budget, lms=forwarded(basis, order, lms),
+                               ints=integral(basis, ints))
+        integral(basis, ints)
         assert got == expected
         assert budget.remaining == ref_budget.remaining
         seen["mora"] += 1
         seen["pooled"] += len(appended)
         return got
 
-    def checked_nf(f, basis, order, budget=None, lms=None):
+    def checked_nf(f, basis, order, budget=None, lms=None, ints=None):
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
-        got = normal_form(f, basis, order, budget, lms=forwarded(basis, order, lms))
+        got = normal_form(f, basis, order, budget, lms=forwarded(basis, order, lms),
+                          ints=integral(basis, ints))
+        integral(basis, ints)
         assert got == reference_normal_form(f, basis, order, ref_budget)
         assert budget.remaining == ref_budget.remaining
         seen["groebner"] += 1
@@ -307,7 +395,8 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     forms = initial_ideal(gens)
     assert forms
     assert seen["mora"] > 0 and seen["pooled"] > 0 and seen["groebner"] > 0
-    assert seen["forwarded"] > 0
+    assert seen["forwarded"] > 0 and seen["integral"] > 0 and seen["kept"] > 0
+    assert spy.steps["integral"] > 0  # every reducer here is integral and monic
     spy.check_unchanged()
 
     # the whole standard basis runs out of work at the same limit either way
@@ -316,7 +405,7 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     new = [_outcome(lambda: mora.mora_standard_basis(gens, work_limit=w))
            for w in (work - 1, work)]
 
-    def reference(f, basis, order=ANTIGRLEX, budget=None, lms=None):
+    def reference(f, basis, order=ANTIGRLEX, budget=None, lms=None, ints=None):
         return reference_mora_normal_form(f, basis, order, budget, [])
 
     monkeypatch.setattr(mora, "mora_normal_form", reference)
