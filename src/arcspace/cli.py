@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .drinfeld import drinfeld_pipeline, verify_dgk
+from .drinfeld import DEFAULT_RESAMPLE_LIMIT, drinfeld_pipeline, verify_dgk
 from .errors import (
     ArcspaceError,
     CertificateFailureError,
@@ -189,8 +189,18 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise ValueError("--window expects a:b with integers a <= b") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so that they
+    are input errors (exit code 1) like any other, not argparse's exit code
+    2, which is reserved for a certificate failure.  Its subparsers are of
+    the same class."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arcspace",
         description="Exact computations on jet schemes, arc spaces, and formal models.",
     )
@@ -212,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ecodim", help="embedding codimension at the truncated arc")
     common(p)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--window", type=str, default=None, help="level window a:b")
+    level_or_window = p.add_mutually_exclusive_group()
+    level_or_window.add_argument("--level", type=int, default=None)
+    level_or_window.add_argument("--window", type=str, default=None, help="level window a:b")
     p.add_argument("--trunc-degree", type=int, default=None,
                    help="also run the brute-force initial-ideal oracle to this degree")
 
@@ -238,7 +249,7 @@ def _default_seed(args_seed: int | None, options: dict) -> int:
     if options.get("seed") is not None:
         return _integer(options["seed"], "seed")
     env = os.environ.get("ARCSPACE_SEED")
-    return int(env) if env else 0
+    return _integer(env, "ARCSPACE_SEED") if env else 0
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -271,9 +282,9 @@ def _check_precision_cap(job: Job, *levels: int | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         job = load_job(args.document, args.precision)
 
         def opt_int(flag_value, key, default):
@@ -301,13 +312,13 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_ecodim(job, level, window, trunc)
         elif args.subcommand == "drinfeld":
             seed = _default_seed(args.seed, job.options)
-            limit = opt_int(args.resample_limit, "resample_limit", 20)
+            limit = opt_int(args.resample_limit, "resample_limit", DEFAULT_RESAMPLE_LIMIT)
             report = cmd_drinfeld(job, seed, limit)
         elif args.subcommand == "verify-dgk":
             seed = _default_seed(args.seed, job.options)
             window = _parse_window(args.window) if args.window else None
             _check_precision_cap(job, *(window or ()))
-            limit = opt_int(args.resample_limit, "resample_limit", 20)
+            limit = opt_int(args.resample_limit, "resample_limit", DEFAULT_RESAMPLE_LIMIT)
             report = cmd_verify_dgk(job, seed, limit, window)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown subcommand {args.subcommand}")

@@ -1,18 +1,20 @@
 """Buchberger's algorithm and reduced Groebner bases for global orders.
 
-The S-pair completion loop, ``_complete``, is written once, with the normal
-form as its argument (Greuel-Pfister, ch. 1): ``buchberger`` passes the full
-normal form and ``mora.mora_standard_basis`` Mora's weak one.  Pair selection
-is the normal strategy (smallest lcm under the active order, ties by pair
-index); pair elimination uses the lcm and chain criteria, as is standard.
-Each pair is keyed once, when it is formed, on a heap, and a pair the chain
-criterion drops later is skipped when it reaches the top.  The loop hands
-the normal form the leading monomials it keeps, so no division recomputes
-them.  Everything is deterministic.  The loop can start from a ``basis``
-whose own S-pairs are known to reduce, such as the standard basis of a
-smaller ideal: only the pairs with the new generators are formed, under the
-same criteria.  ``buchberger`` given such a basis first reduces each new
-generator against it and drops those that reduce to zero; this is how
+Every basis is built by one completion loop, ``_complete``, written once,
+with the normal form as its argument (Greuel-Pfister, ch. 1): ``buchberger``
+passes the full normal form and ``mora.mora_standard_basis`` Mora's weak one.
+The loop first reduces each generator in turn against the elements kept
+before it, and only the nonzero remainders enter; then it completes by
+S-pairs.  Pair selection is the normal strategy (smallest lcm under the
+active order, ties by pair index); pair elimination uses the lcm and chain
+criteria, as is standard.  Each pair is keyed once, when it is formed, on a
+heap, and a pair the chain criterion drops later is skipped when it reaches
+the top.  The loop hands the normal form the leading monomials it keeps, so
+no division recomputes them.  Everything is deterministic.  The loop can
+start from a ``basis`` whose own S-pairs are known to reduce, such as the
+standard basis of a smaller ideal: the generators are reduced against it
+too, so one already in its ideal never enters, and only the pairs with the
+new elements are formed, under the same criteria.  This is how
 ``mora.canonical_initial_forms`` climbs a jet tower.
 
 Division works on a ``_Remainder``, which ``normal_form`` here and
@@ -57,8 +59,9 @@ from .poly import (
 
 DEFAULT_WORK_LIMIT = 20_000_000
 
-# nf(f, basis, lms, ints): the normal form the completion loop divides by,
-# given the leading monomials and integer multiples of basis
+# nf(f, basis, lms, ints): the normal form the completion loop divides each
+# generator and each S-polynomial by, given the leading monomials and integer
+# multiples of basis
 _NormalForm = Callable[[Poly, list[Poly], list[Monomial], list], Poly]
 
 
@@ -316,22 +319,25 @@ def _update_pairs(lmG: list, P: set, heap: list, order: MonomialOrder) -> None:
 
 def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
               basis: Sequence[Poly] = ()) -> list[Poly]:
-    """The S-pair completion of basis + gens, all nonzero, made monic: the pair
-    of least lcm under the order (ties by pair index) is taken next, and the
-    remainder nf(s, G, lmG, intG) of its S-polynomial s enters the basis
-    unless it is zero; lmG and intG hold the leading monomials and the
-    integer multiples of G, each made once, when its element enters.
+    """The S-pair completion of basis + gens, made monic.  Zeros are
+    skipped.  Each generator, made monic, is first replaced by its remainder
+    nf(f, G, lmG, intG) against the list G of the elements of basis and the
+    generators kept before it, and enters G unless that is zero; lmG and intG
+    hold the leading monomials and the integer multiples of G, each made
+    once, when its element enters.  Then the pair of least lcm under the
+    order (ties by pair index) is taken next, and the remainder of its
+    S-polynomial enters the same way.
 
     The S-pairs among the elements of basis must already be known to reduce
-    (basis is a Groebner or standard basis of its own ideal): they open the
-    list G with no pairs among themselves, and only pairs with a later
-    element are formed.
+    (basis is a Groebner or standard basis of its own ideal): they open G
+    with no pairs among themselves, and only pairs with a later element are
+    formed.
 
     Each pair is keyed once, when it is formed, on a heap; P is the set of
     live pairs, so an entry whose pair the chain criterion has since removed
     is skipped when it reaches the top.
     """
-    G = [make_monic(f, order) for f in basis]
+    G = [make_monic(f, order) for f in basis if not f.is_zero()]
     lmG = [leading_monomial(f, order) for f in G]
     intG: list = [None] * len(G)
     P: set = set()
@@ -344,7 +350,10 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
         _update_pairs(lmG, P, heap, order)
 
     for f in gens:
-        enter(f)
+        if G and not f.is_zero():
+            f = nf(make_monic(f, order), G, lmG, intG)
+        if not f.is_zero():
+            enter(f)
     while P:
         pair = heappop(heap)[1]
         if pair not in P:
@@ -357,34 +366,13 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
     return G
 
 
-def _reduce_in_turn(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
-                    basis: Sequence[Poly] = ()) -> list[Poly]:
-    """Each of gens, in turn, replaced by its remainder nf(f, pool, lms, ints)
-    against basis and the ones kept before it (lms and ints the pool's
-    leading monomials and integer multiples) and made monic; zero remainders
-    are dropped.  What is kept generates the same ideal together with basis,
-    and gives the pair loop smaller reducers."""
-    pool = list(basis)
-    lms = [leading_monomial(g, order) for g in pool]
-    ints: list = [None] * len(pool)
-    for f in gens:
-        r = nf(f, pool, lms, ints) if pool else f
-        if not r.is_zero():
-            pool.append(make_monic(r, order))
-            lms.append(leading_monomial(r, order))
-            ints.append(None)
-    return pool[len(basis):]
-
-
 def buchberger(gens: list[Poly], order: MonomialOrder,
                budget: _Budget | None = None, basis: Sequence[Poly] = ()) -> list[Poly]:
-    """Raw (non-reduced) Groebner basis of basis + gens; every division is
-    paid from budget (a fresh default one when None).
+    """Raw (non-reduced) Groebner basis of basis + gens (see ``_complete``);
+    every division is paid from budget (a fresh default one when None).
 
     basis, when given, must be a Groebner basis of its own ideal: its S-pairs
-    are not formed again, and each generator is first reduced against basis
-    and the generators kept before it, so that only nonzero remainders enter
-    the completion.
+    are not formed again.
     """
     budget = budget or _Budget()
 
@@ -392,9 +380,6 @@ def buchberger(gens: list[Poly], order: MonomialOrder,
         # normal_form is read from the globals at each call: a wrapper must see every division
         return normal_form(f, G, order, budget=budget, lms=lms, ints=ints)
 
-    gens = [f for f in gens if not f.is_zero()]
-    if basis:
-        gens = _reduce_in_turn(gens, order, nf, basis)
     return _complete(gens, order, nf, basis)
 
 
@@ -436,12 +421,8 @@ def groebner_basis(gens: list[Poly], order: MonomialOrder,
     within one budget of work_limit terms touched."""
     if not order.is_global:
         raise ValueError("groebner_basis needs a global order; use mora_standard_basis")
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
-        return []
     budget = _Budget(work_limit)
-    G = buchberger(nonzero, order, budget)
-    return interreduce(minimalize(G, order), order, budget)
+    return interreduce(minimalize(buchberger(gens, order, budget), order), order, budget)
 
 
 def reduces_to_zero(f: Poly, basis: list[Poly], order: MonomialOrder) -> bool:

@@ -21,17 +21,19 @@ scale left behind (a reducer's multiple plays no part in the step), because
 pool entries must not change under later steps; only the returned remainder
 is made a Poly of Fractions.
 
-The standard basis is groebner's S-pair completion loop, ``_complete``, with
-the weak normal form in place of the full one, after a pre-interreduction of
-the generators.  Given a ``basis`` that is already a standard basis, such as
-the one of the jet ideal a level down, the pre-interreduction starts from it
-and the loop forms only the S-pairs with the new generators.  The
-canonicalization of initial forms climbs the tower the same way: given the
-reduced Groebner basis of the initial ideal a level down, Buchberger starts
-from it, and only the forms that do not reduce to zero against it enter the
-completion.  A standard basis, and a canonicalization of initial forms, each
-spend one groebner ``_Budget`` across all of their divisions; the step
-charge is the one ``_Remainder.reduce`` makes for ``normal_form`` too.
+The standard basis is groebner's completion loop, ``_complete``, with the
+weak normal form in place of the full one: each generator is first replaced
+by its weak normal form against those kept before it, which stays in the
+ideal (unit multipliers) and makes the reducers of the pair loop smaller.
+Given a ``basis`` that is already a standard basis, such as the one of the
+jet ideal a level down, the loop reduces the generators against it too and
+forms only the S-pairs with the new elements.  The canonicalization of
+initial forms climbs the tower the same way: given the reduced Groebner
+basis of the initial ideal a level down, Buchberger starts from it, and only
+the forms that do not reduce to zero against it enter.  A standard basis,
+and a canonicalization of initial forms, each spend one groebner ``_Budget``
+across all of their divisions; the step charge is the one
+``_Remainder.reduce`` makes for ``normal_form`` too.
 """
 
 from __future__ import annotations
@@ -39,14 +41,13 @@ from __future__ import annotations
 from bisect import insort
 from typing import Sequence
 
-from .orders import ANTIGRLEX, MonomialOrder, leading_monomial, make_monic
+from .orders import ANTIGRLEX, MonomialOrder, leading_monomial
 from .groebner import (
     DEFAULT_WORK_LIMIT,
     _Budget,
     _check_varsets,
     _complete,
     _integral,
-    _reduce_in_turn,
     _Remainder,
     buchberger,
     interreduce,
@@ -106,11 +107,11 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
     at 0, computed within one budget of work_limit terms touched.
 
     basis, when given, must be a standard basis of its own ideal under the
-    order: its S-pairs are not formed again, and it seeds the interreduction
-    of gens.  Leading terms of the output generate the leading-term ideal.  The
-    result is minimal and monic; tails are fully interreduced only when every
-    element is homogeneous (tail reduction need not terminate under a local
-    order).
+    order: its S-pairs are not formed again, and gens are reduced against it
+    (see ``groebner._complete``).  Leading terms of the output generate the
+    leading-term ideal.  The result is minimal and monic; tails are fully
+    interreduced only when every element is homogeneous (tail reduction need
+    not terminate under a local order).
     """
     if not order.is_local:
         raise ValueError("mora_standard_basis needs the local order")
@@ -120,13 +121,7 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
         # mora_normal_form is read from the globals at each call (see groebner.buchberger)
         return mora_normal_form(f, pool, order, budget=budget, lms=lms, ints=ints)
 
-    known = [make_monic(g, order) for g in basis if not g.is_zero()]
-    # progressive interreduction of the input: each generator is replaced by
-    # its weak normal form against the ones already kept, which stays in the
-    # ideal (unit multipliers) and makes the reducers in the pair loop smaller
-    pre = _reduce_in_turn([make_monic(g, order) for g in gens if not g.is_zero()],
-                          order, nf, known)
-    G = minimalize(_complete(pre, order, nf, known), order)
+    G = minimalize(_complete(gens, order, nf, basis), order)
     if all(g.is_homogeneous() for g in G):
         return interreduce(G, order, budget)  # sorted as below
     return sorted(G, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
@@ -145,8 +140,6 @@ def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX,
     (reductions are degreewise finite), and the reduced basis is unique, so
     the output is canonical either way.
     """
-    if not basis and all(f.is_zero() for f in forms):
-        return []
     budget = _Budget(work_limit)
     return interreduce(minimalize(buchberger(forms, order, budget, basis), order),
                        order, budget)

@@ -333,7 +333,9 @@ def reference_update_pairs(G, lmG, P, f_index, order):
 
 def reference_buchberger(gens, order, work_limit=None):
     """groebner.buchberger with its own S-pair loop, as first written, with
-    every division paid from one budget."""
+    every division paid from one budget.  Each generator is first reduced
+    against those kept before it, as in reference_mora_standard_basis: the
+    two references differ only in their normal form."""
     from arcspace.polyalg import groebner
     from arcspace.polyalg.orders import leading_monomial, make_monic
     from arcspace.polyalg.poly import monomial_lcm
@@ -341,11 +343,15 @@ def reference_buchberger(gens, order, work_limit=None):
     if work_limit is None:
         work_limit = groebner.DEFAULT_WORK_LIMIT
     budget = groebner._Budget(work_limit)
+    seeds = [make_monic(g, order) for g in gens if not g.is_zero()]
+    pre = []
+    for g in seeds:
+        h = groebner.normal_form(g, pre, order, budget=budget) if pre else g
+        if not h.is_zero():
+            pre.append(make_monic(h, order))
     G, lmG, P = [], [], set()
-    for f in gens:
-        if f.is_zero():
-            continue
-        G.append(make_monic(f, order))
+    for f in pre:
+        G.append(f)
         lmG.append(leading_monomial(f, order))
         P = reference_update_pairs(G, lmG, P, len(G) - 1, order)
     while P:

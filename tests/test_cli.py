@@ -502,3 +502,33 @@ def test_truncation_degree_below_one_is_an_input_error(tmp_path, capsys, degree)
     assert code == 1 and report["error"]["kind"] == "ValueError"
     code, report = run_cli(capsys, "ecodim", path, "--level", "1", "--trunc-degree", "1")
     assert code == 0 and report["initial_ideal_oracle"]["pass"] is True
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["jet-ideal", "{doc}"], "--level"),
+    (["jet-ideal", "{doc}", "--level", "x"], "--level"),
+    (["ecodim", "{doc}", "--level", "2", "--window", "1:3"], "--window"),
+], ids=["missing-level", "non-integer-level", "level-and-window"])
+def test_usage_errors_are_input_errors(tmp_path, capsys, argv, named):
+    # before, argparse exited with code 2, which is reserved for a certificate
+    # failure, and ecodim ran the window and ignored --level
+    path = write_doc(tmp_path, QUADRIC_DOC)
+    code, report = run_cli(capsys, *(a.format(doc=path) for a in argv))
+    assert code == 1
+    assert report["schema"] == 1
+    assert report["error"]["kind"] == "ValueError" and report["error"]["exit_code"] == 1
+    assert named in report["error"]["message"]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ecodim", "--help"])
+    assert exc.value.code == 0
+    assert "--window" in capsys.readouterr().out
+
+
+def test_bad_seed_in_environment_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ARCSPACE_SEED", "seven")
+    code, report = run_cli(capsys, "drinfeld", write_doc(tmp_path, QUADRIC_DOC))
+    assert code == 1
+    assert "'ARCSPACE_SEED'" in report["error"]["message"]

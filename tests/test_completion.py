@@ -139,18 +139,23 @@ def test_canonicalization_from_a_reduced_basis_matches_from_scratch(monkeypatch,
     the reduced basis of all of them within one budget; a new form already in
     the ideal of B never enters the completion."""
     x, z = Poly.variable(VS, "x"), Poly.variable(VS, "z")
-    entered = []
-    complete = groebner._complete
-    monkeypatch.setattr(groebner, "_complete",
-                        lambda gens, *rest: entered.append(len(gens)) or complete(gens, *rest))
+    # an element entering the list G updates the pairs; the pair loop, which
+    # starts once every generator has been reduced, builds S-polynomials
+    events = []
+    update, spolynomial = groebner._update_pairs, groebner.spolynomial
+    monkeypatch.setattr(groebner, "_update_pairs",
+                        lambda *args: events.append("enter") or update(*args))
+    monkeypatch.setattr(groebner, "spolynomial",
+                        lambda *args: events.append("pair") or spolynomial(*args))
     grew = 0
     for forms in _ideals(13, 12, (degree,), 3):
         forms.append(x * forms[0] - z * forms[1])
         B = canonical_initial_forms(forms[:2], order)
         want = canonical_initial_forms(forms, order)
-        entered.clear()
+        events.clear()
         assert canonical_initial_forms(forms[2:], order, basis=B) == want
-        assert entered == [len(forms) - 3]
+        # the generators that entered G, before the first S-pair
+        assert (events + ["pair"]).index("pair") == len(forms) - 3
         work_spent(monkeypatch, canonical_initial_forms, forms[2:], order,
                    groebner.DEFAULT_WORK_LIMIT, B)
         grew += want != B

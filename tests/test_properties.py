@@ -4,8 +4,10 @@ The ring axioms, the Leibniz rule for ``partial`` and ``substitute`` as a ring
 homomorphism are checked on generated polynomials over Q in x, y, z, and so is
 Mora's initial ideal against the brute-force truncation oracle.  The
 fraction-free division kernel is checked against the copy-per-step reference
-loops of ``test_reduction``.  The runs are derandomized, so every run draws
-the same examples.
+loops of ``test_reduction``.  The one completion loop behind every basis is
+checked against sympy's reduced Groebner bases (when sympy is installed) and
+for independence of the order of the generators.  The runs are derandomized,
+so every run draws the same examples.
 """
 
 from fractions import Fraction
@@ -16,6 +18,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+try:
+    import sympy
+except ImportError:  # the sympy cross-check is skipped, the rest runs
+    sympy = None
+
 from arcspace.errors import ResourceLimitError  # noqa: E402
 from arcspace.polyalg import (  # noqa: E402
     ANTIGRLEX,
@@ -25,11 +32,14 @@ from arcspace.polyalg import (  # noqa: E402
     MonomialOrder,
     Poly,
     VarSet,
+    groebner_basis,
     initial_ideal,
     mora_normal_form,
+    mora_standard_basis,
     normal_form,
 )
 from arcspace.polyalg.groebner import _Budget  # noqa: E402
+from arcspace.polyalg.mora import canonical_initial_forms  # noqa: E402
 from arcspace.polyalg.oracles import initial_ideal_mismatches  # noqa: E402
 from arcspace.polyalg.orders import leading_monomial  # noqa: E402
 
@@ -165,3 +175,76 @@ def test_mora_normal_form_equals_the_copy_per_step_loop(data):
     assert _outcome(lambda: mora_normal_form(f, basis, ANTIGRLEX, budget=budget), budget) \
         == _outcome(lambda: reference_mora_normal_form(f, basis, ANTIGRLEX, ref_budget, []),
                     ref_budget)
+
+
+# -- the one completion loop: small ideals, so that lex bases stay small too --
+# generators of total degree <= 2 with at most 3 terms; a coefficient may be
+# 0, so a zero generator is drawn too, and must be skipped
+ideal_monomials = st.tuples(*[st.integers(0, 2)] * len(VS)).filter(lambda m: sum(m) <= 2)
+ideals = st.lists(st.dictionaries(ideal_monomials, coefficients, min_size=1, max_size=3).map(
+    lambda terms: Poly(VS, terms)), min_size=2, max_size=3)
+
+
+def homogeneous_forms(degree):
+    monomials = st.tuples(*[st.integers(0, degree)] * len(VS)).filter(
+        lambda m: sum(m) == degree)
+    return st.dictionaries(monomials, coefficients.filter(bool), min_size=1,
+                           max_size=3).map(lambda terms: Poly(VS, terms))
+
+
+def _as_sympy(f, symbols):
+    expr = sympy.Integer(0)
+    for mono, c in f.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, e in zip(symbols, mono):
+            term *= s ** e
+        expr += term
+    return expr
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@checked
+@given(st.sampled_from(["grevlex", "grlex", "lex"]), ideals)
+def test_groebner_basis_equals_sympys_reduced_basis(name, gens):
+    order = {"grevlex": GREVLEX, "grlex": GRLEX, "lex": LEX}[name]
+    symbols = sympy.symbols("x y z")
+    theirs = sympy.groebner([_as_sympy(g, symbols) for g in gens], *symbols,
+                            order=name, domain="QQ")
+    assert {_as_sympy(g, symbols) for g in groebner_basis(gens, order)} \
+        == {sympy.expand(e) for e in theirs.exprs}
+
+
+@checked
+@given(st.sampled_from(GLOBAL_ORDERS), ideals, st.data())
+def test_groebner_basis_ignores_the_order_of_the_generators(order, gens, data):
+    shuffled = data.draw(st.permutations(gens))
+    assert groebner_basis(shuffled, order) == groebner_basis(gens, order)
+
+
+@checked
+@given(st.sampled_from([ANTIGRLEX, GREVLEX]),
+       st.lists(homogeneous_forms(2) | homogeneous_forms(3), min_size=2, max_size=3),
+       st.data())
+def test_canonical_initial_forms_ignore_the_order_of_the_forms(order, forms, data):
+    shuffled = data.draw(st.permutations(forms))
+    assert canonical_initial_forms(shuffled, order) == canonical_initial_forms(forms, order)
+
+
+# like local_polys, of degree <= 2: three cubics can run Mora for minutes
+local_quadrics = st.dictionaries(local_monomials.filter(lambda m: sum(m) <= 2),
+                                 coefficients.filter(bool), min_size=1,
+                                 max_size=3).map(lambda terms: Poly(VS, terms))
+
+
+@checked
+@given(st.lists(local_quadrics, min_size=2, max_size=3), st.data())
+def test_mora_leading_ideal_ignores_the_order_of_the_generators(gens, data):
+    # a minimal standard basis depends on the order of its generators, but its
+    # leading monomials generate the leading ideal minimally, which does not
+    shuffled = data.draw(st.permutations(gens))
+
+    def leading(basis):
+        return {leading_monomial(g, ANTIGRLEX) for g in basis}
+
+    assert leading(mora_standard_basis(shuffled, ANTIGRLEX)) \
+        == leading(mora_standard_basis(gens, ANTIGRLEX))
