@@ -20,15 +20,23 @@ new elements are formed, under the same criteria.  This is how
 Division works on a ``_Remainder``, which ``normal_form`` here and
 ``mora.mora_normal_form`` share: the remainder's terms live in one dict that a
 reduction step changes in place, only at the shifted terms of the reducer,
-and a heap of order ranks yields its leading monomial (heap division, after
-Monagan and Pearce, J. Symbolic Comput. 46 (2011)).  Neither loop copies the
-remainder or rescans it for its leading term.  Division is fraction-free:
-the remainder is one exact scale times a dict of ints, and each reducer
-enters as its integer multiple (see ``_Remainder``).  That multiple is made
-the first time a step needs it and kept in a list that the completion loop
-hands every division next to the leading monomials, so it is made at most
-once per basis computation (``_integral``).  Only the polynomials handed
-out are Fractions again.
+and a heap yields its leading monomial (heap division, after Monagan and
+Pearce, J. Symbolic Comput. 46 (2011)).  Neither loop copies the remainder
+or rescans it for its leading term.  Division is fraction-free: the
+remainder is one exact scale times a dict of ints, and each reducer enters
+as its integer multiple (see ``_Remainder``).  Inside a division every
+monomial is one int, a packed exponent vector (``_Packing``, after Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007): a product is one int addition, divisibility
+one subtraction and mask, and the int order is the monomial order, so the
+heap holds the packed monomials themselves.  The reducers of a division are
+a ``_Reducers``: their packed leading monomials, made once when each enters
+the completion loop, and their integer multiples, made the first time a
+step needs one and kept for the rest of the basis computation.  Only the
+polynomials handed out are Fractions at exponent tuples again, so ``Poly``,
+the pair criteria and every public signature stay on tuples.  A field
+that would overflow makes the division start again with wider fields, so
+no exponent is ever wrapped (``_divided``).
 
 Each basis computation spends one work budget, a ``_Budget``, across all of
 its divisions, interreduction included; ``_Remainder.reduce`` charges every
@@ -41,10 +49,11 @@ from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from struct import Struct
 from typing import Callable, Sequence
 
 from ..errors import ResourceLimitError, VarsetMismatchError
-from .orders import MonomialOrder, leading_monomial, make_monic
+from .orders import ANTIGRLEX, MonomialOrder, leading_monomial, make_monic
 from .poly import (
     Monomial,
     Poly,
@@ -60,9 +69,9 @@ from .poly import (
 DEFAULT_WORK_LIMIT = 20_000_000
 
 # nf(f, basis, lms, ints): the normal form the completion loop divides each
-# generator and each S-polynomial by, given the leading monomials and integer
-# multiples of basis
-_NormalForm = Callable[[Poly, list[Poly], list[Monomial], list], Poly]
+# generator and each S-polynomial by, given the leading monomials and the
+# packed reducers of basis
+_NormalForm = Callable[[Poly, list[Poly], list[Monomial], "_Reducers"], Poly]
 
 
 class _Budget:
@@ -84,102 +93,242 @@ class _Budget:
                 f"reduction work budget of {self.limit} terms exhausted")
 
 
-def _cleared(f: Poly) -> tuple[dict[Monomial, int], int]:
+class _Overflow(Exception):
+    """An exponent or a total degree does not fit its field of a ``_Packing``."""
+
+
+class _Packing:
+    """Exponent vectors of nvars variables packed into one int each, ordered
+    by the rank of order.
+
+    Each exponent gets a field of width bits, the total degree a field above
+    them all, and the top bit of every field is a guard that stays clear: an
+    exponent vector packs only if its degree is below limit = 2^(width-1),
+    and then every field is.  The fields form one int F(m), and
+        F(a*b) = F(a) + F(b),  x^a | x^b  iff  ((F(b) | guard) - F(a)) & guard == guard,
+    the degree is F(m) >> dshift, and F(b) - F(a) = F(b/a) when x^a divides
+    x^b: no field borrows from its neighbour while no guard bit is set.  A
+    division keeps every product below limit (see ``_Remainder.reduce``).
+
+    Every order's rank (``MonomialOrder.ranker``) is a tuple linear in the
+    exponents, with entries smaller than limit in size, so its digits in base
+    2^width make one int R(m), linear too, whose order is the order of the
+    tuples.  The packed monomial is P(m) = R(m) * 2^low + F(m): linear,
+    ordered by rank (the leader has the least), and with F(m) in its low
+    bits for the divisibility test and the degree.  The rank is read off the
+    ranker, so each order is still defined once.  For antigrlex in
+    declaration order the rank tuple is (d, *e), which are the fields of
+    F(m), so R(m) = F(m) and P(m) is F(m) alone: the order every standard
+    basis uses packs without calling the ranker.
+    """
+
+    __slots__ = ("order", "nvars", "width", "limit", "guard", "dshift", "dmask", "low",
+                 "_struct", "_rank")
+
+    # struct codes of the widths struct packs; wider fields are packed byte by byte
+    _CODES = {16: "H", 32: "I", 64: "Q"}
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int = 16):
+        self.order, self.nvars, self.width = order, nvars, width
+        self.limit = 1 << (width - 1)
+        self.dshift = width * nvars
+        self.dmask = (1 << width) - 1
+        self.low = self.dshift + width
+        self.guard = sum(self.limit << (width * k) for k in range(nvars + 1))
+        code = self._CODES.get(width)
+        self._struct = Struct(f">{nvars + 1}{code}") if code else None
+        rank = order.ranker(nvars)
+        self._rank = None if rank is ANTIGRLEX.ranker(nvars) else rank
+
+    def _encode(self, digits: tuple[int, ...]) -> int:
+        r = 0
+        for x in digits:
+            r = (r << self.width) + x
+        return r
+
+    def pack(self, m: Monomial) -> int:
+        """P(m); raises _Overflow when the degree of m reaches limit."""
+        d = sum(m)
+        if d >= self.limit:
+            raise _Overflow
+        if self._struct:
+            p = int.from_bytes(self._struct.pack(d, *m), "big")
+        else:
+            nbytes = self.width // 8
+            p = int.from_bytes(b"".join(x.to_bytes(nbytes, "big") for x in (d, *m)), "big")
+        if self._rank is not None:
+            p += self._encode(self._rank(m)) << self.low
+        return p
+
+    def unpack(self, p: int) -> Monomial:
+        """The exponent vector m of P(m)."""
+        data = (p & ((1 << self.low) - 1)).to_bytes(self.low // 8, "big")
+        if self._struct:
+            return self._struct.unpack(data)[1:]
+        nbytes = self.width // 8
+        return tuple(int.from_bytes(data[k:k + nbytes], "big")
+                     for k in range(nbytes, len(data), nbytes))
+
+    def degree(self, p: int) -> int:
+        return p >> self.dshift & self.dmask
+
+
+def _cleared(f: Poly, pack: Callable[[Monomial], int]) -> tuple[dict[int, int], int]:
     """(F, L) with f = F / L: L the lcm of the denominators of f and F a dict
-    of ints.  F is primitive when f is monic, since then no prime of L
-    divides every coefficient of F."""
+    of ints at the packed monomials of f.  F is primitive when f is monic,
+    since then no prime of L divides every coefficient of F."""
     terms = f.terms
     L = lcm(*(c.denominator for c in terms.values()))
     if L == 1:
-        return {m: c.numerator for m, c in terms.items()}, 1
-    return {m: c.numerator * (L // c.denominator) for m, c in terms.items()}, L
+        return {pack(m): c.numerator for m, c in terms.items()}, 1
+    return {pack(m): c.numerator * (L // c.denominator) for m, c in terms.items()}, L
 
 
-def _integral(ints: list[dict[Monomial, int] | None], basis: Sequence[Poly],
-              i: int) -> dict[Monomial, int]:
-    """The integer multiple of the reducer basis[i] that division subtracts,
-    made the first time a step needs it and kept in ints[i] (None until
-    then): most reducers of a basis computation never divide anything."""
-    G = ints[i]
-    if G is None:
-        G = ints[i] = _cleared(basis[i])[0]
-    return G
+class _Reducers:
+    """The reducers of a division, as its steps read them.
+
+    For the element basis[i] of the reducer list handed to the division,
+    ``leads[i]`` is its packed leading monomial and ``ecarts[i]`` its ecart,
+    both made once, when it is appended; ``forms[i]`` is its integer multiple
+    at packed monomials (see ``_cleared``), made the first time a step needs
+    it (``form``) and None until then: most reducers of a basis computation
+    never divide anything.  The completion loop keeps one of these next to its
+    basis, so each is made at most once per basis computation.  The packing
+    is made for the number of variables of the first reducer; ``widen``
+    repacks the leads in fields twice as wide and drops the forms.
+    """
+
+    __slots__ = ("order", "packing", "leads", "ecarts", "forms")
+
+    def __init__(self, order: MonomialOrder, basis: Sequence[Poly] = (),
+                 lms: Sequence[Monomial] = ()):
+        self.order = order
+        self.packing: _Packing | None = None
+        self.leads: list[int] = []
+        self.ecarts: list[int] = []
+        self.forms: list[dict[int, int] | None] = []
+        for g, lm in zip(basis, lms):
+            self.append(g, lm)
+
+    def append(self, g: Poly, lm: Monomial) -> None:
+        """Add the reducer g, of leading monomial lm."""
+        if self.packing is None:
+            self.packing = _Packing(self.order, len(lm))
+        while True:
+            try:
+                self.leads.append(self.packing.pack(lm))
+                break
+            except _Overflow:
+                self.widen()
+        self.ecarts.append(g.total_degree() - sum(lm))
+        self.forms.append(None)
+
+    def form(self, basis: Sequence[Poly], i: int) -> dict[int, int]:
+        """The integer multiple of basis[i] at packed monomials; raises
+        _Overflow when a term of it does not fit the fields."""
+        G = self.forms[i]
+        if G is None:
+            G = self.forms[i] = _cleared(basis[i], self.packing.pack)[0]
+        return G
+
+    def widen(self) -> None:
+        old = self.packing
+        self.packing = new = _Packing(self.order, old.nvars, 2 * old.width)
+        self.leads = [new.pack(old.unpack(p)) for p in self.leads]
+        self.forms = [None] * len(self.forms)
+
+    def without(self, i: int) -> _Reducers:
+        """The reducers of the list with its element i removed, sharing the
+        packed leads made here."""
+        view = _Reducers(self.order)
+        view.packing = self.packing
+        view.leads = self.leads[:i] + self.leads[i + 1:]
+        view.ecarts = self.ecarts[:i] + self.ecarts[i + 1:]
+        view.forms = self.forms[:i] + self.forms[i + 1:]
+        return view
 
 
 class _Remainder:
     """A polynomial under division, changed in place, held as scale*terms.
 
-    ``terms`` is a dict of ints, the denominators of f cleared once on entry,
-    and ``scale`` one exact Fraction; the polynomial is their product at
-    every step.  A reducer comes in as an integer multiple G (see
-    ``_integral``), and a step cancels the leading term with
-    terms <- a*terms - b*x^shift*G, where a and b are the leading
-    coefficients of G and of terms divided by their gcd q (signed so that
-    a > 0), and scale <- scale / a (fraction-free elimination, as Bareiss's
-    in ``linalg.fraction_free_echelon``).  When a is
-    not 1 the content of terms is divided out into scale, so the ints stay as
-    small as the coefficients they stand for.  When a is 1 a step is int
-    arithmetic on the shifted terms of G and nothing else, and with scale 1
-    and a reducer whose leading coefficient is 1 it computes no gcd either:
-    on seed-1 passes a is 1 in 93% (verify-dgk) and 97% (jet-ecodim) of the
-    steps, and 46% and 69% are of the second kind.  ``pop`` and ``snapshot``
-    hand out Fractions.
-    ``heap`` holds (rank, monomial) entries under the order's rank; an entry
-    whose term has since cancelled is dropped when it reaches the top.
-    ``degrees`` counts the terms of each total degree, so the ecart needs no
-    scan of the terms.  ``budget`` pays for each reduction step.
+    ``terms`` maps packed monomials (see ``_Packing``) to ints, the
+    denominators of f cleared once on entry, and ``scale`` is one exact
+    Fraction; the polynomial is their product at every step.  A reducer
+    comes in as an integer multiple G (see ``_Reducers``), and a step cancels
+    the leading term with terms <- a*terms - b*x^shift*G, where a and b are
+    the leading coefficients of G and of terms divided by their gcd q (signed
+    so that a > 0), and scale <- scale / a (fraction-free elimination, as
+    Bareiss's in ``linalg.fraction_free_echelon``).  When a is not 1 the
+    content of terms is divided out into scale, so the ints stay as small as
+    the coefficients they stand for.  When a is 1 a step is int arithmetic
+    on the shifted terms of G and nothing else, and with scale 1 and a
+    reducer whose leading coefficient is 1 it computes no gcd either: on
+    seed-1 passes a is 1 in 93% (verify-dgk) and 97% (jet-ecodim) of the
+    steps, and 46% and 69% are of the second kind.  A shifted monomial is
+    one int addition, P(m) + P(lm) - P(lmg).  ``pop`` and ``snapshot`` hand
+    out Fractions at exponent tuples.
+    ``heap`` holds the packed monomials, whose int order is the order's rank
+    order; an entry whose term has since cancelled is dropped when it reaches
+    the top.  ``degrees`` counts the terms of each total degree, so the
+    ecart needs no scan of the terms.  ``budget`` pays for each reduction
+    step.
     """
 
-    __slots__ = ("varset", "terms", "scale", "rank", "heap", "degrees", "budget")
+    __slots__ = ("varset", "packing", "terms", "scale", "heap", "degrees", "budget")
 
-    def __init__(self, f: Poly, order: MonomialOrder, budget: _Budget | None):
-        self.budget = budget or _Budget()
+    def __init__(self, f: Poly, packing: _Packing, budget: _Budget):
+        self.budget = budget
         self.varset = f.varset
-        self.terms, L = _cleared(f)
+        self.packing = packing
+        self.terms, L = _cleared(f, packing.pack)
         self.scale = 1 if L == 1 else Fraction(1, L)
-        self.rank = rank = order.ranker(len(f.varset))
-        self.heap = [(rank(m), m) for m in self.terms]
+        self.heap = list(self.terms)
         heapify(self.heap)
-        self.degrees = Counter(map(sum, self.terms))
+        self.degrees = Counter([m >> packing.dshift & packing.dmask for m in self.heap])
 
-    def lead(self) -> Monomial | None:
-        """The leading monomial; None once the remainder is zero."""
+    def lead(self) -> int | None:
+        """The packed leading monomial; None once the remainder is zero."""
         heap, terms = self.heap, self.terms
         while heap:
-            m = heap[0][1]
+            m = heap[0]
             if m in terms:
                 return m
             heappop(heap)
         return None
 
-    def ecart(self, lm: Monomial) -> int:
-        """Total degree minus the degree of the leading monomial lm."""
-        return max(self.degrees) - sum(lm)
+    def ecart(self, lm: int) -> int:
+        """Total degree minus the degree of the packed leading monomial lm."""
+        return max(self.degrees) - self.packing.degree(lm)
 
-    def _remove(self, m: Monomial) -> int:
-        degrees = self.degrees
-        d = sum(m)
+    def _remove(self, m: int) -> int:
+        degrees, packing = self.degrees, self.packing
+        d = m >> packing.dshift & packing.dmask
         degrees[d] -= 1
         if not degrees[d]:
             del degrees[d]
         return self.terms.pop(m)
 
-    def pop(self, m: Monomial) -> Fraction:
-        """Remove the term at m; returns its coefficient."""
+    def pop(self, m: int) -> Fraction:
+        """Remove the term at the packed monomial m; returns its coefficient."""
         c, s = self._remove(m), self.scale
         return Fraction(c) if s == 1 else Fraction(c * s.numerator, s.denominator)
 
-    def reduce(self, G: dict[Monomial, int], lmg: Monomial, lm: Monomial) -> None:
-        """Subtract the multiple of the reducer G (integer terms, leading
-        monomial lmg) that cancels the term at lm.
+    def reduce(self, G: dict[int, int], lmg: int, eg: int, lm: int) -> None:
+        """Subtract the multiple of the reducer G (integer terms at packed
+        monomials, leading monomial lmg, ecart eg) that cancels the term at lm.
 
         Touches only the shifted terms of G unless the leading coefficient of
         G does not divide the one at lm; the term at lm cancels exactly and is
         removed without arithmetic.  The step costs the reducer's terms plus
-        the remainder's, paid before anything changes.
+        the remainder's, paid before anything changes.  A shifted term has
+        degree at most deg(lm) + eg; when that reaches the fields' limit the
+        step raises _Overflow after the payment and before any term changes.
         """
-        terms, heap, rank, degrees = self.terms, self.heap, self.rank, self.degrees
+        terms, heap, degrees, packing = self.terms, self.heap, self.degrees, self.packing
+        dshift, dmask = packing.dshift, packing.dmask
         self.budget.spend(len(G) + len(terms))
+        if (lm >> dshift & dmask) + eg >= packing.limit:
+            raise _Overflow
         b = self._remove(lm)
         a = G[lmg]
         if a != 1:
@@ -190,17 +339,17 @@ class _Remainder:
                 for m, c in terms.items():
                     terms[m] = a * c
         minus = -b
-        shift = monomial_div(lm, lmg)
+        shift = lm - lmg
         for m, c in G.items():
             if m == lmg:
                 continue
             c *= minus
-            m = monomial_mul(m, shift)
+            m += shift
             old = terms.get(m)
             if old is None:
                 terms[m] = c
-                heappush(heap, (rank(m), m))
-                degrees[sum(m)] += 1
+                heappush(heap, m)
+                degrees[m >> dshift & dmask] += 1
             elif s := old + c:
                 terms[m] = s
             else:
@@ -214,11 +363,31 @@ class _Remainder:
 
     def snapshot(self) -> Poly:
         """The polynomial, as an immutable Poly of Fractions."""
-        s = self.scale
+        s, unpack = self.scale, self.packing.unpack
         if s == 1:
-            return _finished(self.varset, self.terms)
+            return _finished(self.varset, {unpack(m): c for m, c in self.terms.items()})
         n, d = s.numerator, s.denominator
-        return _finished(self.varset, {m: Fraction(c * n, d) for m, c in self.terms.items()})
+        return _finished(self.varset,
+                         {unpack(m): Fraction(c * n, d) for m, c in self.terms.items()})
+
+
+def _divided(f: Poly, reducers: _Reducers, budget: _Budget,
+             divide: Callable[[_Remainder], Poly]) -> Poly:
+    """divide(h) on the remainder h of f under the packing of reducers.
+
+    When a field overflows (an entry or a product of degree 2^(width-1) or
+    more), the budget is given back what the attempt spent, the reducers are
+    widened, and the division is made again from the start: it takes the
+    same steps, so it returns and charges what a division with unbounded
+    exponents does.
+    """
+    remaining = budget.remaining
+    while True:
+        try:
+            return divide(_Remainder(f, reducers.packing, budget))
+        except _Overflow:
+            budget.remaining = remaining
+            reducers.widen()
 
 
 def _check_varsets(f: Poly, basis: list[Poly]) -> None:
@@ -236,13 +405,13 @@ def _check_varsets(f: Poly, basis: list[Poly]) -> None:
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
                 budget: _Budget | None = None, lms: Sequence[Monomial] | None = None,
-                ints: list[dict[Monomial, int] | None] | None = None) -> Poly:
+                ints: _Reducers | None = None) -> Poly:
     """Full remainder of f on division by basis, paid from budget (a fresh
     default one when None).  lms, when given, are the leading monomials of
     basis, in the same positions; they are computed when None.  ints, when
-    given, holds the integer multiples of basis in the same positions, None
-    for those not made yet; the division fills in those it uses (see
-    ``_integral``).
+    given, are the packed reducers of basis (see ``_Reducers``), which the
+    division reads in place of lms and fills in with the integer multiples it
+    makes; they are made from lms when None.
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
@@ -251,21 +420,27 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
     if f.is_zero() or not basis:
         return f
     _check_varsets(f, basis)
-    if lms is None:
-        lms = [leading_monomial(g, order) for g in basis]
     if ints is None:
-        ints = [None] * len(basis)
-    h = _Remainder(f, order, budget)
-    remainder = Poly.zero(f.varset)
-    while (lm := h.lead()) is not None:
-        for i, lmg in enumerate(lms):
-            if monomial_divides(lmg, lm):
-                h.reduce(_integral(ints, basis, i), lmg, lm)
-                break
-        else:
-            # later leading monomials are smaller, so lm is a new term here
-            remainder.terms[lm] = h.pop(lm)
-    return remainder
+        if lms is None:
+            lms = [leading_monomial(g, order) for g in basis]
+        ints = _Reducers(order, basis, lms)
+
+    def divide(h: _Remainder) -> Poly:
+        leads, ecarts, guard = ints.leads, ints.ecarts, ints.packing.guard
+        unpack = ints.packing.unpack
+        remainder = Poly.zero(f.varset)
+        while (lm := h.lead()) is not None:
+            probe = lm | guard
+            for i, lmg in enumerate(leads):
+                if (probe - lmg) & guard == guard:  # lmg divides lm
+                    h.reduce(ints.form(basis, i), lmg, ecarts[i], lm)
+                    break
+            else:
+                # later leading monomials are smaller, so lm is a new term here
+                remainder.terms[unpack(lm)] = h.pop(lm)
+        return remainder
+
+    return _divided(f, ints, budget or _Budget(), divide)
 
 
 def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -322,9 +497,11 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
     """The S-pair completion of basis + gens, made monic.  Zeros are
     skipped.  Each generator, made monic, is first replaced by its remainder
     nf(f, G, lmG, intG) against the list G of the elements of basis and the
-    generators kept before it, and enters G unless that is zero; lmG and intG
-    hold the leading monomials and the integer multiples of G, each made
-    once, when its element enters.  Then the pair of least lcm under the
+    generators kept before it, and enters G unless that is zero; lmG holds
+    the leading monomials of G and intG its packed reducers (``_Reducers``),
+    whose packed leading monomials are made once, when their element enters,
+    and whose integer multiples are made once, when a division first needs
+    them.  Then the pair of least lcm under the
     order (ties by pair index) is taken next, and the remainder of its
     S-polynomial enters the same way.
 
@@ -339,14 +516,15 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
     """
     G = [make_monic(f, order) for f in basis if not f.is_zero()]
     lmG = [leading_monomial(f, order) for f in G]
-    intG: list = [None] * len(G)
+    intG = _Reducers(order, G, lmG)
     P: set = set()
     heap: list = []
 
     def enter(f: Poly) -> None:
-        G.append(make_monic(f, order))
-        lmG.append(leading_monomial(f, order))
-        intG.append(None)
+        g, lm = make_monic(f, order), leading_monomial(f, order)
+        G.append(g)
+        lmG.append(lm)
+        intG.append(g, lm)
         _update_pairs(lmG, P, heap, order)
 
     for f in gens:
@@ -403,13 +581,15 @@ def interreduce(basis: list[Poly], order: MonomialOrder,
                 budget: _Budget | None = None) -> list[Poly]:
     """Each element, all nonzero, reduced by the others and made monic, sorted
     with the greatest leading monomial first; divisions are paid from budget
-    (a fresh default one when None)."""
+    (a fresh default one when None).  The leading monomials are packed once,
+    for all of the divisions."""
     budget = budget or _Budget()
     lms = [leading_monomial(g, order) for g in basis]
+    ints = _Reducers(order, basis, lms)
     out = []
     for i, f in enumerate(basis):
         r = normal_form(f, basis[:i] + basis[i + 1:], order, budget=budget,
-                        lms=lms[:i] + lms[i + 1:])
+                        lms=lms[:i] + lms[i + 1:], ints=ints.without(i))
         if not r.is_zero():
             out.append(make_monic(r, order))
     return sorted(out, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)

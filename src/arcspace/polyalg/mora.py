@@ -13,13 +13,19 @@ position is the largest so far it follows every entry it ties with.
 
 The reduction step is groebner's ``_Remainder``, shared with ``normal_form``:
 the remainder is one exact scale times integer terms, changed in place at the
-shifted terms of the reducer, a heap of the order's ranks yields LM(h), and a
-count of term degrees gives the ecart of h, so no step copies h or scans it.
-Pool entries are integer multiples of their polynomials, as a step needs
-them.  A remainder that joins the pool joins as a copy of its integer terms,
-scale left behind (a reducer's multiple plays no part in the step), because
-pool entries must not change under later steps; only the returned remainder
-is made a Poly of Fractions.
+shifted terms of the reducer, a heap yields LM(h), and a count of term
+degrees gives the ecart of h, so no step copies h or scans it.  Every
+monomial of the division is one packed int (``groebner._Packing``), ordered
+as the monomial order ranks it: the pool is keyed by the negated packed
+leading monomial in place of the order key, and its divisibility scan is
+one subtraction and mask per entry.  The elements of the basis enter the pool
+from the ``groebner._Reducers`` the completion loop keeps, their packed
+leading monomials and ecarts made once per basis computation and their
+integer multiples when a step first needs them.  A remainder that joins the
+pool joins as a copy of its integer terms, scale left behind (a reducer's
+multiple plays no part in the step), because pool entries must not change
+under later steps; only the returned remainder is made a Poly of Fractions
+at exponent tuples.
 
 The standard basis is groebner's completion loop, ``_complete``, with the
 weak normal form in place of the full one: each generator is first replaced
@@ -47,26 +53,27 @@ from .groebner import (
     _Budget,
     _check_varsets,
     _complete,
-    _integral,
+    _divided,
+    _Reducers,
     _Remainder,
     buchberger,
     interreduce,
     minimalize,
 )
-from .poly import Monomial, Poly, monomial_divides
+from .poly import Monomial, Poly
 
 
 def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLEX,
                      budget: _Budget | None = None,
                      lms: Sequence[Monomial] | None = None,
-                     ints: list[dict[Monomial, int] | None] | None = None) -> Poly:
+                     ints: _Reducers | None = None) -> Poly:
     """Weak normal form of f against basis (Mora reduction), paid from budget
     (a fresh default one when None).  lms, when given, are the leading
     monomials of basis, in the same positions, and basis has no zero element;
     when None, zeros are dropped and the leading monomials computed.  ints,
-    when given, holds the integer multiples of basis in the same positions,
-    None for those not made yet; the division fills in those it uses (see
-    ``groebner._integral``).
+    when given, are the packed reducers of basis (see ``groebner._Reducers``),
+    which the division reads in place of lms and fills in with the integer
+    multiples it makes; they are made from lms when None.
 
     Reducer selection: minimal ecart, ties by leading monomial under the
     order, then by position in the pool (kept sorted, see the module
@@ -78,26 +85,34 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
     if lms is None:
         basis = [g for g in basis if not g.is_zero()]
         lms = [leading_monomial(g, order) for g in basis]
+    if not basis:
+        return f
     if ints is None:
-        ints = [None] * len(basis)
-    # (ecart, order key of the leading monomial, pool position, leading
-    # monomial, integer terms of a pooled remainder or None for an element of
-    # basis), sorted: tuple order is the reducer tie-break
-    data = sorted((g.total_degree() - sum(lmg), order.key(lmg), i, lmg, None)
-                  for i, (g, lmg) in enumerate(zip(basis, lms)))
-    h = _Remainder(f, order, budget)
-    while (lm := h.lead()) is not None:
-        for eg, _, i, lmg, G in data:
-            if monomial_divides(lmg, lm):
+        ints = _Reducers(order, basis, lms)
+
+    def divide(h: _Remainder) -> Poly:
+        guard = ints.packing.guard
+        # (ecart, minus the packed leading monomial, which sorts as its order
+        # key does, pool position, packed leading monomial, integer terms of a
+        # pooled remainder or None for an element of basis), sorted: tuple
+        # order is the reducer tie-break
+        data = sorted((eg, -lmg, i, lmg, None)
+                      for i, (lmg, eg) in enumerate(zip(ints.leads, ints.ecarts)))
+        while (lm := h.lead()) is not None:
+            probe = lm | guard
+            for eg, _, i, lmg, G in data:
+                if (probe - lmg) & guard == guard:  # lmg divides lm
+                    break
+            else:
                 break
-        else:
-            break
-        eh = h.ecart(lm)
-        if eg > eh:
-            # h joins as its integer terms: the scale plays no part in a reducer
-            insort(data, (eh, order.key(lm), len(data), lm, dict(h.terms)))
-        h.reduce(_integral(ints, basis, i) if G is None else G, lmg, lm)
-    return h.snapshot()
+            eh = h.ecart(lm)
+            if eg > eh:
+                # h joins as its integer terms: the scale plays no part in a reducer
+                insort(data, (eh, -lm, len(data), lm, dict(h.terms)))
+            h.reduce(ints.form(basis, i) if G is None else G, lmg, eg, lm)
+        return h.snapshot()
+
+    return _divided(f, ints, budget or _Budget(), divide)
 
 
 def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,

@@ -2,7 +2,9 @@
 
 Grammar: signed integer or rational "p/q" literals, identifiers naming
 declared variables, operators + - * ^ and parentheses; ^ takes a nonnegative
-integer literal.  Parsing is total on valid input and reports the character
+integer literal.  An integer literal is a run of the ASCII digits 0-9 only:
+other characters that ``str.isdigit`` accepts, such as a superscript 2, are
+unexpected characters.  Parsing is total on valid input and reports the character
 offset on invalid input.
 """
 
@@ -16,6 +18,7 @@ from .poly import Poly, monomial_degree
 from .varset import VarSet
 
 _OPS = set("+-*^()")
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -30,9 +33,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

@@ -238,6 +238,14 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert report["error"]["position"] == 8
 
 
+def test_non_ascii_digit_is_a_parse_error_with_a_position(tmp_path, capsys):
+    doc = dict(QUADRIC_DOC, generators=["x0^²*x3 + x1*x2"])
+    code, report = run_cli(capsys, "ord", write_doc(tmp_path, doc))
+    assert code == 1
+    assert report["error"]["kind"] == "ParseError"
+    assert report["error"]["position"] == 3
+
+
 def test_exit_code_certificate_failure(tmp_path, capsys):
     doc = {
         "schema": 1,

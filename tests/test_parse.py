@@ -100,3 +100,18 @@ def test_fraction_rendering():
     vs = VarSet(["x"])
     assert poly_to_string(parse_poly("2/3*x^2 - x + 5", vs)) == "2/3*x^2 - x + 5"
     assert poly_to_string(parse_poly("-1/2", vs)) == "-1/2"
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x0^²", 3),          # superscript two as an exponent
+    ("2²*x0", 1),         # ... inside an integer literal
+    ("x0^²*x1", 3),
+    ("٣*x0", 0),          # an Arabic-Indic digit, which int() would read as 3
+    ("1/²", 2),
+])
+def test_only_ascii_digits_make_integer_literals(vs, text, position):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, vs)
+    assert type(err.value) is ParseError
+    assert err.value.position == position
+    assert str(err.value) == f"unexpected character {text[position]!r} (at position {position})"

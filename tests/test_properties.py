@@ -6,8 +6,10 @@ Mora's initial ideal against the brute-force truncation oracle.  The
 fraction-free division kernel is checked against the copy-per-step reference
 loops of ``test_reduction``.  The one completion loop behind every basis is
 checked against sympy's reduced Groebner bases (when sympy is installed) and
-for independence of the order of the generators.  The runs are derandomized,
-so every run draws the same examples.
+for independence of the order of the generators.  The packed exponent vectors
+of the division kernel are checked against the tuple operations and order
+keys they stand for, and the parser against the printer and its error
+positions.  The runs are derandomized, so every run draws the same examples.
 """
 
 from fractions import Fraction
@@ -23,7 +25,7 @@ try:
 except ImportError:  # the sympy cross-check is skipped, the rest runs
     sympy = None
 
-from arcspace.errors import ResourceLimitError  # noqa: E402
+from arcspace.errors import ParseError, ResourceLimitError  # noqa: E402
 from arcspace.polyalg import (  # noqa: E402
     ANTIGRLEX,
     GREVLEX,
@@ -37,11 +39,14 @@ from arcspace.polyalg import (  # noqa: E402
     mora_normal_form,
     mora_standard_basis,
     normal_form,
+    parse_poly,
+    poly_to_string,
 )
-from arcspace.polyalg.groebner import _Budget  # noqa: E402
+from arcspace.polyalg.groebner import _Budget, _Overflow, _Packing  # noqa: E402
 from arcspace.polyalg.mora import canonical_initial_forms  # noqa: E402
 from arcspace.polyalg.oracles import initial_ideal_mismatches  # noqa: E402
 from arcspace.polyalg.orders import leading_monomial  # noqa: E402
+from arcspace.polyalg.poly import monomial_div, monomial_divides, monomial_mul  # noqa: E402
 
 from test_reduction import reference_mora_normal_form, reference_normal_form  # noqa: E402
 
@@ -248,3 +253,81 @@ def test_mora_leading_ideal_ignores_the_order_of_the_generators(gens, data):
 
     assert leading(mora_standard_basis(shuffled, ANTIGRLEX)) \
         == leading(mora_standard_basis(gens, ANTIGRLEX))
+
+
+# -- packed exponent vectors: every order kind, with and without a priority --
+
+ORDER_KINDS = ["lex", "grlex", "grevlex", "antigrlex"]
+
+
+@st.composite
+def packings(draw):
+    """A packing of 1-5 variables under a drawn order; its width is 16 bits or
+    one that ``_Reducers.widen`` reaches, 128 bits past struct's widths."""
+    nvars = draw(st.integers(1, 5))
+    priority = draw(st.none() | st.permutations(range(nvars)).map(tuple))
+    order = MonomialOrder(draw(st.sampled_from(ORDER_KINDS)), priority)
+    return _Packing(order, nvars, draw(st.sampled_from([16, 16, 32, 128])))
+
+
+def exponent_vectors(packing):
+    """Vectors whose products of three still pack: small ones, and ones of
+    degree up to a third of the limit."""
+    top = packing.limit // (3 * packing.nvars) - 1
+    return st.lists(st.integers(0, 3) | st.integers(0, top),
+                    min_size=packing.nvars, max_size=packing.nvars).map(tuple)
+
+
+@checked
+@given(st.data())
+def test_packed_monomials_stand_for_the_exponent_tuples(data):
+    packing = data.draw(packings())
+    order, pack = packing.order, packing.pack
+    a, c = data.draw(exponent_vectors(packing)), data.draw(exponent_vectors(packing))
+    b = data.draw(st.sampled_from([c, monomial_mul(a, c)]))  # a divides b half the time
+    pa, pb = pack(a), pack(b)
+    assert packing.unpack(pa) == a and packing.unpack(pb) == b
+    assert packing.degree(pa) == sum(a)
+    # the leader has the least packed int, as it has the least rank
+    rank = order.ranker(packing.nvars)
+    assert (pa < pb) == (rank(a) < rank(b)) == (order.key(a) > order.key(b))
+    assert (pa == pb) == (a == b)
+    assert pa + pb == pack(monomial_mul(a, b))
+    guard = packing.guard
+    assert (((pb | guard) - pa) & guard == guard) == monomial_divides(a, b)
+    if monomial_divides(a, b):
+        assert pb - pa == pack(monomial_div(b, a))
+
+
+@checked
+@given(st.data())
+def test_a_degree_past_the_fields_does_not_pack(data):
+    packing = data.draw(packings())
+    a = list(data.draw(exponent_vectors(packing)))
+    a[data.draw(st.integers(0, packing.nvars - 1))] += packing.limit
+    with pytest.raises(_Overflow):
+        packing.pack(tuple(a))
+
+
+# -- the parser against the printer ---------------------------------------------
+
+ORDERS = [GREVLEX, GRLEX, LEX, ANTIGRLEX, MonomialOrder("grevlex", (2, 0, 1))]
+
+
+@checked
+@given(polys(max_terms=6), st.sampled_from(ORDERS))
+def test_printed_polynomials_parse_back(f, order):
+    assert parse_poly(poly_to_string(f, order), VS) == f
+
+
+@checked
+@given(polys(), st.data())
+def test_a_changed_character_parses_or_reports_a_position_in_the_text(f, data):
+    text = poly_to_string(f)
+    i = data.draw(st.integers(0, len(text) - 1))
+    ch = data.draw(st.sampled_from("0123456789+-*/^() _xyzw²٣") | st.characters())
+    text = text[:i] + ch + text[i + 1:]
+    try:
+        parse_poly(text, VS)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)

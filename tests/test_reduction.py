@@ -4,7 +4,9 @@ The reference loops below copy the remainder on every step and rescan it for
 its leading monomial with the tuple key; ``mora_normal_form`` and
 ``normal_form`` must take the same steps, return the same polynomials and
 charge the same work: a reduction step costs the reducer's terms plus the
-remainder's, and moving a leading term to the remainder costs nothing.
+remainder's, and moving a leading term to the remainder costs nothing.  The
+divisions work on packed monomials; exponents too wide for the packed fields
+must still give the reference loops' results and charges.
 """
 
 import math
@@ -97,42 +99,52 @@ class RemainderSpy:
     """Checks every remainder against a scan and every step against a
     Fraction-valued step, and records what a remainder hands out.
 
-    A remainder holds its polynomial as ``scale * terms`` with int terms.  The
-    spy checks the heap's leader and the degree count against a scan of the
-    terms.  After each reduction step it checks that the terms are ints, that
-    ``scale * terms`` equals the remainder before the step minus the multiple
-    of the reducer that cancels its leading term (the copy-per-step loops'
-    step), and that the terms are primitive whenever the step had to scale
-    them up (a != 1).  A step with scale 1 and a reducer of leading
-    coefficient 1 must call no gcd and leave the scale alone.  It records
-    every Poly a remainder hands out (results) and every integer copy Mora
-    pools, each with a copy of its terms taken when it was handed out.
+    A remainder holds its polynomial as ``scale * terms`` with int terms at
+    packed monomials; the spy decodes them with the remainder's packing and
+    checks them at exponent tuples.  It checks the heap's leader (the least
+    rank under the order) and the degree count against a scan of the terms.
+    After each reduction step it checks that the reducer's ecart was handed
+    in, that the terms are ints, that ``scale * terms`` equals the remainder
+    before the step minus the multiple of the reducer that cancels its
+    leading term (the copy-per-step loops' step), and that the terms are
+    primitive whenever the step had to scale them up (a != 1).  A step with
+    scale 1 and a reducer of leading coefficient 1 must call no gcd and leave
+    the scale alone.  It records every Poly a remainder hands out (results)
+    and every integer copy Mora pools, each with a copy of its terms taken
+    when it was handed out.
     """
 
     def __init__(self, monkeypatch):
         self.handed: list[tuple[Poly, dict]] = []
-        self.pooled: list[tuple[dict, dict]] = []
+        self.pooled: list[tuple[dict, dict, object]] = []
         self.steps = {"integral": 0, "scaled": 0}
         self.gcd_calls = 0
+        self.packing = None  # of the remainder last asked for its leader
         lead, ecart, snapshot = _Remainder.lead, _Remainder.ecart, _Remainder.snapshot
         reduce = _Remainder.reduce
 
         def checked_lead(remainder):
             lm = lead(remainder)
-            assert lm == min(remainder.terms, key=remainder.rank, default=None)
+            self.packing = packing = remainder.packing
+            rank = packing.order.ranker(packing.nvars)
+            assert lm == min(remainder.terms, key=lambda p: rank(packing.unpack(p)),
+                             default=None)
             return lm
 
         def checked_ecart(remainder, lm):
             e = ecart(remainder, lm)
-            assert e == max(map(sum, remainder.terms)) - sum(lm)
+            unpack = remainder.packing.unpack
+            assert e == max(sum(unpack(p)) for p in remainder.terms) - sum(unpack(lm))
             return e
 
-        def checked_reduce(remainder, G, lmg, lm):
+        def checked_reduce(remainder, G, lmg, eg, lm):
+            unpack = remainder.packing.unpack
+            assert eg == max(sum(unpack(p)) for p in G) - sum(unpack(lmg))
             expected = _value(remainder)
-            factor = Fraction(expected[lm]) / G[lmg]
-            quotient = tuple(x - y for x, y in zip(lm, lmg))
-            for m, c in G.items():
-                m = tuple(x + y for x, y in zip(m, quotient))
+            factor = Fraction(remainder.terms[lm] * remainder.scale) / G[lmg]
+            quotient = tuple(x - y for x, y in zip(unpack(lm), unpack(lmg)))
+            for p, c in G.items():
+                m = tuple(x + y for x, y in zip(unpack(p), quotient))
                 if v := expected.get(m, 0) - factor * c:
                     expected[m] = v
                 else:
@@ -140,7 +152,7 @@ class RemainderSpy:
             a = abs(G[lmg]) // math.gcd(G[lmg], remainder.terms[lm])
             integral = remainder.scale == 1 and G[lmg] == 1
             scale, calls = remainder.scale, self.gcd_calls
-            reduce(remainder, G, lmg, lm)
+            reduce(remainder, G, lmg, eg, lm)
             assert all(type(c) is int for c in remainder.terms.values())
             assert _value(remainder) == expected
             if a != 1:
@@ -161,7 +173,7 @@ class RemainderSpy:
             return p
 
         def checked_insort(data, entry):
-            self.pooled.append((entry[4], dict(entry[4])))
+            self.pooled.append((entry[4], dict(entry[4]), self.packing))
             insort(data, entry)
 
         monkeypatch.setattr(_Remainder, "lead", checked_lead)
@@ -175,22 +187,25 @@ class RemainderSpy:
         for p, terms in self.handed:
             assert p.terms == terms
             assert all(type(c) is Fraction for c in p.terms.values())
-        for G, terms in self.pooled:
+        for G, terms, _ in self.pooled:
             assert G == terms
             assert all(type(c) is int for c in G.values())
 
 
 def _value(remainder):
-    """The terms of the polynomial a remainder stands for, scale * terms."""
-    s = remainder.scale
-    return dict(remainder.terms) if s == 1 else {m: s * c for m, c in remainder.terms.items()}
+    """The terms of the polynomial a remainder stands for, scale * terms, at
+    exponent tuples."""
+    s, unpack = remainder.scale, remainder.packing.unpack
+    return {unpack(p): s * c for p, c in remainder.terms.items()}
 
 
-def _proportional(G, h):
-    """True if the int terms G are a nonzero multiple of the Poly h."""
-    if G.keys() != h.terms.keys():
+def _proportional(G, h, packing):
+    """True if the int terms G at packed monomials are a nonzero multiple of
+    the Poly h."""
+    terms = {packing.unpack(p): c for p, c in G.items()}
+    if terms.keys() != h.terms.keys():
         return False
-    ratios = {Fraction(c) / h.terms[m] for m, c in G.items()}
+    ratios = {Fraction(c) / h.terms[m] for m, c in terms.items()}
     return len(ratios) == 1
 
 
@@ -238,9 +253,9 @@ def test_mora_step_matches_the_copy_per_step_loop(monkeypatch):
         # each a multiple of the remainder the reference loop pooled
         assert len(spy.handed) - handed == 1
         assert got is spy.handed[-1][0]
-        copies = [G for G, _ in spy.pooled[pooled_before:]]
+        copies = [(G, packing) for G, _, packing in spy.pooled[pooled_before:]]
         assert len(copies) == len(appended)
-        assert all(_proportional(G, h) for G, h in zip(copies, appended))
+        assert all(_proportional(G, h, packing) for (G, packing), h in zip(copies, appended))
         pooled += len(appended)
         work = WORK - ref_budget.remaining
         for limit in sorted({0, 1, work // 2, work - 1}):
@@ -355,14 +370,20 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         return lms
 
     def integral(basis, ints):
-        # the integer reducers handed in, in the positions of basis, are None
-        # (not made yet) or multiples of basis; made ones are kept for later
-        # divisions of the same basis computation
+        # the packed reducers handed in hold, in the positions of basis, the
+        # packed leading monomials and ecarts of basis, and integer multiples
+        # that are None (not made yet) or multiples of basis; made ones are
+        # kept for later divisions of the same basis computation
         if ints is not None:
-            assert len(ints) == len(basis)
-            assert all(_proportional(G, g) for G, g in zip(ints, basis) if G is not None)
+            packing = ints.packing
+            assert [packing.unpack(p) for p in ints.leads] \
+                == [tuple_leading_monomial(g, ANTIGRLEX) for g in basis]
+            assert ints.ecarts == [_ecart(g, ANTIGRLEX) for g in basis]
+            assert len(ints.forms) == len(basis)
+            assert all(_proportional(G, g, packing)
+                       for G, g in zip(ints.forms, basis) if G is not None)
             seen["integral"] += 1
-            seen["kept"] += sum(G is not None for G in ints)
+            seen["kept"] += sum(G is not None for G in ints.forms)
         return ints
 
     def checked_mora(f, basis, order=ANTIGRLEX, budget=None, lms=None, ints=None):
@@ -427,3 +448,88 @@ def test_reducers_over_another_varset_are_rejected(reduce):
     g = Poly.variable(VarSet(["y", "x"]), "y")
     with pytest.raises(VarsetMismatchError):
         reduce(f, [g])
+
+
+# Exponents of 2^15 and more do not fit the 16-bit fields a division first
+# packs monomials in, and x^(2^70) does not fit 64-bit ones either: the
+# division must still take the copy-per-step loop's steps, not wrapped ones.
+BIG = 2 ** 70
+WIDE_NORMAL_FORMS = [
+    (GREVLEX, "x^40001*y + x^3", ["x^40000 - y"]),            # a dividend past the fields
+    (GREVLEX, "(x^40000 - y)*(x + 2*z^2 - 3)", ["x^40000 - y"]),  # a multiple of the reducer
+    (LEX, "x^2 + x*z", ["x - y^20000"]),                      # x*y^20000 steps to y^40000
+    (MonomialOrder("lex", (1, 0, 2)), "x*y^2 + z", ["y - x^20000*z"]),  # x^20001*y*z steps
+    (GRLEX, f"x^{BIG}*y + 1/2*z", ["y - z", f"x^{BIG} - x"]),
+]
+WIDE_MORA_NORMAL_FORMS = [
+    ("y", ["y - x^40000"]),                                  # a reducer past the fields
+    ("x*y + y^2", ["y - x^20000"]),                          # y*x^20000 steps to x^40000
+    ("(y - x^40000)*(1 + x + 3*z)", ["y - x^40000"]),         # a multiple of the reducer
+    ("2*y*z + x^3*z", ["y - x^20000", "z - 1/3*x^20000*y"]),  # a pooled remainder steps
+    ("y + z^2", [f"y - x^{BIG}"]),
+]
+
+
+def _widened(monkeypatch):
+    """Counts the times a division widens its fields."""
+    count = [0]
+    widen = groebner._Reducers.widen
+
+    def counted(reducers):
+        count[0] += 1
+        widen(reducers)
+
+    monkeypatch.setattr(groebner._Reducers, "widen", counted)
+    return count
+
+
+@pytest.mark.parametrize("order, f, basis", WIDE_NORMAL_FORMS)
+def test_normal_form_with_exponents_past_the_fields(order, f, basis, monkeypatch):
+    widened = _widened(monkeypatch)
+    vs = VarSet(["x", "y", "z"])
+    f, basis = parse_poly(f, vs), [parse_poly(g, vs) for g in basis]
+    ref_budget, budget = _Budget(), _Budget()
+    expected = reference_normal_form(f, basis, order, ref_budget)
+    assert normal_form(f, basis, order, budget) == expected
+    assert budget.remaining == ref_budget.remaining
+    assert widened[0] > 0
+    work = budget.limit - budget.remaining
+    for limit in (work - 1, work):
+        assert _outcome(lambda: normal_form(f, basis, order, _Budget(limit))) \
+            == _outcome(lambda: reference_normal_form(f, basis, order, _Budget(limit)))
+
+
+@pytest.mark.parametrize("f, basis", WIDE_MORA_NORMAL_FORMS)
+def test_mora_normal_form_with_exponents_past_the_fields(f, basis, monkeypatch):
+    widened = _widened(monkeypatch)
+    vs = VarSet(["x", "y", "z"])
+    f, basis = parse_poly(f, vs), [parse_poly(g, vs) for g in basis]
+    ref_budget, budget = _Budget(), _Budget()
+    expected = reference_mora_normal_form(f, basis, ANTIGRLEX, ref_budget, [])
+    assert mora_normal_form(f, basis, ANTIGRLEX, budget=budget) == expected
+    assert budget.remaining == ref_budget.remaining
+    assert widened[0] > 0
+    work = budget.limit - budget.remaining
+    for limit in (work - 1, work):
+        assert _outcome(lambda: mora_normal_form(f, basis, ANTIGRLEX, budget=_Budget(limit))) \
+            == _outcome(lambda: reference_mora_normal_form(
+                f, basis, ANTIGRLEX, _Budget(limit), []))
+
+
+def test_a_basis_computation_keeps_its_widened_reducers(monkeypatch):
+    """The fourth division of this Buchberger run steps to z^40000; the two
+    after it divide by the widened reducers without widening again."""
+    widened = _widened(monkeypatch)
+    vs = VarSet(["x", "y", "z"])
+    gens = [parse_poly(g, vs) for g in ("x*y - z^20000", "x^2 - y")]
+    raw = groebner.buchberger(gens, LEX)
+    assert widened[0] == 1
+    reduced = groebner.groebner_basis(gens, LEX)
+
+    def reference(f, basis, order, budget=None, lms=None, ints=None):
+        return reference_normal_form(f, basis, order, budget)
+
+    monkeypatch.setattr(groebner, "normal_form", reference)
+    assert raw == groebner.buchberger(gens, LEX)
+    assert reduced == groebner.groebner_basis(gens, LEX)
+    assert parse_poly("y^3 - z^40000", vs) in reduced
