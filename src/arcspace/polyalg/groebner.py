@@ -1,42 +1,43 @@
 """Buchberger's algorithm and reduced Groebner bases for global orders.
 
-Every basis is built by one completion loop, ``_complete``, written once,
-with the normal form as its argument (Greuel-Pfister, ch. 1): ``buchberger``
-passes the full normal form and ``mora.mora_standard_basis`` Mora's weak one.
-The loop first reduces each generator in turn against the elements kept
-before it, and only the nonzero remainders enter; then it completes by
-S-pairs.  Pair selection is the normal strategy (smallest lcm under the
-active order, ties by pair index); pair elimination uses the lcm and chain
-criteria, as is standard.  Each pair is keyed once, when it is formed, on a
-heap, and a pair the chain criterion drops later is skipped when it reaches
-the top.  The loop hands the normal form the leading monomials it keeps, so
-no division recomputes them.  Everything is deterministic.  The loop can
-start from a ``basis`` whose own S-pairs are known to reduce, such as the
-standard basis of a smaller ideal: the generators are reduced against it
-too, so one already in its ideal never enters, and only the pairs with the
-new elements are formed, under the same criteria.  This is how
-``mora.canonical_initial_forms`` climbs a jet tower.
+Every basis is built by one completion loop, ``_complete``, written once, with
+the normal form as its argument (Greuel-Pfister, ch. 1): ``buchberger`` passes
+the full normal form and ``mora.mora_standard_basis`` Mora's weak one.  The
+loop first reduces each generator in turn against the elements kept before it,
+and only the nonzero remainders enter; then it completes by S-pairs.  Pair
+selection is the normal strategy (smallest lcm under the active order, ties by
+pair index); pair elimination uses the lcm and chain criteria, as is standard.
+Each pair is keyed once, when it is formed, on a heap, and a pair the chain
+criterion drops later is skipped when it reaches the top.  The basis under
+construction is one record, a ``_Reducers``, that holds each element with its
+leading monomial, computed once when the element enters, and what a division
+reads of it; the loop hands that record to the normal form, so no division
+computes a lead again.  Everything is deterministic.  The loop can start from
+a ``basis`` whose own S-pairs are known to reduce, such as the standard basis
+of a smaller ideal: the generators are reduced against it too, so one already
+in its ideal never enters, and only the pairs with the new elements are
+formed, under the same criteria.  This is how ``mora.canonical_initial_forms``
+climbs a jet tower.
 
 Division works on a ``_Remainder``, which ``normal_form`` here and
 ``mora.mora_normal_form`` share: the remainder's terms live in one dict that a
-reduction step changes in place, only at the shifted terms of the reducer,
-and a heap yields its leading monomial (heap division, after Monagan and
-Pearce, J. Symbolic Comput. 46 (2011)).  Neither loop copies the remainder
-or rescans it for its leading term.  Division is fraction-free: the
-remainder is one exact scale times a dict of ints, and each reducer enters
-as its integer multiple (see ``_Remainder``).  Inside a division every
-monomial is one int, a packed exponent vector (``_Packing``, after Monagan
-and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007): a product is one int addition, divisibility
-one subtraction and mask, and the int order is the monomial order, so the
-heap holds the packed monomials themselves.  The reducers of a division are
-a ``_Reducers``: their packed leading monomials, made once when each enters
-the completion loop, and their integer multiples, made the first time a
-step needs one and kept for the rest of the basis computation.  Only the
-polynomials handed out are Fractions at exponent tuples again, so ``Poly``,
-the pair criteria and every public signature stay on tuples.  A field
-that would overflow makes the division start again with wider fields, so
-no exponent is ever wrapped (``_divided``).
+reduction step changes in place, only at the shifted terms of the reducer, and
+a heap yields its leading monomial (heap division, after Monagan and Pearce,
+J. Symbolic Comput. 46 (2011)).  Neither loop copies the remainder or rescans
+it for its leading term.  Division is fraction-free: the remainder is one
+exact scale times a dict of ints, and each reducer enters as its integer
+multiple (see ``_Remainder``).  Inside a division every monomial is one int, a
+packed exponent vector (``_Packing``, after Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): a product is one int addition, divisibility one subtraction and mask,
+and the int order is the monomial order, so the heap holds the packed
+monomials themselves.  A division reads the record of its reducers: their
+packed leading monomials and ecarts, made once when each enters, and their
+integer multiples, made the first time a step needs one and kept for the rest
+of the basis computation.  Only the polynomials handed out are Fractions at
+exponent tuples again, so ``Poly``, the pair criteria and every public
+signature stay on tuples.  A field that would overflow makes the division
+start again with wider fields, so no exponent is ever wrapped (``_divided``).
 
 Each basis computation spends one work budget, a ``_Budget``, across all of
 its divisions, interreduction included; ``_Remainder.reduce`` charges every
@@ -68,10 +69,9 @@ from .poly import (
 
 DEFAULT_WORK_LIMIT = 20_000_000
 
-# nf(f, basis, lms, ints): the normal form the completion loop divides each
-# generator and each S-polynomial by, given the leading monomials and the
-# packed reducers of basis
-_NormalForm = Callable[[Poly, list[Poly], list[Monomial], "_Reducers"], Poly]
+# nf(f, record): the normal form the completion loop divides each generator
+# and each S-polynomial by, given the record of its basis
+_NormalForm = Callable[[Poly, "_Reducers"], Poly]
 
 
 class _Budget:
@@ -185,33 +185,40 @@ def _cleared(f: Poly, pack: Callable[[Monomial], int]) -> tuple[dict[int, int], 
 
 
 class _Reducers:
-    """The reducers of a division, as its steps read them.
+    """One record of a basis: each element and what a division reads of it.
 
-    For the element basis[i] of the reducer list handed to the division,
-    ``leads[i]`` is its packed leading monomial and ``ecarts[i]`` its ecart,
-    both made once, when it is appended; ``forms[i]`` is its integer multiple
-    at packed monomials (see ``_cleared``), made the first time a step needs
-    it (``form``) and None until then: most reducers of a basis computation
-    never divide anything.  The completion loop keeps one of these next to its
-    basis, so each is made at most once per basis computation.  The packing
-    is made for the number of variables of the first reducer; ``widen``
-    repacks the leads in fields twice as wide and drops the forms.
+    ``polys[i]`` is the element, made monic when it is appended, and
+    ``lms[i]`` its leading monomial, computed once, there; ``leads[i]`` is
+    that monomial packed and ``ecarts[i]`` the element's ecart, made then too.
+    ``forms[i]`` is its integer multiple at packed monomials (see
+    ``_cleared``), made the first time a step needs it (``form``) and None
+    until then: most reducers of a basis computation never divide anything.
+    The completion loop keeps one record as its basis, so each of these is
+    made at most once per basis computation.  Zero elements are dropped.  The
+    packing is made for the number of variables of the first element;
+    ``widen`` repacks the leads in fields twice as wide and drops the forms.
     """
 
-    __slots__ = ("order", "packing", "leads", "ecarts", "forms")
+    __slots__ = ("order", "packing", "polys", "lms", "leads", "ecarts", "forms")
 
-    def __init__(self, order: MonomialOrder, basis: Sequence[Poly] = (),
-                 lms: Sequence[Monomial] = ()):
+    def __init__(self, order: MonomialOrder, basis: Sequence[Poly] = ()):
         self.order = order
         self.packing: _Packing | None = None
+        self.polys: list[Poly] = []
+        self.lms: list[Monomial] = []
         self.leads: list[int] = []
         self.ecarts: list[int] = []
         self.forms: list[dict[int, int] | None] = []
-        for g, lm in zip(basis, lms):
-            self.append(g, lm)
+        for g in basis:
+            if not g.is_zero():
+                self.append(g)
 
-    def append(self, g: Poly, lm: Monomial) -> None:
-        """Add the reducer g, of leading monomial lm."""
+    def append(self, g: Poly) -> None:
+        """Add the nonzero g, made monic."""
+        lm = leading_monomial(g, self.order)
+        c = g.terms[lm]
+        self.polys.append(g if c == 1 else g.scale(1 / c))
+        self.lms.append(lm)
         if self.packing is None:
             self.packing = _Packing(self.order, len(lm))
         while True:
@@ -223,12 +230,12 @@ class _Reducers:
         self.ecarts.append(g.total_degree() - sum(lm))
         self.forms.append(None)
 
-    def form(self, basis: Sequence[Poly], i: int) -> dict[int, int]:
-        """The integer multiple of basis[i] at packed monomials; raises
+    def form(self, i: int) -> dict[int, int]:
+        """The integer multiple of polys[i] at packed monomials; raises
         _Overflow when a term of it does not fit the fields."""
         G = self.forms[i]
         if G is None:
-            G = self.forms[i] = _cleared(basis[i], self.packing.pack)[0]
+            G = self.forms[i] = _cleared(self.polys[i], self.packing.pack)[0]
         return G
 
     def widen(self) -> None:
@@ -238,13 +245,12 @@ class _Reducers:
         self.forms = [None] * len(self.forms)
 
     def without(self, i: int) -> _Reducers:
-        """The reducers of the list with its element i removed, sharing the
-        packed leads made here."""
+        """The record with its element i removed, sharing what is made here."""
         view = _Reducers(self.order)
         view.packing = self.packing
-        view.leads = self.leads[:i] + self.leads[i + 1:]
-        view.ecarts = self.ecarts[:i] + self.ecarts[i + 1:]
-        view.forms = self.forms[:i] + self.forms[i + 1:]
+        for name in ("polys", "lms", "leads", "ecarts", "forms"):
+            items = getattr(self, name)
+            setattr(view, name, items[:i] + items[i + 1:])
         return view
 
 
@@ -404,26 +410,25 @@ def _check_varsets(f: Poly, basis: list[Poly]) -> None:
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
-                budget: _Budget | None = None, lms: Sequence[Monomial] | None = None,
-                ints: _Reducers | None = None) -> Poly:
+                budget: _Budget | None = None, ints: _Reducers | None = None) -> Poly:
     """Full remainder of f on division by basis, paid from budget (a fresh
-    default one when None).  lms, when given, are the leading monomials of
-    basis, in the same positions; they are computed when None.  ints, when
-    given, are the packed reducers of basis (see ``_Reducers``), which the
-    division reads in place of lms and fills in with the integer multiples it
-    makes; they are made from lms when None.
+    default one when None).  ints, when given, is the record of basis (see
+    ``_Reducers``), which the division reads in place of basis and fills in
+    with the integer multiples it makes; it is made from basis when None,
+    which drops zero elements.  Each element divides as its monic multiple,
+    which changes neither the remainder nor the charge.
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
     Moving a leading term to the remainder costs nothing.
     """
-    if f.is_zero() or not basis:
+    if f.is_zero():
         return f
     _check_varsets(f, basis)
     if ints is None:
-        if lms is None:
-            lms = [leading_monomial(g, order) for g in basis]
-        ints = _Reducers(order, basis, lms)
+        ints = _Reducers(order, basis)
+    if not ints.polys:
+        return f
 
     def divide(h: _Remainder) -> Poly:
         leads, ecarts, guard = ints.leads, ints.ecarts, ints.packing.guard
@@ -433,7 +438,7 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
             probe = lm | guard
             for i, lmg in enumerate(leads):
                 if (probe - lmg) & guard == guard:  # lmg divides lm
-                    h.reduce(ints.form(basis, i), lmg, ecarts[i], lm)
+                    h.reduce(ints.form(i), lmg, ecarts[i], lm)
                     break
             else:
                 # later leading monomials are smaller, so lm is a new term here
@@ -461,31 +466,31 @@ def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     return _finished(f.varset, acc)
 
 
-def _update_pairs(lmG: list, P: set, heap: list, order: MonomialOrder) -> None:
+def _update_pairs(lms: list, P: set, heap: list, order: MonomialOrder) -> None:
     """Gebauer-Moeller style update of the pair set P, in place, when the last
-    of the leading monomials lmG enters the basis.  Each new pair is also
+    of the leading monomials lms enters the basis.  Each new pair is also
     pushed onto heap as (order key of its lcm, pair); a pair the chain
     criterion removes from P stays on heap until it is popped."""
-    f_index = len(lmG) - 1
-    lmf = lmG[f_index]
+    f_index = len(lms) - 1
+    lmf = lms[f_index]
     # chain criterion on existing pairs
     P.difference_update([
         (i, j)
         for (i, j) in P
-        if monomial_divides(lmf, L := monomial_lcm(lmG[i], lmG[j]))
-        and L != monomial_lcm(lmG[i], lmf)
-        and L != monomial_lcm(lmG[j], lmf)
+        if monomial_divides(lmf, L := monomial_lcm(lms[i], lms[j]))
+        and L != monomial_lcm(lms[i], lmf)
+        and L != monomial_lcm(lms[j], lmf)
     ])
     lcms: dict = {}
     for i in range(f_index):
-        lcms.setdefault(monomial_lcm(lmG[i], lmf), []).append(i)
+        lcms.setdefault(monomial_lcm(lms[i], lmf), []).append(i)
     minimal = []
     for L in sorted(lcms, key=order.key):
         if all(not monomial_divides(M, L) for M in minimal):
             minimal.append(L)
     for L in minimal:
         # lcm (product) criterion: skip coprime leading monomials
-        if any(monomial_lcm(lmG[i], lmf) == monomial_mul(lmG[i], lmf) for i in lcms[L]):
+        if any(monomial_lcm(lms[i], lmf) == monomial_mul(lms[i], lmf) for i in lcms[L]):
             continue
         pair = (min(lcms[L]), f_index)
         P.add(pair)
@@ -495,41 +500,36 @@ def _update_pairs(lmG: list, P: set, heap: list, order: MonomialOrder) -> None:
 def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
               basis: Sequence[Poly] = ()) -> list[Poly]:
     """The S-pair completion of basis + gens, made monic.  Zeros are
-    skipped.  Each generator, made monic, is first replaced by its remainder
-    nf(f, G, lmG, intG) against the list G of the elements of basis and the
-    generators kept before it, and enters G unless that is zero; lmG holds
-    the leading monomials of G and intG its packed reducers (``_Reducers``),
-    whose packed leading monomials are made once, when their element enters,
-    and whose integer multiples are made once, when a division first needs
-    them.  Then the pair of least lcm under the
-    order (ties by pair index) is taken next, and the remainder of its
-    S-polynomial enters the same way.
+    skipped.  The basis under construction is one record, a ``_Reducers``,
+    which opens with the elements of basis.  Each generator, made monic, is
+    first replaced by its remainder nf(f, record) against the elements
+    kept before it, and enters the record unless that is zero; an element's
+    leading monomial is computed once, when it enters, and its integer
+    multiple once, when a division first needs it.  Then the pair of least
+    lcm under the order (ties by pair index) is taken next, and the
+    remainder of its S-polynomial enters the same way.
 
     The S-pairs among the elements of basis must already be known to reduce
-    (basis is a Groebner or standard basis of its own ideal): they open G
-    with no pairs among themselves, and only pairs with a later element are
-    formed.
+    (basis is a Groebner or standard basis of its own ideal): they open the
+    record with no pairs among themselves, and only pairs with a later
+    element are formed.
 
     Each pair is keyed once, when it is formed, on a heap; P is the set of
     live pairs, so an entry whose pair the chain criterion has since removed
     is skipped when it reaches the top.
     """
-    G = [make_monic(f, order) for f in basis if not f.is_zero()]
-    lmG = [leading_monomial(f, order) for f in G]
-    intG = _Reducers(order, G, lmG)
+    record = _Reducers(order, basis)
+    G = record.polys
     P: set = set()
     heap: list = []
 
     def enter(f: Poly) -> None:
-        g, lm = make_monic(f, order), leading_monomial(f, order)
-        G.append(g)
-        lmG.append(lm)
-        intG.append(g, lm)
-        _update_pairs(lmG, P, heap, order)
+        record.append(f)
+        _update_pairs(record.lms, P, heap, order)
 
     for f in gens:
         if G and not f.is_zero():
-            f = nf(make_monic(f, order), G, lmG, intG)
+            f = nf(make_monic(f, order), record)
         if not f.is_zero():
             enter(f)
     while P:
@@ -538,7 +538,7 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
             continue
         P.remove(pair)
         i, j = pair
-        r = nf(spolynomial(G[i], G[j], order), G, lmG, intG)
+        r = nf(spolynomial(G[i], G[j], order), record)
         if not r.is_zero():
             enter(r)
     return G
@@ -554,9 +554,9 @@ def buchberger(gens: list[Poly], order: MonomialOrder,
     """
     budget = budget or _Budget()
 
-    def nf(f: Poly, G: list[Poly], lms: list[Monomial], ints: list) -> Poly:
+    def nf(f: Poly, record: _Reducers) -> Poly:
         # normal_form is read from the globals at each call: a wrapper must see every division
-        return normal_form(f, G, order, budget=budget, lms=lms, ints=ints)
+        return normal_form(f, record.polys, order, budget=budget, ints=record)
 
     return _complete(gens, order, nf, basis)
 
@@ -569,8 +569,8 @@ def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
     """
     kept: list[Poly] = []
     kept_lms: list = []
-    for f in sorted(basis, key=lambda g: monomial_degree(leading_monomial(g, order))):
-        lmf = leading_monomial(f, order)
+    leads = [(leading_monomial(g, order), g) for g in basis]
+    for lmf, f in sorted(leads, key=lambda e: monomial_degree(e[0])):
         if not any(monomial_divides(lm, lmf) for lm in kept_lms):
             kept.append(f)
             kept_lms.append(lmf)
@@ -579,17 +579,16 @@ def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 def interreduce(basis: list[Poly], order: MonomialOrder,
                 budget: _Budget | None = None) -> list[Poly]:
-    """Each element, all nonzero, reduced by the others and made monic, sorted
-    with the greatest leading monomial first; divisions are paid from budget
-    (a fresh default one when None).  The leading monomials are packed once,
-    for all of the divisions."""
+    """Each element reduced by the others and made monic, zeros dropped,
+    sorted with the greatest leading monomial first; divisions are paid from
+    budget (a fresh default one when None).  The basis is recorded once (see
+    ``_Reducers``), for all of the divisions."""
     budget = budget or _Budget()
-    lms = [leading_monomial(g, order) for g in basis]
-    ints = _Reducers(order, basis, lms)
+    record = _Reducers(order, basis)
     out = []
-    for i, f in enumerate(basis):
-        r = normal_form(f, basis[:i] + basis[i + 1:], order, budget=budget,
-                        lms=lms[:i] + lms[i + 1:], ints=ints.without(i))
+    for i, f in enumerate(record.polys):
+        others = record.without(i)
+        r = normal_form(f, others.polys, order, budget=budget, ints=others)
         if not r.is_zero():
             out.append(make_monic(r, order))
     return sorted(out, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)

@@ -19,7 +19,7 @@ monomial of the division is one packed int (``groebner._Packing``), ordered
 as the monomial order ranks it: the pool is keyed by the negated packed
 leading monomial in place of the order key, and its divisibility scan is
 one subtraction and mask per entry.  The elements of the basis enter the pool
-from the ``groebner._Reducers`` the completion loop keeps, their packed
+from the completion loop's record (``groebner._Reducers``), their packed
 leading monomials and ecarts made once per basis computation and their
 integer multiples when a step first needs them.  A remainder that joins the
 pool joins as a copy of its integer terms, scale left behind (a reducer's
@@ -60,20 +60,17 @@ from .groebner import (
     interreduce,
     minimalize,
 )
-from .poly import Monomial, Poly
+from .poly import Poly
 
 
 def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLEX,
-                     budget: _Budget | None = None,
-                     lms: Sequence[Monomial] | None = None,
-                     ints: _Reducers | None = None) -> Poly:
+                     budget: _Budget | None = None, ints: _Reducers | None = None) -> Poly:
     """Weak normal form of f against basis (Mora reduction), paid from budget
-    (a fresh default one when None).  lms, when given, are the leading
-    monomials of basis, in the same positions, and basis has no zero element;
-    when None, zeros are dropped and the leading monomials computed.  ints,
-    when given, are the packed reducers of basis (see ``groebner._Reducers``),
-    which the division reads in place of lms and fills in with the integer
-    multiples it makes; they are made from lms when None.
+    (a fresh default one when None).  ints, when given, is the record of
+    basis (see ``groebner._Reducers``), which the division reads in place of
+    basis and fills in with the integer multiples it makes; it is made from
+    basis when None, which drops zero elements.  Each element divides as its
+    monic multiple, which changes neither the remainder nor the charge.
 
     Reducer selection: minimal ecart, ties by leading monomial under the
     order, then by position in the pool (kept sorted, see the module
@@ -82,13 +79,10 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
     if f.is_zero():
         return f
     _check_varsets(f, basis)
-    if lms is None:
-        basis = [g for g in basis if not g.is_zero()]
-        lms = [leading_monomial(g, order) for g in basis]
-    if not basis:
-        return f
     if ints is None:
-        ints = _Reducers(order, basis, lms)
+        ints = _Reducers(order, basis)
+    if not ints.polys:
+        return f
 
     def divide(h: _Remainder) -> Poly:
         guard = ints.packing.guard
@@ -109,7 +103,7 @@ def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLE
             if eg > eh:
                 # h joins as its integer terms: the scale plays no part in a reducer
                 insort(data, (eh, -lm, len(data), lm, dict(h.terms)))
-            h.reduce(ints.form(basis, i) if G is None else G, lmg, eg, lm)
+            h.reduce(ints.form(i) if G is None else G, lmg, eg, lm)
         return h.snapshot()
 
     return _divided(f, ints, budget or _Budget(), divide)
@@ -132,9 +126,9 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
         raise ValueError("mora_standard_basis needs the local order")
     budget = _Budget(work_limit)
 
-    def nf(f: Poly, pool: list[Poly], lms: list[Monomial], ints: list) -> Poly:
+    def nf(f: Poly, record: _Reducers) -> Poly:
         # mora_normal_form is read from the globals at each call (see groebner.buchberger)
-        return mora_normal_form(f, pool, order, budget=budget, lms=lms, ints=ints)
+        return mora_normal_form(f, record.polys, order, budget=budget, ints=record)
 
     G = minimalize(_complete(gens, order, nf, basis), order)
     if all(g.is_homogeneous() for g in G):

@@ -20,9 +20,9 @@ many terms is one accumulator (``Poly.sum_of``, ``TPoly.sum_of``,
 Division goes further and holds no Fraction and no exponent tuple while it
 works: ``groebner._Remainder`` keeps the polynomial under division as one
 exact Fraction scale times a dict of ints, the denominators cleared once on
-entry, and reduces it by integer multiples of the reducers
-(``groebner._Reducers``), cross-multiplying when a leading coefficient does
-not divide the other (fraction-free elimination).  A remainder that joins
+entry, and reduces it by integer multiples of the reducers, kept in the
+record of the basis (``groebner._Reducers``), cross-multiplying when a
+leading coefficient does not divide the other (fraction-free elimination).  A remainder that joins
 Mora's reducer pool joins as a copy of its ints.  Holding only the integral
 coefficients as ints is not enough there: on seed-1 passes of verify-dgk and
 jet-ecodim, 20-22% of the reducer terms a step reads and 38-39% of the

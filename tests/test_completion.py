@@ -15,12 +15,17 @@ import pytest
 
 from arcspace.errors import ResourceLimitError
 from arcspace.polyalg import ANTIGRLEX, GREVLEX, GRLEX, LEX, MonomialOrder, Poly, VarSet
-from arcspace.polyalg import groebner, mora
+from arcspace.polyalg import groebner, mora, orders
 from arcspace.polyalg.groebner import _Budget, buchberger, groebner_basis
 from arcspace.polyalg.mora import canonical_initial_forms, mora_standard_basis
 from arcspace.polyalg.orders import leading_monomial
 
-from conftest import reference_buchberger, reference_mora_standard_basis, work_spent
+from conftest import (
+    reference_buchberger,
+    reference_mora_standard_basis,
+    tuple_leading_monomial,
+    work_spent,
+)
 
 VS = VarSet(["x", "y", "z"])
 
@@ -213,3 +218,45 @@ def test_reduced_bases_run_out_at_their_whole_spend(monkeypatch, compute, order)
         beyond_completion += W > work_spent(monkeypatch, buchberger, gens, order)
     # the interreduction is paid from the same budget
     assert beyond_completion
+
+
+def test_buchberger_computes_each_leading_monomial_once(monkeypatch):
+    """Outside spolynomial, a Buchberger run computes the leading monomial of
+    no polynomial twice: an element once, when it enters the basis and is
+    made monic from it, and a generator after the first nonzero one once,
+    when it is made monic before its division.  Calls through both names of
+    leading_monomial count."""
+    calls: list = []
+    quiet = [False]
+    for module in (orders, groebner):
+        def counted(f, order, original=module.leading_monomial):
+            if not quiet[0]:
+                calls.append(f)
+            return original(f, order)
+        monkeypatch.setattr(module, "leading_monomial", counted)
+    spolynomial = groebner.spolynomial
+
+    def uncounted(f, g, order):
+        quiet[0] = True
+        try:
+            return spolynomial(f, g, order)
+        finally:
+            quiet[0] = False
+
+    monkeypatch.setattr(groebner, "spolynomial", uncounted)
+
+    def monic(f):
+        return f.scale(1 / f.terms[tuple_leading_monomial(f, GREVLEX)])
+
+    entered = 0
+    for ideal in _ideals(5, 6, (2,), 3):
+        # a zero generator is skipped, and the product reduces to zero
+        gens = [Poly.zero(VS), *ideal, ideal[0] * ideal[1]]
+        calls.clear()
+        raw = buchberger(gens, GREVLEX)
+        assert len({id(f) for f in calls}) == len(calls)
+        assert len(calls) == len(raw) + sum(not g.is_zero() for g in gens) - 1
+        assert all(any(monic(f) == g for f in calls) for g in raw)
+        entered += len(raw) > len(ideal)
+    # the comparison is not vacuous: S-polynomial remainders enter too
+    assert entered

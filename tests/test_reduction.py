@@ -363,19 +363,19 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     spy = RemainderSpy(monkeypatch)
     seen = {"mora": 0, "pooled": 0, "groebner": 0, "forwarded": 0, "integral": 0, "kept": 0}
 
-    def forwarded(basis, order, lms):
+    def forwarded(basis, order, ints):
         # leading monomials the completion loop hands in are those of basis
-        assert lms is None or list(lms) == [tuple_leading_monomial(g, order) for g in basis]
-        seen["forwarded"] += lms is not None
-        return lms
+        assert ints is None or list(ints.lms) == [tuple_leading_monomial(g, order) for g in basis]
+        seen["forwarded"] += ints is not None
 
     def integral(basis, ints):
-        # the packed reducers handed in hold, in the positions of basis, the
+        # the record handed in holds basis itself and, in its positions, the
         # packed leading monomials and ecarts of basis, and integer multiples
         # that are None (not made yet) or multiples of basis; made ones are
         # kept for later divisions of the same basis computation
         if ints is not None:
             packing = ints.packing
+            assert ints.polys is basis
             assert [packing.unpack(p) for p in ints.leads] \
                 == [tuple_leading_monomial(g, ANTIGRLEX) for g in basis]
             assert ints.ecarts == [_ecart(g, ANTIGRLEX) for g in basis]
@@ -386,13 +386,13 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
             seen["kept"] += sum(G is not None for G in ints.forms)
         return ints
 
-    def checked_mora(f, basis, order=ANTIGRLEX, budget=None, lms=None, ints=None):
+    def checked_mora(f, basis, order=ANTIGRLEX, budget=None, ints=None):
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
         appended: list = []
         expected = reference_mora_normal_form(f, basis, order, ref_budget, appended)
-        got = mora_normal_form(f, basis, order, budget=budget, lms=forwarded(basis, order, lms),
-                               ints=integral(basis, ints))
+        forwarded(basis, order, ints)
+        got = mora_normal_form(f, basis, order, budget=budget, ints=integral(basis, ints))
         integral(basis, ints)
         assert got == expected
         assert budget.remaining == ref_budget.remaining
@@ -400,11 +400,11 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         seen["pooled"] += len(appended)
         return got
 
-    def checked_nf(f, basis, order, budget=None, lms=None, ints=None):
+    def checked_nf(f, basis, order, budget=None, ints=None):
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
-        got = normal_form(f, basis, order, budget, lms=forwarded(basis, order, lms),
-                          ints=integral(basis, ints))
+        forwarded(basis, order, ints)
+        got = normal_form(f, basis, order, budget, ints=integral(basis, ints))
         integral(basis, ints)
         assert got == reference_normal_form(f, basis, order, ref_budget)
         assert budget.remaining == ref_budget.remaining
@@ -426,7 +426,7 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     new = [_outcome(lambda: mora.mora_standard_basis(gens, work_limit=w))
            for w in (work - 1, work)]
 
-    def reference(f, basis, order=ANTIGRLEX, budget=None, lms=None, ints=None):
+    def reference(f, basis, order=ANTIGRLEX, budget=None, ints=None):
         return reference_mora_normal_form(f, basis, order, budget, [])
 
     monkeypatch.setattr(mora, "mora_normal_form", reference)
@@ -448,6 +448,24 @@ def test_reducers_over_another_varset_are_rejected(reduce):
     g = Poly.variable(VarSet(["y", "x"]), "y")
     with pytest.raises(VarsetMismatchError):
         reduce(f, [g])
+
+
+@pytest.mark.parametrize("reduce, to_zero", [
+    (lambda f, basis: mora_normal_form(f, basis),
+     lambda f, basis: mora.mora_reduces_to_zero(f, basis)),
+    (lambda f, basis: normal_form(f, basis, GREVLEX),
+     lambda f, basis: groebner.reduces_to_zero(f, basis, GREVLEX)),
+], ids=["mora_normal_form", "normal_form"])
+def test_zero_reducers_are_dropped(reduce, to_zero):
+    """A zero reducer has no leading term; both normal forms divide by the
+    others, and a zero f is returned before the varsets are compared."""
+    vs = VarSet(["x", "y"])
+    zero, x = Poly.zero(vs), Poly.variable(vs, "x")
+    f = parse_poly("x^2 + y", vs)
+    assert reduce(f, [zero, x, zero]) == reduce(f, [x])
+    assert reduce(f, [zero]) == f
+    assert to_zero(parse_poly("x^2 + x*y", vs), [zero, x])
+    assert reduce(Poly.zero(VarSet(["y", "x"])), [zero, x]).is_zero()
 
 
 # Exponents of 2^15 and more do not fit the 16-bit fields a division first
@@ -526,7 +544,7 @@ def test_a_basis_computation_keeps_its_widened_reducers(monkeypatch):
     assert widened[0] == 1
     reduced = groebner.groebner_basis(gens, LEX)
 
-    def reference(f, basis, order, budget=None, lms=None, ints=None):
+    def reference(f, basis, order, budget=None, ints=None):
         return reference_normal_form(f, basis, order, budget)
 
     monkeypatch.setattr(groebner, "normal_form", reference)
