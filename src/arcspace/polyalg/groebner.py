@@ -7,17 +7,19 @@ loop first reduces each generator in turn against the elements kept before it,
 and only the nonzero remainders enter; then it completes by S-pairs.  Pair
 selection is the normal strategy (smallest lcm under the active order, ties by
 pair index); pair elimination uses the lcm and chain criteria, as is standard.
-Each pair is keyed once, when it is formed, on a heap, and a pair the chain
-criterion drops later is skipped when it reaches the top.  The basis under
-construction is one record, a ``_Reducers``, that holds each element with its
-leading monomial, computed once when the element enters, and what a division
-reads of it; the loop hands that record to the normal form, so no division
-computes a lead again.  Everything is deterministic.  The loop can start from
-a ``basis`` whose own S-pairs are known to reduce, such as the standard basis
-of a smaller ideal: the generators are reduced against it too, so one already
-in its ideal never enters, and only the pairs with the new elements are
-formed, under the same criteria.  This is how ``mora.canonical_initial_forms``
-climbs a jet tower.
+Each pair is keyed once, when it is formed, on a heap, and kept with its lcm
+in the set of live pairs, which the criteria read; a pair the chain criterion
+drops later is skipped when it reaches the top.  The basis under construction
+is one record, a ``_Reducers``, that holds each element with its leading
+monomial, computed once when the element enters, and what a division reads of
+it; the loop hands that record to the normal form, and the minimalization,
+interreduction and final sort read the same record, so no lead is computed
+twice.  Everything is deterministic.  The loop can start from a ``basis``
+whose own S-pairs are known to reduce, such as the standard basis of a
+smaller ideal: the generators are reduced against it too, so one already in
+its ideal never enters, and only the pairs with the new elements are formed,
+under the same criteria.  This is how ``mora.canonical_initial_forms`` climbs
+a jet tower.
 
 Division works on a ``_Remainder``, which ``normal_form`` here and
 ``mora.mora_normal_form`` share: the remainder's terms live in one dict that a
@@ -34,10 +36,15 @@ and the int order is the monomial order, so the heap holds the packed
 monomials themselves.  A division reads the record of its reducers: their
 packed leading monomials and ecarts, made once when each enters, and their
 integer multiples, made the first time a step needs one and kept for the rest
-of the basis computation.  Only the polynomials handed out are Fractions at
-exponent tuples again, so ``Poly``, the pair criteria and every public
-signature stay on tuples.  A field that would overflow makes the division
-start again with wider fields, so no exponent is ever wrapped (``_divided``).
+of the basis computation.  The dividends the loop makes itself come packed
+too: an S-pair is handed to the normal form as the pair of its positions in
+the record and built there from the two integer multiples, each term shifted
+by one int addition (``_Reducers.spair``), and an element being interreduced
+starts from a copy of its own integer multiple.  So no S-polynomial is ever a
+``Poly``: only the polynomials handed out are Fractions at exponent tuples
+again, and ``Poly``, the pair criteria and every public signature stay on
+tuples.  A field that would overflow makes the division start again with
+wider fields, so no exponent is ever wrapped (``_divided``).
 
 Each basis computation spends one work budget, a ``_Budget``, across all of
 its divisions, interreduction included; ``_Remainder.reduce`` charges every
@@ -50,6 +57,7 @@ from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import itemgetter
 from struct import Struct
 from typing import Callable, Sequence
 
@@ -70,8 +78,8 @@ from .poly import (
 DEFAULT_WORK_LIMIT = 20_000_000
 
 # nf(f, record): the normal form the completion loop divides each generator
-# and each S-polynomial by, given the record of its basis
-_NormalForm = Callable[[Poly, "_Reducers"], Poly]
+# and each S-pair, given as its positions (i, j) in the record, by
+_NormalForm = Callable[[Poly | tuple[int, int], "_Reducers"], Poly]
 
 
 class _Budget:
@@ -191,15 +199,22 @@ class _Reducers:
     ``lms[i]`` its leading monomial, computed once, there; ``leads[i]`` is
     that monomial packed and ``ecarts[i]`` the element's ecart, made then too.
     ``forms[i]`` is its integer multiple at packed monomials (see
-    ``_cleared``), made the first time a step needs it (``form``) and None
-    until then: most reducers of a basis computation never divide anything.
-    The completion loop keeps one record as its basis, so each of these is
-    made at most once per basis computation.  Zero elements are dropped.  The
-    packing is made for the number of variables of the first element;
-    ``widen`` repacks the leads in fields twice as wide and drops the forms.
+    ``_cleared``), made the first time a step or an S-pair needs it (``form``)
+    and None until then: most reducers of a basis computation never divide
+    anything.  Since the element is monic, the leading coefficient of its
+    form is the scale it was multiplied by.  The completion loop keeps one
+    record as its basis, so each of these is made at most once per basis
+    computation.  Zero elements are dropped.  The packing is made for the
+    number of variables of the first element; ``widen`` repacks the leads in
+    fields twice as wide and drops the forms.
+
+    A record also makes the dividends of the divisions it serves
+    (``dividend``): an S-pair from the forms of its two elements, and the
+    element a ``without`` view leaves out, ``held`` with its form, from a
+    copy of that form.
     """
 
-    __slots__ = ("order", "packing", "polys", "lms", "leads", "ecarts", "forms")
+    __slots__ = ("order", "packing", "polys", "lms", "leads", "ecarts", "forms", "held")
 
     def __init__(self, order: MonomialOrder, basis: Sequence[Poly] = ()):
         self.order = order
@@ -209,6 +224,7 @@ class _Reducers:
         self.leads: list[int] = []
         self.ecarts: list[int] = []
         self.forms: list[dict[int, int] | None] = []
+        self.held: tuple[Poly, dict[int, int] | None, int] | None = None
         for g in basis:
             if not g.is_zero():
                 self.append(g)
@@ -238,28 +254,108 @@ class _Reducers:
             G = self.forms[i] = _cleared(self.polys[i], self.packing.pack)[0]
         return G
 
+    def make_forms(self) -> None:
+        """Make every form, widening the fields until they all fit."""
+        while True:
+            try:
+                for i in range(len(self.forms)):
+                    self.form(i)
+                return
+            except _Overflow:
+                self.widen()
+
     def widen(self) -> None:
         old = self.packing
         self.packing = new = _Packing(self.order, old.nvars, 2 * old.width)
         self.leads = [new.pack(old.unpack(p)) for p in self.leads]
         self.forms = [None] * len(self.forms)
+        self.held = None
 
-    def without(self, i: int) -> _Reducers:
-        """The record with its element i removed, sharing what is made here."""
+    def kept(self, positions: Sequence[int]) -> _Reducers:
+        """The record of the elements at positions, in that order, sharing
+        what is made here."""
         view = _Reducers(self.order)
         view.packing = self.packing
         for name in ("polys", "lms", "leads", "ecarts", "forms"):
             items = getattr(self, name)
-            setattr(view, name, items[:i] + items[i + 1:])
+            setattr(view, name, [items[k] for k in positions])
         return view
+
+    def without(self, i: int) -> _Reducers:
+        """The record with its element i removed, sharing what is made here;
+        the element is held, so a division of it starts from its form."""
+        view = self.kept([k for k in range(len(self.polys)) if k != i])
+        view.held = (self.polys[i], self.forms[i], self.leads[i])
+        return view
+
+    def spair(self, i: int, j: int) -> tuple[dict[int, int], int | Fraction]:
+        """(terms, scale) with S(polys[i], polys[j]) = scale * terms, terms a
+        dict of ints at packed monomials (see ``spolynomial``).
+
+        With the forms F_i = c_i*polys[i], F_j = c_j*polys[j] (c_i, c_j their
+        leading coefficients), q = gcd(c_i, c_j) and L the lcm of the leads,
+        terms = (c_j/q)*x^(L-lm_i)*F_i - (c_i/q)*x^(L-lm_j)*F_j without the
+        two leading terms, which cancel, and scale = q/(c_i*c_j).  A shifted
+        term has degree at most deg(L) + max(ecart_i, ecart_j); when that
+        reaches the fields' limit this raises _Overflow, although the lcm
+        terms cancel and the S-polynomial itself may fit.
+        """
+        packing, leads, ecarts = self.packing, self.leads, self.ecarts
+        L = packing.pack(monomial_lcm(self.lms[i], self.lms[j]))
+        if packing.degree(L) + max(ecarts[i], ecarts[j]) >= packing.limit:
+            raise _Overflow
+        Fi, Fj = self.form(i), self.form(j)
+        li, lj = leads[i], leads[j]
+        ci, cj = Fi[li], Fj[lj]
+        q = gcd(ci, cj)
+        a, minus = cj // q, -(ci // q)
+        shift = L - li
+        if a == 1:
+            terms = {m + shift: c for m, c in Fi.items()}
+        else:
+            terms = {m + shift: a * c for m, c in Fi.items()}
+        del terms[L]
+        shift = L - lj
+        for m, c in Fj.items():
+            if m == lj:
+                continue
+            c *= minus
+            m += shift
+            old = terms.get(m)
+            if old is None:
+                terms[m] = c
+            elif s := old + c:
+                terms[m] = s
+            else:
+                del terms[m]
+        return terms, 1 if ci == cj == 1 else Fraction(q, ci * cj)
+
+    def dividend(self, f: Poly | tuple[int, int]) -> tuple[dict[int, int], int | Fraction]:
+        """(terms, scale) with f = scale * terms, terms a fresh dict of ints
+        at packed monomials: the S-pair (``spair``) when f is a pair of
+        positions, a copy of the held form when f is the held element, and f
+        cleared of its denominators (``_cleared``) otherwise.  Raises
+        _Overflow when a term does not fit the fields."""
+        if isinstance(f, tuple):
+            return self.spair(*f)
+        held = self.held
+        if held is not None and held[0] is f and held[1] is not None:
+            F, lead = held[1], held[2]
+            c = F[lead]
+            return dict(F), 1 if c == 1 else Fraction(1, c)
+        terms, L = _cleared(f, self.packing.pack)
+        return terms, 1 if L == 1 else Fraction(1, L)
 
 
 class _Remainder:
     """A polynomial under division, changed in place, held as scale*terms.
 
-    ``terms`` maps packed monomials (see ``_Packing``) to ints, the
-    denominators of f cleared once on entry, and ``scale`` is one exact
-    Fraction; the polynomial is their product at every step.  A reducer
+    ``terms`` maps packed monomials (see ``_Packing``) to ints and ``scale``
+    is one exact Fraction; the polynomial is their product at every step.
+    Both come from the record of the reducers (``_Reducers.dividend``): an
+    S-pair is built there from the integer multiples of its two elements, an
+    element the record holds starts from a copy of its own, and any other
+    dividend is cleared of its denominators once, on entry.  A reducer
     comes in as an integer multiple G (see ``_Reducers``), and a step cancels
     the leading term with terms <- a*terms - b*x^shift*G, where a and b are
     the leading coefficients of G and of terms divided by their gcd q (signed
@@ -269,8 +365,8 @@ class _Remainder:
     the coefficients they stand for.  When a is 1 a step is int arithmetic
     on the shifted terms of G and nothing else, and with scale 1 and a
     reducer whose leading coefficient is 1 it computes no gcd either: on
-    seed-1 passes a is 1 in 93% (verify-dgk) and 97% (jet-ecodim) of the
-    steps, and 46% and 69% are of the second kind.  A shifted monomial is
+    seed-1 passes a is 1 in 92% (verify-dgk) and 97% (jet-ecodim) of the
+    steps, and 48% and 75% are of the second kind.  A shifted monomial is
     one int addition, P(m) + P(lm) - P(lmg).  ``pop`` and ``snapshot`` hand
     out Fractions at exponent tuples.
     ``heap`` holds the packed monomials, whose int order is the order's rank
@@ -282,12 +378,11 @@ class _Remainder:
 
     __slots__ = ("varset", "packing", "terms", "scale", "heap", "degrees", "budget")
 
-    def __init__(self, f: Poly, packing: _Packing, budget: _Budget):
+    def __init__(self, f: Poly | tuple[int, int], reducers: _Reducers, budget: _Budget):
         self.budget = budget
-        self.varset = f.varset
-        self.packing = packing
-        self.terms, L = _cleared(f, packing.pack)
-        self.scale = 1 if L == 1 else Fraction(1, L)
+        self.varset = reducers.polys[0].varset  # f's too: the normal forms check it
+        self.packing = packing = reducers.packing
+        self.terms, self.scale = reducers.dividend(f)
         self.heap = list(self.terms)
         heapify(self.heap)
         self.degrees = Counter([m >> packing.dshift & packing.dmask for m in self.heap])
@@ -377,20 +472,21 @@ class _Remainder:
                          {unpack(m): Fraction(c * n, d) for m, c in self.terms.items()})
 
 
-def _divided(f: Poly, reducers: _Reducers, budget: _Budget,
+def _divided(f: Poly | tuple[int, int], reducers: _Reducers, budget: _Budget,
              divide: Callable[[_Remainder], Poly]) -> Poly:
-    """divide(h) on the remainder h of f under the packing of reducers.
+    """divide(h) on the remainder h of the dividend f (see
+    ``_Reducers.dividend``) under the packing of reducers.
 
-    When a field overflows (an entry or a product of degree 2^(width-1) or
-    more), the budget is given back what the attempt spent, the reducers are
-    widened, and the division is made again from the start: it takes the
-    same steps, so it returns and charges what a division with unbounded
-    exponents does.
+    When a field overflows (an entry, a shifted term of an S-pair or a
+    product of degree 2^(width-1) or more), the budget is given back what
+    the attempt spent, the reducers are widened, and the division is made
+    again from the start: it takes the same steps, so it returns and charges
+    what a division with unbounded exponents does.
     """
     remaining = budget.remaining
     while True:
         try:
-            return divide(_Remainder(f, reducers.packing, budget))
+            return divide(_Remainder(f, reducers, budget))
         except _Overflow:
             budget.remaining = remaining
             reducers.widen()
@@ -409,22 +505,26 @@ def _check_varsets(f: Poly, basis: list[Poly]) -> None:
             )
 
 
-def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
+def normal_form(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
                 budget: _Budget | None = None, ints: _Reducers | None = None) -> Poly:
     """Full remainder of f on division by basis, paid from budget (a fresh
     default one when None).  ints, when given, is the record of basis (see
     ``_Reducers``), which the division reads in place of basis and fills in
     with the integer multiples it makes; it is made from basis when None,
     which drops zero elements.  Each element divides as its monic multiple,
-    which changes neither the remainder nor the charge.
+    which changes neither the remainder nor the charge.  f may also be a
+    pair (i, j) of positions in ints, which the completion loop passes: the
+    dividend is then S(basis[i], basis[j]) (see ``spolynomial``), built by
+    the record at packed monomials and never made a Poly.
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
     Moving a leading term to the remainder costs nothing.
     """
-    if f.is_zero():
-        return f
-    _check_varsets(f, basis)
+    if isinstance(f, Poly):
+        if f.is_zero():
+            return f
+        _check_varsets(f, basis)
     if ints is None:
         ints = _Reducers(order, basis)
     if not ints.polys:
@@ -433,7 +533,7 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
     def divide(h: _Remainder) -> Poly:
         leads, ecarts, guard = ints.leads, ints.ecarts, ints.packing.guard
         unpack = ints.packing.unpack
-        remainder = Poly.zero(f.varset)
+        remainder = Poly.zero(h.varset)
         while (lm := h.lead()) is not None:
             probe = lm | guard
             for i, lmg in enumerate(leads):
@@ -450,9 +550,10 @@ def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder,
 
 def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     """S(f, g) = (L/lt(f)) f - (L/lt(g)) g, L the lcm of the leading
-    monomials, built in one accumulator.  A leading coefficient of 1, as on
-    the monic bases of ``buchberger`` and ``mora_standard_basis``, scales
-    nothing."""
+    monomials, built in one accumulator; a leading coefficient of 1 scales
+    nothing.  The completion loop does not call it: it hands each pair to
+    the normal form as positions in its record, which builds the same
+    polynomial at packed monomials (``_Reducers.spair``)."""
     if f.varset != g.varset:
         raise VarsetMismatchError(
             f"operands over different variable sets: {f.varset!r} vs {g.varset!r}")
@@ -466,61 +567,59 @@ def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     return _finished(f.varset, acc)
 
 
-def _update_pairs(lms: list, P: set, heap: list, order: MonomialOrder) -> None:
-    """Gebauer-Moeller style update of the pair set P, in place, when the last
-    of the leading monomials lms enters the basis.  Each new pair is also
-    pushed onto heap as (order key of its lcm, pair); a pair the chain
-    criterion removes from P stays on heap until it is popped."""
+def _update_pairs(lms: list, P: dict, heap: list, order: MonomialOrder) -> None:
+    """Gebauer-Moeller style update of the live pairs P, a dict from each
+    pair to the lcm of its leading monomials, in place, when the last of the
+    leading monomials lms enters the basis.  Each new pair is also pushed
+    onto heap as (order key of its lcm, pair); a pair the chain criterion
+    removes from P stays on heap until it is popped."""
     f_index = len(lms) - 1
     lmf = lms[f_index]
+    with_f = [monomial_lcm(lm, lmf) for lm in lms[:f_index]]
     # chain criterion on existing pairs
-    P.difference_update([
-        (i, j)
-        for (i, j) in P
-        if monomial_divides(lmf, L := monomial_lcm(lms[i], lms[j]))
-        and L != monomial_lcm(lms[i], lmf)
-        and L != monomial_lcm(lms[j], lmf)
-    ])
+    for pair in [(i, j) for (i, j), L in P.items()
+                 if monomial_divides(lmf, L) and L != with_f[i] and L != with_f[j]]:
+        del P[pair]
     lcms: dict = {}
-    for i in range(f_index):
-        lcms.setdefault(monomial_lcm(lms[i], lmf), []).append(i)
+    for i, L in enumerate(with_f):
+        lcms.setdefault(L, []).append(i)
     minimal = []
     for L in sorted(lcms, key=order.key):
         if all(not monomial_divides(M, L) for M in minimal):
             minimal.append(L)
     for L in minimal:
         # lcm (product) criterion: skip coprime leading monomials
-        if any(monomial_lcm(lms[i], lmf) == monomial_mul(lms[i], lmf) for i in lcms[L]):
+        if any(L == monomial_mul(lms[i], lmf) for i in lcms[L]):
             continue
         pair = (min(lcms[L]), f_index)
-        P.add(pair)
+        P[pair] = L
         heappush(heap, (order.key(L), pair))
 
 
 def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
-              basis: Sequence[Poly] = ()) -> list[Poly]:
-    """The S-pair completion of basis + gens, made monic.  Zeros are
-    skipped.  The basis under construction is one record, a ``_Reducers``,
-    which opens with the elements of basis.  Each generator, made monic, is
-    first replaced by its remainder nf(f, record) against the elements
-    kept before it, and enters the record unless that is zero; an element's
-    leading monomial is computed once, when it enters, and its integer
-    multiple once, when a division first needs it.  Then the pair of least
-    lcm under the order (ties by pair index) is taken next, and the
-    remainder of its S-polynomial enters the same way.
+              basis: Sequence[Poly] = ()) -> _Reducers:
+    """The record of the S-pair completion of basis + gens, made monic.
+    Zeros are skipped.  The basis under construction is one record, a
+    ``_Reducers``, which opens with the elements of basis.  Each generator,
+    made monic, is first replaced by its remainder nf(f, record) against the
+    elements kept before it, and enters the record unless that is zero; an
+    element's leading monomial is computed once, when it enters, and its
+    integer multiple once, when a division or an S-pair first needs it.
+    Then the pair of least lcm under the order (ties by pair index) is taken
+    next: it is handed to nf as its positions (i, j) in the record, which
+    builds S(g_i, g_j) packed, and the remainder enters the same way.
 
     The S-pairs among the elements of basis must already be known to reduce
     (basis is a Groebner or standard basis of its own ideal): they open the
     record with no pairs among themselves, and only pairs with a later
     element are formed.
 
-    Each pair is keyed once, when it is formed, on a heap; P is the set of
-    live pairs, so an entry whose pair the chain criterion has since removed
-    is skipped when it reaches the top.
+    Each pair is keyed once, when it is formed, on a heap; P maps each live
+    pair to its lcm, so an entry whose pair the chain criterion has since
+    removed is skipped when it reaches the top.
     """
     record = _Reducers(order, basis)
-    G = record.polys
-    P: set = set()
+    P: dict = {}
     heap: list = []
 
     def enter(f: Poly) -> None:
@@ -528,20 +627,29 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
         _update_pairs(record.lms, P, heap, order)
 
     for f in gens:
-        if G and not f.is_zero():
+        if record.polys and not f.is_zero():
             f = nf(make_monic(f, order), record)
         if not f.is_zero():
             enter(f)
     while P:
         pair = heappop(heap)[1]
-        if pair not in P:
+        if P.pop(pair, None) is None:
             continue
-        P.remove(pair)
-        i, j = pair
-        r = nf(spolynomial(G[i], G[j], order), record)
+        r = nf(pair, record)
         if not r.is_zero():
             enter(r)
-    return G
+    return record
+
+
+def _buchberger(gens: list[Poly], order: MonomialOrder, budget: _Budget,
+                basis: Sequence[Poly] = ()) -> _Reducers:
+    """The record of ``buchberger``."""
+
+    def nf(f: Poly | tuple[int, int], record: _Reducers) -> Poly:
+        # normal_form is read from the globals at each call: a wrapper must see every division
+        return normal_form(f, record.polys, order, budget=budget, ints=record)
+
+    return _complete(gens, order, nf, basis)
 
 
 def buchberger(gens: list[Poly], order: MonomialOrder,
@@ -552,29 +660,49 @@ def buchberger(gens: list[Poly], order: MonomialOrder,
     basis, when given, must be a Groebner basis of its own ideal: its S-pairs
     are not formed again.
     """
-    budget = budget or _Budget()
+    return _buchberger(gens, order, budget or _Budget(), basis).polys
 
-    def nf(f: Poly, record: _Reducers) -> Poly:
-        # normal_form is read from the globals at each call: a wrapper must see every division
-        return normal_form(f, record.polys, order, budget=budget, ints=record)
 
-    return _complete(gens, order, nf, basis)
+def _minimal(lms: list[Monomial]) -> list[int]:
+    """Positions of the leading monomials lms that no other one divides, by
+    degree (ties by position); of equal ones the first is kept.
+
+    Scanning by degree meets every proper divisor first, under global and
+    local orders alike.
+    """
+    kept: list[int] = []
+    for k in sorted(range(len(lms)), key=lambda k: monomial_degree(lms[k])):
+        if not any(monomial_divides(lms[i], lms[k]) for i in kept):
+            kept.append(k)
+    return kept
 
 
 def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Drop elements whose leading monomial is divisible by another's.
+    """Drop elements whose leading monomial is divisible by another's (see
+    ``_minimal``)."""
+    return [basis[k] for k in _minimal([leading_monomial(g, order) for g in basis])]
 
-    Scanning by leading-monomial degree meets every proper divisor first,
-    under global and local orders alike.
+
+def _interreduced(record: _Reducers, budget: _Budget) -> list[Poly]:
+    """``interreduce`` of the elements of record.
+
+    Every integer multiple is made once, first, and shared by the views that
+    leave one element out: each element is divided by its view, starting
+    from a copy of its own multiple.  The lead of each nonzero remainder is
+    computed once, to make it monic and to sort on.
     """
-    kept: list[Poly] = []
-    kept_lms: list = []
-    leads = [(leading_monomial(g, order), g) for g in basis]
-    for lmf, f in sorted(leads, key=lambda e: monomial_degree(e[0])):
-        if not any(monomial_divides(lm, lmf) for lm in kept_lms):
-            kept.append(f)
-            kept_lms.append(lmf)
-    return kept
+    order = record.order
+    record.make_forms()
+    out = []
+    for i, f in enumerate(record.polys):
+        others = record.without(i)
+        r = normal_form(f, others.polys, order, budget=budget, ints=others)
+        if not r.is_zero():
+            lm = leading_monomial(r, order)
+            c = r.terms[lm]
+            out.append((order.key(lm), r if c == 1 else r.scale(1 / c)))
+    out.sort(key=itemgetter(0), reverse=True)
+    return [g for _, g in out]
 
 
 def interreduce(basis: list[Poly], order: MonomialOrder,
@@ -582,16 +710,18 @@ def interreduce(basis: list[Poly], order: MonomialOrder,
     """Each element reduced by the others and made monic, zeros dropped,
     sorted with the greatest leading monomial first; divisions are paid from
     budget (a fresh default one when None).  The basis is recorded once (see
-    ``_Reducers``), for all of the divisions."""
-    budget = budget or _Budget()
-    record = _Reducers(order, basis)
-    out = []
-    for i, f in enumerate(record.polys):
-        others = record.without(i)
-        r = normal_form(f, others.polys, order, budget=budget, ints=others)
-        if not r.is_zero():
-            out.append(make_monic(r, order))
-    return sorted(out, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
+    ``_Reducers``), for all of the divisions: each element's leading
+    monomial and integer multiple are made once, and the division of an
+    element starts from a copy of its own multiple (see ``_interreduced``)."""
+    return _interreduced(_Reducers(order, basis), budget or _Budget())
+
+
+def _reduced_basis(gens: list[Poly], order: MonomialOrder, budget: _Budget,
+                   basis: Sequence[Poly] = ()) -> list[Poly]:
+    """interreduce(minimalize(buchberger(...))) on one record: the leads
+    computed as the elements enter are the ones minimalized and interreduced."""
+    record = _buchberger(gens, order, budget, basis)
+    return _interreduced(record.kept(_minimal(record.lms)), budget)
 
 
 def groebner_basis(gens: list[Poly], order: MonomialOrder,
@@ -600,8 +730,7 @@ def groebner_basis(gens: list[Poly], order: MonomialOrder,
     within one budget of work_limit terms touched."""
     if not order.is_global:
         raise ValueError("groebner_basis needs a global order; use mora_standard_basis")
-    budget = _Budget(work_limit)
-    return interreduce(minimalize(buchberger(gens, order, budget), order), order, budget)
+    return _reduced_basis(gens, order, _Budget(work_limit))
 
 
 def reduces_to_zero(f: Poly, basis: list[Poly], order: MonomialOrder) -> bool:

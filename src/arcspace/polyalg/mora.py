@@ -21,11 +21,13 @@ leading monomial in place of the order key, and its divisibility scan is
 one subtraction and mask per entry.  The elements of the basis enter the pool
 from the completion loop's record (``groebner._Reducers``), their packed
 leading monomials and ecarts made once per basis computation and their
-integer multiples when a step first needs them.  A remainder that joins the
-pool joins as a copy of its integer terms, scale left behind (a reducer's
-multiple plays no part in the step), because pool entries must not change
-under later steps; only the returned remainder is made a Poly of Fractions
-at exponent tuples.
+integer multiples when a step or an S-pair first needs them.  The loop hands
+each S-pair in as its positions in the record, and the record builds the
+S-polynomial from the two integer multiples at packed monomials, so it is
+never a Poly.  A remainder that joins the pool joins as a copy of its
+integer terms, scale left behind (a reducer's multiple plays no part in the
+step), because pool entries must not change under later steps; only the
+returned remainder is made a Poly of Fractions at exponent tuples.
 
 The standard basis is groebner's completion loop, ``_complete``, with the
 weak normal form in place of the full one: each generator is first replaced
@@ -33,7 +35,9 @@ by its weak normal form against those kept before it, which stays in the
 ideal (unit multipliers) and makes the reducers of the pair loop smaller.
 Given a ``basis`` that is already a standard basis, such as the one of the
 jet ideal a level down, the loop reduces the generators against it too and
-forms only the S-pairs with the new elements.  The canonicalization of
+forms only the S-pairs with the new elements.  The minimalization, the
+interreduction and the final sort read the leading monomials the loop
+computed as each element entered.  The canonicalization of
 initial forms climbs the tower the same way: given the reduced Groebner
 basis of the initial ideal a level down, Buchberger starts from it, and only
 the forms that do not reduce to zero against it enter.  A standard basis,
@@ -45,40 +49,46 @@ across all of their divisions; the step charge is the one
 from __future__ import annotations
 
 from bisect import insort
+from operator import itemgetter
 from typing import Sequence
 
-from .orders import ANTIGRLEX, MonomialOrder, leading_monomial
+from .orders import ANTIGRLEX, MonomialOrder
 from .groebner import (
     DEFAULT_WORK_LIMIT,
     _Budget,
     _check_varsets,
     _complete,
     _divided,
+    _interreduced,
+    _minimal,
     _Reducers,
+    _reduced_basis,
     _Remainder,
-    buchberger,
-    interreduce,
-    minimalize,
 )
 from .poly import Poly
 
 
-def mora_normal_form(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLEX,
-                     budget: _Budget | None = None, ints: _Reducers | None = None) -> Poly:
+def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
+                     order: MonomialOrder = ANTIGRLEX, budget: _Budget | None = None,
+                     ints: _Reducers | None = None) -> Poly:
     """Weak normal form of f against basis (Mora reduction), paid from budget
     (a fresh default one when None).  ints, when given, is the record of
     basis (see ``groebner._Reducers``), which the division reads in place of
     basis and fills in with the integer multiples it makes; it is made from
     basis when None, which drops zero elements.  Each element divides as its
-    monic multiple, which changes neither the remainder nor the charge.
+    monic multiple, which changes neither the remainder nor the charge.  f
+    may also be a pair (i, j) of positions in ints, which the completion
+    loop passes: the dividend is then S(basis[i], basis[j]), built by the
+    record at packed monomials (see ``groebner.normal_form``).
 
     Reducer selection: minimal ecart, ties by leading monomial under the
     order, then by position in the pool (kept sorted, see the module
     docstring).
     """
-    if f.is_zero():
-        return f
-    _check_varsets(f, basis)
+    if isinstance(f, Poly):
+        if f.is_zero():
+            return f
+        _check_varsets(f, basis)
     if ints is None:
         ints = _Reducers(order, basis)
     if not ints.polys:
@@ -126,14 +136,16 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
         raise ValueError("mora_standard_basis needs the local order")
     budget = _Budget(work_limit)
 
-    def nf(f: Poly, record: _Reducers) -> Poly:
-        # mora_normal_form is read from the globals at each call (see groebner.buchberger)
+    def nf(f: Poly | tuple[int, int], record: _Reducers) -> Poly:
+        # mora_normal_form is read from the globals at each call (see groebner._buchberger)
         return mora_normal_form(f, record.polys, order, budget=budget, ints=record)
 
-    G = minimalize(_complete(gens, order, nf, basis), order)
-    if all(g.is_homogeneous() for g in G):
-        return interreduce(G, order, budget)  # sorted as below
-    return sorted(G, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
+    record = _complete(gens, order, nf, basis)
+    record = record.kept(_minimal(record.lms))
+    if all(g.is_homogeneous() for g in record.polys):
+        return _interreduced(record, budget)  # sorted as below
+    # the least packed lead is the greatest leading monomial
+    return [g for _, g in sorted(zip(record.leads, record.polys), key=itemgetter(0))]
 
 
 def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX,
@@ -149,9 +161,7 @@ def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX,
     (reductions are degreewise finite), and the reduced basis is unique, so
     the output is canonical either way.
     """
-    budget = _Budget(work_limit)
-    return interreduce(minimalize(buchberger(forms, order, budget, basis), order),
-                       order, budget)
+    return _reduced_basis(forms, order, _Budget(work_limit), basis)
 
 
 def initial_ideal(gens: list[Poly], order: MonomialOrder = ANTIGRLEX) -> list[Poly]:

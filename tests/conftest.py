@@ -304,6 +304,18 @@ def copy_integer_rows(rows):
 # the reference and of the library alike.
 
 
+def dividend_poly(f, basis, order):
+    """The Poly a dividend of the normal forms stands for: the completion loop
+    hands in an S-pair as its positions (i, j) in basis, which is the
+    S-polynomial the reference loops build."""
+    from arcspace.polyalg import groebner
+
+    if isinstance(f, tuple):
+        i, j = f
+        return groebner.spolynomial(basis[i], basis[j], order)
+    return f
+
+
 def reference_update_pairs(G, lmG, P, f_index, order):
     """Gebauer-Moeller pair update as groebner._update_pairs was written: a
     new pair set, with every lcm of the chain criterion computed afresh."""

@@ -21,6 +21,7 @@ from arcspace.polyalg.mora import canonical_initial_forms, mora_standard_basis
 from arcspace.polyalg.orders import leading_monomial
 
 from conftest import (
+    dividend_poly,
     reference_buchberger,
     reference_mora_standard_basis,
     tuple_leading_monomial,
@@ -33,16 +34,18 @@ VS = VarSet(["x", "y", "z"])
 def _traced(monkeypatch, fn, *args):
     """The outcome of fn(*args) and, for each call of groebner.normal_form or
     mora.mora_normal_form it made, the name, the inputs and the work budget
-    left after the call (None without a budget)."""
+    left after the call (None without a budget).  A pair dividend is
+    recorded, before the call, as the S-polynomial it stands for."""
     calls = []
 
     def recorder(name, original):
-        def record(f, basis, *rest, **kwargs):
+        def record(f, basis, order, *rest, **kwargs):
+            dividend = dividend_poly(f, basis, order)
             try:
-                return original(f, basis, *rest, **kwargs)
+                return original(f, basis, order, *rest, **kwargs)
             finally:
                 budget = kwargs.get("budget")
-                calls.append((name, f, tuple(basis),
+                calls.append((name, dividend, tuple(basis),
                               None if budget is None else budget.remaining))
         return record
 
@@ -144,14 +147,20 @@ def test_canonicalization_from_a_reduced_basis_matches_from_scratch(monkeypatch,
     the reduced basis of all of them within one budget; a new form already in
     the ideal of B never enters the completion."""
     x, z = Poly.variable(VS, "x"), Poly.variable(VS, "z")
-    # an element entering the list G updates the pairs; the pair loop, which
-    # starts once every generator has been reduced, builds S-polynomials
+    # an element entering the record updates the pairs; the pair loop, which
+    # starts once every generator has been reduced, hands pair dividends to
+    # the normal form
     events = []
-    update, spolynomial = groebner._update_pairs, groebner.spolynomial
+    update, normal_form = groebner._update_pairs, groebner.normal_form
+
+    def divided(f, *args, **kwargs):
+        if isinstance(f, tuple):
+            events.append("pair")
+        return normal_form(f, *args, **kwargs)
+
     monkeypatch.setattr(groebner, "_update_pairs",
                         lambda *args: events.append("enter") or update(*args))
-    monkeypatch.setattr(groebner, "spolynomial",
-                        lambda *args: events.append("pair") or spolynomial(*args))
+    monkeypatch.setattr(groebner, "normal_form", divided)
     grew = 0
     for forms in _ideals(13, 12, (degree,), 3):
         forms.append(x * forms[0] - z * forms[1])
@@ -169,16 +178,16 @@ def test_canonicalization_from_a_reduced_basis_matches_from_scratch(monkeypatch,
 
 
 def _chain_removals(monkeypatch):
-    """The pairs the chain criterion removes from the live set P, recorded
-    while the completion loops run; each must keep its heap entry until it
-    is popped and skipped."""
+    """The pairs the chain criterion removes from the live pairs P (a dict
+    from each pair to its lcm), recorded while the completion loops run;
+    each must keep its heap entry until it is popped and skipped."""
     removed = []
     update = groebner._update_pairs
 
-    def recording(lmG, P, heap, order):
+    def recording(lms, P, heap, order):
         before = set(P)
-        update(lmG, P, heap, order)
-        stale = before - P
+        update(lms, P, heap, order)
+        stale = before - P.keys()
         assert stale <= {pair for _, pair in heap}
         removed.extend(stale)
 
@@ -221,42 +230,62 @@ def test_reduced_bases_run_out_at_their_whole_spend(monkeypatch, compute, order)
 
 
 def test_buchberger_computes_each_leading_monomial_once(monkeypatch):
-    """Outside spolynomial, a Buchberger run computes the leading monomial of
-    no polynomial twice: an element once, when it enters the basis and is
-    made monic from it, and a generator after the first nonzero one once,
-    when it is made monic before its division.  Calls through both names of
-    leading_monomial count."""
+    """buchberger, groebner_basis and mora_standard_basis build no
+    S-polynomial as a Poly and compute the leading monomial of no polynomial
+    twice: an element once, when it enters the basis and is made monic from
+    it; a generator after the first nonzero one once, when it is made monic
+    before its division; and a nonzero remainder of the interreduction once,
+    to make it monic and to sort on.  The minimalization, the interreduction
+    and the final sort read the leads the elements entered with.  Calls
+    through every name of leading_monomial count."""
     calls: list = []
-    quiet = [False]
-    for module in (orders, groebner):
-        def counted(f, order, original=module.leading_monomial):
-            if not quiet[0]:
+    for module in (orders, groebner, mora):
+        if hasattr(module, "leading_monomial"):
+            def counted(f, order, original=module.leading_monomial):
                 calls.append(f)
-            return original(f, order)
-        monkeypatch.setattr(module, "leading_monomial", counted)
-    spolynomial = groebner.spolynomial
+                return original(f, order)
+            monkeypatch.setattr(module, "leading_monomial", counted)
 
-    def uncounted(f, g, order):
-        quiet[0] = True
-        try:
-            return spolynomial(f, g, order)
-        finally:
-            quiet[0] = False
+    def built(*args):
+        raise AssertionError("an S-polynomial was built as a Poly")
 
-    monkeypatch.setattr(groebner, "spolynomial", uncounted)
+    monkeypatch.setattr(groebner, "spolynomial", built)
+    entered = [0]
+    update = groebner._update_pairs
 
-    def monic(f):
-        return f.scale(1 / f.terms[tuple_leading_monomial(f, GREVLEX)])
+    def counted_update(*args):
+        entered[0] += 1
+        update(*args)
 
-    entered = 0
-    for ideal in _ideals(5, 6, (2,), 3):
-        # a zero generator is skipped, and the product reduces to zero
-        gens = [Poly.zero(VS), *ideal, ideal[0] * ideal[1]]
-        calls.clear()
-        raw = buchberger(gens, GREVLEX)
-        assert len({id(f) for f in calls}) == len(calls)
-        assert len(calls) == len(raw) + sum(not g.is_zero() for g in gens) - 1
-        assert all(any(monic(f) == g for f in calls) for g in raw)
-        entered += len(raw) > len(ideal)
-    # the comparison is not vacuous: S-polynomial remainders enter too
-    assert entered
+    monkeypatch.setattr(groebner, "_update_pairs", counted_update)
+
+    def monic(f, order):
+        return f.scale(1 / f.terms[tuple_leading_monomial(f, order)])
+
+    grown = interreduced = sorted_only = 0
+    for compute, order, degrees, terms in (
+            (buchberger, GREVLEX, (2,), 3), (groebner_basis, GREVLEX, (2,), 3),
+            (mora_standard_basis, ANTIGRLEX, (2,), 3), (mora_standard_basis, ANTIGRLEX, (2, 3), 2)):
+        for ideal in _ideals(5, 6, degrees, terms):
+            # a zero generator is skipped, and the product reduces to zero
+            gens = [Poly.zero(VS), *ideal, ideal[0] * ideal[1]]
+            calls.clear()
+            entered[0] = 0
+            out = compute(gens, order)
+            assert len({id(f) for f in calls}) == len(calls)
+            # groebner_basis interreduces, and mora_standard_basis does so when
+            # its basis is homogeneous and sorts it otherwise; the interreduction
+            # makes one remainder monic per element it returns
+            reduced = compute is groebner_basis or (
+                compute is mora_standard_basis and all(g.is_homogeneous() for g in out))
+            after = len(out) if reduced else 0
+            assert len(calls) == entered[0] + sum(not g.is_zero() for g in gens) - 1 + after
+            if compute is buchberger:
+                assert entered[0] == len(out)
+                assert all(any(monic(f, order) == g for f in calls) for g in out)
+            grown += entered[0] > len(ideal)
+            interreduced += after > 0
+            sorted_only += compute is mora_standard_basis and not reduced
+    # the comparison is not vacuous: S-pair remainders enter, the
+    # interreductions return elements, and some standard bases are only sorted
+    assert grown and interreduced and sorted_only

@@ -4,7 +4,8 @@ The ring axioms, the Leibniz rule for ``partial`` and ``substitute`` as a ring
 homomorphism are checked on generated polynomials over Q in x, y, z, and so is
 Mora's initial ideal against the brute-force truncation oracle.  The
 fraction-free division kernel is checked against the copy-per-step reference
-loops of ``test_reduction``.  The one completion loop behind every basis is
+loops of ``test_reduction``, and the S-pairs the completion loop builds at
+packed monomials against ``spolynomial``.  The one completion loop behind every basis is
 checked against sympy's reduced Groebner bases (when sympy is installed) and
 for independence of the order of the generators.  The packed exponent vectors
 of the division kernel are checked against the tuple operations and order
@@ -13,6 +14,7 @@ positions.  The runs are derandomized, so every run draws the same examples.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -41,8 +43,15 @@ from arcspace.polyalg import (  # noqa: E402
     normal_form,
     parse_poly,
     poly_to_string,
+    spolynomial,
 )
-from arcspace.polyalg.groebner import _Budget, _Overflow, _Packing  # noqa: E402
+from arcspace.polyalg.groebner import (  # noqa: E402
+    _Budget,
+    _Overflow,
+    _Packing,
+    _Reducers,
+    _Remainder,
+)
 from arcspace.polyalg.mora import canonical_initial_forms  # noqa: E402
 from arcspace.polyalg.oracles import initial_ideal_mismatches  # noqa: E402
 from arcspace.polyalg.orders import leading_monomial  # noqa: E402
@@ -164,6 +173,26 @@ def test_normal_form_equals_the_copy_per_step_loop(order, data):
     assert normal_form(f, basis, order, budget) \
         == reference_normal_form(f, basis, order, ref_budget)
     assert budget.remaining == ref_budget.remaining
+
+
+PAIR_ORDERS = [GREVLEX, GRLEX, LEX, ANTIGRLEX, MonomialOrder("grevlex", (2, 0, 1))]
+
+
+@checked
+@given(st.sampled_from(PAIR_ORDERS), st.data())
+def test_a_packed_s_pair_is_the_s_polynomial(order, data):
+    """The dividend the completion loop hands a division for the pair (i, j)
+    of its record, built from the elements' integer multiples, is
+    spolynomial(G[i], G[j]); with a monomial multiple of an element in G,
+    some S-polynomials are zero."""
+    G = data.draw(st.lists(reducers(order, small_monomials), min_size=2, max_size=4))
+    if data.draw(st.booleans()):
+        G.append(G[0] * Poly(VS, {data.draw(small_monomials): Fraction(data.draw(non_units))}))
+    record = _Reducers(order, G)
+    for i, j in combinations(range(len(G)), 2):
+        h = _Remainder((i, j), record, _Budget())
+        assert all(type(c) is int for c in h.terms.values())
+        assert h.snapshot() == spolynomial(G[i], G[j], order)
 
 
 # Mora's weak normal form can take many steps on some draws; both loops must

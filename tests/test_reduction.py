@@ -35,7 +35,15 @@ from arcspace.polyalg import (
 from arcspace.polyalg.groebner import _Budget, _Remainder, normal_form
 from arcspace.polyalg.mora import mora_normal_form
 
-from conftest import monomial_arc, random_poly, tuple_key, tuple_leading_monomial, work_spent
+from conftest import (
+    dividend_poly,
+    monomial_arc,
+    random_poly,
+    reference_buchberger,
+    tuple_key,
+    tuple_leading_monomial,
+    work_spent,
+)
 
 
 def _divides(a, b):
@@ -361,7 +369,8 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     Mora's pool there."""
     gens = translate_to_origin(jet_ideal(quadric, 4), truncate_arc(monomial_arc(quadric, 3), 4))
     spy = RemainderSpy(monkeypatch)
-    seen = {"mora": 0, "pooled": 0, "groebner": 0, "forwarded": 0, "integral": 0, "kept": 0}
+    seen = {"mora": 0, "pooled": 0, "groebner": 0, "forwarded": 0, "integral": 0, "kept": 0,
+            "pairs": 0}
 
     def forwarded(basis, order, ints):
         # leading monomials the completion loop hands in are those of basis
@@ -390,7 +399,9 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
         appended: list = []
-        expected = reference_mora_normal_form(f, basis, order, ref_budget, appended)
+        seen["pairs"] += isinstance(f, tuple)
+        expected = reference_mora_normal_form(dividend_poly(f, basis, order), basis, order,
+                                              ref_budget, appended)
         forwarded(basis, order, ints)
         got = mora_normal_form(f, basis, order, budget=budget, ints=integral(basis, ints))
         integral(basis, ints)
@@ -406,7 +417,9 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         forwarded(basis, order, ints)
         got = normal_form(f, basis, order, budget, ints=integral(basis, ints))
         integral(basis, ints)
-        assert got == reference_normal_form(f, basis, order, ref_budget)
+        seen["pairs"] += isinstance(f, tuple)
+        assert got == reference_normal_form(dividend_poly(f, basis, order), basis, order,
+                                            ref_budget)
         assert budget.remaining == ref_budget.remaining
         seen["groebner"] += 1
         return got
@@ -417,6 +430,7 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     assert forms
     assert seen["mora"] > 0 and seen["pooled"] > 0 and seen["groebner"] > 0
     assert seen["forwarded"] > 0 and seen["integral"] > 0 and seen["kept"] > 0
+    assert seen["pairs"] > 0
     assert spy.steps["integral"] > 0  # every reducer here is integral and monic
     spy.check_unchanged()
 
@@ -427,7 +441,8 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
            for w in (work - 1, work)]
 
     def reference(f, basis, order=ANTIGRLEX, budget=None, ints=None):
-        return reference_mora_normal_form(f, basis, order, budget, [])
+        return reference_mora_normal_form(dividend_poly(f, basis, order), basis, order,
+                                          budget, [])
 
     monkeypatch.setattr(mora, "mora_normal_form", reference)
     old = [_outcome(lambda: mora.mora_standard_basis(gens, work_limit=w))
@@ -534,20 +549,70 @@ def test_mora_normal_form_with_exponents_past_the_fields(f, basis, monkeypatch):
                 f, basis, ANTIGRLEX, _Budget(limit), []))
 
 
+def _pair_overflows(monkeypatch):
+    """The S-pairs (i, j) whose build raised _Overflow, each with the field
+    width it was built in."""
+    overflowed = []
+    spair = groebner._Reducers.spair
+
+    def recorded(reducers, i, j):
+        try:
+            return spair(reducers, i, j)
+        except groebner._Overflow:
+            overflowed.append((i, j, reducers.packing.width))
+            raise
+
+    monkeypatch.setattr(groebner._Reducers, "spair", recorded)
+    return overflowed
+
+
 def test_a_basis_computation_keeps_its_widened_reducers(monkeypatch):
-    """The fourth division of this Buchberger run steps to z^40000; the two
-    after it divide by the widened reducers without widening again."""
+    """The third division of this Buchberger run is the S-pair of x*y -
+    z^20000 and x*z^20000 - y^2: its lcm x*y*z^20000 fits the 16-bit fields,
+    but z^20000 times the first element's tail z^20000 does not, so building
+    it widens them; the two divisions after it use the widened reducers
+    without widening again."""
     widened = _widened(monkeypatch)
+    overflowed = _pair_overflows(monkeypatch)
     vs = VarSet(["x", "y", "z"])
     gens = [parse_poly(g, vs) for g in ("x*y - z^20000", "x^2 - y")]
     raw = groebner.buchberger(gens, LEX)
     assert widened[0] == 1
+    assert overflowed == [(0, 2, 16)]
     reduced = groebner.groebner_basis(gens, LEX)
 
     def reference(f, basis, order, budget=None, ints=None):
-        return reference_normal_form(f, basis, order, budget)
+        return reference_normal_form(dividend_poly(f, basis, order), basis, order, budget)
 
     monkeypatch.setattr(groebner, "normal_form", reference)
     assert raw == groebner.buchberger(gens, LEX)
     assert reduced == groebner.groebner_basis(gens, LEX)
     assert parse_poly("y^3 - z^40000", vs) in reduced
+
+
+# S-pairs of elements that fit 16-bit fields but whose shifted terms do not;
+# each run widens once, where the pair is built, and returns size elements
+WIDE_PAIRS = [
+    # the lcm x^20000*y^20000 itself has degree 40000
+    (GREVLEX, ("x^20000*y - z", "x*y^20000 - z"), (0, 1), 4),
+    # the lcm of z^20000 + x*z^10000 and z^30000 + z^20000 fits, a shifted
+    # tail z^40000 does not, and z^10000 + y must then divide it
+    (LEX, ("x*y - z^20000", "x^2 - y", "z^10000 + y"), (3, 4), 5),
+]
+
+
+@pytest.mark.parametrize("order, gens, pair, size", WIDE_PAIRS)
+def test_an_s_pair_past_the_fields_is_built_again_wider(order, gens, pair, size, monkeypatch):
+    """Building the S-pair widens the fields, once, and the run takes the
+    reference loop's steps, results and charges."""
+    widened = _widened(monkeypatch)
+    overflowed = _pair_overflows(monkeypatch)
+    vs = VarSet(["x", "y", "z"])
+    gens = [parse_poly(g, vs) for g in gens]
+    work = work_spent(monkeypatch, groebner.buchberger, gens, order)
+    assert widened[0] == 1
+    assert overflowed == [(*pair, 16)]
+    raw = groebner.buchberger(gens, order)
+    assert raw == reference_buchberger(gens, order)
+    assert len(raw) == size
+    assert work == work_spent(monkeypatch, reference_buchberger, gens, order)
