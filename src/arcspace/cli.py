@@ -322,6 +322,7 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_verify_dgk(job, seed, limit, window)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown subcommand {args.subcommand}")
+        _emit(report, args.output)
     except (ArcspaceError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         code = _error_exit_code(exc)
         failure = {
@@ -334,9 +335,11 @@ def main(argv: list[str] | None = None) -> int:
         }
         if isinstance(exc, ParseError):
             failure["error"]["position"] = exc.position
-        _emit(failure, getattr(args, "output", None))
+        try:
+            _emit(failure, getattr(args, "output", None))
+        except OSError:  # --output cannot be written, which may be the error itself
+            _emit(failure, None)
         return code
-    _emit(report, args.output)
     return EXIT_OK
 
 

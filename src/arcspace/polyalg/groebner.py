@@ -53,7 +53,6 @@ step the reducer's terms plus the remainder's, so the cutoff is deterministic.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -371,21 +370,20 @@ class _Remainder:
     out Fractions at exponent tuples.
     ``heap`` holds the packed monomials, whose int order is the order's rank
     order; an entry whose term has since cancelled is dropped when it reaches
-    the top.  ``degrees`` counts the terms of each total degree, so the
-    ecart needs no scan of the terms.  ``budget`` pays for each reduction
-    step.
+    the top.  The ecart is read off the terms on demand, by Mora's pool test
+    alone, and only as far as a bound (``ecart_below``).  ``budget`` pays for
+    each reduction step.
     """
 
-    __slots__ = ("varset", "packing", "terms", "scale", "heap", "degrees", "budget")
+    __slots__ = ("varset", "packing", "terms", "scale", "heap", "budget")
 
     def __init__(self, f: Poly | tuple[int, int], reducers: _Reducers, budget: _Budget):
         self.budget = budget
-        self.varset = reducers.polys[0].varset  # f's too: the normal forms check it
-        self.packing = packing = reducers.packing
+        self.varset = reducers.polys[0].varset  # f's too: _divided checks it
+        self.packing = reducers.packing
         self.terms, self.scale = reducers.dividend(f)
         self.heap = list(self.terms)
         heapify(self.heap)
-        self.degrees = Counter([m >> packing.dshift & packing.dmask for m in self.heap])
 
     def lead(self) -> int | None:
         """The packed leading monomial; None once the remainder is zero."""
@@ -397,21 +395,27 @@ class _Remainder:
             heappop(heap)
         return None
 
-    def ecart(self, lm: int) -> int:
-        """Total degree minus the degree of the packed leading monomial lm."""
-        return max(self.degrees) - self.packing.degree(lm)
-
-    def _remove(self, m: int) -> int:
-        degrees, packing = self.degrees, self.packing
-        d = m >> packing.dshift & packing.dmask
-        degrees[d] -= 1
-        if not degrees[d]:
-            del degrees[d]
-        return self.terms.pop(m)
+    def ecart_below(self, lm: int, bound: int) -> int | None:
+        """The ecart (total degree minus that of the packed leading monomial
+        lm) when it is below bound, else None.  The terms are read newest
+        first, up to the first of degree deg(lm) + bound or more: a step adds
+        its reducer's terms last, and under the local order those have the
+        highest degree, so with bound 0 the first term tells."""
+        packing = self.packing
+        dshift, dmask = packing.dshift, packing.dmask
+        base = packing.degree(lm)
+        top, most = base + bound, base
+        for m in reversed(self.terms):
+            d = m >> dshift & dmask
+            if d >= top:
+                return None
+            if d > most:
+                most = d
+        return most - base
 
     def pop(self, m: int) -> Fraction:
         """Remove the term at the packed monomial m; returns its coefficient."""
-        c, s = self._remove(m), self.scale
+        c, s = self.terms.pop(m), self.scale
         return Fraction(c) if s == 1 else Fraction(c * s.numerator, s.denominator)
 
     def reduce(self, G: dict[int, int], lmg: int, eg: int, lm: int) -> None:
@@ -425,12 +429,11 @@ class _Remainder:
         degree at most deg(lm) + eg; when that reaches the fields' limit the
         step raises _Overflow after the payment and before any term changes.
         """
-        terms, heap, degrees, packing = self.terms, self.heap, self.degrees, self.packing
-        dshift, dmask = packing.dshift, packing.dmask
+        terms, heap, packing = self.terms, self.heap, self.packing
         self.budget.spend(len(G) + len(terms))
-        if (lm >> dshift & dmask) + eg >= packing.limit:
+        if packing.degree(lm) + eg >= packing.limit:
             raise _Overflow
-        b = self._remove(lm)
+        b = terms.pop(lm)
         a = G[lmg]
         if a != 1:
             q = gcd(a, b) if a > 0 else -gcd(a, b)
@@ -450,11 +453,10 @@ class _Remainder:
             if old is None:
                 terms[m] = c
                 heappush(heap, m)
-                degrees[m >> dshift & dmask] += 1
             elif s := old + c:
                 terms[m] = s
             else:
-                self._remove(m)
+                del terms[m]
         if a != 1 and terms:
             content = gcd(*terms.values())
             if content != 1:
@@ -472,37 +474,43 @@ class _Remainder:
                          {unpack(m): Fraction(c * n, d) for m, c in self.terms.items()})
 
 
-def _divided(f: Poly | tuple[int, int], reducers: _Reducers, budget: _Budget,
-             divide: Callable[[_Remainder], Poly]) -> Poly:
-    """divide(h) on the remainder h of the dividend f (see
-    ``_Reducers.dividend``) under the packing of reducers.
+def _divided(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
+             budget: _Budget | None, ints: _Reducers | None,
+             divide: Callable[[_Remainder, _Reducers], Poly]) -> Poly:
+    """divide(h, record) on the remainder h of f: the one entry of
+    ``normal_form`` and ``mora.mora_normal_form``, with their arguments.
+
+    A zero f comes back as it is, and so does f when the record (ints, or
+    made from basis when None, zero elements dropped) is empty.  A reducer
+    over another varset than a Poly f raises VarsetMismatchError: a step
+    reads exponent positions, so it would be applied at the wrong variables.
+    h starts from the record's dividend (see ``_Reducers.dividend``) and is
+    paid from budget, a fresh default one when None.
 
     When a field overflows (an entry, a shifted term of an S-pair or a
     product of degree 2^(width-1) or more), the budget is given back what
-    the attempt spent, the reducers are widened, and the division is made
-    again from the start: it takes the same steps, so it returns and charges
-    what a division with unbounded exponents does.
+    the attempt spent, the record is widened, and the division is made again
+    from the start: it takes the same steps, so it returns and charges what
+    a division with unbounded exponents does.
     """
+    if isinstance(f, Poly):
+        if f.is_zero():
+            return f
+        for g in basis:
+            if g.varset != f.varset:
+                raise VarsetMismatchError(
+                    f"reducer over a different variable set: {g.varset!r} vs {f.varset!r}")
+    record = _Reducers(order, basis) if ints is None else ints
+    if not record.polys:
+        return f
+    budget = budget or _Budget()
     remaining = budget.remaining
     while True:
         try:
-            return divide(_Remainder(f, reducers, budget))
+            return divide(_Remainder(f, record, budget), record)
         except _Overflow:
             budget.remaining = remaining
-            reducers.widen()
-
-
-def _check_varsets(f: Poly, basis: list[Poly]) -> None:
-    """Raise VarsetMismatchError unless every reducer is over f's varset.
-
-    A reduction step reads exponent positions, so a reducer over another
-    varset would otherwise be applied silently at the wrong variables.
-    """
-    for g in basis:
-        if g.varset != f.varset:
-            raise VarsetMismatchError(
-                f"reducer over a different variable set: {g.varset!r} vs {f.varset!r}"
-            )
+            record.widen()
 
 
 def normal_form(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
@@ -515,37 +523,30 @@ def normal_form(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrd
     which changes neither the remainder nor the charge.  f may also be a
     pair (i, j) of positions in ints, which the completion loop passes: the
     dividend is then S(basis[i], basis[j]) (see ``spolynomial``), built by
-    the record at packed monomials and never made a Poly.
+    the record at packed monomials and never made a Poly.  The checks are
+    ``_divided``'s.
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
     Moving a leading term to the remainder costs nothing.
     """
-    if isinstance(f, Poly):
-        if f.is_zero():
-            return f
-        _check_varsets(f, basis)
-    if ints is None:
-        ints = _Reducers(order, basis)
-    if not ints.polys:
-        return f
 
-    def divide(h: _Remainder) -> Poly:
-        leads, ecarts, guard = ints.leads, ints.ecarts, ints.packing.guard
-        unpack = ints.packing.unpack
+    def divide(h: _Remainder, record: _Reducers) -> Poly:
+        leads, ecarts, guard = record.leads, record.ecarts, record.packing.guard
+        unpack = record.packing.unpack
         remainder = Poly.zero(h.varset)
         while (lm := h.lead()) is not None:
             probe = lm | guard
             for i, lmg in enumerate(leads):
                 if (probe - lmg) & guard == guard:  # lmg divides lm
-                    h.reduce(ints.form(i), lmg, ecarts[i], lm)
+                    h.reduce(record.form(i), lmg, ecarts[i], lm)
                     break
             else:
                 # later leading monomials are smaller, so lm is a new term here
                 remainder.terms[unpack(lm)] = h.pop(lm)
         return remainder
 
-    return _divided(f, ints, budget or _Budget(), divide)
+    return _divided(f, basis, order, budget, ints, divide)
 
 
 def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:

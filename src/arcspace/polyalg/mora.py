@@ -13,13 +13,17 @@ position is the largest so far it follows every entry it ties with.
 
 The reduction step is groebner's ``_Remainder``, shared with ``normal_form``:
 the remainder is one exact scale times integer terms, changed in place at the
-shifted terms of the reducer, a heap yields LM(h), and a count of term
-degrees gives the ecart of h, so no step copies h or scans it.  Every
-monomial of the division is one packed int (``groebner._Packing``), ordered
-as the monomial order ranks it: the pool is keyed by the negated packed
-leading monomial in place of the order key, and its divisibility scan is
-one subtraction and mask per entry.  The elements of the basis enter the pool
-from the completion loop's record (``groebner._Reducers``), their packed
+shifted terms of the reducer, and a heap yields LM(h), so no step copies h.
+The ecart of h is read only for the pool test (h joins when its ecart is
+below the reducer's), and only as far as that test needs: the terms are read
+newest first until one reaches the bound (``_Remainder.ecart_below``).  A
+reducer of ecart 0 settles it at the first term, and under the local order a
+step adds its terms of highest degree last, so the read seldom scans all of
+h.  Every monomial of the division is one packed int (``groebner._Packing``),
+ordered as the monomial order ranks it: the pool is keyed by the negated
+packed leading monomial in place of the order key, and its divisibility scan
+is one subtraction and mask per entry.  The elements of the basis enter the
+pool from the completion loop's record (``groebner._Reducers``), their packed
 leading monomials and ecarts made once per basis computation and their
 integer multiples when a step or an S-pair first needs them.  The loop hands
 each S-pair in as its positions in the record, and the record builds the
@@ -56,7 +60,6 @@ from .orders import ANTIGRLEX, MonomialOrder
 from .groebner import (
     DEFAULT_WORK_LIMIT,
     _Budget,
-    _check_varsets,
     _complete,
     _divided,
     _interreduced,
@@ -71,37 +74,23 @@ from .poly import Poly
 def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
                      order: MonomialOrder = ANTIGRLEX, budget: _Budget | None = None,
                      ints: _Reducers | None = None) -> Poly:
-    """Weak normal form of f against basis (Mora reduction), paid from budget
-    (a fresh default one when None).  ints, when given, is the record of
-    basis (see ``groebner._Reducers``), which the division reads in place of
-    basis and fills in with the integer multiples it makes; it is made from
-    basis when None, which drops zero elements.  Each element divides as its
-    monic multiple, which changes neither the remainder nor the charge.  f
-    may also be a pair (i, j) of positions in ints, which the completion
-    loop passes: the dividend is then S(basis[i], basis[j]), built by the
-    record at packed monomials (see ``groebner.normal_form``).
+    """Weak normal form of f against basis (Mora reduction).  The arguments,
+    the checks and the record are those of ``groebner.normal_form``, through
+    the same entry, ``groebner._divided``.
 
     Reducer selection: minimal ecart, ties by leading monomial under the
     order, then by position in the pool (kept sorted, see the module
     docstring).
     """
-    if isinstance(f, Poly):
-        if f.is_zero():
-            return f
-        _check_varsets(f, basis)
-    if ints is None:
-        ints = _Reducers(order, basis)
-    if not ints.polys:
-        return f
 
-    def divide(h: _Remainder) -> Poly:
-        guard = ints.packing.guard
+    def divide(h: _Remainder, record: _Reducers) -> Poly:
+        guard = record.packing.guard
         # (ecart, minus the packed leading monomial, which sorts as its order
         # key does, pool position, packed leading monomial, integer terms of a
         # pooled remainder or None for an element of basis), sorted: tuple
         # order is the reducer tie-break
         data = sorted((eg, -lmg, i, lmg, None)
-                      for i, (lmg, eg) in enumerate(zip(ints.leads, ints.ecarts)))
+                      for i, (lmg, eg) in enumerate(zip(record.leads, record.ecarts)))
         while (lm := h.lead()) is not None:
             probe = lm | guard
             for eg, _, i, lmg, G in data:
@@ -109,14 +98,13 @@ def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
                     break
             else:
                 break
-            eh = h.ecart(lm)
-            if eg > eh:
+            if (eh := h.ecart_below(lm, eg)) is not None:
                 # h joins as its integer terms: the scale plays no part in a reducer
                 insort(data, (eh, -lm, len(data), lm, dict(h.terms)))
-            h.reduce(ints.form(i) if G is None else G, lmg, eg, lm)
+            h.reduce(record.form(i) if G is None else G, lmg, eg, lm)
         return h.snapshot()
 
-    return _divided(f, ints, budget or _Budget(), divide)
+    return _divided(f, basis, order, budget, ints, divide)
 
 
 def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,

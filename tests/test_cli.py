@@ -309,6 +309,18 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(out.read_text())["ord"] == "1"
 
 
+@pytest.mark.parametrize("doc", [QUADRIC_DOC, dict(QUADRIC_DOC, generators=["x0*x3 + bogus"])],
+                         ids=["report", "input-error"])
+def test_an_unwritable_output_is_an_error_on_stdout(tmp_path, capsys, doc):
+    out = tmp_path / "missing" / "report.json"
+    code, report = run_cli(capsys, "ord", write_doc(tmp_path, doc), "--output", str(out))
+    assert code == 1
+    assert report["schema"] == 1 and report["error"]["exit_code"] == 1
+    assert report["error"]["kind"] == ("FileNotFoundError" if doc is QUADRIC_DOC
+                                       else "UnknownVariableError")
+    assert not out.parent.exists()
+
+
 def test_verify_dgk_command(tmp_path, capsys):
     code, report = run_cli(capsys, "verify-dgk", write_doc(tmp_path, QUADRIC_DOC),
                            "--seed", "0")

@@ -4,8 +4,9 @@ The ring axioms, the Leibniz rule for ``partial`` and ``substitute`` as a ring
 homomorphism are checked on generated polynomials over Q in x, y, z, and so is
 Mora's initial ideal against the brute-force truncation oracle.  The
 fraction-free division kernel is checked against the copy-per-step reference
-loops of ``test_reduction``, and the S-pairs the completion loop builds at
-packed monomials against ``spolynomial``.  The one completion loop behind every basis is
+loops of ``test_reduction``, the bounded ecart of a remainder against a scan
+of its terms, and the S-pairs the completion loop builds at packed monomials
+against ``spolynomial``.  The one completion loop behind every basis is
 checked against sympy's reduced Groebner bases (when sympy is installed) and
 for independence of the order of the generators.  The packed exponent vectors
 of the division kernel are checked against the tuple operations and order
@@ -209,6 +210,71 @@ def test_mora_normal_form_equals_the_copy_per_step_loop(data):
     assert _outcome(lambda: mora_normal_form(f, basis, ANTIGRLEX, budget=budget), budget) \
         == _outcome(lambda: reference_mora_normal_form(f, basis, ANTIGRLEX, ref_budget, []),
                     ref_budget)
+
+
+def _degree_ecart(h, lm, bound):
+    """The ecart of the remainder h by a scan of its terms when it is below
+    bound, else None: what ``_Remainder.ecart_below`` stands for."""
+    degree = h.packing.degree
+    e = max(degree(m) for m in h.terms) - degree(lm)
+    return e if e < bound else None
+
+
+def monomials_of_degree(d):
+    return st.tuples(*[st.integers(0, d)] * len(VS)).filter(lambda m: sum(m) == d)
+
+
+@st.composite
+def top_cancelling_divisions(draw):
+    """f = c*x^s*g + r with g = a*x_v + b*x^t (deg t = 3) and every term of r
+    of degree deg(s) + 2: with g the only reducer, the first step cancels the
+    term of highest degree, deg(s) + 3, and leaves r, all of one degree."""
+    v = draw(st.integers(0, len(VS) - 1))
+    lead = tuple(int(k == v) for k in range(len(VS)))
+    g = Poly(VS, {lead: Fraction(draw(non_units)),
+                  draw(monomials_of_degree(3)): draw(fractions_to_7)})
+    s = draw(monomials_of_degree(draw(st.integers(0, 1))))
+    r = draw(st.dictionaries(monomials_of_degree(sum(s) + 2), fractions_to_7, min_size=1,
+                             max_size=3))
+    f = g * Poly(VS, {s: draw(fractions_to_7)}) + Poly(VS, r)
+    return f, [g]
+
+
+# a longer division can grow its ints to hundreds of thousands of bits, since
+# the budget counts terms and not their size
+ECART_WORK = 1_000
+
+
+@checked
+@given(st.booleans(), st.data())
+def test_the_bounded_ecart_is_the_scanned_one_after_every_step(top_cancelling, data):
+    """After every step of a Mora division under antigrlex the bounded read
+    equals the scan for bounds 0-4, also when the step cancelled the term of
+    highest degree, which a maximum kept from before the step gets wrong."""
+    if top_cancelling:
+        f, basis = data.draw(top_cancelling_divisions())
+    else:
+        f = data.draw(fraction_polys(local_monomials, 6))
+        basis = data.draw(st.lists(reducers(ANTIGRLEX, local_monomials), min_size=2,
+                                   max_size=3))
+    reduce = _Remainder.reduce
+    dropped = []
+
+    def checked_reduce(h, G, lmg, eg, lm):
+        top = max(h.packing.degree(m) for m in h.terms)
+        reduce(h, G, lmg, eg, lm)
+        if h.terms:
+            lead = h.lead()
+            for bound in range(5):
+                assert h.ecart_below(lead, bound) == _degree_ecart(h, lead, bound)
+            dropped.append(max(h.packing.degree(m) for m in h.terms) < top)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Remainder, "reduce", checked_reduce)
+        budget = _Budget(ECART_WORK)
+        _outcome(lambda: mora_normal_form(f, basis, ANTIGRLEX, budget=budget), budget)
+    if top_cancelling:
+        assert dropped[0]
 
 
 # -- the one completion loop: small ideals, so that lex bases stay small too --

@@ -110,7 +110,8 @@ class RemainderSpy:
     A remainder holds its polynomial as ``scale * terms`` with int terms at
     packed monomials; the spy decodes them with the remainder's packing and
     checks them at exponent tuples.  It checks the heap's leader (the least
-    rank under the order) and the degree count against a scan of the terms.
+    rank under the order) and the bounded ecart against a scan of the terms:
+    the ecart when the scan's is below the bound, and None otherwise.
     After each reduction step it checks that the reducer's ecart was handed
     in, that the terms are ints, that ``scale * terms`` equals the remainder
     before the step minus the multiple of the reducer that cancels its
@@ -128,7 +129,8 @@ class RemainderSpy:
         self.steps = {"integral": 0, "scaled": 0}
         self.gcd_calls = 0
         self.packing = None  # of the remainder last asked for its leader
-        lead, ecart, snapshot = _Remainder.lead, _Remainder.ecart, _Remainder.snapshot
+        lead, snapshot = _Remainder.lead, _Remainder.snapshot
+        ecart_below = _Remainder.ecart_below
         reduce = _Remainder.reduce
 
         def checked_lead(remainder):
@@ -139,10 +141,11 @@ class RemainderSpy:
                              default=None)
             return lm
 
-        def checked_ecart(remainder, lm):
-            e = ecart(remainder, lm)
+        def checked_ecart_below(remainder, lm, bound):
+            e = ecart_below(remainder, lm, bound)
             unpack = remainder.packing.unpack
-            assert e == max(sum(unpack(p)) for p in remainder.terms) - sum(unpack(lm))
+            scan = max(sum(unpack(p)) for p in remainder.terms) - sum(unpack(lm))
+            assert e == (scan if scan < bound else None)
             return e
 
         def checked_reduce(remainder, G, lmg, eg, lm):
@@ -185,7 +188,7 @@ class RemainderSpy:
             insort(data, entry)
 
         monkeypatch.setattr(_Remainder, "lead", checked_lead)
-        monkeypatch.setattr(_Remainder, "ecart", checked_ecart)
+        monkeypatch.setattr(_Remainder, "ecart_below", checked_ecart_below)
         monkeypatch.setattr(_Remainder, "reduce", checked_reduce)
         monkeypatch.setattr(_Remainder, "snapshot", checked_snapshot)
         monkeypatch.setattr(groebner, "gcd", counted_gcd)
