@@ -182,11 +182,15 @@ def cmd_verify_dgk(job: Job, seed: int, resample_limit: int,
 
 
 def _parse_window(text: str) -> tuple[int, int]:
+    """The levels a:b of --window, checked before any model or jet ideal is
+    built: 0 <= a <= b, else a ValueError (exit code 1)."""
     try:
-        a, b = text.split(":")
-        return int(a), int(b)
-    except Exception as exc:
-        raise ValueError("--window expects a:b with integers a <= b") from exc
+        a, b = (int(part) for part in text.split(":"))
+    except ValueError as exc:
+        raise ValueError("--window expects a:b with integers 0 <= a <= b") from exc
+    if not 0 <= a <= b:
+        raise ValueError("--window expects a:b with integers 0 <= a <= b")
+    return a, b
 
 
 class _Parser(argparse.ArgumentParser):

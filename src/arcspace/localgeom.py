@@ -21,7 +21,7 @@ from .polyalg.linalg import exact_rank
 from .polyalg.mora import canonical_initial_forms, mora_standard_basis
 from .polyalg.orders import ANTIGRLEX, leading_monomial
 from .polyalg.parse import poly_to_string
-from .polyalg.poly import Poly, monomial_degree, rational
+from .polyalg.poly import Poly, rational
 from .polyalg.varset import VarSet
 
 
@@ -30,13 +30,11 @@ class LocalAnalysis:
     """Report at a rational point; `stabilized` is set only by window reports.
 
     `standard_basis` is the Mora standard basis of the generators translated
-    to the origin, kept so that a jet level above can start from it; it is
-    None when smooth directions were split off first, since the basis then
-    belongs to the reduced ideal.  `generators` are the generators translated
-    to the origin, kept so that a check of the initial forms (the CLI's
-    truncation oracle) needs no second translation.  Neither is part of the
-    report: two analyses with equal invariants compare equal whatever basis
-    each found.
+    to the origin, kept so that a jet level above can start from it.
+    `generators` are the generators translated to the origin, kept so that a
+    check of the initial forms (the CLI's truncation oracle) needs no second
+    translation.  Neither is part of the report: two analyses with equal
+    invariants compare equal whatever basis each found.
     """
 
     nvars: int
@@ -46,7 +44,7 @@ class LocalAnalysis:
     ecodim: int
     initial_forms: tuple[Poly, ...]
     stabilized: bool | None = None
-    standard_basis: tuple[Poly, ...] | None = field(default=None, compare=False, repr=False)
+    standard_basis: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
     generators: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
 
     def to_json(self) -> dict:
@@ -167,61 +165,6 @@ def translate_to_origin(gens: Sequence[Poly], point) -> list[Poly]:
     return out
 
 
-def _find_pivot(g: Poly) -> tuple[int, Fraction] | None:
-    """A variable occurring in g only as a bare degree-1 term, if any."""
-    candidates: dict[int, Fraction] = {}
-    for mono, c in g.terms.items():
-        if monomial_degree(mono) == 1:
-            candidates[mono.index(1)] = c
-    if not candidates:
-        return None
-    for mono in g.terms:
-        if monomial_degree(mono) == 1:
-            continue
-        for i in list(candidates):
-            if mono[i]:
-                del candidates[i]
-        if not candidates:
-            return None
-    i = min(candidates)
-    return i, candidates[i]
-
-
-def _eliminate_smooth_directions(gens: Sequence[Poly]):
-    """Split off coordinates cut out implicitly by generators c*v + h, v not in h.
-
-    Such a generator becomes the pure coordinate v after the local automorphism
-    v -> (v - h)/c, so it contributes the linear form (the generator's degree-1
-    part) to the initial ideal and disappears, with v -> -h/c substituted into
-    the other generators.  Returns (reduced generators, collected linear forms,
-    active variable positions); the initial ideal of the input is generated by
-    the linear forms together with the reduced ideal's initial forms.
-    """
-    varset = gens[0].varset
-    active = set(range(len(varset)))
-    cur = [g for g in gens if not g.is_zero()]
-    linear_forms: list[Poly] = []
-    progress = True
-    while progress:
-        progress = False
-        for gi, g in enumerate(cur):
-            pivot = _find_pivot(g)
-            if pivot is None:
-                continue
-            pv, c = pivot
-            linear_forms.append(g.homogeneous_part(1))
-            unit = tuple(1 if t == pv else 0 for t in range(len(varset)))
-            h = g - Poly(varset, {unit: c})
-            value = h.scale(Fraction(-1) / c)
-            cur = [p.substitute({varset[pv]: value})
-                   for j, p in enumerate(cur) if j != gi]
-            cur = [p for p in cur if not p.is_zero()]
-            active.discard(pv)
-            progress = True
-            break
-    return cur, linear_forms, active
-
-
 def edim_at_point(gens: Sequence[Poly], point) -> int:
     """dim of the Zariski cotangent space: nvars minus the Jacobian rank."""
     if not gens:
@@ -243,12 +186,10 @@ def ecodim_at_point(gens: Sequence[Poly], point,
     first below.nvars variables, at the point's first below.nvars coordinates:
     the jet scheme one level down, along the same arc.  Mora then starts from
     its standard basis and adds only the other generators, so no S-pair of the
-    level below is reduced again.  It does so only when neither analysis split
-    off a smooth direction; otherwise the basis is computed from the
-    generators alone.  The canonicalization of the initial forms always
-    starts from below.initial_forms, the reduced basis of the whole initial
-    ideal a level down, which the initial ideal here contains.  Either way
-    the result is the same.
+    level below is reduced again, and the canonicalization of the initial
+    forms starts from below.initial_forms, the reduced basis of the whole
+    initial ideal a level down, which the initial ideal here contains.  The
+    result is the same as without below.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -256,18 +197,17 @@ def ecodim_at_point(gens: Sequence[Poly], point,
     nvars = len(varset)
     translated = translate_to_origin(gens, point)
     jacobian_rank = exact_rank(jacobian_at(translated, (Fraction(0),) * nvars))
-    reduced, pivot_forms, active = _eliminate_smooth_directions(translated)
-    if pivot_forms or below is None or below.standard_basis is None:
-        basis = mora_standard_basis(reduced)
+    if below is None:
+        basis = mora_standard_basis(translated)
     else:
         k = below.nvars
         basis = mora_standard_basis(
-            [g for g in reduced if any(any(m[k:]) for m in g.terms)],
+            [g for g in translated if any(any(m[k:]) for m in g.terms)],
             basis=[g.extended(varset) for g in below.standard_basis])
     lms = [leading_monomial(g, ANTIGRLEX) for g in basis]
-    tangent_cone_dim = monomial_dim(lms, len(active))
+    tangent_cone_dim = monomial_dim(lms, nvars)
     forms = canonical_initial_forms(
-        pivot_forms + [g.initial_form() for g in basis],
+        [g.initial_form() for g in basis],
         basis=() if below is None else [f.extended(varset) for f in below.initial_forms])
     # cross-checks between the pipelines: the canonical initial basis must
     # carry exactly jacobian_rank independent linear forms, and its leading
@@ -293,7 +233,7 @@ def ecodim_at_point(gens: Sequence[Poly], point,
         tangent_cone_dim=tangent_cone_dim,
         ecodim=ecodim,
         initial_forms=tuple(forms),
-        standard_basis=None if pivot_forms else tuple(basis),
+        standard_basis=tuple(basis),
         generators=tuple(translated),
     )
 
@@ -343,8 +283,6 @@ def ecodim_window(X: AffineScheme, arc: Arc, n_lo: int, n_hi: int) -> WindowRepo
     variables, so each level above n_lo starts its standard basis and the
     canonicalization of its initial forms from those of the level below (the
     ``below`` of ``ecodim_at_point``) and pays only for the work beyond them.
-    A level where smooth directions were split off, and the level above it,
-    compute their standard bases from their own generators instead.
     """
     if n_lo > n_hi or n_lo < 0:
         raise ValueError("bad window")

@@ -126,8 +126,8 @@ def test_ecodim_oracle_on_a_sixteen_variable_jet_level(tmp_path, capsys):
 
 
 def test_ecodim_window_oracle_checks_reported_forms(tmp_path, capsys):
-    # z - x^2 sends its jet coordinates down the pivot path; the oracle runs
-    # on the initial forms printed for the top level of the window
+    # the oracle runs on the initial forms printed for the top level of the
+    # window
     doc = {"schema": 1, "vars": ["x", "y", "z"], "generators": ["z - x^2", "y*z"],
            "arc": ["t", "0", "t^2"]}
     path = write_doc(tmp_path, doc)
@@ -538,6 +538,19 @@ def test_usage_errors_are_input_errors(tmp_path, capsys, argv, named):
     assert report["schema"] == 1
     assert report["error"]["kind"] == "ValueError" and report["error"]["exit_code"] == 1
     assert named in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["ecodim", "verify-dgk"])
+@pytest.mark.parametrize("flag", ["--window", "--window=-1:2"])
+def test_a_bad_window_is_an_input_error(tmp_path, capsys, command, flag):
+    # before, verify-dgk built the whole model before ecodim_window saw the
+    # window 3:1, and on this document ran out of budget (exit code 4)
+    doc = {"vars": ["x", "y"], "generators": ["x^2 - y^3"], "arc": ["t^3", "t^2"],
+           "precision": 12}
+    argv = [flag, "3:1"] if flag == "--window" else [flag]
+    code, report = run_cli(capsys, command, write_doc(tmp_path, doc), *argv)
+    assert code == 1
+    assert report["error"]["kind"] == "ValueError"
 
 
 def test_help_exits_zero(capsys):

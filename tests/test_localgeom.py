@@ -14,7 +14,6 @@ from arcspace.jets import (
 )
 from arcspace.localgeom import (
     LocalAnalysis,
-    _eliminate_smooth_directions,
     ecodim_at_point,
     ecodim_jet,
     ecodim_window,
@@ -335,8 +334,6 @@ def test_window_levels_equal_single_levels(monkeypatch, quadric, e):
     arcs += [(quadric, monomial_arc(quadric, e)), (S, _sum_of_squares_arc(S, e))]
     for X, arc in arcs:
         assert ord_along_arc(jacobian_ideal(X), arc).value == e
-        # no jet ideal here splits off a smooth direction, so every level
-        # above the lowest starts from the one below
         assert _window_matches_single_levels(monkeypatch, X, arc, 2 * e, 2 * e + 2) == (2, 2)
 
 
@@ -345,17 +342,17 @@ def test_window_levels_equal_single_levels_node(monkeypatch, node):
     assert _window_matches_single_levels(monkeypatch, node, arc, 0, 4) == (4, 4)
 
 
-def test_window_levels_that_split_start_from_their_generators(monkeypatch):
-    # x_p - (y^2)_p has the pivot x_p at every level, so the smooth directions
-    # are split off and no level can start Mora from the one below; the
-    # initial forms of each level still contain those of the level below, so
-    # every level above the lowest starts its canonicalization from them
+def test_window_levels_with_smooth_directions_start_from_the_level_below(monkeypatch):
+    # every jet generator x_p - (y^2)_p is c*x_p + h with x_p not in h; Mora
+    # takes such generators as they are, so every level above the lowest
+    # starts its standard basis and its canonicalization from the one below
     vs = VarSet(["x", "y"])
     X = AffineScheme(vs, (parse_poly("x - y^2", vs),))
     arc = Arc.from_strings(vs, ["t^2", "t"])
-    assert _window_matches_single_levels(monkeypatch, X, arc, 0, 3) == (0, 3)
+    assert _window_matches_single_levels(monkeypatch, X, arc, 0, 3) == (3, 3)
     window = ecodim_window(X, arc, 0, 3)
-    assert all(a.standard_basis is None for a in window.per_level.values())
+    for a in window.per_level.values():
+        assert isinstance(a.standard_basis, tuple) and a.standard_basis
 
 
 def test_window_levels_are_the_translated_jet_ideals(monkeypatch, quadric, ci_fixture):
@@ -441,12 +438,12 @@ def test_local_analysis_json(plane):
 
 
 def test_random_points_never_break_concordance():
-    # the two ecodim pipelines must agree on arbitrary local ideals
-    from conftest import random_poly
-
+    # the two ecodim pipelines must agree on arbitrary local ideals, and the
+    # initial forms must cut out ini(a); about half the draws add a generator
+    # c*v + h with v not in h, which Mora takes as it is
     rng = random.Random(71)
     vs = VarSet(["x", "y", "z"])
-    produced = 0
+    produced = smooth = 0
     while produced < 12:
         gens = []
         for _ in range(rng.randint(1, 2)):
@@ -454,18 +451,26 @@ def test_random_points_never_break_concordance():
             f = f - parse_poly(str(f.constant_term()), vs)
             if not f.is_zero():
                 gens.append(f)
+        if rng.random() < 0.5:
+            v = rng.randrange(len(vs))
+            h = random_poly(vs, rng, max_degree=3, terms=3)
+            h = Poly(vs, {m: c for m, c in h.terms.items() if any(m) and not m[v]})
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            gens.append(Poly.variable(vs, vs[v]).scale(c) + h)
+            smooth += 1
         if not gens:
             continue
         produced += 1
         a = ecodim_at_point(gens, [0, 0, 0])
         assert a.ecodim >= 0
         assert a.edim - a.tangent_cone_dim == a.ecodim
+        assert not initial_ideal_mismatches(gens, a.initial_forms, degree=2)
+    assert 3 <= smooth <= 9
 
 
-def test_pivot_path_initial_forms_match_oracle():
-    # z - x^2 is solved for its jet coordinates z_p at every level, so the
-    # smooth directions are split off before Mora runs; the canonical forms
-    # built from the pivots and the basis must still cut out ini(a)
+def test_smooth_direction_initial_forms_match_oracle():
+    # every jet generator (z - x^2)_p has the form c*z_p + h with z_p not in
+    # h; the canonical forms read off the Mora basis must cut out ini(a)
     vs = VarSet(["x", "y", "z"])
     X = AffineScheme(vs, (parse_poly("z - x^2", vs), parse_poly("y*z", vs)))
     arc = Arc.from_strings(vs, ["t", "0", "t^2"])
@@ -473,6 +478,5 @@ def test_pivot_path_initial_forms_match_oracle():
         gens = jet_ideal(X, n)
         jp = truncate_arc(arc, n)
         translated = translate_to_origin(gens, jp)
-        assert _eliminate_smooth_directions(translated)[1]
         forms = ecodim_at_point(gens, jp).initial_forms
         assert not initial_ideal_mismatches(translated, forms, degree=degree)
