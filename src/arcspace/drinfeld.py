@@ -23,21 +23,21 @@ from .errors import (
     InsufficientPrecisionError,
     InternalInconsistencyError,
     InvalidCodimError,
-    VarsetMismatchError,
     VerificationError,
 )
 from .jets import AffineScheme, Arc, jacobian_ideal, jet_jacobian_at, ord_along_arc
 from .localgeom import (  # noqa: F401 - edim_at_point stays importable from here
     LocalAnalysis,
+    _check_window,
     ecodim_at_point,
     ecodim_window,
     edim_at_point,
     jacobian_at,
 )
-from .polyalg.linalg import exact_rank, fraction_free_echelon, reduce_row
-from .polyalg.poly import Poly, poly_adjugate, poly_det
+from .polyalg.linalg import certified_rank, fraction_free_echelon, reduce_row
+from .polyalg.poly import Monomial, Poly, _accumulate, _finished, poly_adjugate, poly_det
 from .polyalg.series import TruncSeries
-from .polyalg.tpoly import TPoly, substitute_tpoly
+from .polyalg.tpoly import TPoly, _substituted
 from .polyalg.varset import VarId, VarSet
 
 DEFAULT_RESAMPLE_LIMIT = 20
@@ -314,15 +314,19 @@ class _ModReducer:
                 ]))
         return self.table[k]
 
-    def reduce(self, g: TPoly) -> TPoly:
-        """g mod q: the low coefficients of g plus every g_k * (t^k mod q),
-        added up in one accumulator per t-coefficient."""
-        if g.varset != self.qt.varset:
-            raise VarsetMismatchError(
-                f"reducing over a different varset: {g.varset!r} vs {self.qt.varset!r}")
-        return TPoly.combination(TPoly(g.varset, g.coeffs[:self.dq]), [
-            (coeff, self.t_power_rem(k))
-            for k, coeff in enumerate(g.coeffs) if k >= self.dq and coeff.terms])
+    def reduce(self, g: list[dict[Monomial, Fraction | int]]) -> list[Poly]:
+        """The dq coefficients of g mod q, for g given unfinished, as the
+        accumulators of ``tpoly._substituted``.  Every g_k * (t^k mod q) is
+        added into the low accumulators of g in place (g is consumed), and
+        only those are finished."""
+        rem = g[:self.dq]
+        rem += ({} for _ in range(self.dq - len(rem)))
+        for k in range(self.dq, len(g)):
+            if g[k]:
+                for acc, r in zip(rem, self.t_power_rem(k).coeffs):
+                    if r.terms:
+                        _accumulate(acc, g[k], r.terms)
+        return [_finished(self.qt.varset, acc) for acc in rem]
 
 
 def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
@@ -353,21 +357,18 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
 
     # p_l(xbar(t), ybar(t)) = 0 mod q(t)
     for g in gens_new:
-        rem = mod_q.reduce(substitute_tpoly(g, values))
-        equations += [rem.coefficient(k) for k in range(e)]
+        equations += mod_q.reduce(_substituted(g, values)[0])
 
     # det(dp/dy)(xbar(t), ybar(t)) = 0 mod q(t)
     ymat = [[g.partial(v) for v in proj.y_vars] for g in gens_new]
     dety = poly_det(ymat)
-    rem = mod_q.reduce(substitute_tpoly(dety, values))
-    equations += [rem.coefficient(k) for k in range(e)]
+    equations += mod_q.reduce(_substituted(dety, values)[0])
 
     # adj(dp/dy) * p = 0 mod q(t)^2
     adj = poly_adjugate(ymat)
     for i in range(c):
         entry = Poly.sum_of(Xci.ambient, (adj[i][j] * gens_new[j] for j in range(c)))
-        rem = mod_q2.reduce(substitute_tpoly(entry, values))
-        equations += [rem.coefficient(k) for k in range(2 * e)]
+        equations += mod_q2.reduce(_substituted(entry, values)[0])
 
     equations = [q for q in equations if not q.is_zero()]
 
@@ -423,8 +424,9 @@ def jet_cotangent_map(X: AffineScheme, proj: ProjectionMap, arc: Arc, n: int):
 
     Rows are indexed by the target jet coordinates du_i^(j) (level-major) and
     expressed against the ambient jet cotangent basis modulo the row space of
-    the jet-ideal Jacobian.  Raises when the rank is below d(n+1): the
-    projection was not generic enough.
+    the jet-ideal Jacobian, each as the primitive integer row of
+    ``reduce_row``.  Their rank d(n+1) is certified by ``certified_rank``;
+    below it this raises: the projection was not generic enough.
     """
     Xt = proj.transformed_scheme(X)
     arct = proj.apply_to_arc(arc)
@@ -434,10 +436,10 @@ def jet_cotangent_map(X: AffineScheme, proj: ProjectionMap, arc: Arc, n: int):
     rows = []
     for j in range(n + 1):
         for i in range(proj.d):
-            unit = [Fraction(0)] * nvars
-            unit[j * N + i] = Fraction(1)
+            unit = [0] * nvars
+            unit[j * N + i] = 1
             rows.append(reduce_row(unit, ech, piv))
-    rank = exact_rank(rows)
+    rank = certified_rank(rows)
     expected = proj.d * (n + 1)
     if rank != expected:
         raise VerificationError("jet cotangent rank", rank, expected)
@@ -484,15 +486,15 @@ def drinfeld_tangent_check(model: DrinfeldModel, arc: Arc) -> TangentReport:
     The map sends (q, xbar, ybar) to xbar(t) + c(t) q(t)^2 mod t^(2e) with
     c(t) the degree->=2e tail of the arc's x-part shifted down; its differential
     at the base point is dxbar_i(t) + 2 c_i(t) t^e dq(t).  The induced map onto
-    the cotangent space of (Z, z) must be surjective, i.e. of rank 2de.
+    the cotangent space of (Z, z) must be surjective, i.e. of rank 2de, which
+    ``certified_rank`` certifies on the rows reduced modulo the Jacobian.
     """
     if model.is_smooth_marker:
         return TangentReport(0, 0)
     e, d = model.e, model.d
     rows = tangent_matrix_rows(model, arc)
     ech, piv = model.jacobian_echelon
-    reduced = [reduce_row(r, ech, piv) for r in rows]
-    rank = exact_rank(reduced)
+    rank = certified_rank([reduce_row(r, ech, piv) for r in rows])
     expected = 2 * d * e
     if rank != expected:
         raise VerificationError("tangent-level comparison rank", rank, expected)
@@ -552,8 +554,10 @@ def verify_dgk(X: AffineScheme, arc: Arc, seed=0, window: tuple[int, int] | None
 
     Cross-validates the model's embedding codimension against the stabilized
     finite-level value of the jet-scheme analyses over window, by default
-    the levels 2e..2e+2.
+    the levels 2e..2e+2.  A bad window is refused before any work.
     """
+    if window is not None:
+        _check_window(*window)
     result = drinfeld_pipeline(X, arc, seed, resample_limit, with_dims=True)
     e = result.e
     report = result.report(seed if isinstance(seed, int) else None)

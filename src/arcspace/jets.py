@@ -1,7 +1,7 @@
 """Jet schemes and arcs.
 
-Jet ideals and contact orders are both one composition (polyalg.poly.compose)
-read off in t.  Composing g with the universal jet x_i(t) = sum_{j<=n} x_i_j t^j
+Jet ideals and contact orders are both one composition read off in t
+(polyalg.tpoly.substitute_tpoly and polyalg.poly.compose).  Composing g with the universal jet x_i(t) = sum_{j<=n} x_i_j t^j
 mod t^(n+1) gives the universal Hasse-Schmidt derivatives D_0(g)..D_n(g) as its
 coefficients, and all D_p(g_i) with p <= n cut out the order-n jet scheme of
 V(g_1..g_c).  Arcs are tuples of truncated series in t; composing a polynomial

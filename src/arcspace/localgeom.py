@@ -268,6 +268,11 @@ class WindowReport:
         return data
 
 
+def _check_window(n_lo: int, n_hi: int) -> None:
+    if n_lo > n_hi or n_lo < 0:
+        raise ValueError("bad window")
+
+
 def ecodim_window(X: AffineScheme, arc: Arc, n_lo: int, n_hi: int) -> WindowReport:
     """Local analyses of the jet schemes of levels n_lo..n_hi at the truncated
     arc, each equal to ``ecodim_jet(X, arc, n)``, and whether the window has
@@ -284,8 +289,7 @@ def ecodim_window(X: AffineScheme, arc: Arc, n_lo: int, n_hi: int) -> WindowRepo
     canonicalization of its initial forms from those of the level below (the
     ``below`` of ``ecodim_at_point``) and pays only for the work beyond them.
     """
-    if n_lo > n_hi or n_lo < 0:
-        raise ValueError("bad window")
+    _check_window(n_lo, n_hi)
     top = jet_ideal_at(X, arc, n_hi)
     per_level: dict[int, LocalAnalysis] = {}
     below = None

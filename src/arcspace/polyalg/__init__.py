@@ -2,7 +2,7 @@
 
 from .dimension import monomial_dim
 from .groebner import groebner_basis, normal_form, reduces_to_zero, spolynomial
-from .linalg import exact_rank, fraction_free_echelon, rank_modulo, reduce_row
+from .linalg import certified_rank, exact_rank, fraction_free_echelon, rank_modulo, reduce_row
 from .mora import initial_ideal, mora_normal_form, mora_reduces_to_zero, mora_standard_basis
 from .orders import (
     ANTIGRLEX,
@@ -27,7 +27,7 @@ __all__ = [
     "ANTIGRLEX", "GREVLEX", "GRLEX", "LEX",
     "CoordinateSubstitution", "Monomial", "MonomialOrder", "OrdResult",
     "Poly", "TPoly", "TruncSeries", "VarId", "VarSet",
-    "combine_ord_min", "div_monic_t", "ecart", "exact_rank",
+    "certified_rank", "combine_ord_min", "div_monic_t", "ecart", "exact_rank",
     "fraction_free_echelon", "groebner_basis", "initial_ideal",
     "leading_coefficient", "leading_monomial", "leading_term", "make_monic",
     "monomial_dim", "mora_normal_form", "mora_reduces_to_zero",

@@ -14,8 +14,13 @@ integral coefficients dominate: on the perfbench workloads (seeds 1 and 2)
 99.9% of the products the kernel forms on model-build have two integral
 factors, and 80-87% on jet-ecodim and verify-dgk.  ``_finished`` turns an
 accumulator into a Poly of Fractions that shares no dict with it.  A sum of
-many terms is one accumulator (``Poly.sum_of``, ``TPoly.sum_of``,
-``TPoly.combination``), not a chain of copies.
+many terms is one accumulator (``Poly.sum_of``, ``TPoly.sum_of``), not a chain
+of copies.  The model's t-polynomials stay accumulators from end to end:
+``tpoly._substituted`` forms every power and product of a substitution as one
+accumulator per t-coefficient, ``drinfeld._ModReducer.reduce`` adds the
+reductions mod q(t) into them, and only the remainder coefficients that
+become model equations are finished (``substitute_tpoly`` finishes every
+coefficient instead).
 
 Division goes further and holds no Fraction and no exponent tuple while it
 works: ``groebner._Remainder`` keeps the polynomial under division as one

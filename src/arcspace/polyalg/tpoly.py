@@ -8,10 +8,10 @@ precision), a TPoly also carries the universal jet that jet ideals come from.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import InsufficientPrecisionError, NotMonicError, VarsetMismatchError
-from .poly import Monomial, Poly, _accumulate, _finished, compose
+from .poly import Monomial, Poly, _accumulate, _finished
 from .series import min_precision
 from .varset import VarSet
 
@@ -63,25 +63,6 @@ class TPoly:
         return cls(varset, [_finished(varset, acc) for acc in accs], precision)
 
     @classmethod
-    def combination(cls, base: "TPoly", pairs: Iterable[tuple[Poly, "TPoly"]]) -> "TPoly":
-        """base plus the sum of c*x over the pairs (c, x), all over base's
-        varset, in one accumulator per t-coefficient; its precision is the
-        least of base's and the x's."""
-        varset = base.varset
-        precision = base.precision
-        accs = [dict(c.terms) for c in base.coeffs]
-        for c, x in pairs:
-            _check(varset, c.varset)
-            _check(varset, x.varset)
-            precision = min_precision(precision, x.precision)
-            if c.terms:
-                accs += ({} for _ in range(len(x.coeffs) - len(accs)))
-                for acc, xk in zip(accs, x.coeffs):
-                    if xk.terms:
-                        _accumulate(acc, xk.terms, c.terms)
-        return cls(varset, [_finished(varset, acc) for acc in accs], precision)
-
-    @classmethod
     def constant(cls, c: Poly) -> "TPoly":
         return cls(c.varset, (c,))
 
@@ -125,17 +106,8 @@ class TPoly:
     def __mul__(self, other: "TPoly") -> "TPoly":
         _check(self.varset, other.varset)
         prec = min_precision(self.precision, other.precision)
-        if self.is_zero() or other.is_zero():
-            return TPoly(self.varset, (), prec)
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        if prec is not None:
-            n = min(n, prec)
-        accs: list[dict[Monomial, Fraction | int]] = [{} for _ in range(n)]
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.terms:
-                for acc, b in zip(accs[i:], other.coeffs):
-                    if b.terms:
-                        _accumulate(acc, a.terms, b.terms)
+        accs = _add_product([], [c.terms for c in self.coeffs],
+                            [c.terms for c in other.coeffs], 1, prec)
         return TPoly(self.varset, [_finished(self.varset, acc) for acc in accs], prec)
 
     def scale(self, c: Poly) -> "TPoly":
@@ -168,10 +140,40 @@ def div_monic_t(g: TPoly, q: TPoly) -> tuple[TPoly, TPoly]:
     return g.div_monic(q)
 
 
-def substitute_tpoly(f: Poly, values: Sequence[TPoly]) -> TPoly:
-    """Evaluate a multivariate polynomial at t-polynomial values.
+def _add_product(out: list[dict[Monomial, Fraction | int]],
+                 a: Sequence[Mapping[Monomial, Fraction | int]],
+                 b: Sequence[Mapping[Monomial, Fraction | int]] | None,
+                 c: Fraction | int, precision: int | None) -> list[dict[Monomial, Fraction | int]]:
+    """Add c*a*b, or c*a when b is None, into out, in place, and return out.
+
+    Each argument is a list of term dicts, one per t-coefficient; out is
+    extended as needed but never past the precision."""
+    size = len(a) if b is None else len(a) + len(b) - 1
+    if precision is not None:
+        size = min(size, precision)
+    out += ({} for _ in range(size - len(out)))
+    for i, x in enumerate(a[:size]):
+        if not x:
+            continue
+        if b is None:
+            _accumulate(out[i], x, None, c)
+            continue
+        for acc, y in zip(out[i:size], b):
+            if y:
+                _accumulate(acc, x, y, c)
+    return out
+
+
+def _substituted(f: Poly, values: Sequence[TPoly]
+                 ) -> tuple[list[dict[Monomial, Fraction | int]], int | None]:
+    """f evaluated at t-polynomial values, unfinished: one accumulator per
+    t-coefficient (see the ``poly`` module) and the precision of the result.
 
     `values` is aligned with f's varset; all values share one target varset.
+    The precision is the least precision of the values of the variables that
+    occur in f (None for a constant f), and every product is cut there.  Each
+    power values[i]**e is formed once, from the one below, and each term's
+    last product is added into the result with the term's coefficient.
     """
     if len(values) != len(f.varset):
         raise ValueError("need one value per variable")
@@ -181,5 +183,33 @@ def substitute_tpoly(f: Poly, values: Sequence[TPoly]) -> TPoly:
     for v in values:
         if v.varset != target:
             raise VarsetMismatchError("values over different varsets")
-    return compose(f, values, lambda c, mono: TPoly.constant(Poly.const(target, c)),
-                   lambda terms: TPoly.sum_of(target, terms))
+    precision = None
+    for mono in f.terms:
+        for v, e in zip(values, mono):
+            if e:
+                precision = min_precision(precision, v.precision)
+    powers = [[[x.terms for x in v.coeffs]] for v in values]
+    one = [{(0,) * len(target): 1}]
+    total: list[dict[Monomial, Fraction | int]] = []
+    for mono, c in f.terms.items():
+        factors = []
+        for i, e in enumerate(mono):
+            if e:
+                pw = powers[i]
+                while len(pw) < e:
+                    pw.append(_add_product([], pw[-1], pw[0], 1, precision))
+                factors.append(pw[e - 1])
+        head = factors[0] if factors else one
+        for x in factors[1:-1]:
+            head = _add_product([], head, x, 1, precision)
+        _add_product(total, head, factors[-1] if len(factors) > 1 else None,
+                     c.numerator if c.denominator == 1 else c, precision)
+    return total, precision
+
+
+def substitute_tpoly(f: Poly, values: Sequence[TPoly]) -> TPoly:
+    """Evaluate a multivariate polynomial at t-polynomial values: ``_substituted``,
+    finished."""
+    accs, precision = _substituted(f, values)
+    target = values[0].varset
+    return TPoly(target, [_finished(target, acc) for acc in accs], precision)

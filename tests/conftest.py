@@ -269,6 +269,34 @@ def copy_mod_reduce(g, qt):
     return out
 
 
+def copy_model_equations(Xci, proj, e):
+    """The equations of build_drinfeld_model by the chain it first had: each
+    composite substituted and finished as a TPoly, then reduced mod q or q^2
+    by the reference loops above, and the zero remainders dropped."""
+    from arcspace.drinfeld import model_varset
+    from arcspace.polyalg import Poly, TPoly, VarId, poly_adjugate, poly_det
+
+    d, c = proj.d, proj.c
+    vs = model_varset(e, d, c)
+    qt = TPoly(vs, [Poly.variable(vs, VarId("q", (n,))) for n in range(e)] + [Poly.one(vs)])
+    values = ([TPoly(vs, [Poly.variable(vs, VarId("xbar", (i, n))) for n in range(2 * e)])
+               for i in range(d)]
+              + [TPoly(vs, [Poly.variable(vs, VarId("ybar", (j, n))) for n in range(e)])
+                 for j in range(c)])
+    gens = [proj.apply_to_poly(g) for g in Xci.generators]
+    ymat = [[g.partial(v) for v in proj.y_vars] for g in gens]
+    adj = poly_adjugate(ymat)
+    q2 = copy_tpoly_mul(qt, qt)
+    composites = [(g, qt) for g in gens] + [(poly_det(ymat), qt)]
+    composites += [(Poly.sum_of(Xci.ambient, (adj[i][j] * gens[j] for j in range(c))), q2)
+                   for i in range(c)]
+    equations = []
+    for f, mod in composites:
+        rem = copy_mod_reduce(copy_substitute_tpoly(f, values), mod)
+        equations += [rem.coefficient(k) for k in range(mod.degree())]
+    return [q for q in equations if not q.is_zero()]
+
+
 def copy_spolynomial(f, g, order):
     """S(f, g) from two scaled copies and a copying subtraction, as
     groebner.spolynomial was written."""
@@ -295,6 +323,18 @@ def copy_integer_rows(rows):
         for x in fr:
             denom = denom * x.denominator // math.gcd(denom, x.denominator)
         out.append([int(x * denom) for x in fr])
+    return out
+
+
+def copy_reduce_row(row, echelon, pivot_cols):
+    """linalg.reduce_row as first written: the remainder over Q, in Fractions."""
+    out = [Fraction(x) for x in row]
+    for erow, c in zip(echelon, pivot_cols):
+        if out[c] != 0:
+            factor = out[c] / erow[c]
+            for j in range(len(out)):
+                if erow[j]:
+                    out[j] -= factor * erow[j]
     return out
 
 

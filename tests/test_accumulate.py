@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from arcspace.drinfeld import _ModReducer
+from arcspace.drinfeld import _ModReducer, build_drinfeld_model, choose_projection, ci_reduce
 from arcspace.errors import VarsetMismatchError
-from arcspace.jets import Arc, eval_along_arc
+from arcspace.jets import AffineScheme, Arc, eval_along_arc
 from arcspace.polyalg import (
     ANTIGRLEX,
     GREVLEX,
@@ -41,6 +41,7 @@ from conftest import (
     copy_compose,
     copy_integer_rows,
     copy_mod_reduce,
+    copy_model_equations,
     copy_mul,
     copy_series_add,
     copy_spolynomial,
@@ -139,10 +140,6 @@ def test_tpoly_sums_and_products_match_the_copying_loops():
             (a + b2, copy_tpoly_add(a, b2)),
             (TPoly.sum_of(VS, [a, b, c]), copy_tpoly_add(copy_tpoly_add(a, b), c)),
             (a.scale(cp), TPoly(VS, [copy_mul(x, cp) for x in a.coeffs], a.precision)),
-            (TPoly.combination(a, [(cp, b), (cp, c)]),
-             copy_tpoly_add(copy_tpoly_add(a, TPoly(VS, [copy_mul(x, cp) for x in b.coeffs],
-                                                    b.precision)),
-                            TPoly(VS, [copy_mul(x, cp) for x in c.coeffs], c.precision))),
             ((a + b) * (a - b), copy_tpoly_add(copy_tpoly_mul(a, a), copy_tpoly_mul(b, b), -1)),
         ]
         for got, want in cases:
@@ -203,13 +200,78 @@ def test_mod_reducer_matches_the_copying_loop():
         if rng.random() < 0.3:
             g = g * q  # an exact multiple leaves no remainder
         before = _snapshot(g, q)
-        got = _ModReducer(q).reduce(g)
+        # reduce takes g unfinished, as tpoly._substituted hands it over:
+        # integral coefficients as ints, in dicts that reduce may consume
+        accs = [{m: x.numerator if x.denominator == 1 else x for m, x in c.terms.items()}
+                for c in g.coeffs]
+        coeffs = _ModReducer(q).reduce(accs)
+        assert len(coeffs) == dq
+        got = TPoly(VS, coeffs)
         want = copy_mod_reduce(g, q)
         assert got == want == g.div_monic(q)[1]
         _check_fresh(got, g, q)
         assert _snapshot(g, q) == before
         zero_remainders += got.is_zero() and not g.is_zero()
     assert zero_remainders > 5
+
+
+A4 = VarSet(["x0", "x1", "x2", "x3"])
+
+
+def _series(coeffs):
+    return TruncSeries([Fraction(x) for x in coeffs])
+
+
+def _rational(rng):
+    """A nonzero coefficient, half-integral a third of the time."""
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2)))
+
+
+def _mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _model_cases(rng):
+    """(scheme, arc, e): arcs with Jacobian contact order e on the CI
+    fixture, the quadric cone and the sum-of-squares cone."""
+    ci = AffineScheme(A4, (Poly(A4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1, (0, 0, 2, 0): 1}),
+                           Poly(A4, {(1, 0, 1, 0): 1, (0, 2, 0, 0): 1, (0, 0, 0, 2): -1})), 2)
+    quadric = AffineScheme(A4, (Poly(A4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1}),))
+    sos = AffineScheme(A4, (Poly(A4, {(1, 0, 0, 1): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1}),))
+    for _ in range(2):
+        comps = [[0, _rational(rng), _rational(rng)], [], [], []]
+        yield ci, Arc(A4, [_series(x) for x in comps]), 2
+    for e in (1, 2):
+        # (a*c, a*d, b*c, -b*d) lies on the quadric cone, Jacobian order e
+        a, b = ([0] * (e - 1) + [_rational(rng), _rational(rng)] for _ in range(2))
+        cc, dd = ([0, _rational(rng), _rational(rng)] for _ in range(2))
+        comps = [_mul(a, cc), _mul(a, dd), _mul(b, cc), [-x for x in _mul(b, dd)]]
+        yield quadric, Arc(A4, [_series(x) for x in comps]), e
+        # x0 = alpha*t^e, x3 = -(x1^2 + x2^2)/x0 on the sum-of-squares cone
+        alpha = _rational(rng)
+        u, v = [_rational(rng), _rational(rng)], [_rational(rng), _rational(rng)]
+        x3 = [-(x + y) / alpha for x, y in zip(_mul(u, u), _mul(v, v))]
+        comps = [[0] * e + [alpha], [0] * e + u, [0] * e + v, [0] * e + x3]
+        yield sos, Arc(A4, [_series(x) for x in comps]), e
+
+
+def test_model_equations_match_the_finish_then_reduce_chain():
+    rng = random.Random(29)
+    fractional_points = 0
+    for X, arc, e in _model_cases(rng):
+        seed = rng.randrange(1000)
+        Xci = ci_reduce(X, arc, seed=seed)
+        proj, order = choose_projection(Xci, arc, seed=seed)
+        assert order == e
+        model = build_drinfeld_model(Xci, proj, arc, e)
+        assert list(model.equations) == copy_model_equations(Xci, proj, e)
+        _check_fresh(TPoly(model.varset, model.equations), *Xci.generators)
+        fractional_points += any(x.denominator != 1 for x in model.z)
+    assert fractional_points >= 2
 
 
 @pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX, ANTIGRLEX], ids=lambda o: o.kind)
@@ -254,12 +316,6 @@ def test_varset_mismatches_still_raise():
         lambda: poly_det([[x, x], [y, y]]),
         # a zero first entry over VS labels the result; the rest are over OTHER
         lambda: poly_det([[Poly.zero(VS), y], [y, y]]),
-        lambda: _ModReducer(TPoly(VS, [x, Poly.one(VS)])).reduce(
-            TPoly(OTHER, [y, y, Poly.one(OTHER)])),
-        # below the degree of q no table row is used, so only reduce's own check sees it
-        lambda: _ModReducer(TPoly(VS, [x, x, Poly.one(VS)])).reduce(TPoly(OTHER, [y])),
-        lambda: TPoly.combination(tx, [(y, tx)]),
-        lambda: TPoly.combination(tx, [(x, ty)]),
         lambda: substitute_tpoly(x, [tx, ty, tx]),
     ]
     for call in calls:

@@ -324,29 +324,56 @@ def test_cross_validation_against_jet_window(quadric):
     assert report["tangent_rank"] == 6
 
 
+@pytest.mark.parametrize("window", [(3, 1), (-1, 2)])
+def test_verify_dgk_refuses_a_bad_window_before_any_work(window, monkeypatch):
+    # on the cusp the model and its dims would run out of budget long before
+    # the window is read, so the window is checked first
+    vs = VarSet(["x", "y"])
+    X = AffineScheme(vs, (parse_poly("x^2 - y^3", vs),))
+    arc = Arc.from_strings(vs, ["t^3", "t^2"])
+
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the model was built for a bad window")
+
+    monkeypatch.setattr(arcspace.drinfeld, "drinfeld_pipeline", no_pipeline)
+    with pytest.raises(ValueError, match="^bad window$"):
+        verify_dgk(X, arc, window=window)
+    with pytest.raises(ValueError, match="^bad window$"):
+        arcspace.drinfeld.ecodim_window(X, arc, *window)
+
+
 def test_verify_dgk_ranks_each_cotangent_map_once(quadric, monkeypatch):
-    # jet_cotangent_map raises unless its rows have rank d(n+1), so the
-    # report reads their number instead of ranking them a second time
-    returned, ranked = [], []
-    cotangent, rank = arcspace.drinfeld.jet_cotangent_map, arcspace.drinfeld.exact_rank
+    # jet_cotangent_map certifies that its rows have rank d(n+1) and raises
+    # otherwise, so the report reads their number instead of ranking them a
+    # second time
+    returned, certified = [], []
+    cotangent, certify = arcspace.drinfeld.jet_cotangent_map, arcspace.drinfeld.certified_rank
+    inside = []
 
     def recording_map(*args):
-        rows = cotangent(*args)
+        inside.append(True)
+        try:
+            rows = cotangent(*args)
+        finally:
+            inside.pop()
         returned.append((rows, [list(r) for r in rows]))
         return rows
 
-    def recording_rank(rows):
-        ranked.append(rows)
-        return rank(rows)
+    def recording_certificate(rows):
+        rank = certify(rows)
+        certified.append((rows, bool(inside), rank))
+        return rank
 
     monkeypatch.setattr(arcspace.drinfeld, "jet_cotangent_map", recording_map)
-    monkeypatch.setattr(arcspace.drinfeld, "exact_rank", recording_rank)
+    monkeypatch.setattr(arcspace.drinfeld, "certified_rank", recording_certificate)
     report = verify_dgk(quadric, monomial_arc(quadric, 1), seed=0)
     assert report["jet_cotangent_ranks"] == {"1": 6, "3": 12}
     assert [len(rows) for rows, _ in returned] == [6, 12]
     for rows, copy in returned:
         assert exact_rank(copy) == len(rows)
-        assert sum(r is rows for r in ranked) == 1  # inside jet_cotangent_map
+        # certified once, inside jet_cotangent_map, at full rank
+        assert [(within, rank) for r, within, rank in certified if r is rows] == \
+            [(True, len(rows))]
 
 
 def test_verify_errors_carry_values():

@@ -1,9 +1,19 @@
+import math
 import random
 
 import pytest
 from fractions import Fraction
 
-from arcspace.polyalg import exact_rank, fraction_free_echelon, rank_modulo, reduce_row
+import arcspace.polyalg.linalg as linalg
+from arcspace.polyalg import (
+    certified_rank,
+    exact_rank,
+    fraction_free_echelon,
+    rank_modulo,
+    reduce_row,
+)
+
+from conftest import copy_reduce_row
 
 
 def naive_rank(rows):
@@ -86,3 +96,97 @@ def test_ragged_matrix_is_refused(rows, k, length, width):
         exact_rank(rows)
     with pytest.raises(ValueError, match=message):
         fraction_free_echelon(rows)
+
+
+def _entry(rng):
+    """An int or a Fraction, zero a third of the time."""
+    if rng.random() < 1 / 3:
+        return 0
+    if rng.random() < 0.5:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _random_rows(rng, nrows, ncols, rank):
+    """nrows rows of width ncols in the span of `rank` random rows."""
+    base = [[_entry(rng) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)]) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0))
+                     for j in range(ncols)])
+    return rows
+
+
+def test_reduce_row_is_the_primitive_multiple_of_the_fraction_loop():
+    rng = random.Random(2261)
+    zero = nonzero = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        spanned = _random_rows(rng, rng.randint(0, 5), ncols, rng.randint(0, 4))
+        ech, piv = fraction_free_echelon(spanned)
+        # a member of the span half the time, so that the remainder is zero
+        row = (_random_rows(rng, 1, ncols, 1)[0] if rng.random() < 0.5 or not spanned
+               else [sum(c * r[j] for c, r in zip([rng.randint(-2, 2) for _ in spanned], spanned))
+                     for j in range(ncols)])
+        want = copy_reduce_row(row, ech, piv)
+        got = reduce_row(row, ech, piv)
+        assert all(type(x) is int for x in got)
+        assert [x == 0 for x in got] == [x == 0 for x in want]
+        if not any(want):
+            zero += 1
+            continue
+        nonzero += 1
+        k = next(j for j, x in enumerate(want) if x)
+        scale = got[k] / want[k]
+        assert scale > 0
+        assert got == [scale * x for x in want]
+        assert math.gcd(*got) == 1
+    assert zero > 50 and nonzero > 50
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The row lists certified_rank hands to exact_rank, in call order."""
+    calls = []
+    exact = linalg.exact_rank
+
+    def recording_rank(rows):
+        calls.append(rows)
+        return exact(rows)
+
+    monkeypatch.setattr(linalg, "exact_rank", recording_rank)
+    return calls
+
+
+def test_certified_rank_matches_exact_rank(fallbacks):
+    rng = random.Random(3709)
+    full = deficient = 0
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+        rows = _random_rows(rng, nrows, ncols, rng.randint(0, min(nrows, ncols) + 1))
+        if rng.random() < 0.5:
+            rows = [[x.numerator if x.denominator == 1 else x for x in r] for r in rows]
+        del fallbacks[:]
+        rank = certified_rank(rows)
+        assert rank == exact_rank(rows) == naive_rank(rows)
+        if rank == nrows:
+            full += 1
+            assert fallbacks == []  # certified mod P, no elimination over Q
+        else:
+            deficient += 1
+            assert fallbacks == [rows]
+    assert full > 50 and deficient > 50
+
+
+@pytest.mark.parametrize("rows", [
+    [[linalg.P, 0], [0, 1]],
+    [[1, 1], [1, 1 + linalg.P]],
+    [[Fraction(1, 2), 3], [Fraction(1, 2), Fraction(3 + 2 * linalg.P, 1)]],
+    [[2, 0, 0], [0, 3, 0], [0, 0, 5 * linalg.P ** 2]],
+])
+def test_a_rank_that_drops_mod_p_falls_back_to_q(rows, fallbacks):
+    # independent over Q, dependent mod P: the elimination mod P finds a
+    # shortfall, and Bareiss over Q gives the rank
+    assert certified_rank(rows) == len(rows) == exact_rank(rows)
+    assert fallbacks == [rows]

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from fractions import Fraction
@@ -437,18 +438,31 @@ def test_local_analysis_json(plane):
     assert data["stabilized"] is None
 
 
+def _quadratic_form(rng, vs):
+    """A quadratic form of two or three terms."""
+    pairs = rng.sample(list(combinations_with_replacement(range(len(vs)), 2)), rng.randint(2, 3))
+    return Poly(vs, {tuple(pair.count(i) for i in range(len(vs))):
+                     Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                     for pair in pairs})
+
+
 def test_random_points_never_break_concordance():
     # the two ecodim pipelines must agree on arbitrary local ideals, and the
     # initial forms must cut out ini(a); about half the draws add a generator
-    # c*v + h with v not in h, which Mora takes as it is
+    # c*v + h with v not in h, which Mora takes as it is, and about half the
+    # generators start with a quadratic form of two or three terms, so that
+    # the oracle reads initial forms that are not monomials
     rng = random.Random(71)
     vs = VarSet(["x", "y", "z"])
-    produced = smooth = 0
+    produced = smooth = binomial = 0
     while produced < 12:
         gens = []
         for _ in range(rng.randint(1, 2)):
             f = random_poly(vs, rng, max_degree=3, terms=3)
             f = f - parse_poly(str(f.constant_term()), vs)
+            if rng.random() < 0.5:
+                f = _quadratic_form(rng, vs) + Poly(vs, {m: c for m, c in f.terms.items()
+                                                         if sum(m) >= 3})
             if not f.is_zero():
                 gens.append(f)
         if rng.random() < 0.5:
@@ -465,7 +479,9 @@ def test_random_points_never_break_concordance():
         assert a.ecodim >= 0
         assert a.edim - a.tangent_cone_dim == a.ecodim
         assert not initial_ideal_mismatches(gens, a.initial_forms, degree=2)
+        binomial += any(f.total_degree() >= 2 and len(f.terms) >= 2 for f in a.initial_forms)
     assert 3 <= smooth <= 9
+    assert binomial >= 3, binomial
 
 
 def test_smooth_direction_initial_forms_match_oracle():
