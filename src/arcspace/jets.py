@@ -1,12 +1,14 @@
 """Jet schemes and arcs.
 
-Jet ideals and contact orders are both one composition read off in t
-(polyalg.tpoly.substitute_tpoly and polyalg.poly.compose).  Composing g with the universal jet x_i(t) = sum_{j<=n} x_i_j t^j
-mod t^(n+1) gives the universal Hasse-Schmidt derivatives D_0(g)..D_n(g) as its
-coefficients, and all D_p(g_i) with p <= n cut out the order-n jet scheme of
-V(g_1..g_c).  Arcs are tuples of truncated series in t; composing a polynomial
-with an arc and reading the t-adic order gives contact orders with ideals, in
-particular with Jacobian (Fitting) ideals.
+Jet ideals and contact orders are both one composition read off in t, and
+one routine computes it, polyalg.poly._composed (through substitute_tpoly
+and eval_along_arc).  Composing g with the universal jet x_i(t) =
+sum_{j<=n} x_i_j t^j mod t^(n+1) gives the universal Hasse-Schmidt
+derivatives D_0(g)..D_n(g) as its coefficients, and all D_p(g_i) with
+p <= n cut out the order-n jet scheme of V(g_1..g_c).  Arcs are tuples of
+truncated series in t; composing a polynomial with an arc and reading the
+t-adic order gives contact orders with ideals, in particular with Jacobian
+(Fitting) ideals.
 
 The jet ideal moved to a truncated arc is one composition too: the t^k
 coefficient of g(alpha(t) + x(t)) mod t^(n+1), with alpha the arc's n-jet and
@@ -36,7 +38,7 @@ from .errors import (
     VarsetMismatchError,
 )
 from .polyalg.parse import parse_poly, poly_to_string
-from .polyalg.poly import Poly, compose, poly_det
+from .polyalg.poly import Poly, _composed, poly_det
 from .polyalg.series import OrdResult, TruncSeries, combine_ord_min
 from .polyalg.tpoly import TPoly, substitute_tpoly
 from .polyalg.varset import VarSet
@@ -158,12 +160,19 @@ class JetPoint:
 # -- Hasse-Schmidt derivatives ------------------------------------------------
 
 
-def _universal_jet_composite(f: Poly, n: int, target: VarSet) -> TPoly:
-    """f(x(t)) mod t^(n+1) at the universal jet x_i(t) = sum_{j<=n} x_i_j t^j,
-    whose coefficients are the jet variables of `target`."""
-    jets = [TPoly(target, [Poly.variable(target, v.derived(j)) for j in range(n + 1)], n + 1)
-            for v in f.varset]
-    return substitute_tpoly(f, jets)
+def _universal_jet(ambient: VarSet, n: int, target: VarSet,
+                   shift: JetPoint | None = None) -> list[TPoly]:
+    """The universal jet x_i(t) = sum_{j<=n} x_i_j t^j mod t^(n+1), one TPoly
+    per coordinate of `ambient`, its coefficients the jet variables of
+    `target`; with a shift (a truncated arc), x_i_j plus its value there."""
+    N = len(ambient)
+    shifts = shift.values if shift is not None else (0,) * (N * (n + 1))
+    jets = []
+    for i, v in enumerate(ambient):
+        xs = (Poly.variable(target, v.derived(j)) for j in range(n + 1))
+        coeffs = [x + Poly.const(target, a) if a else x for x, a in zip(xs, shifts[i::N])]
+        jets.append(TPoly(target, coeffs, n + 1))
+    return jets
 
 
 def hs_derivative(f: Poly, p: int, varset: VarSet | None = None) -> Poly:
@@ -177,7 +186,7 @@ def hs_derivative(f: Poly, p: int, varset: VarSet | None = None) -> Poly:
     if p < 0:
         raise ValueError("derivative order must be nonnegative")
     target = varset if varset is not None else jet_varset(f.varset, p)
-    return _universal_jet_composite(f, p, target).coefficient(p)
+    return substitute_tpoly(f, _universal_jet(f.varset, p, target)).coefficient(p)
 
 
 def jet_ideal(X: AffineScheme, n: int) -> list[Poly]:
@@ -185,8 +194,8 @@ def jet_ideal(X: AffineScheme, n: int) -> list[Poly]:
     of each generator, read off one composite per generator."""
     if n < 0:
         raise ValueError(f"jet level must be nonnegative, not {n}")
-    target = jet_varset(X.ambient, n)
-    composites = [_universal_jet_composite(g, n, target) for g in X.generators]
+    jets = _universal_jet(X.ambient, n, jet_varset(X.ambient, n))
+    composites = [substitute_tpoly(g, jets) for g in X.generators]
     return [h.coefficient(p) for h in composites for p in range(n + 1)]
 
 
@@ -194,11 +203,15 @@ def jet_ideal(X: AffineScheme, n: int) -> list[Poly]:
 
 
 def eval_along_arc(f: Poly, arc: Arc) -> TruncSeries:
-    """Exact composite series f(alpha(t)), to the arc's precision."""
+    """Exact composite series f(alpha(t)), to the arc's precision: the
+    composition kernel over no variables, each coefficient of the arc a
+    constant term."""
     if f.varset != arc.varset:
         raise VarsetMismatchError("polynomial and arc over different varsets")
-    return compose(f, arc.components, lambda c, mono: TruncSeries.constant(c),
-                   TruncSeries.sum_of)
+    comps = arc.components
+    accs, precision = _composed(f, [[{(): c} if c else {} for c in s.coeffs] for s in comps],
+                                [s.precision for s in comps], 0)
+    return TruncSeries([acc.get((), 0) for acc in accs], precision)
 
 
 def ord_along_arc(target: Poly | Sequence[Poly], arc: Arc) -> OrdResult:
@@ -281,15 +294,7 @@ def jet_ideal_at(X: AffineScheme, arc: Arc, n: int) -> list[Poly]:
     jp = truncate_arc(arc, n)
     if arc.varset != X.ambient:
         raise VarsetMismatchError("scheme and arc over different varsets")
-    target = jp.varset
-    N = len(X.ambient)
-    jets = []
-    for i, v in enumerate(X.ambient):
-        coeffs = []
-        for j in range(n + 1):
-            x, a = Poly.variable(target, v.derived(j)), jp.values[j * N + i]
-            coeffs.append(x + Poly.const(target, a) if a else x)
-        jets.append(TPoly(target, coeffs, n + 1))
+    jets = _universal_jet(X.ambient, n, jp.varset, jp)
     out = []
     for i, g in enumerate(X.generators, 1):
         composite = substitute_tpoly(g, jets)

@@ -18,15 +18,11 @@ Algebra*, ch. 5).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 # the Mersenne prime the full-rank certificate works modulo
 P = (1 << 61) - 1
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def _as_integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
@@ -46,7 +42,7 @@ def _as_integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"matrix entry {x!r} is not an int or a Fraction")
             if x.denominator != 1:
-                denom = _lcm(denom, x.denominator)
+                denom = lcm(denom, x.denominator)
         out.append([x.numerator * (denom // x.denominator) for x in row])
     return out
 
@@ -74,13 +70,13 @@ def fraction_free_echelon(rows: Sequence[Sequence[Fraction | int]]):
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
+        prow = m[r]
+        piv = prow[c]
         for i in range(r + 1, nrows):
-            if all(x == 0 for x in m[i]):
-                continue
-            mic = m[i][c]
-            for j in range(ncols):
-                m[i][j] = (m[i][j] * piv - mic * m[r][j]) // prev
+            row = m[i]
+            if any(row):
+                mic = row[c]
+                m[i] = [(x * piv - mic * y) // prev for x, y in zip(row, prow)]
         prev = piv
         pivot_cols.append(c)
         r += 1

@@ -15,12 +15,15 @@ integral coefficients dominate: on the perfbench workloads (seeds 1 and 2)
 factors, and 80-87% on jet-ecodim and verify-dgk.  ``_finished`` turns an
 accumulator into a Poly of Fractions that shares no dict with it.  A sum of
 many terms is one accumulator (``Poly.sum_of``, ``TPoly.sum_of``), not a chain
-of copies.  The model's t-polynomials stay accumulators from end to end:
-``tpoly._substituted`` forms every power and product of a substitution as one
-accumulator per t-coefficient, ``drinfeld._ModReducer.reduce`` adds the
-reductions mod q(t) into them, and only the remainder coefficients that
-become model equations are finished (``substitute_tpoly`` finishes every
-coefficient instead).
+of copies.
+
+Composition is one routine on these accumulators, ``_composed``, and it
+serves ``Poly.substitute`` (each value one term dict), ``tpoly._substituted``
+(jet ideals and the model) and ``jets.eval_along_arc`` (constants over no
+variables).  The model's t-polynomials stay accumulators from end to end:
+``drinfeld._ModReducer.reduce`` adds the reductions mod q(t) into them, and
+only the remainder coefficients that become model equations are finished
+(``substitute_tpoly`` finishes every coefficient instead).
 
 Division goes further and holds no Fraction and no exponent tuple while it
 works: ``groebner._Remainder`` keeps the polynomial under division as one
@@ -52,13 +55,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import VarsetMismatchError
 from .varset import VarId, VarSet
 
 Monomial = tuple[int, ...]
-R = TypeVar("R")
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -127,6 +129,71 @@ def _accumulate(acc: dict[Monomial, Fraction | int], a: Mapping[Monomial, Fracti
                 acc[m] = s
             else:
                 del acc[m]
+
+
+def _add_product(out: list[dict[Monomial, Fraction | int]],
+                 a: Sequence[Mapping[Monomial, Fraction | int]],
+                 b: Sequence[Mapping[Monomial, Fraction | int]] | None,
+                 c: Fraction | int, precision: int | None) -> list[dict[Monomial, Fraction | int]]:
+    """Add c*a*b, or c*a when b is None, into out, in place, and return out.
+
+    Each argument is a list of term dicts, one per t-coefficient; out is
+    extended as needed but never past the precision."""
+    size = len(a) if b is None else len(a) + len(b) - 1
+    if precision is not None:
+        size = min(size, precision)
+    out += ({} for _ in range(size - len(out)))
+    for i, x in enumerate(a[:size]):
+        if not x:
+            continue
+        if b is None:
+            _accumulate(out[i], x, None, c)
+            continue
+        for acc, y in zip(out[i:size], b):
+            if y:
+                _accumulate(acc, x, y, c)
+    return out
+
+
+def _composed(f: "Poly", values: Sequence[Sequence[Mapping[Monomial, Fraction | int]] | None],
+              precisions: Sequence[int | None], nvars: int
+              ) -> tuple[list[dict[Monomial, Fraction | int]], int | None]:
+    """f at t-polynomial values, unfinished: one accumulator per t-coefficient
+    and the precision of the result.
+
+    values[i] is a list of term dicts in nvars variables, one per
+    t-coefficient, known mod t^precisions[i] (None: exact).  A None value
+    leaves its variable alone (so nvars == len(f.varset)): the exponents of
+    all such variables form one monomial that heads the term, one product
+    per term in place of a power and a product per variable.  The precision
+    is the least precision of the values of the variables that occur in f
+    (None for a constant f), and every product is cut there.  Each power
+    values[i]**e is formed once, from the one below.
+    """
+    occurring = {i for mono in f.terms for i, e in enumerate(mono) if e}
+    precision = min((precisions[i] for i in occurring if precisions[i] is not None), default=None)
+    keeps = None in values
+    powers = [[v] for v in values]
+    one = [{(0,) * nvars: 1}]
+    total: list[dict[Monomial, Fraction | int]] = []
+    for mono, c in f.terms.items():
+        factors = []
+        if keeps:
+            head = tuple(0 if v is not None else e for e, v in zip(mono, values))
+            if any(head):
+                factors.append([{head: 1}])
+        for i, e in enumerate(mono):
+            if e and values[i] is not None:
+                pw = powers[i]
+                while len(pw) < e:
+                    pw.append(_add_product([], pw[-1], pw[0], 1, precision))
+                factors.append(pw[e - 1])
+        head = factors[0] if factors else one
+        for x in factors[1:-1]:
+            head = _add_product([], head, x, 1, precision)
+        _add_product(total, head, factors[-1] if len(factors) > 1 else None,
+                     c.numerator if c.denominator == 1 else c, precision)
+    return total, precision
 
 
 def _finished(varset: VarSet, acc: Mapping[Monomial, Fraction | int]) -> "Poly":
@@ -342,21 +409,18 @@ class Poly:
 
     def substitute(self, mapping: Mapping[VarId | str, "Poly | Fraction | int"]) -> "Poly":
         """Substitute polynomials (or constants) for some variables; the
-        variables the mapping leaves out stay as they are."""
+        variables the mapping leaves out stay as they are.  A value that is
+        not a Poly, an int or a Fraction is a TypeError."""
         varset = self.varset
-        values: list[Poly | None] = [None] * len(varset)
+        values: list[list[Mapping[Monomial, Fraction | int]] | None] = [None] * len(varset)
         for key, val in mapping.items():
-            if isinstance(val, (Fraction, int)):
-                val = Poly.const(varset, val)
+            if not isinstance(val, Poly):
+                val = Poly.const(varset, val)  # a TypeError unless an int or a Fraction
             elif val.varset != varset:
                 raise VarsetMismatchError("substitution value over a different varset")
-            values[varset.position(key)] = val
-        kept = [v is None for v in values]
-
-        def head(c: Fraction, mono: Monomial) -> Poly:
-            return Poly(varset, {tuple(e if k else 0 for e, k in zip(mono, kept)): c})
-
-        return compose(self, values, head, lambda terms: Poly.sum_of(varset, terms))
+            values[varset.position(key)] = [val.terms]
+        accs, _ = _composed(self, values, [None] * len(varset), len(varset))
+        return _finished(varset, accs[0] if accs else {})
 
     def extended(self, new_varset: VarSet) -> "Poly":
         """Re-express over a larger varset of which the current one is a prefix."""
@@ -390,33 +454,6 @@ class Poly:
         if not self.terms:
             return self
         return self.homogeneous_part(self.min_degree())
-
-
-def compose(f: Poly, values: Sequence[R | None], head: Callable[[Fraction, Monomial], R],
-            sum_of: Callable[[Iterable[R]], R]) -> R:
-    """f evaluated at ring elements: the sum, over the terms c*x^a of f, of
-    head(c, a) times values[i]**a_i for every i whose value is not None.
-
-    `head` turns a term into the ring element its product starts from; it
-    sees the whole exponent, so it can keep the exponents of the variables
-    left alone.  Each power values[i]**e is computed once, from the one below.
-    `sum_of` is the ring's in-place sum; it receives the products one by one
-    and gives the ring's zero for a zero f.
-    """
-    powers: list[list[R]] = [[v] for v in values]
-
-    def products() -> Iterator[R]:
-        for mono, c in f.terms.items():
-            term = head(c, mono)
-            for i, e in enumerate(mono):
-                if e and values[i] is not None:
-                    pw = powers[i]
-                    while len(pw) < e:
-                        pw.append(pw[-1] * values[i])
-                    term = term * pw[e - 1]
-            yield term
-
-    return sum_of(products())
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:

@@ -3,15 +3,17 @@
 Used for congruences mod q(t) and mod q(t)^2: division by a monic divisor is
 exact over any commutative coefficient ring.  Known only mod t^N (a
 precision), a TPoly also carries the universal jet that jet ideals come from.
+A polynomial evaluated at t-polynomials (``substitute_tpoly``) goes through
+the composition kernel of the ``poly`` module, ``poly._composed``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import InsufficientPrecisionError, NotMonicError, VarsetMismatchError
-from .poly import Monomial, Poly, _accumulate, _finished
+from .poly import Monomial, Poly, _accumulate, _add_product, _composed, _finished
 from .series import min_precision
 from .varset import VarSet
 
@@ -140,40 +142,13 @@ def div_monic_t(g: TPoly, q: TPoly) -> tuple[TPoly, TPoly]:
     return g.div_monic(q)
 
 
-def _add_product(out: list[dict[Monomial, Fraction | int]],
-                 a: Sequence[Mapping[Monomial, Fraction | int]],
-                 b: Sequence[Mapping[Monomial, Fraction | int]] | None,
-                 c: Fraction | int, precision: int | None) -> list[dict[Monomial, Fraction | int]]:
-    """Add c*a*b, or c*a when b is None, into out, in place, and return out.
-
-    Each argument is a list of term dicts, one per t-coefficient; out is
-    extended as needed but never past the precision."""
-    size = len(a) if b is None else len(a) + len(b) - 1
-    if precision is not None:
-        size = min(size, precision)
-    out += ({} for _ in range(size - len(out)))
-    for i, x in enumerate(a[:size]):
-        if not x:
-            continue
-        if b is None:
-            _accumulate(out[i], x, None, c)
-            continue
-        for acc, y in zip(out[i:size], b):
-            if y:
-                _accumulate(acc, x, y, c)
-    return out
-
-
 def _substituted(f: Poly, values: Sequence[TPoly]
                  ) -> tuple[list[dict[Monomial, Fraction | int]], int | None]:
     """f evaluated at t-polynomial values, unfinished: one accumulator per
-    t-coefficient (see the ``poly`` module) and the precision of the result.
+    t-coefficient (see the ``poly`` module) and the precision of the result,
+    the least precision of the values of the variables that occur in f.
 
     `values` is aligned with f's varset; all values share one target varset.
-    The precision is the least precision of the values of the variables that
-    occur in f (None for a constant f), and every product is cut there.  Each
-    power values[i]**e is formed once, from the one below, and each term's
-    last product is added into the result with the term's coefficient.
     """
     if len(values) != len(f.varset):
         raise ValueError("need one value per variable")
@@ -183,28 +158,8 @@ def _substituted(f: Poly, values: Sequence[TPoly]
     for v in values:
         if v.varset != target:
             raise VarsetMismatchError("values over different varsets")
-    precision = None
-    for mono in f.terms:
-        for v, e in zip(values, mono):
-            if e:
-                precision = min_precision(precision, v.precision)
-    powers = [[[x.terms for x in v.coeffs]] for v in values]
-    one = [{(0,) * len(target): 1}]
-    total: list[dict[Monomial, Fraction | int]] = []
-    for mono, c in f.terms.items():
-        factors = []
-        for i, e in enumerate(mono):
-            if e:
-                pw = powers[i]
-                while len(pw) < e:
-                    pw.append(_add_product([], pw[-1], pw[0], 1, precision))
-                factors.append(pw[e - 1])
-        head = factors[0] if factors else one
-        for x in factors[1:-1]:
-            head = _add_product([], head, x, 1, precision)
-        _add_product(total, head, factors[-1] if len(factors) > 1 else None,
-                     c.numerator if c.denominator == 1 else c, precision)
-    return total, precision
+    return _composed(f, [[x.terms for x in v.coeffs] for v in values],
+                     [v.precision for v in values], len(target))
 
 
 def substitute_tpoly(f: Poly, values: Sequence[TPoly]) -> TPoly:

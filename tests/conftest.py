@@ -218,7 +218,10 @@ def copy_series_add(a, b):
 
 
 def copy_compose(f, values, head, zero, add, mul):
-    """compose as first written: total = total + term, one copy per term."""
+    """f at ring elements by the ring's own sum and product, one copy per
+    term (total = total + term), as poly.compose was first written: the sum
+    over the terms c*x^a of f of head(c, a) times values[i]**a_i for every i
+    whose value is not None.  The reference of the composition kernel."""
     powers = [[v] for v in values]
     total = zero
     for mono, c in f.terms.items():
@@ -240,6 +243,42 @@ def copy_substitute_tpoly(f, values):
     target = values[0].varset
     return copy_compose(f, values, lambda c, mono: TPoly.constant(Poly.const(target, c)),
                         TPoly.zero(target), copy_tpoly_add, copy_tpoly_mul)
+
+
+def copy_universal_jet(ambient, n, target, values=None):
+    """The universal jet x_i(t) = sum_{j<=n} x_i_j t^j mod t^(n+1) over
+    target, each x_i_j plus values[j * N + i] when the values of a truncated
+    arc are given, built as the jets module built it for each generator."""
+    from arcspace.polyalg import Poly, TPoly
+
+    N = len(ambient)
+    jets = []
+    for i, v in enumerate(ambient):
+        coeffs = []
+        for j in range(n + 1):
+            x = Poly.variable(target, v.derived(j))
+            a = values[j * N + i] if values is not None else 0
+            coeffs.append(x + Poly.const(target, a) if a else x)
+        jets.append(TPoly(target, coeffs, n + 1))
+    return jets
+
+
+def copy_jet_ideal(X, n, arc=None):
+    """jet_ideal(X, n), or jet_ideal_at(X, arc, n) without its check that the
+    arc lies on X: each generator composed with its own copy of the
+    (shifted) universal jet by the reference loops above."""
+    from arcspace.jets import jet_varset, truncate_arc
+
+    if arc is None:
+        target, values = jet_varset(X.ambient, n), None
+    else:
+        jp = truncate_arc(arc, n)
+        target, values = jp.varset, jp.values
+    out = []
+    for g in X.generators:
+        composite = copy_substitute_tpoly(g, copy_universal_jet(X.ambient, n, target, values))
+        out += [composite.coefficient(k) for k in range(n + 1)]
+    return out
 
 
 def copy_mod_reduce(g, qt):
@@ -324,6 +363,41 @@ def copy_integer_rows(rows):
             denom = denom * x.denominator // math.gcd(denom, x.denominator)
         out.append([int(x * denom) for x in fr])
     return out
+
+
+def copy_fraction_free_echelon(rows):
+    """linalg.fraction_free_echelon with its all-zero test per row and pivot
+    step written as a generator scan, as it was first written."""
+    m = copy_integer_rows(rows)
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivot_cols = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, nrows):
+            if all(x == 0 for x in m[i]):
+                continue
+            mic = m[i][c]
+            for j in range(ncols):
+                m[i][j] = (m[i][j] * piv - mic * m[r][j]) // prev
+        prev = piv
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [m[i] for i in range(r)], pivot_cols
 
 
 def copy_reduce_row(row, echelon, pivot_cols):

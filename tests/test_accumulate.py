@@ -1,11 +1,13 @@
 """The in-place accumulating kernel against the copy-per-add loops it replaced.
 
-Sums and products of ``Poly`` and ``TPoly``, the sum inside ``compose``,
-``drinfeld._ModReducer.reduce``, ``spolynomial`` and the integer rows of
-``linalg`` are compared with the reference loops in ``conftest.py`` on seeded
-random inputs.  Every result must equal the reference, hold only Fraction
-coefficients (ints for the integer rows), share no dict with its inputs, and
-leave the inputs unchanged.
+Sums and products of ``Poly`` and ``TPoly``, the composition kernel
+(``poly._composed``, behind ``Poly.substitute``, ``substitute_tpoly``,
+``eval_along_arc`` and the jet ideals), ``drinfeld._ModReducer.reduce``,
+``spolynomial`` and the integer rows of ``linalg`` are compared with the
+reference loops in ``conftest.py`` on seeded random inputs.  Every result
+must equal the reference, hold only Fraction coefficients (ints for the
+integer rows), share no dict with its inputs, and leave the inputs
+unchanged.
 """
 
 import random
@@ -16,7 +18,15 @@ import pytest
 
 from arcspace.drinfeld import _ModReducer, build_drinfeld_model, choose_projection, ci_reduce
 from arcspace.errors import VarsetMismatchError
-from arcspace.jets import AffineScheme, Arc, eval_along_arc
+from arcspace.jets import (
+    AffineScheme,
+    Arc,
+    eval_along_arc,
+    hs_derivative,
+    jet_ideal,
+    jet_ideal_at,
+    jet_varset,
+)
 from arcspace.polyalg import (
     ANTIGRLEX,
     GREVLEX,
@@ -40,6 +50,7 @@ from conftest import (
     copy_add,
     copy_compose,
     copy_integer_rows,
+    copy_jet_ideal,
     copy_mod_reduce,
     copy_model_equations,
     copy_mul,
@@ -48,6 +59,7 @@ from conftest import (
     copy_substitute_tpoly,
     copy_tpoly_add,
     copy_tpoly_mul,
+    copy_universal_jet,
 )
 
 VS = VarSet(["x", "y", "z"])
@@ -155,9 +167,25 @@ def _keep_y(c, mono):
     return Poly(VS, {(0, mono[1], 0): c})
 
 
+def _constant(rng):
+    """Zero, an int or a non-integral Fraction, a third of the time each."""
+    return rng.choice([0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(2, 4))])
+
+
+def _nonzero_poly(rng):
+    while (p := _poly(rng)).is_zero():
+        pass
+    return p
+
+
+def _as_poly(value):
+    return value if isinstance(value, Poly) else Poly.const(VS, value)
+
+
 def test_compose_sum_matches_the_copying_loop():
     rng = random.Random(11)
     target = VarSet(["q0", "q1"])
+    mixed_values = mixed_arcs = fractional_arcs = 0
     for _ in range(60):
         f = _poly(rng, terms=5, degree=3)
         values = [_tpoly(rng, target, length=3) for _ in VS]
@@ -167,27 +195,67 @@ def test_compose_sum_matches_the_copying_loop():
         assert got.precision == copy_substitute_tpoly(f, values).precision
         _check_fresh(got, f, *values)
         assert _snapshot(f, *values) == before
+        mixed_values += len({v.precision is None for v in values}) == 2
 
-        mapping = {"x": _poly(rng), "z": _poly(rng)}
-        want = copy_compose(f, [mapping["x"], None, mapping["z"]], _keep_y, Poly.zero(VS),
-                            copy_add, copy_mul)
+        # y is left alone; z is a polynomial or an int or Fraction constant
+        mapping = {"x": _poly(rng), "z": rng.choice([_poly(rng), _constant(rng)])}
+        before = _snapshot(f, *map(_as_poly, mapping.values()))
+        want = copy_compose(f, [mapping["x"], None, _as_poly(mapping["z"])], _keep_y,
+                            Poly.zero(VS), copy_add, copy_mul)
         got = f.substitute(mapping)
         assert got == want
-        _check_fresh(got, f, *mapping.values())
+        _check_fresh(got, f, *(v for v in mapping.values() if isinstance(v, Poly)))
+        assert _snapshot(f, *map(_as_poly, mapping.values())) == before
+        constants = {v: _constant(rng) for v in ("x", "y", "z")}
+        got = f.substitute(constants)
+        assert got == copy_compose(f, [Poly.const(VS, constants[v]) for v in ("x", "y", "z")],
+                                   lambda c, mono: Poly.const(VS, c), Poly.zero(VS),
+                                   copy_add, copy_mul)
+        _check_fresh(got, f)
+        assert f.substitute({}) == f
 
-        comps = [TruncSeries([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))],
+        # integral, non-integral and zero coefficients, interior zeros included
+        comps = [TruncSeries([_constant(rng) for _ in range(rng.randint(0, 4))],
                              rng.choice([None, 3, 6])) for _ in VS]
         series = eval_along_arc(f, Arc(VS, comps))
         want = copy_compose(f, comps, lambda c, mono: TruncSeries.constant(c),
                             TruncSeries.zero(), copy_series_add, TruncSeries.__mul__)
         assert series == want
         assert all(type(c) is Fraction for c in series.coeffs)
+        mixed_arcs += len({c.precision is None for c in comps}) == 2
+        fractional_arcs += any(x.denominator != 1 for c in comps for x in c.coeffs)
+    assert mixed_values > 20 and mixed_arcs > 20 and fractional_arcs > 20
 
     # a composite that cancels to zero: x^2 - y at (t + q0, (t + q0)^2)
     u = TPoly(target, [Poly.variable(target, "q0"), Poly.one(target)])
     f = Poly(VS, {(2, 0, 0): 1, (0, 1, 0): -1})
     values = [u, u * u, TPoly.zero(target)]
     assert substitute_tpoly(f, values) == copy_substitute_tpoly(f, values) == TPoly.zero(target)
+
+    # the zero f composes to zero, exact whatever the precision of the values
+    zero = Poly.zero(VS)
+    values = [TPoly(target, [Poly.one(target)], 2) for _ in VS]
+    assert substitute_tpoly(zero, values) == copy_substitute_tpoly(zero, values)
+    assert substitute_tpoly(zero, values) == TPoly.zero(target)
+    arc = Arc(VS, [TruncSeries([1, 2], 2) for _ in VS])
+    assert eval_along_arc(zero, arc) == TruncSeries.zero()
+    assert zero.substitute({"x": Poly.variable(VS, "y"), "z": 3}) == zero
+    assert zero.substitute({}) == zero
+
+
+def test_jet_ideals_match_the_per_generator_construction():
+    rng = random.Random(17)
+    for X, arc, e in _model_cases(rng):
+        for n in range(2 * e + 1):
+            assert jet_ideal_at(X, arc, n) == copy_jet_ideal(X, n, arc)
+    for _ in range(12):
+        X = AffineScheme(VS, tuple(_nonzero_poly(rng) for _ in range(rng.randint(1, 2))))
+        for n in range(3):
+            assert jet_ideal(X, n) == copy_jet_ideal(X, n)
+        f, p = X.generators[0], rng.randint(0, 3)
+        larger = jet_varset(VS, p + rng.randint(0, 2))
+        want = copy_substitute_tpoly(f, copy_universal_jet(VS, p, larger)).coefficient(p)
+        assert hs_derivative(f, p, larger) == want
 
 
 def test_mod_reducer_matches_the_copying_loop():

@@ -220,8 +220,8 @@ def test_jet_cotangent_rows_match_the_jet_ideal_jacobian(quadric, ci_fixture, mo
     def refused(*args):
         raise AssertionError("jet_cotangent_map composed with the universal jet")
 
-    # every jet ideal and Hasse-Schmidt derivative is read off this composite
-    monkeypatch.setattr(arcspace.jets, "_universal_jet_composite", refused)
+    # every jet ideal and Hasse-Schmidt derivative composes with this jet
+    monkeypatch.setattr(arcspace.jets, "_universal_jet", refused)
     for X, proj, arc, n, rows in expected:
         assert jet_cotangent_map(X, proj, arc, n) == rows
 

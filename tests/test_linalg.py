@@ -13,7 +13,7 @@ from arcspace.polyalg import (
     reduce_row,
 )
 
-from conftest import copy_reduce_row
+from conftest import copy_fraction_free_echelon, copy_reduce_row
 
 
 def naive_rank(rows):
@@ -190,3 +190,45 @@ def test_a_rank_that_drops_mod_p_falls_back_to_q(rows, fallbacks):
     # shortfall, and Bareiss over Q gives the rank
     assert certified_rank(rows) == len(rows) == exact_rank(rows)
     assert fallbacks == [rows]
+
+
+def _entry(rng):
+    """Zero half the time, else an int or a non-integral Fraction."""
+    if rng.random() < 0.5:
+        return 0
+    return rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.randint(2, 5))])
+
+
+def test_echelon_matches_the_scanning_loop():
+    """Rows that are zero from the start, or become zero when a repeated or
+    dependent row is eliminated, are skipped, and the echelon rows and pivot
+    columns stay those of the loop that scanned every row at every step."""
+    # the pivot row [2, 0] swaps with the zero row, so [0, -1] stays ahead
+    # of [0, 2] and pivots column 1; with the zero row dropped first, the
+    # swap would move [0, -1] behind [0, 2]
+    rows = [[0, 0], [0, -1], [0, 2], [2, 0]]
+    assert fraction_free_echelon(rows) == copy_fraction_free_echelon(rows)
+    assert fraction_free_echelon(rows) == ([[2, 0], [0, -2]], [0, 1])
+    rng = random.Random(31)
+    zero_rows = 0
+    for _ in range(400):
+        width = rng.randint(1, 6)
+        rows = [[_entry(rng) for _ in range(width)] for _ in range(rng.randint(0, 5))]
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randrange(3)
+            if kind == 0 or not rows:
+                new = [0] * width
+            elif kind == 1:
+                new = list(rng.choice(rows))
+            else:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = _entry(rng), _entry(rng)
+                new = [s * x + t * y for x, y in zip(a, b)]
+            rows.insert(rng.randint(0, len(rows)), new)
+        before = [list(row) for row in rows]
+        echelon, pivots = fraction_free_echelon(rows)
+        assert (echelon, pivots) == copy_fraction_free_echelon(rows)
+        assert all(type(x) is int for row in echelon for x in row)
+        assert rows == before
+        zero_rows += len(echelon) < len(rows)
+    assert zero_rows > 150

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,16 @@ def test_evaluate_takes_rational_coordinates_only(vs, bad):
     f = parse_poly("x^2 + y", vs)
     with pytest.raises(TypeError):
         f.evaluate([bad, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [0.5, "x", None, 1j])
+def test_substitute_takes_polys_ints_and_fractions_only(vs, bad):
+    # a float would bring its binary rounding in; none of these has a varset
+    f = parse_poly("x^2 + y", vs)
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        f.substitute({"x": bad})
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        f.substitute({"y": parse_poly("z", vs), "x": bad})
 
 
 def test_pow(vs):
