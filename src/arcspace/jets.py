@@ -29,6 +29,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -44,13 +45,21 @@ from .polyalg.tpoly import TPoly, substitute_tpoly
 from .polyalg.varset import VarSet
 
 
+@lru_cache(maxsize=64)
 def jet_varset(ambient: VarSet, n: int) -> VarSet:
     """Jet coordinates through order n, level-major.
 
     Level-major layout makes the order-n set a prefix of the order-(n+1) set,
-    so polynomials extend between levels by zero-padding exponents.
+    so polynomials extend between levels by zero-padding exponents.  Each set
+    is built once per (ambient, n), in a small bounded cache, since a jet
+    tower asks for its levels again and again; the order-n set reuses the
+    variables of the order-(n-1) one, so a prefix test between levels
+    compares them by identity.
     """
-    return VarSet([v.derived(j) for j in range(n + 1) for v in ambient])
+    if n < 0:
+        return VarSet(())
+    below = jet_varset(ambient, n - 1).vars
+    return VarSet(below + tuple(v.derived(n) for v in ambient))
 
 
 @dataclass(frozen=True)

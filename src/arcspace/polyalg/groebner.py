@@ -40,11 +40,16 @@ of the basis computation.  The dividends the loop makes itself come packed
 too: an S-pair is handed to the normal form as the pair of its positions in
 the record and built there from the two integer multiples, each term shifted
 by one int addition (``_Reducers.spair``), and an element being interreduced
-starts from a copy of its own integer multiple.  So no S-polynomial is ever a
-``Poly``: only the polynomials handed out are Fractions at exponent tuples
-again, and ``Poly``, the pair criteria and every public signature stay on
-tuples.  A field that would overflow makes the division start again with
-wider fields, so no exponent is ever wrapped (``_divided``).
+starts from a copy of its own integer multiple.  The results go back packed
+as well: a remainder the loop keeps enters the record as its int terms, its
+integer multiple made by dividing out their content, its lead the least
+packed key (``_Reducers.append``), and an interreduced element is made a
+monic Poly once, from its packed remainder.  So no S-polynomial and no
+intermediate remainder is ever a ``Poly``: only what leaves the record, the
+returned basis and the result of a public division, is made Fractions at
+exponent tuples again, and ``Poly``, the pair criteria and every public
+signature stay on tuples.  A field that would overflow makes the division
+start again with wider fields, so no exponent is ever wrapped (``_divided``).
 
 Each basis computation spends one work budget, a ``_Budget``, across all of
 its divisions, interreduction included; ``_Remainder.reduce`` charges every
@@ -73,12 +78,14 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
 )
+from .varset import VarSet
 
 DEFAULT_WORK_LIMIT = 20_000_000
 
 # nf(f, record): the normal form the completion loop divides each generator
-# and each S-pair, given as its positions (i, j) in the record, by
-_NormalForm = Callable[[Poly | tuple[int, int], "_Reducers"], Poly]
+# and each S-pair, given as its positions (i, j) in the record, by; it
+# returns the remainder packed (see ``_divided``)
+_NormalForm = Callable[[Poly | tuple[int, int], "_Reducers"], "Poly | _Remainder"]
 
 
 class _Budget:
@@ -191,21 +198,42 @@ def _cleared(f: Poly, pack: Callable[[Monomial], int]) -> tuple[dict[int, int], 
     return {pack(m): c.numerator * (L // c.denominator) for m, c in terms.items()}, L
 
 
+def _monic_poly(varset: VarSet, F: dict[int, int], lead: int,
+                unpack: Callable[[int], Monomial]) -> Poly:
+    """The monic Poly F / F[lead] of the int terms F at packed monomials."""
+    c = F[lead]
+    if c == 1:
+        return _finished(varset, {unpack(m): Fraction(x) for m, x in F.items()})
+    return _finished(varset, {unpack(m): Fraction(x, c) for m, x in F.items()})
+
+
 class _Reducers:
     """One record of a basis: each element and what a division reads of it.
 
-    ``polys[i]`` is the element, made monic when it is appended, and
-    ``lms[i]`` its leading monomial, computed once, there; ``leads[i]`` is
-    that monomial packed and ``ecarts[i]`` the element's ecart, made then too.
-    ``forms[i]`` is its integer multiple at packed monomials (see
-    ``_cleared``), made the first time a step or an S-pair needs it (``form``)
-    and None until then: most reducers of a basis computation never divide
-    anything.  Since the element is monic, the leading coefficient of its
-    form is the scale it was multiplied by.  The completion loop keeps one
-    record as its basis, so each of these is made at most once per basis
-    computation.  Zero elements are dropped.  The packing is made for the
-    number of variables of the first element; ``widen`` repacks the leads in
-    fields twice as wide and drops the forms.
+    ``lms[i]`` is the leading monomial of element i, ``leads[i]`` that
+    monomial packed and ``ecarts[i]`` the element's ecart, all made when it
+    enters.  ``forms[i]`` is its integer multiple at packed monomials (see
+    ``_cleared``), and ``polys[i]`` the element itself, monic, as a Poly.
+    An element enters in one of two ways (``append``).  A Poly, a generator
+    or an element of the basis the record opens with, is made monic there
+    and its lead computed once; its form is made the first time a step or an
+    S-pair needs it (``form``) and is None until then, since most reducers
+    of a basis computation never divide anything.  A division's nonzero
+    remainder enters packed: its int terms divided by their content, signed
+    so that the leading one is positive, are its form, exactly the one
+    ``_cleared`` makes of the monic remainder, so every later step does the
+    same arithmetic and pays the same charge.  Its lead is the least packed
+    key, unpacked once, and its ecart is read off the packed degree fields.
+    Its Poly is None until something reads it (``poly``): the returned basis,
+    the element a ``without`` view holds, and every element, before
+    ``widen`` drops the forms.  Since an element is monic, the leading
+    coefficient of its form is the scale it was multiplied by.  The
+    completion loop keeps one record as its basis, so each of these is made
+    at most once per basis computation.  Zero elements are dropped.  The
+    packing is made for the number of variables of the first element, and
+    its variable set is the record's: a Poly over another one raises
+    VarsetMismatchError.  ``widen`` repacks the leads in fields twice as
+    wide and drops the forms.
 
     A record also makes the dividends of the divisions it serves
     (``dividend``): an S-pair from the forms of its two elements, and the
@@ -213,12 +241,14 @@ class _Reducers:
     copy of that form.
     """
 
-    __slots__ = ("order", "packing", "polys", "lms", "leads", "ecarts", "forms", "held")
+    __slots__ = ("order", "varset", "packing", "polys", "lms", "leads", "ecarts", "forms",
+                 "held")
 
     def __init__(self, order: MonomialOrder, basis: Sequence[Poly] = ()):
         self.order = order
+        self.varset: VarSet | None = None
         self.packing: _Packing | None = None
-        self.polys: list[Poly] = []
+        self.polys: list[Poly | None] = []
         self.lms: list[Monomial] = []
         self.leads: list[int] = []
         self.ecarts: list[int] = []
@@ -228,8 +258,29 @@ class _Reducers:
             if not g.is_zero():
                 self.append(g)
 
-    def append(self, g: Poly) -> None:
-        """Add the nonzero g, made monic."""
+    def append(self, g: Poly | _Remainder) -> None:
+        """Add the nonzero g, made monic: a Poly, or the remainder a division
+        by this record returned, whose int terms enter packed as they are,
+        its scale dropped."""
+        if isinstance(g, _Remainder):
+            packing, terms = self.packing, g.terms
+            lead = min(terms)
+            content = gcd(*terms.values())
+            if terms[lead] < 0:
+                content = -content
+            self.polys.append(None)
+            self.lms.append(packing.unpack(lead))
+            self.leads.append(lead)
+            dshift, dmask = packing.dshift, packing.dmask
+            self.ecarts.append(max(m >> dshift & dmask for m in terms) - packing.degree(lead))
+            self.forms.append(terms if content == 1 else
+                              {m: c // content for m, c in terms.items()})
+            return
+        if self.varset is None:
+            self.varset = g.varset
+        elif g.varset != self.varset:
+            raise VarsetMismatchError(
+                f"reducer over a different variable set: {g.varset!r} vs {self.varset!r}")
         lm = leading_monomial(g, self.order)
         c = g.terms[lm]
         self.polys.append(g if c == 1 else g.scale(1 / c))
@@ -244,6 +295,18 @@ class _Reducers:
                 self.widen()
         self.ecarts.append(g.total_degree() - sum(lm))
         self.forms.append(None)
+
+    def poly(self, i: int) -> Poly:
+        """Element i as a monic Poly, made from its form the first time."""
+        g = self.polys[i]
+        if g is None:
+            g = self.polys[i] = _monic_poly(self.varset, self.forms[i], self.leads[i],
+                                            self.packing.unpack)
+        return g
+
+    def elements(self) -> list[Poly]:
+        """Every element as a monic Poly (see ``poly``)."""
+        return [self.poly(i) for i in range(len(self.polys))]
 
     def form(self, i: int) -> dict[int, int]:
         """The integer multiple of polys[i] at packed monomials; raises
@@ -264,6 +327,7 @@ class _Reducers:
                 self.widen()
 
     def widen(self) -> None:
+        self.elements()  # the forms go, so every element needs its Poly
         old = self.packing
         self.packing = new = _Packing(self.order, old.nvars, 2 * old.width)
         self.leads = [new.pack(old.unpack(p)) for p in self.leads]
@@ -274,7 +338,7 @@ class _Reducers:
         """The record of the elements at positions, in that order, sharing
         what is made here."""
         view = _Reducers(self.order)
-        view.packing = self.packing
+        view.varset, view.packing = self.varset, self.packing
         for name in ("polys", "lms", "leads", "ecarts", "forms"):
             items = getattr(self, name)
             setattr(view, name, [items[k] for k in positions])
@@ -284,7 +348,7 @@ class _Reducers:
         """The record with its element i removed, sharing what is made here;
         the element is held, so a division of it starts from its form."""
         view = self.kept([k for k in range(len(self.polys)) if k != i])
-        view.held = (self.polys[i], self.forms[i], self.leads[i])
+        view.held = (self.poly(i), self.forms[i], self.leads[i])
         return view
 
     def spair(self, i: int, j: int) -> tuple[dict[int, int], int | Fraction]:
@@ -366,8 +430,10 @@ class _Remainder:
     reducer whose leading coefficient is 1 it computes no gcd either: on
     seed-1 passes a is 1 in 92% (verify-dgk) and 97% (jet-ecodim) of the
     steps, and 48% and 75% are of the second kind.  A shifted monomial is
-    one int addition, P(m) + P(lm) - P(lmg).  ``pop`` and ``snapshot`` hand
-    out Fractions at exponent tuples.
+    one int addition, P(m) + P(lm) - P(lmg).  A division returns the
+    remainder itself, its terms still packed ints (``normal_form`` puts the
+    terms it moved out in their place); ``snapshot`` makes it a Poly of
+    Fractions at exponent tuples for a caller that passed no record.
     ``heap`` holds the packed monomials, whose int order is the order's rank
     order; an entry whose term has since cancelled is dropped when it reaches
     the top.  The ecart is read off the terms on demand, by Mora's pool test
@@ -379,7 +445,7 @@ class _Remainder:
 
     def __init__(self, f: Poly | tuple[int, int], reducers: _Reducers, budget: _Budget):
         self.budget = budget
-        self.varset = reducers.polys[0].varset  # f's too: _divided checks it
+        self.varset = reducers.varset  # f's too: _divided checks it
         self.packing = reducers.packing
         self.terms, self.scale = reducers.dividend(f)
         self.heap = list(self.terms)
@@ -413,10 +479,8 @@ class _Remainder:
                 most = d
         return most - base
 
-    def pop(self, m: int) -> Fraction:
-        """Remove the term at the packed monomial m; returns its coefficient."""
-        c, s = self.terms.pop(m), self.scale
-        return Fraction(c) if s == 1 else Fraction(c * s.numerator, s.denominator)
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def reduce(self, G: dict[int, int], lmg: int, eg: int, lm: int) -> None:
         """Subtract the multiple of the reducer G (integer terms at packed
@@ -476,16 +540,19 @@ class _Remainder:
 
 def _divided(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
              budget: _Budget | None, ints: _Reducers | None,
-             divide: Callable[[_Remainder, _Reducers], Poly]) -> Poly:
+             divide: Callable[[_Remainder, _Reducers], _Remainder]) -> Poly | _Remainder:
     """divide(h, record) on the remainder h of f: the one entry of
     ``normal_form`` and ``mora.mora_normal_form``, with their arguments.
 
     A zero f comes back as it is, and so does f when the record (ints, or
-    made from basis when None, zero elements dropped) is empty.  A reducer
-    over another varset than a Poly f raises VarsetMismatchError: a step
+    made from basis when None, zero elements dropped) is empty.  A record
+    over another varset than a Poly f raises VarsetMismatchError, and so
+    does a basis whose elements do not share one (see ``_Reducers``): a step
     reads exponent positions, so it would be applied at the wrong variables.
     h starts from the record's dividend (see ``_Reducers.dividend``) and is
-    paid from budget, a fresh default one when None.
+    paid from budget, a fresh default one when None.  The result is h made a
+    Poly when ints is None, and h itself otherwise: the completion loop and
+    the interreduction hand it on packed (see ``_Reducers.append``).
 
     When a field overflows (an entry, a shifted term of an S-pair or a
     product of degree 2^(width-1) or more), the budget is given back what
@@ -493,28 +560,28 @@ def _divided(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
     from the start: it takes the same steps, so it returns and charges what
     a division with unbounded exponents does.
     """
-    if isinstance(f, Poly):
-        if f.is_zero():
-            return f
-        for g in basis:
-            if g.varset != f.varset:
-                raise VarsetMismatchError(
-                    f"reducer over a different variable set: {g.varset!r} vs {f.varset!r}")
+    if isinstance(f, Poly) and f.is_zero():
+        return f
     record = _Reducers(order, basis) if ints is None else ints
     if not record.polys:
         return f
+    if isinstance(f, Poly) and f.varset != record.varset:
+        raise VarsetMismatchError(
+            f"reducer over a different variable set: {record.varset!r} vs {f.varset!r}")
     budget = budget or _Budget()
     remaining = budget.remaining
     while True:
         try:
-            return divide(_Remainder(f, record, budget), record)
+            h = divide(_Remainder(f, record, budget), record)
+            return h if ints is not None else h.snapshot()
         except _Overflow:
             budget.remaining = remaining
             record.widen()
 
 
 def normal_form(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
-                budget: _Budget | None = None, ints: _Reducers | None = None) -> Poly:
+                budget: _Budget | None = None,
+                ints: _Reducers | None = None) -> Poly | _Remainder:
     """Full remainder of f on division by basis, paid from budget (a fresh
     default one when None).  ints, when given, is the record of basis (see
     ``_Reducers``), which the division reads in place of basis and fills in
@@ -523,18 +590,22 @@ def normal_form(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrd
     which changes neither the remainder nor the charge.  f may also be a
     pair (i, j) of positions in ints, which the completion loop passes: the
     dividend is then S(basis[i], basis[j]) (see ``spolynomial``), built by
-    the record at packed monomials and never made a Poly.  The checks are
-    ``_divided``'s.
+    the record at packed monomials and never made a Poly.  The checks, and
+    the result, a Poly unless ints is given, are ``_divided``'s.
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
     Moving a leading term to the remainder costs nothing.
     """
 
-    def divide(h: _Remainder, record: _Reducers) -> Poly:
+    def divide(h: _Remainder, record: _Reducers) -> _Remainder:
         leads, ecarts, guard = record.leads, record.ecarts, record.packing.guard
-        unpack = record.packing.unpack
-        remainder = Poly.zero(h.varset)
+        terms = h.terms
+        # the terms moved out, ints under their own scale: out_scale * out
+        # stands for them, and mult * c for a term c of h while h.scale is seen
+        out: dict[int, int] = {}
+        out_scale = seen = h.scale
+        mult = 1
         while (lm := h.lead()) is not None:
             probe = lm | guard
             for i, lmg in enumerate(leads):
@@ -543,8 +614,19 @@ def normal_form(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrd
                     break
             else:
                 # later leading monomials are smaller, so lm is a new term here
-                remainder.terms[unpack(lm)] = h.pop(lm)
-        return remainder
+                if h.scale is not seen:  # a step divided h's scale
+                    seen = h.scale
+                    # seen / out_scale = mult / q: out_scale / q stands for q*out
+                    r = Fraction(seen.numerator * out_scale.denominator,
+                                 seen.denominator * out_scale.numerator)
+                    mult, q = r.numerator, r.denominator
+                    if q != 1:
+                        for m, c in out.items():
+                            out[m] = q * c
+                        out_scale = Fraction(out_scale.numerator, out_scale.denominator * q)
+                out[lm] = mult * terms.pop(lm)
+        h.terms, h.scale = out, out_scale
+        return h
 
     return _divided(f, basis, order, budget, ints, divide)
 
@@ -603,12 +685,13 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
     Zeros are skipped.  The basis under construction is one record, a
     ``_Reducers``, which opens with the elements of basis.  Each generator,
     made monic, is first replaced by its remainder nf(f, record) against the
-    elements kept before it, and enters the record unless that is zero; an
-    element's leading monomial is computed once, when it enters, and its
-    integer multiple once, when a division or an S-pair first needs it.
-    Then the pair of least lcm under the order (ties by pair index) is taken
-    next: it is handed to nf as its positions (i, j) in the record, which
-    builds S(g_i, g_j) packed, and the remainder enters the same way.
+    elements kept before it, and enters the record unless that is zero; the
+    remainder enters packed, as the division left it, and an element's
+    leading monomial is made once, when it enters, and its integer multiple
+    once, when a division or an S-pair first needs it.  Then the pair of
+    least lcm under the order (ties by pair index) is taken next: it is
+    handed to nf as its positions (i, j) in the record, which builds
+    S(g_i, g_j) packed, and the remainder enters the same way.
 
     The S-pairs among the elements of basis must already be known to reduce
     (basis is a Groebner or standard basis of its own ideal): they open the
@@ -623,7 +706,7 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
     P: dict = {}
     heap: list = []
 
-    def enter(f: Poly) -> None:
+    def enter(f: Poly | _Remainder) -> None:
         record.append(f)
         _update_pairs(record.lms, P, heap, order)
 
@@ -646,7 +729,7 @@ def _buchberger(gens: list[Poly], order: MonomialOrder, budget: _Budget,
                 basis: Sequence[Poly] = ()) -> _Reducers:
     """The record of ``buchberger``."""
 
-    def nf(f: Poly | tuple[int, int], record: _Reducers) -> Poly:
+    def nf(f: Poly | tuple[int, int], record: _Reducers) -> Poly | _Remainder:
         # normal_form is read from the globals at each call: a wrapper must see every division
         return normal_form(f, record.polys, order, budget=budget, ints=record)
 
@@ -661,7 +744,7 @@ def buchberger(gens: list[Poly], order: MonomialOrder,
     basis, when given, must be a Groebner basis of its own ideal: its S-pairs
     are not formed again.
     """
-    return _buchberger(gens, order, budget or _Budget(), basis).polys
+    return _buchberger(gens, order, budget or _Budget(), basis).elements()
 
 
 def _minimal(lms: list[Monomial]) -> list[int]:
@@ -679,7 +762,8 @@ def _minimal(lms: list[Monomial]) -> list[int]:
 
 
 def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Drop elements whose leading monomial is divisible by another's (see
+    """A minimal Groebner basis of the ideal of the Groebner basis basis:
+    the elements whose leading monomial no other one divides (see
     ``_minimal``)."""
     return [basis[k] for k in _minimal([leading_monomial(g, order) for g in basis])]
 
@@ -689,32 +773,46 @@ def _interreduced(record: _Reducers, budget: _Budget) -> list[Poly]:
 
     Every integer multiple is made once, first, and shared by the views that
     leave one element out: each element is divided by its view, starting
-    from a copy of its own multiple.  The lead of each nonzero remainder is
-    computed once, to make it monic and to sort on.
+    from a copy of its own multiple.  Each nonzero remainder comes back
+    packed and is made a monic Poly once, its lead the least packed key; one
+    that no step changed is the element itself.
     """
     order = record.order
     record.make_forms()
     out = []
-    for i, f in enumerate(record.polys):
+    for i in range(len(record.polys)):
         others = record.without(i)
+        f, F = others.held[:2]
         r = normal_form(f, others.polys, order, budget=budget, ints=others)
-        if not r.is_zero():
-            lm = leading_monomial(r, order)
-            c = r.terms[lm]
-            out.append((order.key(lm), r if c == 1 else r.scale(1 / c)))
+        # a step cancels a term for good, so r has the terms of F only if no
+        # step was taken, or none could be: r is f then
+        if r is f or r.terms == F:
+            out.append((order.key(record.lms[i]), f))
+        elif not r.is_zero():
+            unpack = r.packing.unpack
+            lead = min(r.terms)
+            out.append((order.key(unpack(lead)),
+                        _monic_poly(record.varset, r.terms, lead, unpack)))
     out.sort(key=itemgetter(0), reverse=True)
     return [g for _, g in out]
 
 
 def interreduce(basis: list[Poly], order: MonomialOrder,
                 budget: _Budget | None = None) -> list[Poly]:
-    """Each element reduced by the others and made monic, zeros dropped,
-    sorted with the greatest leading monomial first; divisions are paid from
-    budget (a fresh default one when None).  The basis is recorded once (see
+    """The reduced Groebner basis of the ideal of the minimal Groebner basis
+    basis: each element reduced by the others and made monic, zeros
+    dropped, sorted with the greatest leading monomial first; divisions are
+    paid from budget (a fresh default one when None).  Raises ValueError
+    when basis is not minimal, that is when the leading monomial of one
+    element divides another's (see ``minimalize``): reducing both by each
+    other would lose the ideal.  The basis is recorded once (see
     ``_Reducers``), for all of the divisions: each element's leading
     monomial and integer multiple are made once, and the division of an
     element starts from a copy of its own multiple (see ``_interreduced``)."""
-    return _interreduced(_Reducers(order, basis), budget or _Budget())
+    record = _Reducers(order, basis)
+    if len(_minimal(record.lms)) < len(record.lms):
+        raise ValueError("interreduce needs a minimal Groebner basis; use minimalize first")
+    return _interreduced(record, budget or _Budget())
 
 
 def _reduced_basis(gens: list[Poly], order: MonomialOrder, budget: _Budget,

@@ -30,8 +30,10 @@ each S-pair in as its positions in the record, and the record builds the
 S-polynomial from the two integer multiples at packed monomials, so it is
 never a Poly.  A remainder that joins the pool joins as a copy of its
 integer terms, scale left behind (a reducer's multiple plays no part in the
-step), because pool entries must not change under later steps; only the
-returned remainder is made a Poly of Fractions at exponent tuples.
+step), because pool entries must not change under later steps.  The
+remainder goes back to the loop packed and enters its record as its int
+terms (``groebner._Reducers.append``); only a caller that passed no record
+gets it as a Poly of Fractions at exponent tuples.
 
 The standard basis is groebner's completion loop, ``_complete``, with the
 weak normal form in place of the full one: each generator is first replaced
@@ -41,13 +43,13 @@ Given a ``basis`` that is already a standard basis, such as the one of the
 jet ideal a level down, the loop reduces the generators against it too and
 forms only the S-pairs with the new elements.  The minimalization, the
 interreduction and the final sort read the leading monomials the loop
-computed as each element entered.  The canonicalization of
-initial forms climbs the tower the same way: given the reduced Groebner
-basis of the initial ideal a level down, Buchberger starts from it, and only
-the forms that do not reduce to zero against it enter.  A standard basis,
-and a canonicalization of initial forms, each spend one groebner ``_Budget``
-across all of their divisions; the step charge is the one
-``_Remainder.reduce`` makes for ``normal_form`` too.
+computed as each element entered, and the homogeneity test its ecarts.  The
+canonicalization of initial forms climbs the tower the same way: given the
+reduced Groebner basis of the initial ideal a level down, Buchberger starts
+from it, and only the forms that do not reduce to zero against it enter.  A
+standard basis, and a canonicalization of initial forms, each spend one
+groebner ``_Budget`` across all of their divisions; the step charge is the
+one ``_Remainder.reduce`` makes for ``normal_form`` too.
 """
 
 from __future__ import annotations
@@ -73,17 +75,18 @@ from .poly import Poly
 
 def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
                      order: MonomialOrder = ANTIGRLEX, budget: _Budget | None = None,
-                     ints: _Reducers | None = None) -> Poly:
+                     ints: _Reducers | None = None) -> Poly | _Remainder:
     """Weak normal form of f against basis (Mora reduction).  The arguments,
-    the checks and the record are those of ``groebner.normal_form``, through
-    the same entry, ``groebner._divided``.
+    the checks, the record and the result, a Poly unless ints is given, are
+    those of ``groebner.normal_form``, through the same entry,
+    ``groebner._divided``.
 
     Reducer selection: minimal ecart, ties by leading monomial under the
     order, then by position in the pool (kept sorted, see the module
     docstring).
     """
 
-    def divide(h: _Remainder, record: _Reducers) -> Poly:
+    def divide(h: _Remainder, record: _Reducers) -> _Remainder:
         guard = record.packing.guard
         # (ecart, minus the packed leading monomial, which sorts as its order
         # key does, pool position, packed leading monomial, integer terms of a
@@ -102,7 +105,7 @@ def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
                 # h joins as its integer terms: the scale plays no part in a reducer
                 insort(data, (eh, -lm, len(data), lm, dict(h.terms)))
             h.reduce(record.form(i) if G is None else G, lmg, eg, lm)
-        return h.snapshot()
+        return h
 
     return _divided(f, basis, order, budget, ints, divide)
 
@@ -124,16 +127,17 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
         raise ValueError("mora_standard_basis needs the local order")
     budget = _Budget(work_limit)
 
-    def nf(f: Poly | tuple[int, int], record: _Reducers) -> Poly:
+    def nf(f: Poly | tuple[int, int], record: _Reducers) -> Poly | _Remainder:
         # mora_normal_form is read from the globals at each call (see groebner._buchberger)
         return mora_normal_form(f, record.polys, order, budget=budget, ints=record)
 
     record = _complete(gens, order, nf, basis)
     record = record.kept(_minimal(record.lms))
-    if all(g.is_homogeneous() for g in record.polys):
+    # under the local order an element is homogeneous exactly when its ecart is 0
+    if not any(record.ecarts):
         return _interreduced(record, budget)  # sorted as below
     # the least packed lead is the greatest leading monomial
-    return [g for _, g in sorted(zip(record.leads, record.polys), key=itemgetter(0))]
+    return [g for _, g in sorted(zip(record.leads, record.elements()), key=itemgetter(0))]
 
 
 def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX,

@@ -39,8 +39,10 @@ keyed by packed monomials (``groebner._Packing``), one int per exponent
 vector, since a step forms the product of a monomial and a shift for every
 term of the reducer: on 36 variables (Python 3.11, 2-CPU VM) ``monomial_mul``
 takes about 1.2 us and the packed sum 0.05 us, and a dict lookup 0.17 us at a
-tuple and 0.09 us at a packed int.  Tuples are packed once on entry and
-unpacked for the terms handed out.
+tuple and 0.09 us at a packed int.  Tuples are packed once on entry, and a
+remainder that enters the record of a basis stays packed there; it is
+unpacked only when it leaves, in a returned basis or a public division's
+result.
 
 Values at a rational point follow the same idiom: ``Poly.evaluate`` (and
 ``localgeom.jacobian_at``) hold integral coefficients and coordinates as ints,

@@ -75,7 +75,7 @@ class VarSet:
         return self.vars[i]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, VarSet) and self.vars == other.vars
+        return self is other or isinstance(other, VarSet) and self.vars == other.vars
 
     def __hash__(self) -> int:
         return hash(self.vars)
@@ -94,4 +94,4 @@ class VarSet:
         return self._pos[v]
 
     def is_prefix_of(self, other: "VarSet") -> bool:
-        return len(self) <= len(other) and other.vars[: len(self)] == self.vars
+        return self is other or len(self) <= len(other) and other.vars[: len(self)] == self.vars

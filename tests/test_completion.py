@@ -35,17 +35,24 @@ def _traced(monkeypatch, fn, *args):
     """The outcome of fn(*args) and, for each call of groebner.normal_form or
     mora.mora_normal_form it made, the name, the inputs and the work budget
     left after the call (None without a budget).  A pair dividend is
-    recorded, before the call, as the S-polynomial it stands for."""
+    recorded, before the call, as the S-polynomial it stands for.  The
+    completion loop hands in the record of its basis (``ints``), whose
+    elements are Polys only once read: the basis is recorded as the record's
+    elements, and it must be as long as they are, since the benchmark's
+    spans read its size."""
     calls = []
 
     def recorder(name, original):
         def record(f, basis, order, *rest, **kwargs):
-            dividend = dividend_poly(f, basis, order)
+            ints = kwargs.get("ints")
+            elements = basis if ints is None else ints.elements()
+            assert len(basis) == len(elements)
+            dividend = dividend_poly(f, elements, order)
             try:
                 return original(f, basis, order, *rest, **kwargs)
             finally:
                 budget = kwargs.get("budget")
-                calls.append((name, dividend, tuple(basis),
+                calls.append((name, dividend, tuple(elements),
                               None if budget is None else budget.remaining))
         return record
 
@@ -232,12 +239,16 @@ def test_reduced_bases_run_out_at_their_whole_spend(monkeypatch, compute, order)
 def test_buchberger_computes_each_leading_monomial_once(monkeypatch):
     """buchberger, groebner_basis and mora_standard_basis build no
     S-polynomial as a Poly and compute the leading monomial of no polynomial
-    twice: an element once, when it enters the basis and is made monic from
-    it; a generator after the first nonzero one once, when it is made monic
-    before its division; and a nonzero remainder of the interreduction once,
-    to make it monic and to sort on.  The minimalization, the interreduction
-    and the final sort read the leads the elements entered with.  Calls
-    through every name of leading_monomial count."""
+    twice: the first nonzero generator once, when it enters the basis and is
+    made monic from it, and each later generator once, when it is made monic
+    before its division.  A division's remainder enters the basis packed, so
+    no leading monomial of a remainder is computed, none is scaled monic and
+    none is cleared of its denominators again: ``Poly.scale`` and
+    ``_cleared`` only meet generators and their monic multiples.  The
+    minimalization, the interreduction and the final sort read the leads the
+    elements entered with, and the interreduction makes each remainder it
+    returns a monic Poly from its packed terms.  Calls through every name of
+    leading_monomial count."""
     calls: list = []
     for module in (orders, groebner, mora):
         if hasattr(module, "leading_monomial"):
@@ -250,14 +261,30 @@ def test_buchberger_computes_each_leading_monomial_once(monkeypatch):
         raise AssertionError("an S-polynomial was built as a Poly")
 
     monkeypatch.setattr(groebner, "spolynomial", built)
-    entered = [0]
-    update = groebner._update_pairs
+    scaled: list = []
+    scale = Poly.scale
 
-    def counted_update(*args):
-        entered[0] += 1
-        update(*args)
+    def counted_scale(f, c):
+        scaled.append(f)
+        return scale(f, c)
 
-    monkeypatch.setattr(groebner, "_update_pairs", counted_update)
+    monkeypatch.setattr(Poly, "scale", counted_scale)
+    cleared: list = []
+    clear = groebner._cleared
+
+    def counted_clear(f, pack):
+        cleared.append(f)
+        return clear(f, pack)
+
+    monkeypatch.setattr(groebner, "_cleared", counted_clear)
+    entered: list = []
+    append = groebner._Reducers.append
+
+    def recorded_append(record, g):
+        entered.append(g)
+        append(record, g)
+
+    monkeypatch.setattr(groebner._Reducers, "append", recorded_append)
 
     def monic(f, order):
         return f.scale(1 / f.terms[tuple_leading_monomial(f, order)])
@@ -269,22 +296,31 @@ def test_buchberger_computes_each_leading_monomial_once(monkeypatch):
         for ideal in _ideals(5, 6, degrees, terms):
             # a zero generator is skipped, and the product reduces to zero
             gens = [Poly.zero(VS), *ideal, ideal[0] * ideal[1]]
+            nonzero = [g for g in gens if not g.is_zero()]
             calls.clear()
-            entered[0] = 0
+            scaled.clear()
+            cleared.clear()
+            entered.clear()
             out = compute(gens, order)
             assert len({id(f) for f in calls}) == len(calls)
+            assert len(calls) == len(nonzero)
+            assert all(any(f is g for g in nonzero) for f in calls)
+            # the first generator enters as a Poly, every remainder packed
+            assert entered[0] is nonzero[0]
+            assert all(isinstance(r, groebner._Remainder) for r in entered[1:])
+            assert all(any(f is g for g in nonzero) for f in scaled)
+            monics = [monic(g, order) for g in nonzero]
+            assert all(any(f == g for g in monics) for f in cleared)
+            if compute is buchberger:
+                # each element is the monic multiple of what entered
+                assert out == [monic(g if isinstance(g, Poly) else g.snapshot(), order)
+                               for g in entered]
             # groebner_basis interreduces, and mora_standard_basis does so when
-            # its basis is homogeneous and sorts it otherwise; the interreduction
-            # makes one remainder monic per element it returns
+            # its basis is homogeneous and sorts it otherwise
             reduced = compute is groebner_basis or (
                 compute is mora_standard_basis and all(g.is_homogeneous() for g in out))
-            after = len(out) if reduced else 0
-            assert len(calls) == entered[0] + sum(not g.is_zero() for g in gens) - 1 + after
-            if compute is buchberger:
-                assert entered[0] == len(out)
-                assert all(any(monic(f, order) == g for f in calls) for g in out)
-            grown += entered[0] > len(ideal)
-            interreduced += after > 0
+            grown += len(entered) > len(ideal)
+            interreduced += reduced and len(out) > 0
             sorted_only += compute is mora_standard_basis and not reduced
     # the comparison is not vacuous: S-pair remainders enter, the
     # interreductions return elements, and some standard bases are only sorted

@@ -15,7 +15,7 @@ from arcspace.polyalg import (
     reduces_to_zero,
     spolynomial,
 )
-from arcspace.polyalg.groebner import minimalize
+from arcspace.polyalg.groebner import buchberger, interreduce, minimalize
 from arcspace.polyalg.orders import leading_monomial
 
 
@@ -98,3 +98,16 @@ def test_minimalize_drops_proper_divisors_under_every_order(vs):
     for order in (ANTIGRLEX, GREVLEX, GRLEX, LEX):
         assert minimalize([x, x2], order) == [x]
         assert minimalize([x2, x], order) == [x]
+
+
+@pytest.mark.parametrize("basis", [["x^2 + y", "x^2"], ["x*y - 1", "x*y - 1"], ["x^2 + y", "x"]],
+                         ids=["equal-leads", "equal-elements", "a-proper-divisor"])
+def test_interreduce_rejects_a_basis_that_is_not_minimal(vs, basis):
+    """Reducing each element by the others loses the ideal when one leading
+    monomial divides another's: [x^2 + y, x^2] gave [y, y] and [f, f] gave
+    [].  interreduce takes a minimal Groebner basis, as minimalize makes."""
+    basis = [parse_poly(g, vs) for g in basis]
+    with pytest.raises(ValueError, match="minimal Groebner basis"):
+        interreduce(basis, GREVLEX)
+    raw = buchberger(basis, GREVLEX)
+    assert interreduce(minimalize(raw, GREVLEX), GREVLEX) == groebner_basis(basis, GREVLEX)

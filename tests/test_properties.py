@@ -6,7 +6,9 @@ Mora's initial ideal against the brute-force truncation oracle.  The
 fraction-free division kernel is checked against the copy-per-step reference
 loops of ``test_reduction``, the bounded ecart of a remainder against a scan
 of its terms, and the S-pairs the completion loop builds at packed monomials
-against ``spolynomial``.  The one completion loop behind every basis is
+against ``spolynomial``.  A remainder that enters a basis record packed is
+checked against the same remainder appended as a monic Poly, also when the
+record widens after it entered.  The one completion loop behind every basis is
 checked against sympy's reduced Groebner bases (when sympy is installed) and
 for independence of the order of the generators.  The packed exponent vectors
 of the division kernel are checked against the tuple operations and order
@@ -14,6 +16,7 @@ keys they stand for, and the parser against the printer and its error
 positions.  The runs are derandomized, so every run draws the same examples.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,19 +49,29 @@ from arcspace.polyalg import (  # noqa: E402
     poly_to_string,
     spolynomial,
 )
+from arcspace.polyalg import groebner  # noqa: E402
 from arcspace.polyalg.groebner import (  # noqa: E402
     _Budget,
+    _cleared,
     _Overflow,
     _Packing,
     _Reducers,
     _Remainder,
+    interreduce,
+    minimalize,
 )
 from arcspace.polyalg.mora import canonical_initial_forms  # noqa: E402
 from arcspace.polyalg.oracles import initial_ideal_mismatches  # noqa: E402
-from arcspace.polyalg.orders import leading_monomial  # noqa: E402
+from arcspace.polyalg.orders import leading_monomial, make_monic  # noqa: E402
 from arcspace.polyalg.poly import monomial_div, monomial_divides, monomial_mul  # noqa: E402
 
-from test_reduction import reference_mora_normal_form, reference_normal_form  # noqa: E402
+from conftest import reference_buchberger  # noqa: E402
+from test_reduction import (  # noqa: E402
+    WIDE_MORA_NORMAL_FORMS,
+    WIDE_NORMAL_FORMS,
+    reference_mora_normal_form,
+    reference_normal_form,
+)
 
 VS = VarSet(["x", "y", "z"])
 
@@ -199,6 +212,154 @@ def test_a_packed_s_pair_is_the_s_polynomial(order, data):
 # Mora's weak normal form can take many steps on some draws; both loops must
 # then run out of this budget at the same step
 MORA_WORK = 4_000
+
+
+# -- a division's remainder entering the record packed ---------------------------
+
+# every global kind, one with a priority, and the local order with and without one
+ENTRY_ORDERS = [GREVLEX, GRLEX, LEX, MonomialOrder("grevlex", (2, 0, 1)), ANTIGRLEX,
+                MonomialOrder("antigrlex", (1, 2, 0))]
+# int coefficients leave remainders of content other than 1 and with negative
+# leading coefficients; Fractions leave remainders with a scale
+int_coefficients = st.integers(-9, 9).filter(bool)
+
+
+def _widened_to(record, width):
+    while record.packing.width < width:
+        record.widen()
+    return record
+
+
+def _entered_alike(packed, plain):
+    """The record packed, whose later elements entered packed, holds what the
+    record plain, of the same elements appended as Polys, holds: leads,
+    packed leads, ecarts, Polys and forms.  A form is the element made monic
+    and cleared (``_cleared``): primitive, with a positive leading
+    coefficient."""
+    _widened_to(plain, packed.packing.width)
+    assert packed.lms == plain.lms
+    assert packed.leads == plain.leads
+    assert packed.ecarts == plain.ecarts
+    assert packed.elements() == plain.elements()
+    for i, g in enumerate(plain.elements()):
+        assert packed.form(i) == plain.form(i) == _cleared(g, packed.packing.pack)[0]
+
+
+@checked
+@given(st.sampled_from(ENTRY_ORDERS), st.booleans(), st.data())
+def test_a_remainder_enters_packed_as_its_monic_poly_would(order, integral, data):
+    """The remainder of a division (Buchberger's full normal form under a
+    global order, Mora's weak one under a local order) enters the record it
+    was divided by as its int terms, scale dropped.  That element has the
+    lead, packed lead, ecart and form of the remainder made monic and
+    appended as a Poly, and its Poly, made only when read, is that monic
+    remainder."""
+    coefficient = int_coefficients if integral else fractions_to_7
+    dividends, monomials = ((local_monomials, local_monomials) if order.is_local
+                            else (dividend_monomials, small_monomials))
+    f = Poly(VS, data.draw(st.dictionaries(dividends, coefficient, min_size=1, max_size=6)))
+    basis = data.draw(st.lists(st.dictionaries(monomials, coefficient, min_size=1, max_size=3)
+                               .map(lambda terms: Poly(VS, terms)), min_size=1, max_size=3))
+    record = _Reducers(order, basis)
+    divide = mora_normal_form if order.is_local else normal_form
+    budget = _Budget(MORA_WORK)
+    r = _outcome(lambda: divide(f, record.polys, order, budget=budget, ints=record), budget)[0]
+    if r == "exhausted" or r.is_zero():
+        return
+    assert isinstance(r, _Remainder)
+    h = r.snapshot()
+    n = len(record.polys)
+    record.append(r)
+    assert record.polys[n] is None  # made when read
+    F, lead = record.forms[n], record.leads[n]
+    assert F[lead] > 0 and math.gcd(*F.values()) == 1
+    assert record.poly(n) == make_monic(h, order)
+    _entered_alike(record, _Reducers(order, [*basis, h]))
+
+
+def _entered_and_widened(monkeypatch):
+    """Counts the widenings of a record holding an element that entered
+    packed and has no Poly yet, and the widenings inside an interreduction."""
+    seen = {"packed": 0, "interreducing": 0}
+    widen, interreduced = _Reducers.widen, groebner._interreduced
+    inside = [False]
+
+    def counted_widen(record):
+        seen["packed"] += any(g is None for g in record.polys)
+        seen["interreducing"] += inside[0]
+        widen(record)
+
+    def counted_interreduced(*args):
+        inside[0] = True
+        try:
+            return interreduced(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(_Reducers, "widen", counted_widen)
+    monkeypatch.setattr(groebner, "_interreduced", counted_interreduced)
+    return seen
+
+
+WIDE_DIVISIONS = [*WIDE_NORMAL_FORMS,
+                  *((ANTIGRLEX, f, basis) for f, basis in WIDE_MORA_NORMAL_FORMS)]
+VSW = VarSet(["x", "y", "z", "w"])
+
+
+@pytest.mark.parametrize("order, f, basis", WIDE_DIVISIONS)
+def test_a_record_widens_after_a_packed_entry(order, f, basis, monkeypatch):
+    """A record that widens after a remainder entered it packed makes that
+    element's Poly in the old fields first.  The record opens with w^5 and
+    the packed remainder of 2*w^3 - 4*w^2, which no reducer of the fixture
+    divides, and then takes the fixture's reducers, in a fourth variable w
+    that none of them reads.  Appending them or dividing f by the record
+    widens it; the division returns and charges what the copy-per-step loop
+    does on the record's Polys, and the widened record holds what a record
+    of those Polys, widened as far, holds."""
+    seen = _entered_and_widened(monkeypatch)
+    if order.priority is not None:
+        order = MonomialOrder(order.kind, (*order.priority, 3))
+    f, basis = parse_poly(f, VSW), [parse_poly(g, VSW) for g in basis]
+    local = order.is_local
+    divide = mora_normal_form if local else normal_form
+    record = _Reducers(order, [parse_poly("w^5", VSW)])
+    r = divide(parse_poly("2*w^3 - 4*w^2", VSW), record.polys, order, ints=record)
+    assert isinstance(r, _Remainder)
+    elements = [*record.elements(), *(make_monic(g, order) for g in (r.snapshot(), *basis))]
+    record.append(r)
+    for g in basis:
+        record.append(g)
+    budget, ref_budget = _Budget(), _Budget()
+    got = divide(f, record.polys, order, budget=budget, ints=record)
+    if local:
+        expected = reference_mora_normal_form(f, elements, order, ref_budget, [])
+    else:
+        expected = reference_normal_form(f, elements, order, ref_budget)
+    assert got.snapshot() == expected
+    assert budget.remaining == ref_budget.remaining
+    assert seen["packed"] > 0
+    _entered_alike(record, _Reducers(order, elements))
+
+
+# x - y^3 steps to x - y*z^40000, past the 16-bit fields, when the
+# interreduction divides it by y - z^20000, which entered packed
+WIDE_IDEALS = [
+    (LEX, ["x - y^3", "y - z^20000"]),
+    (MonomialOrder("lex", (2, 1, 0)), ["z - y^3", "y - x^20000"]),
+]
+
+
+@pytest.mark.parametrize("order, gens", WIDE_IDEALS)
+def test_an_interreduction_widens_a_record_with_packed_entries(order, gens, monkeypatch):
+    """groebner_basis, whose completion enters remainders packed, returns the
+    reduced basis the divisions of Polys give, interreduce(minimalize(...))
+    of the reference Buchberger loop, where the fields widen inside the
+    interreduction with an element that entered packed and has no Poly."""
+    seen = _entered_and_widened(monkeypatch)
+    gens = [parse_poly(g, VS) for g in gens]
+    got = groebner_basis(gens, order)
+    assert seen["packed"] > 0 and seen["interreducing"] > 0
+    assert got == interreduce(minimalize(reference_buchberger(gens, order), order), order)
 
 
 @checked

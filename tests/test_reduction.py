@@ -210,6 +210,31 @@ def _value(remainder):
     return {unpack(p): s * c for p, c in remainder.terms.items()}
 
 
+def _handed(result, ints):
+    """What a division returned, as a Poly: the completion loop and the
+    interreduction pass their record as ints and get the remainder back
+    packed, at the monomials of the record's packing; any other call gets
+    a Poly."""
+    if ints is None:
+        assert isinstance(result, Poly)
+        return result
+    if isinstance(result, Poly):  # a dividend returned as it is
+        return result
+    assert result.packing is ints.packing
+    assert all(type(c) is int for c in result.terms.values())
+    return Poly(result.varset, _value(result))
+
+
+def _elements(basis, ints):
+    """The Polys a division divides by: basis, or the elements of the record
+    ints, which makes them Polys only when read.  ints holds as many
+    elements as basis, whose size the benchmark's spans read."""
+    if ints is None:
+        return basis
+    assert len(basis) == len(ints.polys)
+    return ints.elements()
+
+
 def _proportional(G, h, packing):
     """True if the int terms G at packed monomials are a nonzero multiple of
     the Poly h."""
@@ -377,23 +402,25 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
 
     def forwarded(basis, order, ints):
         # leading monomials the completion loop hands in are those of basis
-        assert ints is None or list(ints.lms) == [tuple_leading_monomial(g, order) for g in basis]
+        assert ints is None or list(ints.lms) \
+            == [tuple_leading_monomial(g, order) for g in _elements(basis, ints)]
         seen["forwarded"] += ints is not None
 
     def integral(basis, ints):
-        # the record handed in holds basis itself and, in its positions, the
-        # packed leading monomials and ecarts of basis, and integer multiples
-        # that are None (not made yet) or multiples of basis; made ones are
-        # kept for later divisions of the same basis computation
+        # the record handed in holds its own list of elements as basis and,
+        # in its positions, the packed leading monomials and ecarts of its
+        # elements, and integer multiples that are None (not made yet) or
+        # multiples of them; made ones are kept for later divisions of the
+        # same basis computation
         if ints is not None:
-            packing = ints.packing
+            packing, elements = ints.packing, _elements(basis, ints)
             assert ints.polys is basis
             assert [packing.unpack(p) for p in ints.leads] \
-                == [tuple_leading_monomial(g, ANTIGRLEX) for g in basis]
-            assert ints.ecarts == [_ecart(g, ANTIGRLEX) for g in basis]
+                == [tuple_leading_monomial(g, ANTIGRLEX) for g in elements]
+            assert ints.ecarts == [_ecart(g, ANTIGRLEX) for g in elements]
             assert len(ints.forms) == len(basis)
             assert all(_proportional(G, g, packing)
-                       for G, g in zip(ints.forms, basis) if G is not None)
+                       for G, g in zip(ints.forms, elements) if G is not None)
             seen["integral"] += 1
             seen["kept"] += sum(G is not None for G in ints.forms)
         return ints
@@ -403,12 +430,13 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         ref_budget = _Budget(budget.remaining)
         appended: list = []
         seen["pairs"] += isinstance(f, tuple)
-        expected = reference_mora_normal_form(dividend_poly(f, basis, order), basis, order,
-                                              ref_budget, appended)
+        elements = _elements(basis, ints)
+        expected = reference_mora_normal_form(dividend_poly(f, elements, order), elements,
+                                              order, ref_budget, appended)
         forwarded(basis, order, ints)
         got = mora_normal_form(f, basis, order, budget=budget, ints=integral(basis, ints))
         integral(basis, ints)
-        assert got == expected
+        assert _handed(got, ints) == expected
         assert budget.remaining == ref_budget.remaining
         seen["mora"] += 1
         seen["pooled"] += len(appended)
@@ -418,11 +446,12 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
         forwarded(basis, order, ints)
+        elements = _elements(basis, ints)
         got = normal_form(f, basis, order, budget, ints=integral(basis, ints))
         integral(basis, ints)
         seen["pairs"] += isinstance(f, tuple)
-        assert got == reference_normal_form(dividend_poly(f, basis, order), basis, order,
-                                            ref_budget)
+        assert _handed(got, ints) == reference_normal_form(
+            dividend_poly(f, elements, order), elements, order, ref_budget)
         assert budget.remaining == ref_budget.remaining
         seen["groebner"] += 1
         return got
@@ -444,7 +473,8 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
            for w in (work - 1, work)]
 
     def reference(f, basis, order=ANTIGRLEX, budget=None, ints=None):
-        return reference_mora_normal_form(dividend_poly(f, basis, order), basis, order,
+        elements = _elements(basis, ints)
+        return reference_mora_normal_form(dividend_poly(f, elements, order), elements, order,
                                           budget, [])
 
     monkeypatch.setattr(mora, "mora_normal_form", reference)
@@ -574,7 +604,10 @@ def test_a_basis_computation_keeps_its_widened_reducers(monkeypatch):
     z^20000 and x*z^20000 - y^2: its lcm x*y*z^20000 fits the 16-bit fields,
     but z^20000 times the first element's tail z^20000 does not, so building
     it widens them; the two divisions after it use the widened reducers
-    without widening again."""
+    without widening again.  Every division of the run, and of the reduced
+    basis, interreduction included, returns and charges what the copy-per-
+    step loop does on the Polys of its record, elements that entered packed
+    before the widening included."""
     widened = _widened(monkeypatch)
     overflowed = _pair_overflows(monkeypatch)
     vs = VarSet(["x", "y", "z"])
@@ -583,13 +616,24 @@ def test_a_basis_computation_keeps_its_widened_reducers(monkeypatch):
     assert widened[0] == 1
     assert overflowed == [(0, 2, 16)]
     reduced = groebner.groebner_basis(gens, LEX)
+    divisions = {"packed": 0, "wide": 0}
 
-    def reference(f, basis, order, budget=None, ints=None):
-        return reference_normal_form(dividend_poly(f, basis, order), basis, order, budget)
+    def checked(f, basis, order, budget=None, ints=None):
+        elements = _elements(basis, ints)
+        ref_budget = _Budget(budget.remaining)
+        expected = reference_normal_form(dividend_poly(f, elements, order), elements, order,
+                                         ref_budget)
+        got = normal_form(f, basis, order, budget, ints)
+        assert _handed(got, ints) == expected
+        assert budget.remaining == ref_budget.remaining
+        divisions["packed"] += not isinstance(got, Poly)
+        divisions["wide"] += ints.packing.width > 16
+        return got
 
-    monkeypatch.setattr(groebner, "normal_form", reference)
+    monkeypatch.setattr(groebner, "normal_form", checked)
     assert raw == groebner.buchberger(gens, LEX)
     assert reduced == groebner.groebner_basis(gens, LEX)
+    assert divisions["packed"] > 0 and divisions["wide"] > 0
     assert parse_poly("y^3 - z^40000", vs) in reduced
 
 
