@@ -42,7 +42,14 @@ from .polyalg.parse import parse_poly, poly_to_string
 from .polyalg.poly import Poly, _composed, poly_det
 from .polyalg.series import OrdResult, TruncSeries, combine_ord_min
 from .polyalg.tpoly import TPoly, substitute_tpoly
-from .polyalg.varset import VarSet
+from .polyalg.varset import VarId, VarSet
+
+
+@lru_cache(maxsize=16)
+def _jet_levels(ambient: VarSet) -> list[tuple[VarId, ...]]:
+    """The jet variables of ambient, one tuple per order; ``jet_varset``
+    appends the orders it is asked for."""
+    return []
 
 
 @lru_cache(maxsize=64)
@@ -52,14 +59,14 @@ def jet_varset(ambient: VarSet, n: int) -> VarSet:
     Level-major layout makes the order-n set a prefix of the order-(n+1) set,
     so polynomials extend between levels by zero-padding exponents.  Each set
     is built once per (ambient, n), in a small bounded cache, since a jet
-    tower asks for its levels again and again; the order-n set reuses the
-    variables of the order-(n-1) one, so a prefix test between levels
-    compares them by identity.
+    tower asks for its levels again and again; the variables of each order
+    are made once per ambient (``_jet_levels``), so a prefix test between
+    levels compares them by identity.
     """
-    if n < 0:
-        return VarSet(())
-    below = jet_varset(ambient, n - 1).vars
-    return VarSet(below + tuple(v.derived(n) for v in ambient))
+    levels = _jet_levels(ambient)
+    while len(levels) <= n:
+        levels.append(tuple(v.derived(len(levels)) for v in ambient))
+    return VarSet(itertools.chain.from_iterable(levels[:n + 1]))
 
 
 @dataclass(frozen=True)

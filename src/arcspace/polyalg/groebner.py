@@ -224,21 +224,20 @@ class _Reducers:
     ``_cleared`` makes of the monic remainder, so every later step does the
     same arithmetic and pays the same charge.  Its lead is the least packed
     key, unpacked once, and its ecart is read off the packed degree fields.
-    Its Poly is None until something reads it (``poly``): the returned basis,
-    the element a ``without`` view holds, and every element, before
-    ``widen`` drops the forms.  Since an element is monic, the leading
-    coefficient of its form is the scale it was multiplied by.  The
-    completion loop keeps one record as its basis, so each of these is made
-    at most once per basis computation.  Zero elements are dropped.  The
-    packing is made for the number of variables of the first element, and
-    its variable set is the record's: a Poly over another one raises
-    VarsetMismatchError.  ``widen`` repacks the leads in fields twice as
-    wide and drops the forms.
+    Its Poly is None until it leaves the record (``poly``), as part of the
+    returned basis.  So an element always has its Poly or its form, and
+    often both.  Since an element is monic, the leading coefficient of its
+    form is the scale it was multiplied by.  The completion loop keeps one
+    record as its basis, so each of these is made at most once per basis
+    computation.  Zero elements are dropped.  The packing is made for the
+    number of variables of the first element, and its variable set is the
+    record's: a Poly over another one raises VarsetMismatchError.  ``widen``
+    repacks the leads and the forms made so far in fields twice as wide.
 
     A record also makes the dividends of the divisions it serves
     (``dividend``): an S-pair from the forms of its two elements, and the
-    element a ``without`` view leaves out, ``held`` with its form, from a
-    copy of that form.
+    element a ``without`` view leaves out, ``held`` as its form and packed
+    lead, from a copy of that form.
     """
 
     __slots__ = ("order", "varset", "packing", "polys", "lms", "leads", "ecarts", "forms",
@@ -253,7 +252,7 @@ class _Reducers:
         self.leads: list[int] = []
         self.ecarts: list[int] = []
         self.forms: list[dict[int, int] | None] = []
-        self.held: tuple[Poly, dict[int, int] | None, int] | None = None
+        self.held: tuple[dict[int, int], int] | None = None
         for g in basis:
             if not g.is_zero():
                 self.append(g)
@@ -327,12 +326,17 @@ class _Reducers:
                 self.widen()
 
     def widen(self) -> None:
-        self.elements()  # the forms go, so every element needs its Poly
         old = self.packing
         self.packing = new = _Packing(self.order, old.nvars, 2 * old.width)
+
+        def repacked(F: dict[int, int]) -> dict[int, int]:
+            return {new.pack(old.unpack(m)): c for m, c in F.items()}
+
         self.leads = [new.pack(old.unpack(p)) for p in self.leads]
-        self.forms = [None] * len(self.forms)
-        self.held = None
+        self.forms = [None if F is None else repacked(F) for F in self.forms]
+        if self.held is not None:
+            F, lead = self.held
+            self.held = repacked(F), new.pack(old.unpack(lead))
 
     def kept(self, positions: Sequence[int]) -> _Reducers:
         """The record of the elements at positions, in that order, sharing
@@ -346,9 +350,10 @@ class _Reducers:
 
     def without(self, i: int) -> _Reducers:
         """The record with its element i removed, sharing what is made here;
-        the element is held, so a division of it starts from its form."""
+        the element is held, so a division of it, f = i, starts from its
+        form."""
         view = self.kept([k for k in range(len(self.polys)) if k != i])
-        view.held = (self.poly(i), self.forms[i], self.leads[i])
+        view.held = (self.form(i), self.leads[i])
         return view
 
     def spair(self, i: int, j: int) -> tuple[dict[int, int], int | Fraction]:
@@ -393,17 +398,16 @@ class _Reducers:
                 del terms[m]
         return terms, 1 if ci == cj == 1 else Fraction(q, ci * cj)
 
-    def dividend(self, f: Poly | tuple[int, int]) -> tuple[dict[int, int], int | Fraction]:
+    def dividend(self, f: Poly | tuple[int, int] | int) -> tuple[dict[int, int], int | Fraction]:
         """(terms, scale) with f = scale * terms, terms a fresh dict of ints
         at packed monomials: the S-pair (``spair``) when f is a pair of
-        positions, a copy of the held form when f is the held element, and f
-        cleared of its denominators (``_cleared``) otherwise.  Raises
-        _Overflow when a term does not fit the fields."""
+        positions, a copy of the held form when f is the position of the held
+        element, and f cleared of its denominators (``_cleared``) otherwise.
+        Raises _Overflow when a term does not fit the fields."""
         if isinstance(f, tuple):
             return self.spair(*f)
-        held = self.held
-        if held is not None and held[0] is f and held[1] is not None:
-            F, lead = held[1], held[2]
+        if isinstance(f, int):
+            F, lead = self.held
             c = F[lead]
             return dict(F), 1 if c == 1 else Fraction(1, c)
         terms, L = _cleared(f, self.packing.pack)
@@ -443,7 +447,7 @@ class _Remainder:
 
     __slots__ = ("varset", "packing", "terms", "scale", "heap", "budget")
 
-    def __init__(self, f: Poly | tuple[int, int], reducers: _Reducers, budget: _Budget):
+    def __init__(self, f: Poly | tuple[int, int] | int, reducers: _Reducers, budget: _Budget):
         self.budget = budget
         self.varset = reducers.varset  # f's too: _divided checks it
         self.packing = reducers.packing
@@ -538,17 +542,18 @@ class _Remainder:
                          {unpack(m): Fraction(c * n, d) for m, c in self.terms.items()})
 
 
-def _divided(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
+def _divided(f: Poly | tuple[int, int] | int, basis: list[Poly], order: MonomialOrder,
              budget: _Budget | None, ints: _Reducers | None,
              divide: Callable[[_Remainder, _Reducers], _Remainder]) -> Poly | _Remainder:
     """divide(h, record) on the remainder h of f: the one entry of
     ``normal_form`` and ``mora.mora_normal_form``, with their arguments.
 
-    A zero f comes back as it is, and so does f when the record (ints, or
-    made from basis when None, zero elements dropped) is empty.  A record
-    over another varset than a Poly f raises VarsetMismatchError, and so
-    does a basis whose elements do not share one (see ``_Reducers``): a step
-    reads exponent positions, so it would be applied at the wrong variables.
+    A zero Poly f comes back as it is, and so does a Poly f when the record
+    (ints, or made from basis when None, zero elements dropped) is empty; a
+    held position is divided by an empty view too.  A record over another
+    varset than a Poly f raises VarsetMismatchError, and so does a basis
+    whose elements do not share one (see ``_Reducers``): a step reads
+    exponent positions, so it would be applied at the wrong variables.
     h starts from the record's dividend (see ``_Reducers.dividend``) and is
     paid from budget, a fresh default one when None.  The result is h made a
     Poly when ints is None, and h itself otherwise: the completion loop and
@@ -563,11 +568,12 @@ def _divided(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
     if isinstance(f, Poly) and f.is_zero():
         return f
     record = _Reducers(order, basis) if ints is None else ints
-    if not record.polys:
-        return f
-    if isinstance(f, Poly) and f.varset != record.varset:
-        raise VarsetMismatchError(
-            f"reducer over a different variable set: {record.varset!r} vs {f.varset!r}")
+    if isinstance(f, Poly):
+        if not record.polys:
+            return f
+        if f.varset != record.varset:
+            raise VarsetMismatchError(
+                f"reducer over a different variable set: {record.varset!r} vs {f.varset!r}")
     budget = budget or _Budget()
     remaining = budget.remaining
     while True:
@@ -579,7 +585,7 @@ def _divided(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
             record.widen()
 
 
-def normal_form(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrder,
+def normal_form(f: Poly | tuple[int, int] | int, basis: list[Poly], order: MonomialOrder,
                 budget: _Budget | None = None,
                 ints: _Reducers | None = None) -> Poly | _Remainder:
     """Full remainder of f on division by basis, paid from budget (a fresh
@@ -590,8 +596,11 @@ def normal_form(f: Poly | tuple[int, int], basis: list[Poly], order: MonomialOrd
     which changes neither the remainder nor the charge.  f may also be a
     pair (i, j) of positions in ints, which the completion loop passes: the
     dividend is then S(basis[i], basis[j]) (see ``spolynomial``), built by
-    the record at packed monomials and never made a Poly.  The checks, and
-    the result, a Poly unless ints is given, are ``_divided``'s.
+    the record at packed monomials and never made a Poly; and f may be the
+    position i of the element a ``without`` view ints holds, which the
+    interreduction passes: the dividend is then that element, a copy of its
+    integer multiple.  The checks, and the result, a Poly unless ints is
+    given, are ``_divided``'s.
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
@@ -772,23 +781,18 @@ def _interreduced(record: _Reducers, budget: _Budget) -> list[Poly]:
     """``interreduce`` of the elements of record.
 
     Every integer multiple is made once, first, and shared by the views that
-    leave one element out: each element is divided by its view, starting
-    from a copy of its own multiple.  Each nonzero remainder comes back
-    packed and is made a monic Poly once, its lead the least packed key; one
-    that no step changed is the element itself.
+    leave one element out: each element is divided by its view, passed as
+    its position, starting from a copy of its own multiple.  Each nonzero
+    remainder comes back packed and is made a monic Poly once, its lead the
+    least packed key.
     """
     order = record.order
     record.make_forms()
     out = []
     for i in range(len(record.polys)):
         others = record.without(i)
-        f, F = others.held[:2]
-        r = normal_form(f, others.polys, order, budget=budget, ints=others)
-        # a step cancels a term for good, so r has the terms of F only if no
-        # step was taken, or none could be: r is f then
-        if r is f or r.terms == F:
-            out.append((order.key(record.lms[i]), f))
-        elif not r.is_zero():
+        r = normal_form(i, others.polys, order, budget=budget, ints=others)
+        if not r.is_zero():
             unpack = r.packing.unpack
             lead = min(r.terms)
             out.append((order.key(unpack(lead)),

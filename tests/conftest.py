@@ -418,15 +418,35 @@ def copy_reduce_row(row, echelon, pivot_cols):
 # the reference and of the library alike.
 
 
-def dividend_poly(f, basis, order):
+def _monic_from_form(ints, F, lead):
+    """The monic Poly of the int terms F at the packed monomials of the
+    record ints, lead the packed leading monomial."""
+    from arcspace.polyalg import Poly
+
+    unpack, c = ints.packing.unpack, F[lead]
+    return Poly(ints.varset, {unpack(m): Fraction(x, c) for m, x in F.items()})
+
+
+def record_elements(ints):
+    """The elements of the basis record ints as monic Polys, read without
+    storing them in it: one that entered packed, and has no Poly yet, is
+    made from its form, so the record stays as the division leaves it."""
+    return [g if g is not None else _monic_from_form(ints, F, lead)
+            for g, F, lead in zip(ints.polys, ints.forms, ints.leads)]
+
+
+def dividend_poly(f, basis, order, ints=None):
     """The Poly a dividend of the normal forms stands for: the completion loop
     hands in an S-pair as its positions (i, j) in basis, which is the
-    S-polynomial the reference loops build."""
+    S-polynomial the reference loops build, and the interreduction the
+    element its record ints holds as its position, which is that element."""
     from arcspace.polyalg import groebner
 
     if isinstance(f, tuple):
         i, j = f
         return groebner.spolynomial(basis[i], basis[j], order)
+    if isinstance(f, int):
+        return _monic_from_form(ints, *ints.held)
     return f
 
 

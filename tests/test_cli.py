@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -398,6 +399,18 @@ def test_precision_cap_guards_levels(tmp_path, capsys):
     code, report = run_cli(capsys, "ecodim", write_doc(tmp_path, doc),
                            "--level", "3")
     assert code == 0
+
+
+def test_a_lifted_precision_cap_admits_tall_levels(tmp_path, capsys):
+    """With precision_cap null no level is refused, and a level past the
+    recursion limit is computed."""
+    level = 2 * sys.getrecursionlimit()
+    doc = {"schema": 1, "vars": ["x", "y"], "generators": ["y"], "arc": ["t", "0"],
+           "options": {"precision_cap": None}}
+    code, report = run_cli(capsys, "jet-ideal", write_doc(tmp_path, doc),
+                           "--level", str(level))
+    assert code == 0
+    assert report["generators"] == [f"y_{j}" for j in range(level + 1)]
 
 
 def test_initial_forms_round_trip(tmp_path, capsys):

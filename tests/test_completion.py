@@ -22,6 +22,7 @@ from arcspace.polyalg.orders import leading_monomial
 
 from conftest import (
     dividend_poly,
+    record_elements,
     reference_buchberger,
     reference_mora_standard_basis,
     tuple_leading_monomial,
@@ -37,17 +38,17 @@ def _traced(monkeypatch, fn, *args):
     left after the call (None without a budget).  A pair dividend is
     recorded, before the call, as the S-polynomial it stands for.  The
     completion loop hands in the record of its basis (``ints``), whose
-    elements are Polys only once read: the basis is recorded as the record's
-    elements, and it must be as long as they are, since the benchmark's
-    spans read its size."""
+    elements are Polys only once they leave it: the basis is recorded as the
+    record's elements, read without storing them in it, and it must be as
+    long as they are, since the benchmark's spans read its size."""
     calls = []
 
     def recorder(name, original):
         def record(f, basis, order, *rest, **kwargs):
             ints = kwargs.get("ints")
-            elements = basis if ints is None else ints.elements()
+            elements = basis if ints is None else record_elements(ints)
             assert len(basis) == len(elements)
-            dividend = dividend_poly(f, elements, order)
+            dividend = dividend_poly(f, elements, order, ints)
             try:
                 return original(f, basis, order, *rest, **kwargs)
             finally:

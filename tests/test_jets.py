@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,21 @@ def hs_by_substitution(f, p):
         coeffs = [Poly.variable(target, v.derived(j)) for j in range(p + 1)]
         values.append(TPoly(target, coeffs))
     return substitute_tpoly(f, values).coefficient(p)
+
+
+def test_a_tall_jet_varset_is_built_level_by_level():
+    """A level far past the recursion limit, which a document may ask for
+    once it lifts the precision cap, is built like a low one, and the levels
+    below it share its variables."""
+    vs = VarSet(["x", "y"])
+    n = 2 * sys.getrecursionlimit()
+    target = jet_varset(vs, n)
+    assert target.vars == tuple(v.derived(j) for j in range(n + 1) for v in vs)
+    low = jet_varset(vs, 3)
+    assert low.is_prefix_of(target)
+    assert all(a is b for a, b in zip(low.vars, target.vars))
+    assert jet_varset(vs, n) is target
+    assert jet_varset(vs, -1).vars == ()
 
 
 def test_hs_leibniz_forced():

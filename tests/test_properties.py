@@ -279,15 +279,18 @@ def test_a_remainder_enters_packed_as_its_monic_poly_would(order, integral, data
 
 def _entered_and_widened(monkeypatch):
     """Counts the widenings of a record holding an element that entered
-    packed and has no Poly yet, and the widenings inside an interreduction."""
+    packed and has no Poly yet, and the widenings inside an interreduction.
+    A widening repacks the forms, so it makes no element a Poly."""
     seen = {"packed": 0, "interreducing": 0}
     widen, interreduced = _Reducers.widen, groebner._interreduced
     inside = [False]
 
     def counted_widen(record):
-        seen["packed"] += any(g is None for g in record.polys)
+        unmade = [i for i, g in enumerate(record.polys) if g is None]
+        seen["packed"] += bool(unmade)
         seen["interreducing"] += inside[0]
         widen(record)
+        assert all(record.polys[i] is None for i in unmade)
 
     def counted_interreduced(*args):
         inside[0] = True
@@ -308,8 +311,8 @@ VSW = VarSet(["x", "y", "z", "w"])
 
 @pytest.mark.parametrize("order, f, basis", WIDE_DIVISIONS)
 def test_a_record_widens_after_a_packed_entry(order, f, basis, monkeypatch):
-    """A record that widens after a remainder entered it packed makes that
-    element's Poly in the old fields first.  The record opens with w^5 and
+    """A record that widens after a remainder entered it packed repacks that
+    element's form and makes no Poly of it.  The record opens with w^5 and
     the packed remainder of 2*w^3 - 4*w^2, which no reducer of the fixture
     divides, and then takes the fixture's reducers, in a fourth variable w
     that none of them reads.  Appending them or dividing f by the record

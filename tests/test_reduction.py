@@ -39,6 +39,7 @@ from conftest import (
     dividend_poly,
     monomial_arc,
     random_poly,
+    record_elements,
     reference_buchberger,
     tuple_key,
     tuple_leading_monomial,
@@ -227,12 +228,12 @@ def _handed(result, ints):
 
 def _elements(basis, ints):
     """The Polys a division divides by: basis, or the elements of the record
-    ints, which makes them Polys only when read.  ints holds as many
-    elements as basis, whose size the benchmark's spans read."""
+    ints, read without storing them in it (``record_elements``).  ints holds
+    as many elements as basis, whose size the benchmark's spans read."""
     if ints is None:
         return basis
     assert len(basis) == len(ints.polys)
-    return ints.elements()
+    return record_elements(ints)
 
 
 def _proportional(G, h, packing):
@@ -431,8 +432,8 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         appended: list = []
         seen["pairs"] += isinstance(f, tuple)
         elements = _elements(basis, ints)
-        expected = reference_mora_normal_form(dividend_poly(f, elements, order), elements,
-                                              order, ref_budget, appended)
+        expected = reference_mora_normal_form(dividend_poly(f, elements, order, ints),
+                                              elements, order, ref_budget, appended)
         forwarded(basis, order, ints)
         got = mora_normal_form(f, basis, order, budget=budget, ints=integral(basis, ints))
         integral(basis, ints)
@@ -451,7 +452,7 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
         integral(basis, ints)
         seen["pairs"] += isinstance(f, tuple)
         assert _handed(got, ints) == reference_normal_form(
-            dividend_poly(f, elements, order), elements, order, ref_budget)
+            dividend_poly(f, elements, order, ints), elements, order, ref_budget)
         assert budget.remaining == ref_budget.remaining
         seen["groebner"] += 1
         return got
@@ -474,8 +475,8 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
 
     def reference(f, basis, order=ANTIGRLEX, budget=None, ints=None):
         elements = _elements(basis, ints)
-        return reference_mora_normal_form(dividend_poly(f, elements, order), elements, order,
-                                          budget, [])
+        return reference_mora_normal_form(dividend_poly(f, elements, order, ints), elements,
+                                          order, budget, [])
 
     monkeypatch.setattr(mora, "mora_normal_form", reference)
     old = [_outcome(lambda: mora.mora_standard_basis(gens, work_limit=w))
@@ -599,6 +600,39 @@ def _pair_overflows(monkeypatch):
     return overflowed
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX, MonomialOrder("grevlex", (2, 0, 1))],
+                         ids=["grevlex", "lex", "grevlex-priority"])
+def test_an_interreduction_divides_each_element_itself(order, monkeypatch):
+    """The interreduction hands each element in as its position in a view
+    that holds it, and the division starts from the element's integer
+    multiple under its own scale.  With Fraction coefficients that multiple
+    is not the element, and every division still returns and charges what
+    the copy-per-step loop does on the element itself."""
+    vs = VarSet(["x", "y", "z"])
+    gens = [parse_poly(g, vs)
+            for g in ("x^2 - 1/3*y*z", "x*y - 2/5*z^2 + 1/7*x", "y^2 - 3/4*x*z")]
+    seen = {"held": 0, "scaled": 0}
+
+    def checked(f, basis, order, budget=None, ints=None):
+        elements = _elements(basis, ints)
+        ref_budget = _Budget(budget.remaining)
+        expected = reference_normal_form(dividend_poly(f, elements, order, ints), elements,
+                                         order, ref_budget)
+        got = normal_form(f, basis, order, budget, ints)
+        assert _handed(got, ints) == expected
+        assert budget.remaining == ref_budget.remaining
+        if isinstance(f, int):
+            F, lead = ints.held
+            seen["held"] += 1
+            seen["scaled"] += F[lead] != 1 and not expected.is_zero()
+        return got
+
+    monkeypatch.setattr(groebner, "normal_form", checked)
+    basis = groebner.groebner_basis(gens, order)
+    assert len(basis) <= seen["held"]
+    assert seen["scaled"] > 0
+
+
 def test_a_basis_computation_keeps_its_widened_reducers(monkeypatch):
     """The third division of this Buchberger run is the S-pair of x*y -
     z^20000 and x*z^20000 - y^2: its lcm x*y*z^20000 fits the 16-bit fields,
@@ -621,8 +655,8 @@ def test_a_basis_computation_keeps_its_widened_reducers(monkeypatch):
     def checked(f, basis, order, budget=None, ints=None):
         elements = _elements(basis, ints)
         ref_budget = _Budget(budget.remaining)
-        expected = reference_normal_form(dividend_poly(f, elements, order), elements, order,
-                                         ref_budget)
+        expected = reference_normal_form(dividend_poly(f, elements, order, ints), elements,
+                                         order, ref_budget)
         got = normal_form(f, basis, order, budget, ints)
         assert _handed(got, ints) == expected
         assert budget.remaining == ref_budget.remaining
