@@ -35,7 +35,15 @@ from .localgeom import (  # noqa: F401 - edim_at_point stays importable from her
     jacobian_at,
 )
 from .polyalg.linalg import certified_rank, fraction_free_echelon, reduce_row
-from .polyalg.poly import Monomial, Poly, _accumulate, _finished, poly_adjugate, poly_det
+from .polyalg.poly import (
+    Poly,
+    _accumulate,
+    _add_product,
+    _Fields,
+    _finished,
+    poly_adjugate,
+    poly_det,
+)
 from .polyalg.series import TruncSeries
 from .polyalg.tpoly import TPoly, _substituted
 from .polyalg.varset import VarId, VarSet
@@ -293,45 +301,61 @@ class _ModReducer:
     The table entries only involve the coefficients of q, so reducing a big
     t-polynomial G becomes sum_k G_k * (t^k mod q): every large mixed product
     happens once instead of being dragged through the synthetic division.
+    q, the table and the t-polynomials reduced are all lists of packed
+    accumulators in one layout, fields (see the ``poly`` module), whose
+    limit the caller has chosen above the degree of every product formed
+    here; each entry of the table is made from the one below by
+    ``poly._accumulate``.  Only the remainder coefficients are unpacked, as
+    the Polys over varset that ``reduce`` returns.
     """
 
-    def __init__(self, qt: TPoly):
-        self.qt = qt
-        self.dq = qt.degree()
-        self.table = [TPoly.t_power(qt.varset, k) for k in range(self.dq)]
+    def __init__(self, q: list[dict[int, int]], varset: VarSet, fields: _Fields):
+        self.q = q[:-1]  # the coefficients below the leading 1
+        self.dq = dq = len(self.q)
+        self.varset, self.fields = varset, fields
+        # table[k] holds the dq coefficients of t^k mod q
+        self.table = [[{0: 1} if j == k else {} for j in range(dq)] for k in range(dq)]
 
-    def t_power_rem(self, k: int) -> TPoly:
-        while len(self.table) <= k:
-            prev = self.table[-1]
-            shifted = TPoly(self.qt.varset, (Poly.zero(self.qt.varset),) + prev.coeffs)
-            top = shifted.coefficient(self.dq)
-            if top.is_zero():
-                self.table.append(shifted)
-            else:
-                self.table.append(TPoly(self.qt.varset, [
-                    shifted.coefficient(j) - top * self.qt.coefficient(j)
-                    for j in range(self.dq)
-                ]))
-        return self.table[k]
+    def t_power_rem(self, k: int) -> list[dict[int, int]]:
+        table = self.table
+        while len(table) <= k:
+            prev = table[-1]
+            top = prev[-1]
+            # t * prev, less top * q for the t^dq it reaches
+            shifted = [{}] + [dict(x) for x in prev[:-1]]
+            if top:
+                for acc, qj in zip(shifted, self.q):
+                    if qj:
+                        _accumulate(acc, top, qj, -1)
+            table.append(shifted)
+        return table[k]
 
-    def reduce(self, g: list[dict[Monomial, Fraction | int]]) -> list[Poly]:
+    def reduce(self, g: list[dict[int, Fraction | int]]) -> list[Poly]:
         """The dq coefficients of g mod q, for g given unfinished, as the
-        accumulators of ``tpoly._substituted``.  Every g_k * (t^k mod q) is
-        added into the low accumulators of g in place (g is consumed), and
-        only those are finished."""
+        packed accumulators of ``tpoly._substituted`` in the reducer's
+        fields.  Every g_k * (t^k mod q) is added into the low accumulators
+        of g in place (g is consumed), and only those are finished."""
         rem = g[:self.dq]
         rem += ({} for _ in range(self.dq - len(rem)))
         for k in range(self.dq, len(g)):
             if g[k]:
-                for acc, r in zip(rem, self.t_power_rem(k).coeffs):
-                    if r.terms:
-                        _accumulate(acc, g[k], r.terms)
-        return [_finished(self.qt.varset, acc) for acc in rem]
+                for acc, r in zip(rem, self.t_power_rem(k)):
+                    if r:
+                        _accumulate(acc, g[k], r)
+        return [_finished(self.varset, acc, self.fields) for acc in rem]
 
 
 def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
                          e: int) -> DrinfeldModel:
-    """Assemble the defining equations of Z and the point z from the arc."""
+    """Assemble the defining equations of Z and the point z from the arc.
+
+    Every composite is reduced mod q(t) or q(t)^2 at packed monomials in
+    one layout for the whole model (see ``_ModReducer``).  Its fields hold
+    every product formed: the values are linear, so a composite of f has
+    coefficients of degree at most deg f and t-degree at most
+    deg f * (2e - 1), and the coefficient of t^k mod q^p has degree at most
+    p * (k - pe + 1), so at most p * deg f * (2e - 1) for those k.
+    """
     d = proj.d
     c = proj.c
     if e == 0:
@@ -346,30 +370,25 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
         """The t-polynomial with the coefficients family_(k, n), n < length."""
         return TPoly(vs, [Poly.variable(vs, VarId(family, (k, n))) for n in range(length)])
 
-    qt = TPoly(vs, [Poly.variable(vs, VarId("q", (n,))) for n in range(e)] + [Poly.one(vs)])
     values = ([unknown("xbar", i, 2 * e) for i in range(d)]
               + [unknown("ybar", j, e) for j in range(c)])
 
     gens_new = [proj.apply_to_poly(g) for g in Xci.generators]
-    mod_q = _ModReducer(qt)
-    mod_q2 = _ModReducer(qt * qt)
-    equations: list[Poly] = []
-
-    # p_l(xbar(t), ybar(t)) = 0 mod q(t)
-    for g in gens_new:
-        equations += mod_q.reduce(_substituted(g, values)[0])
-
-    # det(dp/dy)(xbar(t), ybar(t)) = 0 mod q(t)
     ymat = [[g.partial(v) for v in proj.y_vars] for g in gens_new]
-    dety = poly_det(ymat)
-    equations += mod_q.reduce(_substituted(dety, values)[0])
-
-    # adj(dp/dy) * p = 0 mod q(t)^2
     adj = poly_adjugate(ymat)
-    for i in range(c):
-        entry = Poly.sum_of(Xci.ambient, (adj[i][j] * gens_new[j] for j in range(c)))
-        equations += mod_q2.reduce(_substituted(entry, values)[0])
-
+    # p_l and det(dp/dy) vanish mod q(t), adj(dp/dy) * p mod q(t)^2
+    composites = ([(g, 1) for g in gens_new] + [(poly_det(ymat), 1)]
+                  + [(Poly.sum_of(Xci.ambient, (adj[i][j] * gens_new[j] for j in range(c))), 2)
+                     for i in range(c)])
+    fields = _Fields.for_degree(len(vs), max(f.total_degree() * (1 + p * (2 * e - 1))
+                                             for f, p in composites))
+    qt = TPoly(vs, [Poly.variable(vs, VarId("q", (n,))) for n in range(e)] + [Poly.one(vs)])
+    q = [{fields.pack(m): a for m, a in x.terms.items()} for x in qt.coeffs]
+    reducers = {1: _ModReducer(q, vs, fields),
+                2: _ModReducer(_add_product([], q, q, 1, None), vs, fields)}
+    equations: list[Poly] = []
+    for f, p in composites:
+        equations += reducers[p].reduce(_substituted(f, values, fields)[0])
     equations = [q for q in equations if not q.is_zero()]
 
     # z: q = 0, and xbar and ybar read off the arc's x- and y-parts

@@ -54,7 +54,8 @@ def _jet_levels(ambient: VarSet) -> list[tuple[VarId, ...]]:
 
 @lru_cache(maxsize=64)
 def jet_varset(ambient: VarSet, n: int) -> VarSet:
-    """Jet coordinates through order n, level-major.
+    """Jet coordinates through order n, level-major; a negative n is a
+    ValueError.
 
     Level-major layout makes the order-n set a prefix of the order-(n+1) set,
     so polynomials extend between levels by zero-padding exponents.  Each set
@@ -63,6 +64,8 @@ def jet_varset(ambient: VarSet, n: int) -> VarSet:
     are made once per ambient (``_jet_levels``), so a prefix test between
     levels compares them by identity.
     """
+    if n < 0:
+        raise ValueError(f"jet level must be nonnegative, not {n}")
     levels = _jet_levels(ambient)
     while len(levels) <= n:
         levels.append(tuple(v.derived(len(levels)) for v in ambient))
@@ -197,11 +200,19 @@ def hs_derivative(f: Poly, p: int, varset: VarSet | None = None) -> Poly:
     D_p(f) is the t^p coefficient of f(sum_j x_j t^j): it is Q-linear, sends
     a coordinate x to x_p, and satisfies D_p(gh) = sum over i+j=p of
     D_i(g) D_j(h).  The result only involves jet variables of order <= p;
-    pass a larger jet varset to embed directly.
+    pass a larger jet varset to embed directly.  A varset without every jet
+    variable of f through order p is a VarsetMismatchError.
     """
     if p < 0:
         raise ValueError("derivative order must be nonnegative")
-    target = varset if varset is not None else jet_varset(f.varset, p)
+    target = jet_varset(f.varset, p)
+    if varset is not None:
+        for v in target:
+            if v not in varset:
+                raise VarsetMismatchError(
+                    f"D_{p} needs the jet variables through level {p}; "
+                    f"{v} is not in the varset given")
+        target = varset
     return substitute_tpoly(f, _universal_jet(f.varset, p, target)).coefficient(p)
 
 
@@ -225,9 +236,10 @@ def eval_along_arc(f: Poly, arc: Arc) -> TruncSeries:
     if f.varset != arc.varset:
         raise VarsetMismatchError("polynomial and arc over different varsets")
     comps = arc.components
-    accs, precision = _composed(f, [[{(): c} if c else {} for c in s.coeffs] for s in comps],
-                                [s.precision for s in comps], 0)
-    return TruncSeries([acc.get((), 0) for acc in accs], precision)
+    accs, precision, _ = _composed(f, [[{(): c} if c else {} for c in s.coeffs] for s in comps],
+                                   [s.precision for s in comps], 0)
+    # over no variables every monomial packs to 0
+    return TruncSeries([acc.get(0, 0) for acc in accs], precision)
 
 
 def ord_along_arc(target: Poly | Sequence[Poly], arc: Arc) -> OrdResult:

@@ -29,18 +29,20 @@ J. Symbolic Comput. 46 (2011)).  Neither loop copies the remainder or rescans
 it for its leading term.  Division is fraction-free: the remainder is one
 exact scale times a dict of ints, and each reducer enters as its integer
 multiple (see ``_Remainder``).  Inside a division every monomial is one int, a
-packed exponent vector (``_Packing``, after Monagan and Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007): a product is one int addition, divisibility one subtraction and mask,
-and the int order is the monomial order, so the heap holds the packed
-monomials themselves.  A division reads the record of its reducers: their
-packed leading monomials and ecarts, made once when each enters, and their
-integer multiples, made the first time a step needs one and kept for the rest
-of the basis computation.  The dividends the loop makes itself come packed
-too: an S-pair is handed to the normal form as the pair of its positions in
-the record and built there from the two integer multiples, each term shifted
-by one int addition (``_Reducers.spair``), and an element being interreduced
-starts from a copy of its own integer multiple.  The results go back packed
+packed exponent vector (after Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a
+``_Packing`` lays the exponents out in the fields of ``poly._Fields``, the
+one layout the composition kernel packs in too, and puts the order's rank
+above them.  A product is one int addition, divisibility one subtraction
+and mask, and the int order is the monomial order, so the heap holds the
+packed monomials themselves.  A division reads the record of its reducers:
+their packed leading monomials and ecarts, made once when each enters, and
+their integer multiples, made the first time a step needs one and kept for
+the rest of the basis computation.  The dividends the loop makes itself come
+packed too: an S-pair is handed to the normal form as the pair of its
+positions in the record and built there from the two integer multiples, each
+term shifted by one int addition (``_Reducers.spair``), and an element being
+interreduced starts from a copy of its own integer multiple.  The results go back packed
 as well: a remainder the loop keeps enters the record as its int terms, its
 integer multiple made by dividing out their content, its lead the least
 packed key (``_Reducers.append``), and an interreduced element is made a
@@ -62,7 +64,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import itemgetter
-from struct import Struct
 from typing import Callable, Sequence
 
 from ..errors import ResourceLimitError, VarsetMismatchError
@@ -71,7 +72,9 @@ from .poly import (
     Monomial,
     Poly,
     _accumulate,
+    _Fields,
     _finished,
+    _Overflow,
     monomial_degree,
     monomial_div,
     monomial_divides,
@@ -107,50 +110,30 @@ class _Budget:
                 f"reduction work budget of {self.limit} terms exhausted")
 
 
-class _Overflow(Exception):
-    """An exponent or a total degree does not fit its field of a ``_Packing``."""
-
-
-class _Packing:
+class _Packing(_Fields):
     """Exponent vectors of nvars variables packed into one int each, ordered
-    by the rank of order.
+    by the rank of order: the fields F(m) of ``poly._Fields``, with the rank
+    above them.
 
-    Each exponent gets a field of width bits, the total degree a field above
-    them all, and the top bit of every field is a guard that stays clear: an
-    exponent vector packs only if its degree is below limit = 2^(width-1),
-    and then every field is.  The fields form one int F(m), and
-        F(a*b) = F(a) + F(b),  x^a | x^b  iff  ((F(b) | guard) - F(a)) & guard == guard,
-    the degree is F(m) >> dshift, and F(b) - F(a) = F(b/a) when x^a divides
-    x^b: no field borrows from its neighbour while no guard bit is set.  A
-    division keeps every product below limit (see ``_Remainder.reduce``).
-
-    Every order's rank (``MonomialOrder.ranker``) is a tuple linear in the
-    exponents, with entries smaller than limit in size, so its digits in base
-    2^width make one int R(m), linear too, whose order is the order of the
-    tuples.  The packed monomial is P(m) = R(m) * 2^low + F(m): linear,
-    ordered by rank (the leader has the least), and with F(m) in its low
-    bits for the divisibility test and the degree.  The rank is read off the
-    ranker, so each order is still defined once.  For antigrlex in
-    declaration order the rank tuple is (d, *e), which are the fields of
-    F(m), so R(m) = F(m) and P(m) is F(m) alone: the order every standard
-    basis uses packs without calling the ranker.
+    A division keeps every product below the fields' limit (see
+    ``_Remainder.reduce``).  Every order's rank (``MonomialOrder.ranker``)
+    is a tuple linear in the exponents, with entries smaller than limit in
+    size, so its digits in base 2^width make one int R(m), linear too, whose
+    order is the order of the tuples.  The packed monomial is
+    P(m) = R(m) * 2^low + F(m): linear, ordered by rank (the leader has the
+    least), and with F(m) in its low bits for the divisibility test, the
+    degree and unpacking.  The rank is read off the ranker, so each order is
+    still defined once.  For antigrlex in declaration order the rank tuple is
+    (d, *e), which are the fields of F(m), so R(m) = F(m) and P(m) is F(m)
+    alone: the order every standard basis uses packs without calling the
+    ranker.
     """
 
-    __slots__ = ("order", "nvars", "width", "limit", "guard", "dshift", "dmask", "low",
-                 "_struct", "_rank")
-
-    # struct codes of the widths struct packs; wider fields are packed byte by byte
-    _CODES = {16: "H", 32: "I", 64: "Q"}
+    __slots__ = ("order", "_rank")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int = 16):
-        self.order, self.nvars, self.width = order, nvars, width
-        self.limit = 1 << (width - 1)
-        self.dshift = width * nvars
-        self.dmask = (1 << width) - 1
-        self.low = self.dshift + width
-        self.guard = sum(self.limit << (width * k) for k in range(nvars + 1))
-        code = self._CODES.get(width)
-        self._struct = Struct(f">{nvars + 1}{code}") if code else None
+        super().__init__(nvars, width)
+        self.order = order
         rank = order.ranker(nvars)
         self._rank = None if rank is ANTIGRLEX.ranker(nvars) else rank
 
@@ -162,29 +145,10 @@ class _Packing:
 
     def pack(self, m: Monomial) -> int:
         """P(m); raises _Overflow when the degree of m reaches limit."""
-        d = sum(m)
-        if d >= self.limit:
-            raise _Overflow
-        if self._struct:
-            p = int.from_bytes(self._struct.pack(d, *m), "big")
-        else:
-            nbytes = self.width // 8
-            p = int.from_bytes(b"".join(x.to_bytes(nbytes, "big") for x in (d, *m)), "big")
+        p = _Fields.pack(self, m)
         if self._rank is not None:
             p += self._encode(self._rank(m)) << self.low
         return p
-
-    def unpack(self, p: int) -> Monomial:
-        """The exponent vector m of P(m)."""
-        data = (p & ((1 << self.low) - 1)).to_bytes(self.low // 8, "big")
-        if self._struct:
-            return self._struct.unpack(data)[1:]
-        nbytes = self.width // 8
-        return tuple(int.from_bytes(data[k:k + nbytes], "big")
-                     for k in range(nbytes, len(data), nbytes))
-
-    def degree(self, p: int) -> int:
-        return p >> self.dshift & self.dmask
 
 
 def _cleared(f: Poly, pack: Callable[[Monomial], int]) -> tuple[dict[int, int], int]:
@@ -198,13 +162,11 @@ def _cleared(f: Poly, pack: Callable[[Monomial], int]) -> tuple[dict[int, int], 
     return {pack(m): c.numerator * (L // c.denominator) for m, c in terms.items()}, L
 
 
-def _monic_poly(varset: VarSet, F: dict[int, int], lead: int,
-                unpack: Callable[[int], Monomial]) -> Poly:
+def _monic_poly(varset: VarSet, F: dict[int, int], lead: int, packing: _Packing) -> Poly:
     """The monic Poly F / F[lead] of the int terms F at packed monomials."""
     c = F[lead]
-    if c == 1:
-        return _finished(varset, {unpack(m): Fraction(x) for m, x in F.items()})
-    return _finished(varset, {unpack(m): Fraction(x, c) for m, x in F.items()})
+    return _finished(varset, F if c == 1 else {m: Fraction(x, c) for m, x in F.items()},
+                     packing)
 
 
 class _Reducers:
@@ -300,7 +262,7 @@ class _Reducers:
         g = self.polys[i]
         if g is None:
             g = self.polys[i] = _monic_poly(self.varset, self.forms[i], self.leads[i],
-                                            self.packing.unpack)
+                                            self.packing)
         return g
 
     def elements(self) -> list[Poly]:
@@ -534,12 +496,12 @@ class _Remainder:
 
     def snapshot(self) -> Poly:
         """The polynomial, as an immutable Poly of Fractions."""
-        s, unpack = self.scale, self.packing.unpack
+        s = self.scale
         if s == 1:
-            return _finished(self.varset, {unpack(m): c for m, c in self.terms.items()})
+            return _finished(self.varset, self.terms, self.packing)
         n, d = s.numerator, s.denominator
-        return _finished(self.varset,
-                         {unpack(m): Fraction(c * n, d) for m, c in self.terms.items()})
+        return _finished(self.varset, {m: Fraction(c * n, d) for m, c in self.terms.items()},
+                         self.packing)
 
 
 def _divided(f: Poly | tuple[int, int] | int, basis: list[Poly], order: MonomialOrder,
@@ -655,7 +617,8 @@ def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     acc: dict[Monomial, Fraction | int] = {}
     for h, lm, sign in ((f, lmf, 1), (g, lmg, -1)):
         lc = h.terms[lm]
-        _accumulate(acc, h.terms, {monomial_div(lcm, lm): 1 if lc == 1 else 1 / lc}, sign)
+        _accumulate(acc, h.terms, {monomial_div(lcm, lm): 1 if lc == 1 else 1 / lc}, sign,
+                    monomial_mul)
     return _finished(f.varset, acc)
 
 
@@ -793,10 +756,9 @@ def _interreduced(record: _Reducers, budget: _Budget) -> list[Poly]:
         others = record.without(i)
         r = normal_form(i, others.polys, order, budget=budget, ints=others)
         if not r.is_zero():
-            unpack = r.packing.unpack
             lead = min(r.terms)
-            out.append((order.key(unpack(lead)),
-                        _monic_poly(record.varset, r.terms, lead, unpack)))
+            out.append((order.key(r.packing.unpack(lead)),
+                        _monic_poly(record.varset, r.terms, lead, r.packing)))
     out.sort(key=itemgetter(0), reverse=True)
     return [g for _, g in out]
 

@@ -12,18 +12,37 @@ dict, which holds each integral coefficient as an int and drops the terms
 that cancel.  Int arithmetic is many times faster than Fraction's, and
 integral coefficients dominate: on the perfbench workloads (seeds 1 and 2)
 99.9% of the products the kernel forms on model-build have two integral
-factors, and 80-87% on jet-ecodim and verify-dgk.  ``_finished`` turns an
-accumulator into a Poly of Fractions that shares no dict with it.  A sum of
+factors, and 80-87% on jet-ecodim and verify-dgk.  The monomial of a product
+is formed by the function the kernel is passed: ``monomial_mul`` on the
+exponent tuples of ``Poly.__mul__``, ``poly_det``, ``groebner.spolynomial``
+and the ``TPoly`` product and division, and int addition on packed monomials
+(below), so one loop serves both.  ``_finished`` turns an accumulator into a
+Poly of Fractions at exponent tuples that shares no dict with it.  A sum of
 many terms is one accumulator (``Poly.sum_of``, ``TPoly.sum_of``), not a chain
 of copies.
 
-Composition is one routine on these accumulators, ``_composed``, and it
+The kernels that form many products of monomials work on packed monomials,
+one int per exponent vector, in the one layout ``_Fields``: every exponent
+and the total degree get a field with a guard bit, so the product of two
+monomials is the sum of their ints (after Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  On 36 variables (Python 3.11, 2-CPU VM) ``monomial_mul`` takes about
+1.2 us and the packed sum 0.05 us, and a dict lookup 0.17 us at a tuple and
+0.09 us at a packed int.  Tuples are packed once, on entry, and unpacked only
+when a result leaves, in ``_finished``.
+
+Composition is one routine on packed accumulators, ``_composed``, and it
 serves ``Poly.substitute`` (each value one term dict), ``tpoly._substituted``
 (jet ideals and the model) and ``jets.eval_along_arc`` (constants over no
-variables).  The model's t-polynomials stay accumulators from end to end:
-``drinfeld._ModReducer.reduce`` adds the reductions mod q(t) into them, and
-only the remainder coefficients that become model equations are finished
-(``substitute_tpoly`` finishes every coefficient instead).
+variables, where every monomial packs to 0).  It packs the values and the
+monomials of the variables left alone once, in the narrowest fields (8, 16,
+32, ... bits) whose limit exceeds a bound on the degree of every product it
+forms, so no product overflows and no composition is made again; the model
+stays in 8-bit fields.  The model's t-polynomials stay packed accumulators
+from end to end: ``drinfeld._ModReducer`` builds its tables of t^k mod q(t)
+and mod q(t)^2 in the same fields and adds the reductions into them, and
+only the remainder coefficients that become model equations are unpacked
+and finished (``substitute_tpoly`` finishes every coefficient instead).
 
 Division goes further and holds no Fraction and no exponent tuple while it
 works: ``groebner._Remainder`` keeps the polynomial under division as one
@@ -35,14 +54,11 @@ Mora's reducer pool joins as a copy of its ints.  Holding only the integral
 coefficients as ints is not enough there: on seed-1 passes of verify-dgk and
 jet-ecodim, 20-22% of the reducer terms a step reads and 38-39% of the
 remainder terms they meet are not integral.  The dicts of a division are
-keyed by packed monomials (``groebner._Packing``), one int per exponent
-vector, since a step forms the product of a monomial and a shift for every
-term of the reducer: on 36 variables (Python 3.11, 2-CPU VM) ``monomial_mul``
-takes about 1.2 us and the packed sum 0.05 us, and a dict lookup 0.17 us at a
-tuple and 0.09 us at a packed int.  Tuples are packed once on entry, and a
-remainder that enters the record of a basis stays packed there; it is
-unpacked only when it leaves, in a returned basis or a public division's
-result.
+keyed by packed monomials too, in 16-bit ``_Fields`` with the rank of the
+order above them (``groebner._Packing``), widened when a division would
+overflow them; a remainder that enters the record of a basis stays packed
+there and is unpacked only when it leaves, in a returned basis or a public
+division's result.
 
 Values at a rational point follow the same idiom: ``Poly.evaluate`` (and
 ``localgeom.jacobian_at``) hold integral coefficients and coordinates as ints,
@@ -57,7 +73,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Iterable, Mapping, Sequence
+from struct import Struct
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import VarsetMismatchError
 from .varset import VarId, VarSet
@@ -100,14 +117,88 @@ def rational(c: Fraction | int) -> Fraction:
     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
-def _accumulate(acc: dict[Monomial, Fraction | int], a: Mapping[Monomial, Fraction | int],
-                b: Mapping[Monomial, Fraction | int] | None = None,
-                c: Fraction | int = 1) -> None:
+class _Overflow(Exception):
+    """An exponent or a total degree does not fit its field of a ``_Fields``."""
+
+
+class _Fields:
+    """Exponent vectors of nvars variables packed into one int each.
+
+    Each exponent gets a field of width bits, the total degree a field above
+    them all, and the top bit of every field is a guard that stays clear: an
+    exponent vector packs only if its degree is below limit = 2^(width-1),
+    and then every field is.  The fields form one int F(m), and
+        F(a*b) = F(a) + F(b),  x^a | x^b  iff  ((F(b) | guard) - F(a)) & guard == guard,
+    the degree is F(m) >> dshift, and F(b) - F(a) = F(b/a) when x^a divides
+    x^b: no field borrows from its neighbour while no guard bit is set.  The
+    zero vector packs to 0, and so does every vector over no variables.
+    F(m) is read back by unpack from its low dshift bits, so an int with
+    more above them (``groebner._Packing`` puts the rank of an order there)
+    unpacks to the same vector.
+    """
+
+    __slots__ = ("nvars", "width", "limit", "guard", "dshift", "dmask", "low", "_emask",
+                 "_struct")
+
+    # struct codes of the widths struct packs; wider fields are packed byte by byte
+    _CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+    def __init__(self, nvars: int, width: int):
+        self.nvars, self.width = nvars, width
+        self.limit = 1 << (width - 1)
+        self.dshift = width * nvars
+        self.dmask = (1 << width) - 1
+        self.low = self.dshift + width
+        self._emask = (1 << self.dshift) - 1
+        self.guard = sum(self.limit << (width * k) for k in range(nvars + 1))
+        code = self._CODES.get(width)
+        self._struct = Struct(f">{nvars}{code}") if code else None
+
+    @classmethod
+    def for_degree(cls, nvars: int, bound: int) -> "_Fields":
+        """The narrowest fields, of 8, 16, 32, ... bits, whose limit exceeds
+        bound: every vector of degree at most bound packs, and so does the
+        product of any two whose degrees add up to at most bound."""
+        width = 8
+        while bound >= 1 << (width - 1):
+            width *= 2
+        return cls(nvars, width)
+
+    def pack(self, m: Monomial) -> int:
+        """F(m); raises _Overflow when the degree of m reaches limit."""
+        d = sum(m)
+        if d >= self.limit:
+            raise _Overflow
+        if self._struct is not None:
+            f = int.from_bytes(self._struct.pack(*m), "big")
+        else:
+            nbytes = self.width // 8
+            f = int.from_bytes(b"".join(x.to_bytes(nbytes, "big") for x in m), "big")
+        return d << self.dshift | f
+
+    def unpack(self, p: int) -> Monomial:
+        """The exponent vector m of an int whose low bits are F(m)."""
+        data = (p & self._emask).to_bytes(self.dshift // 8, "big")
+        if self._struct is not None:
+            return self._struct.unpack(data)
+        nbytes = self.width // 8
+        return tuple(int.from_bytes(data[k:k + nbytes], "big")
+                     for k in range(0, len(data), nbytes))
+
+    def degree(self, p: int) -> int:
+        return p >> self.dshift & self.dmask
+
+
+def _accumulate(acc: dict, a: Mapping, b: Mapping | None = None, c: Fraction | int = 1,
+                mul: Callable = add) -> None:
     """Add c*a, or c*a*b when b is given, into the accumulator acc, in place.
 
-    a and b are term dicts of nonzero coefficients and c is nonzero.  acc
-    holds each integral coefficient met here as an int and loses every term
-    that cancels; it shares nothing with a or b.
+    a and b are term dicts of nonzero coefficients and c is nonzero.  The
+    monomial of a product is mul of the two monomials: the default, int
+    addition, multiplies packed monomials (see ``_Fields``), and
+    ``monomial_mul`` multiplies exponent tuples.  acc holds each integral
+    coefficient met here as an int and loses every term that cancels; it
+    shares nothing with a or b.
     """
     get = acc.get
     bs = None if b is None else [(m, y.numerator if y.denominator == 1 else y)
@@ -125,7 +216,7 @@ def _accumulate(acc: dict[Monomial, Fraction | int], a: Mapping[Monomial, Fracti
                 del acc[ma]
             continue
         for mb, y in bs:
-            m = tuple(map(add, ma, mb))
+            m = mul(ma, mb)
             s = get(m, 0) + x * y
             if s:
                 acc[m] = s
@@ -133,14 +224,13 @@ def _accumulate(acc: dict[Monomial, Fraction | int], a: Mapping[Monomial, Fracti
                 del acc[m]
 
 
-def _add_product(out: list[dict[Monomial, Fraction | int]],
-                 a: Sequence[Mapping[Monomial, Fraction | int]],
-                 b: Sequence[Mapping[Monomial, Fraction | int]] | None,
-                 c: Fraction | int, precision: int | None) -> list[dict[Monomial, Fraction | int]]:
+def _add_product(out: list[dict], a: Sequence[Mapping], b: Sequence[Mapping] | None,
+                 c: Fraction | int, precision: int | None, mul: Callable = add) -> list[dict]:
     """Add c*a*b, or c*a when b is None, into out, in place, and return out.
 
-    Each argument is a list of term dicts, one per t-coefficient; out is
-    extended as needed but never past the precision."""
+    Each argument is a list of term dicts, one per t-coefficient, whose
+    monomials multiply by mul (see ``_accumulate``); out is extended as
+    needed but never past the precision."""
     size = len(a) if b is None else len(a) + len(b) - 1
     if precision is not None:
         size = min(size, precision)
@@ -153,15 +243,16 @@ def _add_product(out: list[dict[Monomial, Fraction | int]],
             continue
         for acc, y in zip(out[i:size], b):
             if y:
-                _accumulate(acc, x, y, c)
+                _accumulate(acc, x, y, c, mul)
     return out
 
 
 def _composed(f: "Poly", values: Sequence[Sequence[Mapping[Monomial, Fraction | int]] | None],
-              precisions: Sequence[int | None], nvars: int
-              ) -> tuple[list[dict[Monomial, Fraction | int]], int | None]:
-    """f at t-polynomial values, unfinished: one accumulator per t-coefficient
-    and the precision of the result.
+              precisions: Sequence[int | None], nvars: int, fields: _Fields | None = None
+              ) -> tuple[list[dict[int, Fraction | int]], int | None, _Fields]:
+    """f at t-polynomial values, unfinished: one accumulator per
+    t-coefficient, at packed monomials, the precision of the result and the
+    fields the monomials are packed in.
 
     values[i] is a list of term dicts in nvars variables, one per
     t-coefficient, known mod t^precisions[i] (None: exact).  A None value
@@ -171,19 +262,33 @@ def _composed(f: "Poly", values: Sequence[Sequence[Mapping[Monomial, Fraction | 
     is the least precision of the values of the variables that occur in f
     (None for a constant f), and every product is cut there.  Each power
     values[i]**e is formed once, from the one below.
+
+    The values and the heads are packed once, on entry, in fields: by
+    default the narrowest whose limit exceeds the degree of every term of
+    the result, sum(e_i * deg values[i]) over the terms x^e of f (1 for the
+    degree of a variable left alone), which bounds every product formed
+    here, so none overflows.  A caller that goes on multiplying the result
+    passes fields wide enough for that too.
     """
     occurring = {i for mono in f.terms for i, e in enumerate(mono) if e}
     precision = min((precisions[i] for i in occurring if precisions[i] is not None), default=None)
+    if fields is None:
+        degrees = [1 if v is None else max((max(map(sum, x)) for x in v if x), default=0)
+                   for v in values]
+        fields = _Fields.for_degree(nvars, max(
+            (sum(e * g for e, g in zip(mono, degrees)) for mono in f.terms), default=0))
+    pack = fields.pack
     keeps = None in values
-    powers = [[v] for v in values]
-    one = [{(0,) * nvars: 1}]
-    total: list[dict[Monomial, Fraction | int]] = []
+    powers = [None if v is None else [[{pack(m): y for m, y in x.items()} for x in v]]
+              for v in values]
+    one = [{0: 1}]  # the zero vector packs to 0
+    total: list[dict[int, Fraction | int]] = []
     for mono, c in f.terms.items():
         factors = []
         if keeps:
             head = tuple(0 if v is not None else e for e, v in zip(mono, values))
             if any(head):
-                factors.append([{head: 1}])
+                factors.append([{pack(head): 1}])
         for i, e in enumerate(mono):
             if e and values[i] is not None:
                 pw = powers[i]
@@ -195,14 +300,20 @@ def _composed(f: "Poly", values: Sequence[Sequence[Mapping[Monomial, Fraction | 
             head = _add_product([], head, x, 1, precision)
         _add_product(total, head, factors[-1] if len(factors) > 1 else None,
                      c.numerator if c.denominator == 1 else c, precision)
-    return total, precision
+    return total, precision, fields
 
 
-def _finished(varset: VarSet, acc: Mapping[Monomial, Fraction | int]) -> "Poly":
-    """The Poly of an accumulator: Fraction coefficients in a dict of its own."""
+def _finished(varset: VarSet, acc: Mapping, fields: _Fields | None = None) -> "Poly":
+    """The Poly of an accumulator: Fraction coefficients in a dict of its own,
+    at its monomials, or at the exponent vectors fields unpacks them to when
+    it is packed."""
     p = Poly.__new__(Poly)
     p.varset = varset
-    p.terms = {m: x if type(x) is Fraction else Fraction(x) for m, x in acc.items()}
+    if fields is None:
+        p.terms = {m: x if type(x) is Fraction else Fraction(x) for m, x in acc.items()}
+    else:
+        unpack = fields.unpack
+        p.terms = {unpack(m): x if type(x) is Fraction else Fraction(x) for m, x in acc.items()}
     return p
 
 
@@ -318,7 +429,7 @@ class Poly:
             return self.scale(other)
         self._check(other)
         acc: dict[Monomial, Fraction | int] = {}
-        _accumulate(acc, self.terms, other.terms)
+        _accumulate(acc, self.terms, other.terms, mul=monomial_mul)
         return _finished(self.varset, acc)
 
     __rmul__ = __mul__
@@ -421,8 +532,8 @@ class Poly:
             elif val.varset != varset:
                 raise VarsetMismatchError("substitution value over a different varset")
             values[varset.position(key)] = [val.terms]
-        accs, _ = _composed(self, values, [None] * len(varset), len(varset))
-        return _finished(varset, accs[0] if accs else {})
+        accs, _, fields = _composed(self, values, [None] * len(varset), len(varset))
+        return _finished(varset, accs[0] if accs else {}, fields)
 
     def extended(self, new_varset: VarSet) -> "Poly":
         """Re-express over a larger varset of which the current one is a prefix."""
@@ -478,7 +589,7 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
             continue
         minor = poly_det([[rows[i][k] for k in range(n) if k != j] for i in range(1, n)])
         entry._check(minor)
-        _accumulate(acc, entry.terms, minor.terms, -1 if j % 2 else 1)
+        _accumulate(acc, entry.terms, minor.terms, -1 if j % 2 else 1, monomial_mul)
     return _finished(first.varset, acc)
 
 

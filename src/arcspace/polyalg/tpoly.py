@@ -13,7 +13,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import InsufficientPrecisionError, NotMonicError, VarsetMismatchError
-from .poly import Monomial, Poly, _accumulate, _add_product, _composed, _finished
+from .poly import (
+    Monomial,
+    Poly,
+    _accumulate,
+    _add_product,
+    _composed,
+    _Fields,
+    _finished,
+    monomial_mul,
+)
 from .series import min_precision
 from .varset import VarSet
 
@@ -109,7 +118,7 @@ class TPoly:
         _check(self.varset, other.varset)
         prec = min_precision(self.precision, other.precision)
         accs = _add_product([], [c.terms for c in self.coeffs],
-                            [c.terms for c in other.coeffs], 1, prec)
+                            [c.terms for c in other.coeffs], 1, prec, monomial_mul)
         return TPoly(self.varset, [_finished(self.varset, acc) for acc in accs], prec)
 
     def scale(self, c: Poly) -> "TPoly":
@@ -133,7 +142,7 @@ class TPoly:
                 c = quot[k - dq] = _finished(vs, rem[k])
                 for acc, qj in zip(rem[k - dq:k], q.coeffs):
                     if qj.terms:
-                        _accumulate(acc, c.terms, qj.terms, -1)
+                        _accumulate(acc, c.terms, qj.terms, -1, monomial_mul)
         return TPoly(vs, quot), TPoly(vs, [_finished(vs, acc) for acc in rem[:dq]])
 
 
@@ -142,11 +151,13 @@ def div_monic_t(g: TPoly, q: TPoly) -> tuple[TPoly, TPoly]:
     return g.div_monic(q)
 
 
-def _substituted(f: Poly, values: Sequence[TPoly]
-                 ) -> tuple[list[dict[Monomial, Fraction | int]], int | None]:
+def _substituted(f: Poly, values: Sequence[TPoly], fields: _Fields | None = None
+                 ) -> tuple[list[dict[int, Fraction | int]], int | None, _Fields]:
     """f evaluated at t-polynomial values, unfinished: one accumulator per
-    t-coefficient (see the ``poly`` module) and the precision of the result,
-    the least precision of the values of the variables that occur in f.
+    t-coefficient at packed monomials, the precision of the result, the
+    least precision of the values of the variables that occur in f, and the
+    fields of the packing, by default the narrowest that fits (see
+    ``poly._composed``).
 
     `values` is aligned with f's varset; all values share one target varset.
     """
@@ -159,12 +170,12 @@ def _substituted(f: Poly, values: Sequence[TPoly]
         if v.varset != target:
             raise VarsetMismatchError("values over different varsets")
     return _composed(f, [[x.terms for x in v.coeffs] for v in values],
-                     [v.precision for v in values], len(target))
+                     [v.precision for v in values], len(target), fields)
 
 
 def substitute_tpoly(f: Poly, values: Sequence[TPoly]) -> TPoly:
     """Evaluate a multivariate polynomial at t-polynomial values: ``_substituted``,
     finished."""
-    accs, precision = _substituted(f, values)
+    accs, precision, fields = _substituted(f, values)
     target = values[0].varset
-    return TPoly(target, [_finished(target, acc) for acc in accs], precision)
+    return TPoly(target, [_finished(target, acc, fields) for acc in accs], precision)

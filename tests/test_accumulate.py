@@ -4,10 +4,11 @@ Sums and products of ``Poly`` and ``TPoly``, the composition kernel
 (``poly._composed``, behind ``Poly.substitute``, ``substitute_tpoly``,
 ``eval_along_arc`` and the jet ideals), ``drinfeld._ModReducer.reduce``,
 ``spolynomial`` and the integer rows of ``linalg`` are compared with the
-reference loops in ``conftest.py`` on seeded random inputs.  Every result
-must equal the reference, hold only Fraction coefficients (ints for the
-integer rows), share no dict with its inputs, and leave the inputs
-unchanged.
+reference loops in ``conftest.py`` on seeded random inputs, and the
+composition kernel also on compositions whose degree crosses the limit of
+each width of packed fields it picks.  Every result must equal the
+reference, hold only Fraction coefficients (ints for the integer rows),
+share no dict with its inputs, and leave the inputs unchanged.
 """
 
 import random
@@ -45,6 +46,8 @@ from arcspace.polyalg import (
     substitute_tpoly,
 )
 from arcspace.polyalg.linalg import _as_integer_rows
+from arcspace.polyalg.poly import _composed, _Fields
+from arcspace.polyalg.tpoly import _substituted
 
 from conftest import (
     copy_add,
@@ -243,6 +246,42 @@ def test_compose_sum_matches_the_copying_loop():
     assert zero.substitute({}) == zero
 
 
+@pytest.mark.parametrize("degree, width", [(127, 8), (128, 16), (32767, 16), (32768, 32)])
+def test_compositions_across_each_field_limit(degree, width):
+    """The kernel packs in the narrowest fields whose limit, 128 at 8 bits
+    and 32768 at 16, exceeds the degree of the result: at and past each
+    limit, every composition still equals the reference loops.  Past 8 bits
+    the value of x is one term of degree 1024, so few powers reach it."""
+    x, y, z = (Poly.variable(VS, v) for v in ("x", "y", "z"))
+    target = VarSet(["q0", "q1"])
+    q0, q1 = Poly.variable(target, "q0"), Poly.variable(target, "q1")
+    # x^a * y^b reaches the degree at x = y^2 + z, or y^1024 past 8 bits, and
+    # at x = q1^2 + q0*t, or q1^1024, whose t^0 coefficient carries it
+    step = 2 if degree < 1 << 8 else 1024
+    a, b = divmod(degree, step)
+    f = Poly(VS, {(a, b, 0): 1, (0, 0, 1): Fraction(-1, 2)})
+    xval = y * y + z if step == 2 else y ** step
+    xt = TPoly(target, [q1 * q1, q0] if step == 2 else [q1 ** step], 3)
+    yt, zt = TPoly(target, [q0, Poly.one(target)], 4), TPoly(target, [q1])
+
+    # y left alone: a head of degree - 1 times z reaches the degree too
+    g = f + Poly(VS, {(0, degree - 1, 1): 3})
+    assert _composed(g, [[xval.terms], None, [z.terms]], [None] * 3, 3)[2].width == width
+    got = g.substitute({"x": xval, "z": z})
+    assert got == copy_compose(g, [xval, None, z], _keep_y, Poly.zero(VS), copy_add, copy_mul)
+    assert got.total_degree() == degree
+
+    assert _substituted(f, [xt, yt, zt])[2].width == width
+    got = substitute_tpoly(f, [xt, yt, zt])
+    assert got == copy_substitute_tpoly(f, [xt, yt, zt])
+    assert got.precision == 3 and got.coefficient(0).total_degree() == degree
+
+    comps = [TruncSeries([1, -1], 3), TruncSeries([-1, 0, 1], 5), TruncSeries([0, 2])]
+    assert eval_along_arc(f, Arc(VS, comps)) == copy_compose(
+        f, comps, lambda c, mono: TruncSeries.constant(c), TruncSeries.zero(),
+        copy_series_add, TruncSeries.__mul__)
+
+
 def test_jet_ideals_match_the_per_generator_construction():
     rng = random.Random(17)
     for X, arc, e in _model_cases(rng):
@@ -268,11 +307,19 @@ def test_mod_reducer_matches_the_copying_loop():
         if rng.random() < 0.3:
             g = g * q  # an exact multiple leaves no remainder
         before = _snapshot(g, q)
-        # reduce takes g unfinished, as tpoly._substituted hands it over:
-        # integral coefficients as ints, in dicts that reduce may consume
-        accs = [{m: x.numerator if x.denominator == 1 else x for m, x in c.terms.items()}
-                for c in g.coeffs]
-        coeffs = _ModReducer(q).reduce(accs)
+        # reduce takes q and g packed in fields that hold every product (the
+        # coefficients of q are linear, so t^k mod q has degree below k), and
+        # g unfinished, as tpoly._substituted hands it over: integral
+        # coefficients as ints, in dicts that reduce may consume
+        fields = _Fields.for_degree(len(VS), max((c.total_degree() for c in g.coeffs), default=0)
+                                    + len(g.coeffs))
+
+        def packed(p):
+            return {fields.pack(m): x.numerator if x.denominator == 1 else x
+                    for m, x in p.terms.items()}
+
+        accs = [packed(c) for c in g.coeffs]
+        coeffs = _ModReducer([packed(c) for c in q.coeffs], VS, fields).reduce(accs)
         assert len(coeffs) == dq
         got = TPoly(VS, coeffs)
         want = copy_mod_reduce(g, q)
@@ -305,7 +352,7 @@ def _mul(a, b):
 
 def _model_cases(rng):
     """(scheme, arc, e): arcs with Jacobian contact order e on the CI
-    fixture, the quadric cone and the sum-of-squares cone."""
+    fixture, and e = 1, 2, 3 on the quadric cone and the sum-of-squares cone."""
     ci = AffineScheme(A4, (Poly(A4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1, (0, 0, 2, 0): 1}),
                            Poly(A4, {(1, 0, 1, 0): 1, (0, 2, 0, 0): 1, (0, 0, 0, 2): -1})), 2)
     quadric = AffineScheme(A4, (Poly(A4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1}),))
@@ -313,7 +360,7 @@ def _model_cases(rng):
     for _ in range(2):
         comps = [[0, _rational(rng), _rational(rng)], [], [], []]
         yield ci, Arc(A4, [_series(x) for x in comps]), 2
-    for e in (1, 2):
+    for e in (1, 2, 3):
         # (a*c, a*d, b*c, -b*d) lies on the quadric cone, Jacobian order e
         a, b = ([0] * (e - 1) + [_rational(rng), _rational(rng)] for _ in range(2))
         cc, dd = ([0, _rational(rng), _rational(rng)] for _ in range(2))

@@ -54,7 +54,30 @@ def test_a_tall_jet_varset_is_built_level_by_level():
     assert low.is_prefix_of(target)
     assert all(a is b for a, b in zip(low.vars, target.vars))
     assert jet_varset(vs, n) is target
-    assert jet_varset(vs, -1).vars == ()
+
+
+def test_a_negative_jet_level_is_refused():
+    """Once levels are built, a negative level must not cut a set from them:
+    -2 used to return the level-2 set of a built tower, and the cache kept
+    it."""
+    vs = VarSet(["x", "y"])
+    jet_varset(vs, 3)
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError, match=f"nonnegative, not {n}"):
+            jet_varset(vs, n)
+    assert len(jet_varset(vs, 2)) == 6
+
+
+def test_a_derivative_into_a_varset_below_its_order_is_refused():
+    vs = VarSet(["x", "y"])
+    f = parse_poly("x^2*y + y", vs)
+    for p, below in ((2, 1), (3, 0), (1, 0)):
+        with pytest.raises(VarsetMismatchError, match=f"through level {p}"):
+            hs_derivative(f, p, jet_varset(vs, below))
+    with pytest.raises(VarsetMismatchError, match="x_0"):
+        hs_derivative(f, 0, vs)
+    assert hs_derivative(f, 2, jet_varset(vs, 3)) == hs_derivative(f, 2).extended(
+        jet_varset(vs, 3))
 
 
 def test_hs_leibniz_forced():
