@@ -39,10 +39,15 @@ from .errors import (
     VarsetMismatchError,
 )
 from .polyalg.parse import parse_poly, poly_to_string
-from .polyalg.poly import Poly, _composed, poly_det
+from .polyalg.poly import Poly, _composed, _Fields, poly_det
 from .polyalg.series import OrdResult, TruncSeries, combine_ord_min
 from .polyalg.tpoly import TPoly, substitute_tpoly
 from .polyalg.varset import VarId, VarSet
+
+
+# the fields of an arc's coefficients, constants over no variables: every
+# monomial packs to 0, whatever the width
+_NO_VARIABLES = _Fields(0, 8)
 
 
 @lru_cache(maxsize=16)
@@ -236,9 +241,8 @@ def eval_along_arc(f: Poly, arc: Arc) -> TruncSeries:
     if f.varset != arc.varset:
         raise VarsetMismatchError("polynomial and arc over different varsets")
     comps = arc.components
-    accs, precision, _ = _composed(f, [[{(): c} if c else {} for c in s.coeffs] for s in comps],
-                                   [s.precision for s in comps], 0)
-    # over no variables every monomial packs to 0
+    accs, precision = _composed(f, [[{0: c} if c else {} for c in s.coeffs] for s in comps],
+                                [s.precision for s in comps], _NO_VARIABLES)
     return TruncSeries([acc.get(0, 0) for acc in accs], precision)
 
 

@@ -34,15 +34,16 @@ when a result leaves, in ``_finished``.
 Composition is one routine on packed accumulators, ``_composed``, and it
 serves ``Poly.substitute`` (each value one term dict), ``tpoly._substituted``
 (jet ideals and the model) and ``jets.eval_along_arc`` (constants over no
-variables, where every monomial packs to 0).  It packs the values and the
-monomials of the variables left alone once, in the narrowest fields (8, 16,
-32, ... bits) whose limit exceeds a bound on the degree of every product it
-forms, so no product overflows and no composition is made again; the model
-stays in 8-bit fields.  The model's t-polynomials stay packed accumulators
-from end to end: ``drinfeld._ModReducer`` builds its tables of t^k mod q(t)
-and mod q(t)^2 in the same fields and adds the reductions into them, and
-only the remainder coefficients that become model equations are unpacked
-and finished (``substitute_tpoly`` finishes every coefficient instead).
+variables, where every monomial packs to 0, so an arc's coefficients are
+keyed by 0 at once).  The values are packed once (``_packed_values``), in
+the narrowest fields (8, 16, 32, ... bits) whose limit exceeds a bound on
+the degree of every product the composition forms, so no product overflows
+and no composition is made again; the model stays in 8-bit fields.  The
+model's t-polynomials stay packed accumulators from end to end:
+``drinfeld._ModReducer`` builds its tables of t^k mod q(t) and mod q(t)^2 in
+the same fields and adds the reductions into them, and only the remainder
+coefficients that become model equations are unpacked and finished
+(``substitute_tpoly`` finishes every coefficient instead).
 
 Division goes further and holds no Fraction and no exponent tuple while it
 works: ``groebner._Remainder`` keeps the polynomial under division as one
@@ -247,40 +248,48 @@ def _add_product(out: list[dict], a: Sequence[Mapping], b: Sequence[Mapping] | N
     return out
 
 
-def _composed(f: "Poly", values: Sequence[Sequence[Mapping[Monomial, Fraction | int]] | None],
-              precisions: Sequence[int | None], nvars: int, fields: _Fields | None = None
-              ) -> tuple[list[dict[int, Fraction | int]], int | None, _Fields]:
-    """f at t-polynomial values, unfinished: one accumulator per
-    t-coefficient, at packed monomials, the precision of the result and the
-    fields the monomials are packed in.
-
-    values[i] is a list of term dicts in nvars variables, one per
-    t-coefficient, known mod t^precisions[i] (None: exact).  A None value
-    leaves its variable alone (so nvars == len(f.varset)): the exponents of
-    all such variables form one monomial that heads the term, one product
-    per term in place of a power and a product per variable.  The precision
-    is the least precision of the values of the variables that occur in f
-    (None for a constant f), and every product is cut there.  Each power
-    values[i]**e is formed once, from the one below.
-
-    The values and the heads are packed once, on entry, in fields: by
-    default the narrowest whose limit exceeds the degree of every term of
-    the result, sum(e_i * deg values[i]) over the terms x^e of f (1 for the
-    degree of a variable left alone), which bounds every product formed
-    here, so none overflows.  A caller that goes on multiplying the result
-    passes fields wide enough for that too.
-    """
-    occurring = {i for mono in f.terms for i, e in enumerate(mono) if e}
-    precision = min((precisions[i] for i in occurring if precisions[i] is not None), default=None)
+def _packed_values(f: "Poly", values: Sequence[Sequence[Mapping[Monomial, Fraction | int]] | None],
+                   nvars: int, fields: _Fields | None = None
+                   ) -> tuple[list[list[dict[int, Fraction | int]] | None], _Fields]:
+    """The values of a composition of f (see ``_composed``), each term dict
+    packed once, and the fields they are packed in.  By default those are
+    the narrowest whose limit exceeds the degree of every term of the
+    composite, sum(e_i * deg values[i]) over the terms x^e of f (1 for the
+    degree of a variable left alone), which bounds every product
+    ``_composed`` forms, so none overflows.  A caller that goes on
+    multiplying the composite passes fields wide enough for that too."""
     if fields is None:
         degrees = [1 if v is None else max((max(map(sum, x)) for x in v if x), default=0)
                    for v in values]
         fields = _Fields.for_degree(nvars, max(
             (sum(e * g for e, g in zip(mono, degrees)) for mono in f.terms), default=0))
     pack = fields.pack
+    return [None if v is None else [{pack(m): y for m, y in x.items()} for x in v]
+            for v in values], fields
+
+
+def _composed(f: "Poly", values: Sequence[Sequence[Mapping[int, Fraction | int]] | None],
+              precisions: Sequence[int | None], fields: _Fields
+              ) -> tuple[list[dict[int, Fraction | int]], int | None]:
+    """f at t-polynomial values, unfinished: one accumulator per
+    t-coefficient, at monomials packed in fields, and the precision of the
+    result.
+
+    values[i] is a list of term dicts at monomials packed in fields (see
+    ``_packed_values``), one per t-coefficient, known mod t^precisions[i]
+    (None: exact).  A None value leaves its variable alone (so the fields
+    are over the variables of f): the exponents of all such variables form
+    one monomial that heads the term, packed once per term, one product per
+    term in place of a power and a product per variable.  The precision is
+    the least precision of the values of the variables that occur in f (None
+    for a constant f), and every product is cut there.  Each power
+    values[i]**e is formed once, from the one below.  The fields must hold
+    every product formed here.
+    """
+    occurring = {i for mono in f.terms for i, e in enumerate(mono) if e}
+    precision = min((precisions[i] for i in occurring if precisions[i] is not None), default=None)
     keeps = None in values
-    powers = [None if v is None else [[{pack(m): y for m, y in x.items()} for x in v]]
-              for v in values]
+    powers = [[v] for v in values]
     one = [{0: 1}]  # the zero vector packs to 0
     total: list[dict[int, Fraction | int]] = []
     for mono, c in f.terms.items():
@@ -288,7 +297,7 @@ def _composed(f: "Poly", values: Sequence[Sequence[Mapping[Monomial, Fraction | 
         if keeps:
             head = tuple(0 if v is not None else e for e, v in zip(mono, values))
             if any(head):
-                factors.append([{pack(head): 1}])
+                factors.append([{fields.pack(head): 1}])
         for i, e in enumerate(mono):
             if e and values[i] is not None:
                 pw = powers[i]
@@ -300,7 +309,7 @@ def _composed(f: "Poly", values: Sequence[Sequence[Mapping[Monomial, Fraction | 
             head = _add_product([], head, x, 1, precision)
         _add_product(total, head, factors[-1] if len(factors) > 1 else None,
                      c.numerator if c.denominator == 1 else c, precision)
-    return total, precision, fields
+    return total, precision
 
 
 def _finished(varset: VarSet, acc: Mapping, fields: _Fields | None = None) -> "Poly":
@@ -532,7 +541,8 @@ class Poly:
             elif val.varset != varset:
                 raise VarsetMismatchError("substitution value over a different varset")
             values[varset.position(key)] = [val.terms]
-        accs, _, fields = _composed(self, values, [None] * len(varset), len(varset))
+        values, fields = _packed_values(self, values, len(varset))
+        accs, _ = _composed(self, values, [None] * len(varset), fields)
         return _finished(varset, accs[0] if accs else {}, fields)
 
     def extended(self, new_varset: VarSet) -> "Poly":

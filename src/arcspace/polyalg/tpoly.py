@@ -1,7 +1,8 @@
 """Univariate polynomials in t whose coefficients are multivariate Polys.
 
-Used for congruences mod q(t) and mod q(t)^2: division by a monic divisor is
-exact over any commutative coefficient ring.  Known only mod t^N (a
+Division by a monic divisor is exact over any commutative coefficient ring;
+the model's congruences mod q(t) and mod q(t)^2 are reduced at packed
+monomials instead (``drinfeld._ModReducer``).  Known only mod t^N (a
 precision), a TPoly also carries the universal jet that jet ideals come from.
 A polynomial evaluated at t-polynomials (``substitute_tpoly``) goes through
 the composition kernel of the ``poly`` module, ``poly._composed``.
@@ -21,6 +22,7 @@ from .poly import (
     _composed,
     _Fields,
     _finished,
+    _packed_values,
     monomial_mul,
 )
 from .series import min_precision
@@ -157,7 +159,7 @@ def _substituted(f: Poly, values: Sequence[TPoly], fields: _Fields | None = None
     t-coefficient at packed monomials, the precision of the result, the
     least precision of the values of the variables that occur in f, and the
     fields of the packing, by default the narrowest that fits (see
-    ``poly._composed``).
+    ``poly._packed_values``).
 
     `values` is aligned with f's varset; all values share one target varset.
     """
@@ -169,8 +171,10 @@ def _substituted(f: Poly, values: Sequence[TPoly], fields: _Fields | None = None
     for v in values:
         if v.varset != target:
             raise VarsetMismatchError("values over different varsets")
-    return _composed(f, [[x.terms for x in v.coeffs] for v in values],
-                     [v.precision for v in values], len(target), fields)
+    packed, fields = _packed_values(f, [[x.terms for x in v.coeffs] for v in values],
+                                    len(target), fields)
+    accs, precision = _composed(f, packed, [v.precision for v in values], fields)
+    return accs, precision, fields
 
 
 def substitute_tpoly(f: Poly, values: Sequence[TPoly]) -> TPoly:

@@ -46,7 +46,7 @@ from arcspace.polyalg import (
     substitute_tpoly,
 )
 from arcspace.polyalg.linalg import _as_integer_rows
-from arcspace.polyalg.poly import _composed, _Fields
+from arcspace.polyalg.poly import _Fields, _packed_values
 from arcspace.polyalg.tpoly import _substituted
 
 from conftest import (
@@ -266,7 +266,7 @@ def test_compositions_across_each_field_limit(degree, width):
 
     # y left alone: a head of degree - 1 times z reaches the degree too
     g = f + Poly(VS, {(0, degree - 1, 1): 3})
-    assert _composed(g, [[xval.terms], None, [z.terms]], [None] * 3, 3)[2].width == width
+    assert _packed_values(g, [[xval.terms], None, [z.terms]], 3)[1].width == width
     got = g.substitute({"x": xval, "z": z})
     assert got == copy_compose(g, [xval, None, z], _keep_y, Poly.zero(VS), copy_add, copy_mul)
     assert got.total_degree() == degree
