@@ -383,9 +383,9 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
     fields = _Fields.for_degree(len(vs), max(f.total_degree() * (1 + p * (2 * e - 1))
                                              for f, p in composites))
     qt = TPoly(vs, [Poly.variable(vs, VarId("q", (n,))) for n in range(e)] + [Poly.one(vs)])
-    q = [{fields.pack(m): a for m, a in x.terms.items()} for x in qt.coeffs]
-    reducers = {1: _ModReducer(q, vs, fields),
-                2: _ModReducer(_add_product([], q, q, 1, None), vs, fields)}
+    packed_q = [{fields.pack(m): a for m, a in x.terms.items()} for x in qt.coeffs]
+    reducers = {1: _ModReducer(packed_q, vs, fields),
+                2: _ModReducer(_add_product([], packed_q, packed_q, 1, None), vs, fields)}
     equations: list[Poly] = []
     for f, p in composites:
         equations += reducers[p].reduce(_substituted(f, values, fields)[0])
