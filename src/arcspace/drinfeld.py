@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .errors import (
     CertificateFailureError,
@@ -326,7 +327,7 @@ class _ModReducer:
             if top:
                 for acc, qj in zip(shifted, self.q):
                     if qj:
-                        _accumulate(acc, top, qj, -1)
+                        _accumulate(acc, top, qj, -1, add)
             table.append(shifted)
         return table[k]
 
@@ -341,7 +342,7 @@ class _ModReducer:
             if g[k]:
                 for acc, r in zip(rem, self.t_power_rem(k)):
                     if r:
-                        _accumulate(acc, g[k], r)
+                        _accumulate(acc, g[k], r, 1, add)
         return [_finished(self.varset, acc, self.fields) for acc in rem]
 
 
@@ -385,7 +386,7 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
     qt = TPoly(vs, [Poly.variable(vs, VarId("q", (n,))) for n in range(e)] + [Poly.one(vs)])
     packed_q = [{fields.pack(m): a for m, a in x.terms.items()} for x in qt.coeffs]
     reducers = {1: _ModReducer(packed_q, vs, fields),
-                2: _ModReducer(_add_product([], packed_q, packed_q, 1, None), vs, fields)}
+                2: _ModReducer(_add_product([], packed_q, packed_q, 1, None, add), vs, fields)}
     equations: list[Poly] = []
     for f, p in composites:
         equations += reducers[p].reduce(_substituted(f, values, fields)[0])

@@ -35,10 +35,11 @@ Composition is one routine on packed accumulators, ``_composed``, and it
 serves ``Poly.substitute`` (each value one term dict), ``tpoly._substituted``
 (jet ideals and the model) and ``jets.eval_along_arc`` (constants over no
 variables, where every monomial packs to 0, so an arc's coefficients are
-keyed by 0 at once).  The values are packed once (``_packed_values``), in
-the narrowest fields (8, 16, 32, ... bits) whose limit exceeds a bound on
-the degree of every product the composition forms, so no product overflows
-and no composition is made again; the model stays in 8-bit fields.  The
+keyed by 0 at once).  The values of the variables that occur in f are
+packed once (``_packed_values``; the others are never read), in the
+narrowest fields (8, 16, 32, ... bits) whose limit exceeds a bound on the
+degree of every product the composition forms, so no product overflows and
+no composition is made again; the model stays in 8-bit fields.  The
 model's t-polynomials stay packed accumulators from end to end:
 ``drinfeld._ModReducer`` builds its tables of t^k mod q(t) and mod q(t)^2 in
 the same fields and adds the reductions into them, and only the remainder
@@ -191,19 +192,23 @@ class _Fields:
 
 
 def _accumulate(acc: dict, a: Mapping, b: Mapping | None = None, c: Fraction | int = 1,
-                mul: Callable = add) -> None:
+                mul: Callable | None = None) -> None:
     """Add c*a, or c*a*b when b is given, into the accumulator acc, in place.
 
     a and b are term dicts of nonzero coefficients and c is nonzero.  The
-    monomial of a product is mul of the two monomials: the default, int
-    addition, multiplies packed monomials (see ``_Fields``), and
-    ``monomial_mul`` multiplies exponent tuples.  acc holds each integral
-    coefficient met here as an int and loses every term that cancels; it
-    shares nothing with a or b.
+    monomial of a product is mul of the two monomials, and a product names
+    it, as the key kinds differ: int addition (``operator.add``) multiplies
+    packed monomials (see ``_Fields``), and ``monomial_mul`` multiplies
+    exponent tuples.  acc holds each integral coefficient met here as an int
+    and loses every term that cancels; it shares nothing with a or b.
     """
     get = acc.get
-    bs = None if b is None else [(m, y.numerator if y.denominator == 1 else y)
-                                 for m, y in b.items()]
+    if b is None:
+        bs = None
+    elif mul is None:
+        raise TypeError("a product needs the product of its monomials, mul")
+    else:
+        bs = [(m, y.numerator if y.denominator == 1 else y) for m, y in b.items()]
     for ma, x in a.items():
         if x.denominator == 1:
             x = x.numerator
@@ -226,7 +231,7 @@ def _accumulate(acc: dict, a: Mapping, b: Mapping | None = None, c: Fraction | i
 
 
 def _add_product(out: list[dict], a: Sequence[Mapping], b: Sequence[Mapping] | None,
-                 c: Fraction | int, precision: int | None, mul: Callable = add) -> list[dict]:
+                 c: Fraction | int, precision: int | None, mul: Callable) -> list[dict]:
     """Add c*a*b, or c*a when b is None, into out, in place, and return out.
 
     Each argument is a list of term dicts, one per t-coefficient, whose
@@ -252,12 +257,17 @@ def _packed_values(f: "Poly", values: Sequence[Sequence[Mapping[Monomial, Fracti
                    nvars: int, fields: _Fields | None = None
                    ) -> tuple[list[list[dict[int, Fraction | int]] | None], _Fields]:
     """The values of a composition of f (see ``_composed``), each term dict
-    packed once, and the fields they are packed in.  By default those are
-    the narrowest whose limit exceeds the degree of every term of the
-    composite, sum(e_i * deg values[i]) over the terms x^e of f (1 for the
-    degree of a variable left alone), which bounds every product
-    ``_composed`` forms, so none overflows.  A caller that goes on
-    multiplying the composite passes fields wide enough for that too."""
+    packed once, and the fields they are packed in.  ``_composed`` reads
+    only the values of the variables that occur in f, so only those are
+    packed, and an empty list stands in for each of the others.  By default
+    the fields are the narrowest whose limit exceeds the degree of every
+    term of the composite, sum(e_i * deg values[i]) over the terms x^e of f
+    (1 for the degree of a variable left alone), which bounds every product
+    ``_composed`` forms, and every value it packs, so none overflows.  A
+    caller that goes on multiplying the composite passes fields wide enough
+    for that too."""
+    occurring = {i for mono in f.terms for i, e in enumerate(mono) if e}
+    values = [v if v is None or i in occurring else [] for i, v in enumerate(values)]
     if fields is None:
         degrees = [1 if v is None else max((max(map(sum, x)) for x in v if x), default=0)
                    for v in values]
@@ -302,13 +312,13 @@ def _composed(f: "Poly", values: Sequence[Sequence[Mapping[int, Fraction | int]]
             if e and values[i] is not None:
                 pw = powers[i]
                 while len(pw) < e:
-                    pw.append(_add_product([], pw[-1], pw[0], 1, precision))
+                    pw.append(_add_product([], pw[-1], pw[0], 1, precision, add))
                 factors.append(pw[e - 1])
         head = factors[0] if factors else one
         for x in factors[1:-1]:
-            head = _add_product([], head, x, 1, precision)
+            head = _add_product([], head, x, 1, precision, add)
         _add_product(total, head, factors[-1] if len(factors) > 1 else None,
-                     c.numerator if c.denominator == 1 else c, precision)
+                     c.numerator if c.denominator == 1 else c, precision, add)
     return total, precision
 
 

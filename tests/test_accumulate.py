@@ -46,7 +46,7 @@ from arcspace.polyalg import (
     substitute_tpoly,
 )
 from arcspace.polyalg.linalg import _as_integer_rows
-from arcspace.polyalg.poly import _Fields, _packed_values
+from arcspace.polyalg.poly import _accumulate, _Fields, _packed_values, monomial_mul
 from arcspace.polyalg.tpoly import _substituted
 
 from conftest import (
@@ -281,6 +281,17 @@ def test_compositions_across_each_field_limit(degree, width):
         f, comps, lambda c, mono: TruncSeries.constant(c), TruncSeries.zero(),
         copy_series_add, TruncSeries.__mul__)
 
+    # a value of that degree for x, which h lacks, is never read, on the zero
+    # polynomial too: the fields stay at 8 bits and the results are exact
+    big, bigt = y ** degree, TPoly(target, [q1 ** degree])
+    for h in (Poly(VS, {(0, 1, 1): 2, (0, 0, 0): -1}), Poly.zero(VS)):
+        assert _packed_values(h, [[big.terms], None, [z.terms]], 3)[1].width == 8
+        got = h.substitute({"x": big, "z": z})
+        assert got == h == copy_compose(h, [big, None, z], _keep_y, Poly.zero(VS),
+                                        copy_add, copy_mul)
+        assert _substituted(h, [bigt, yt, zt])[2].width == 8
+        assert substitute_tpoly(h, [bigt, yt, zt]) == copy_substitute_tpoly(h, [bigt, yt, zt])
+
 
 def test_jet_ideals_match_the_per_generator_construction():
     rng = random.Random(17)
@@ -418,6 +429,18 @@ def test_integer_rows_match_the_fraction_loop():
         got = _as_integer_rows(rows)
         assert got == copy_integer_rows(rows)
         assert all(type(x) is int for row in got for x in row)
+
+
+def test_a_product_names_the_product_of_its_monomials():
+    """Packed and tuple monomials multiply differently, so a product in
+    ``_accumulate`` without its monomial product is an error, not a guess."""
+    acc = {}
+    with pytest.raises(TypeError):
+        _accumulate(acc, {(1, 0, 0): 1}, {(0, 1, 0): 1})
+    assert acc == {}
+    _accumulate(acc, {(1, 0, 0): 1}, {(0, 1, 0): 1}, 2, monomial_mul)
+    _accumulate(acc, {(1, 1, 0): 1})
+    assert acc == {(1, 1, 0): 3}
 
 
 def test_varset_mismatches_still_raise():
