@@ -17,8 +17,9 @@ from typing import Mapping, Sequence
 from .errors import InternalInconsistencyError, PointNotOnSchemeError, VarsetMismatchError
 from .jets import AffineScheme, Arc, JetPoint, jet_ideal_at, jet_varset
 from .polyalg.dimension import monomial_dim
+from .polyalg.groebner import interreduce
 from .polyalg.linalg import exact_rank
-from .polyalg.mora import canonical_initial_forms, mora_standard_basis
+from .polyalg.mora import mora_standard_basis
 from .polyalg.orders import ANTIGRLEX, leading_monomial
 from .polyalg.parse import poly_to_string
 from .polyalg.poly import Poly, rational
@@ -186,10 +187,11 @@ def ecodim_at_point(gens: Sequence[Poly], point,
     first below.nvars variables, at the point's first below.nvars coordinates:
     the jet scheme one level down, along the same arc.  Mora then starts from
     its standard basis and adds only the other generators, so no S-pair of the
-    level below is reduced again, and the canonicalization of the initial
-    forms starts from below.initial_forms, the reduced basis of the whole
-    initial ideal a level down, which the initial ideal here contains.  The
-    result is the same as without below.
+    level below is reduced again.  The initial forms of the standard basis are
+    interreduced into the reduced basis of the initial ideal; an initial form
+    whose lead is the lead of one of below.initial_forms, already reduced a
+    level down, is replaced by that form first.  The leads stay the same and
+    the reduced basis is unique, so the result is the same as without below.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -206,20 +208,22 @@ def ecodim_at_point(gens: Sequence[Poly], point,
             basis=[g.extended(varset) for g in below.standard_basis])
     lms = [leading_monomial(g, ANTIGRLEX) for g in basis]
     tangent_cone_dim = monomial_dim(lms, nvars)
-    forms = canonical_initial_forms(
-        [g.initial_form() for g in basis],
-        basis=() if below is None else [f.extended(varset) for f in below.initial_forms])
-    # cross-checks between the pipelines: the canonical initial basis must
-    # carry exactly jacobian_rank independent linear forms, and its leading
-    # monomials must cut the tangent cone to the same dimension
+    # LM(g) lies in in(g), so the initial forms are already a minimal Groebner
+    # basis of the initial ideal and interreduction makes it the reduced one;
+    # a form of the level below with the same lead is already reduced
+    forms = [g.initial_form() for g in basis]
+    if below is not None:
+        extended = [f.extended(varset) for f in below.initial_forms]
+        reduced = {leading_monomial(f, ANTIGRLEX): f for f in extended}
+        forms = [reduced.get(m, f) for m, f in zip(lms, forms)]
+    forms = interreduce(forms, ANTIGRLEX)
+    # cross-check between the pipelines: the reduced initial basis must carry
+    # exactly jacobian_rank independent linear forms
     linear_count = sum(1 for f in forms if f.total_degree() == 1)
     if linear_count != jacobian_rank:
         raise InternalInconsistencyError(
             f"initial ideal shows {linear_count} linear forms, "
             f"Jacobian rank is {jacobian_rank}")
-    full_lms = [leading_monomial(f, ANTIGRLEX) for f in forms]
-    if forms and monomial_dim(full_lms, nvars) != tangent_cone_dim:
-        raise InternalInconsistencyError("tangent cone dimensions disagree")
     edim = nvars - jacobian_rank
     ecodim = edim - tangent_cone_dim
     ecodim_by_height = (nvars - tangent_cone_dim) - jacobian_rank
@@ -285,9 +289,10 @@ def ecodim_window(X: AffineScheme, arc: Arc, n_lo: int, n_hi: int) -> WindowRepo
     makes those a prefix.  Each level is then analysed at the origin.
 
     Level n adds only D_n(g_i) to the jet ideal of level n - 1, in new
-    variables, so each level above n_lo starts its standard basis and the
-    canonicalization of its initial forms from those of the level below (the
-    ``below`` of ``ecodim_at_point``) and pays only for the work beyond them.
+    variables, so each level above n_lo starts its standard basis from the
+    one of the level below and reuses the reduced initial forms found there
+    (the ``below`` of ``ecodim_at_point``), paying only for the work beyond
+    them.
     """
     _check_window(n_lo, n_hi)
     top = jet_ideal_at(X, arc, n_hi)

@@ -18,8 +18,8 @@ twice.  Everything is deterministic.  The loop can start from a ``basis``
 whose own S-pairs are known to reduce, such as the standard basis of a
 smaller ideal: the generators are reduced against it too, so one already in
 its ideal never enters, and only the pairs with the new elements are formed,
-under the same criteria.  This is how ``mora.canonical_initial_forms`` climbs
-a jet tower.
+under the same criteria.  This is how ``mora.mora_standard_basis`` climbs a
+jet tower.
 
 Division works on a ``_Remainder``, which ``normal_form`` here and
 ``mora.mora_normal_form`` share: the remainder's terms live in one dict that a
@@ -697,26 +697,21 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
     return record
 
 
-def _buchberger(gens: list[Poly], order: MonomialOrder, budget: _Budget,
-                basis: Sequence[Poly] = ()) -> _Reducers:
+def _buchberger(gens: list[Poly], order: MonomialOrder, budget: _Budget) -> _Reducers:
     """The record of ``buchberger``."""
 
     def nf(f: Poly | tuple[int, int], record: _Reducers) -> Poly | _Remainder:
         # normal_form is read from the globals at each call: a wrapper must see every division
         return normal_form(f, record.polys, order, budget=budget, ints=record)
 
-    return _complete(gens, order, nf, basis)
+    return _complete(gens, order, nf)
 
 
 def buchberger(gens: list[Poly], order: MonomialOrder,
-               budget: _Budget | None = None, basis: Sequence[Poly] = ()) -> list[Poly]:
-    """Raw (non-reduced) Groebner basis of basis + gens (see ``_complete``);
-    every division is paid from budget (a fresh default one when None).
-
-    basis, when given, must be a Groebner basis of its own ideal: its S-pairs
-    are not formed again.
-    """
-    return _buchberger(gens, order, budget or _Budget(), basis).elements()
+               budget: _Budget | None = None) -> list[Poly]:
+    """Raw (non-reduced) Groebner basis of gens (see ``_complete``); every
+    division is paid from budget (a fresh default one when None)."""
+    return _buchberger(gens, order, budget or _Budget()).elements()
 
 
 def _minimal(lms: list[Monomial]) -> list[int]:
@@ -781,21 +776,17 @@ def interreduce(basis: list[Poly], order: MonomialOrder,
     return _interreduced(record, budget or _Budget())
 
 
-def _reduced_basis(gens: list[Poly], order: MonomialOrder, budget: _Budget,
-                   basis: Sequence[Poly] = ()) -> list[Poly]:
-    """interreduce(minimalize(buchberger(...))) on one record: the leads
-    computed as the elements enter are the ones minimalized and interreduced."""
-    record = _buchberger(gens, order, budget, basis)
-    return _interreduced(record.kept(_minimal(record.lms)), budget)
-
-
 def groebner_basis(gens: list[Poly], order: MonomialOrder,
                    work_limit: int = DEFAULT_WORK_LIMIT) -> list[Poly]:
     """Reduced Groebner basis (unique for the given global order), computed
-    within one budget of work_limit terms touched."""
+    within one budget of work_limit terms touched: interreduce(minimalize(
+    buchberger(...))) on one record, so the leads computed as the elements
+    enter are the ones minimalized and interreduced."""
     if not order.is_global:
         raise ValueError("groebner_basis needs a global order; use mora_standard_basis")
-    return _reduced_basis(gens, order, _Budget(work_limit))
+    budget = _Budget(work_limit)
+    record = _buchberger(gens, order, budget)
+    return _interreduced(record.kept(_minimal(record.lms)), budget)
 
 
 def reduces_to_zero(f: Poly, basis: list[Poly], order: MonomialOrder) -> bool:

@@ -43,13 +43,17 @@ Given a ``basis`` that is already a standard basis, such as the one of the
 jet ideal a level down, the loop reduces the generators against it too and
 forms only the S-pairs with the new elements.  The minimalization, the
 interreduction and the final sort read the leading monomials the loop
-computed as each element entered, and the homogeneity test its ecarts.  The
-canonicalization of initial forms climbs the tower the same way: given the
-reduced Groebner basis of the initial ideal a level down, Buchberger starts
-from it, and only the forms that do not reduce to zero against it enter.  A
-standard basis, and a canonicalization of initial forms, each spend one
-groebner ``_Budget`` across all of their divisions; the step charge is the
-one ``_Remainder.reduce`` makes for ``normal_form`` too.
+computed as each element entered, and the homogeneity test its ecarts.  A
+standard basis spends one groebner ``_Budget`` across all of its divisions;
+the step charge is the one ``_Remainder.reduce`` makes for ``normal_form``
+too.
+
+The initial ideal needs no second completion.  Under the local degree order
+the leading monomial of g lies in its initial form in(g), so the initial
+forms of a standard basis G of I are a Groebner basis of the initial ideal
+in(I), minimal when G is (Greuel-Pfister, *A Singular Introduction to
+Commutative Algebra*, 5.5; Mora, "An algorithm to compute the equations of
+tangent cones", EUROCAM 1982).  Interreducing them gives its reduced basis.
 """
 
 from __future__ import annotations
@@ -67,8 +71,8 @@ from .groebner import (
     _interreduced,
     _minimal,
     _Reducers,
-    _reduced_basis,
     _Remainder,
+    interreduce,
 )
 from .poly import Poly
 
@@ -140,32 +144,18 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
     return [g for _, g in sorted(zip(record.leads, record.elements()), key=itemgetter(0))]
 
 
-def canonical_initial_forms(forms: list[Poly], order: MonomialOrder = ANTIGRLEX,
-                            work_limit: int = DEFAULT_WORK_LIMIT,
-                            basis: Sequence[Poly] = ()) -> list[Poly]:
-    """Reduced Groebner basis of the ideal generated by the homogeneous
-    basis + forms, computed within one budget of work_limit terms touched.
-
-    basis, when given, must be a Groebner basis of its own ideal under the
-    order, such as the initial forms of the jet ideal a level down:
-    Buchberger starts from it (see ``groebner.buchberger``).  Buchberger
-    completion terminates on homogeneous input for any semigroup order
-    (reductions are degreewise finite), and the reduced basis is unique, so
-    the output is canonical either way.
-    """
-    return _reduced_basis(forms, order, _Budget(work_limit), basis)
-
-
 def initial_ideal(gens: list[Poly], order: MonomialOrder = ANTIGRLEX) -> list[Poly]:
     """Generators of the initial ideal: lowest-degree forms of a standard basis.
 
     The ideal must already be centered at the origin (translate first).  The
-    returned forms are the reduced Groebner basis of ini(a) for the same local
-    order.  The standard basis and the canonicalization each spend one
-    default budget.
+    initial forms of its minimal standard basis are a minimal Groebner basis
+    of ini(a) (see the module docstring), and the returned forms are their
+    interreduction, the reduced Groebner basis of ini(a) for the same local
+    order.  The standard basis and the interreduction each spend one default
+    budget.
     """
     basis = mora_standard_basis(gens, order)
-    return canonical_initial_forms([g.initial_form() for g in basis], order)
+    return interreduce([g.initial_form() for g in basis], order)
 
 
 def mora_reduces_to_zero(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLEX) -> bool:

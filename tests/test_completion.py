@@ -16,8 +16,8 @@ import pytest
 from arcspace.errors import ResourceLimitError
 from arcspace.polyalg import ANTIGRLEX, GREVLEX, GRLEX, LEX, MonomialOrder, Poly, VarSet
 from arcspace.polyalg import groebner, mora, orders
-from arcspace.polyalg.groebner import _Budget, buchberger, groebner_basis
-from arcspace.polyalg.mora import canonical_initial_forms, mora_standard_basis
+from arcspace.polyalg.groebner import _Budget, buchberger, groebner_basis, interreduce
+from arcspace.polyalg.mora import mora_standard_basis
 from arcspace.polyalg.orders import leading_monomial
 
 from conftest import (
@@ -141,47 +141,49 @@ def test_mora_from_a_standard_basis_matches_from_scratch(order, degrees, terms):
         want = mora_standard_basis(gens, order)
         lms = {leading_monomial(g, order) for g in got}
         assert lms == {leading_monomial(g, order) for g in want}
-        assert (canonical_initial_forms([g.initial_form() for g in got], order)
-                == canonical_initial_forms([g.initial_form() for g in want], order))
+        assert (interreduce([g.initial_form() for g in got], order)
+                == interreduce([g.initial_form() for g in want], order))
         grew += lms != {leading_monomial(g, order) for g in B}
     # the comparison is not vacuous: the new generators enlarge the leading ideal
     assert grew
 
 
-@pytest.mark.parametrize("order", [ANTIGRLEX, GREVLEX], ids=["antigrlex", "grevlex"])
+@pytest.mark.parametrize("order", [ANTIGRLEX, MonomialOrder("antigrlex", (2, 0, 1))],
+                         ids=["antigrlex", "antigrlex-priority"])
 @pytest.mark.parametrize("degree", [2, 3], ids=["quadrics", "cubics"])
-def test_canonicalization_from_a_reduced_basis_matches_from_scratch(monkeypatch, order, degree):
-    """The reduced basis B of the first forms, extended by the others, gives
-    the reduced basis of all of them within one budget; a new form already in
-    the ideal of B never enters the completion."""
+def test_mora_from_a_standard_basis_skips_its_ideal(monkeypatch, order, degree):
+    """A generator already in the ideal of the standard basis B the loop
+    starts from never enters, and the whole computation spends one budget."""
     x, z = Poly.variable(VS, "x"), Poly.variable(VS, "z")
     # an element entering the record updates the pairs; the pair loop, which
     # starts once every generator has been reduced, hands pair dividends to
     # the normal form
     events = []
-    update, normal_form = groebner._update_pairs, groebner.normal_form
+    update, mora_normal_form = groebner._update_pairs, mora.mora_normal_form
 
     def divided(f, *args, **kwargs):
         if isinstance(f, tuple):
             events.append("pair")
-        return normal_form(f, *args, **kwargs)
+        return mora_normal_form(f, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "_update_pairs",
                         lambda *args: events.append("enter") or update(*args))
-    monkeypatch.setattr(groebner, "normal_form", divided)
+    monkeypatch.setattr(mora, "mora_normal_form", divided)
     grew = 0
-    for forms in _ideals(13, 12, (degree,), 3):
-        forms.append(x * forms[0] - z * forms[1])
-        B = canonical_initial_forms(forms[:2], order)
-        want = canonical_initial_forms(forms, order)
+    for gens in _ideals(13, 12, (degree,), 3):
+        # reduced against B alone, the first new generator reduces to zero
+        gens.insert(2, x * gens[0] - z * gens[1])
+        B = mora_standard_basis(gens[:2], order)
+        want = {leading_monomial(g, order) for g in mora_standard_basis(gens, order)}
         events.clear()
-        assert canonical_initial_forms(forms[2:], order, basis=B) == want
-        # the generators that entered G, before the first S-pair
-        assert (events + ["pair"]).index("pair") == len(forms) - 3
-        work_spent(monkeypatch, canonical_initial_forms, forms[2:], order,
+        got = mora_standard_basis(gens[2:], order, basis=B)
+        assert {leading_monomial(g, order) for g in got} == want
+        # the generators that entered the record, before the first S-pair
+        assert (events + ["pair"]).index("pair") == len(gens) - 3
+        work_spent(monkeypatch, mora_standard_basis, gens[2:], order,
                    groebner.DEFAULT_WORK_LIMIT, B)
-        grew += want != B
-    # the comparison is not vacuous: the new forms enlarge the basis
+        grew += want != {leading_monomial(g, order) for g in B}
+    # the comparison is not vacuous: the new generators enlarge the leading ideal
     assert grew
 
 
@@ -220,9 +222,7 @@ def test_pairs_removed_after_they_were_pushed_are_skipped(monkeypatch, compute, 
 
 @pytest.mark.parametrize("compute, order", [
     (groebner_basis, GREVLEX), (groebner_basis, LEX),
-    (canonical_initial_forms, ANTIGRLEX), (canonical_initial_forms, GREVLEX),
-], ids=["groebner_basis-grevlex", "groebner_basis-lex",
-        "canonical_initial_forms-antigrlex", "canonical_initial_forms-grevlex"])
+], ids=["groebner_basis-grevlex", "groebner_basis-lex"])
 def test_reduced_bases_run_out_at_their_whole_spend(monkeypatch, compute, order):
     """The one budget covers completion and interreduction: it runs out at
     W - 1 and suffices at W, W the work of the whole computation."""

@@ -10,6 +10,7 @@ from arcspace.jets import (
     Arc,
     jacobian_ideal,
     jet_ideal,
+    jet_varset,
     ord_along_arc,
     truncate_arc,
 )
@@ -299,32 +300,41 @@ def _sum_of_squares_arc(X, e):
 
 def _window_matches_single_levels(monkeypatch, X, arc, n_lo, n_hi):
     """Assert that every level of the window equals ecodim_jet at that level;
-    returns how many levels started Mora from the level below, and how many
-    started the canonicalization of their initial forms from it."""
+    returns how many levels started Mora from the level below, and at how
+    many levels above the lowest the initial forms handed to the
+    interreduction reused the reduced forms of the level below.  A level
+    that reuses one of them must reuse them all."""
     from arcspace import localgeom
 
-    seeded = {"mora_standard_basis": [], "canonical_initial_forms": []}
+    seeded, handed = [], []
+    standard_basis, interreduce = localgeom.mora_standard_basis, localgeom.interreduce
 
-    def recording(name):
-        original = getattr(localgeom, name)
+    def seeding(*args, **kwargs):
+        seeded.append(bool(kwargs.get("basis")))
+        return standard_basis(*args, **kwargs)
 
-        def record(*args, **kwargs):
-            seeded[name].append(bool(kwargs.get("basis")))
-            return original(*args, **kwargs)
-        return record
+    def handing(forms, *args):
+        handed.append(list(forms))
+        return interreduce(forms, *args)
 
     with monkeypatch.context() as m:
-        for name in seeded:
-            m.setattr(localgeom, name, recording(name))
+        m.setattr(localgeom, "mora_standard_basis", seeding)
+        m.setattr(localgeom, "interreduce", handing)
         window = ecodim_window(X, arc, n_lo, n_hi)
-    for levels in seeded.values():
-        assert len(levels) == n_hi - n_lo + 1 and not levels[0]
+    levels = n_hi - n_lo + 1
+    assert len(seeded) == len(handed) == levels and not seeded[0]
+    reused = 0
+    for n, forms in zip(range(n_lo + 1, n_hi + 1), handed[1:]):
+        varset = jet_varset(X.ambient, n)
+        found = [f.extended(varset) in forms for f in window.per_level[n - 1].initial_forms]
+        assert all(found) or not any(found)
+        reused += any(found)
     for n in range(n_lo, n_hi + 1):
         single = ecodim_jet(X, arc, n)
         assert window.per_level[n].initial_forms == single.initial_forms
         # every invariant; the basis found is not compared
         assert window.per_level[n] == single
-    return sum(seeded["mora_standard_basis"]), sum(seeded["canonical_initial_forms"])
+    return sum(seeded), reused
 
 
 @pytest.mark.parametrize("e", [1, 2])
@@ -346,7 +356,7 @@ def test_window_levels_equal_single_levels_node(monkeypatch, node):
 def test_window_levels_with_smooth_directions_start_from_the_level_below(monkeypatch):
     # every jet generator x_p - (y^2)_p is c*x_p + h with x_p not in h; Mora
     # takes such generators as they are, so every level above the lowest
-    # starts its standard basis and its canonicalization from the one below
+    # starts its standard basis from the one below and reuses its initial forms
     vs = VarSet(["x", "y"])
     X = AffineScheme(vs, (parse_poly("x - y^2", vs),))
     arc = Arc.from_strings(vs, ["t^2", "t"])

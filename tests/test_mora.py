@@ -16,7 +16,6 @@ from arcspace.polyalg import (
     mora_standard_basis,
     parse_poly,
 )
-from arcspace.polyalg.mora import canonical_initial_forms
 from arcspace.polyalg.oracles import initial_ideal_mismatches
 from arcspace.polyalg.orders import ecart, leading_monomial
 
@@ -157,16 +156,16 @@ def test_truncation_oracle_three_variables():
         assert not initial_ideal_mismatches(gens, initial_ideal(gens), degree=4)
 
 
-def test_canonical_initial_forms_completes_to_reduced_basis(vs):
+def test_initial_ideal_completes_to_reduced_basis(vs):
     # the S-pair of x*y and x^2 + y^2 (leading monomial y^2) contributes x^3,
-    # which neither input form has as a leading monomial
-    forms = canonical_initial_forms([parse_poly("x*y", vs), parse_poly("x^2 + y^2", vs)])
+    # which neither generator has as a leading monomial
+    forms = initial_ideal([parse_poly("x*y", vs), parse_poly("x^2 + y^2", vs)])
     assert forms == [parse_poly("y^2 + x^2", vs), parse_poly("x*y", vs),
                      parse_poly("x^3", vs)]
-    assert canonical_initial_forms([parse_poly("x + y", vs), parse_poly("x - y", vs),
-                                    parse_poly("x^2", vs)]) == [
+    assert initial_ideal([parse_poly("x + y", vs), parse_poly("x - y", vs),
+                          parse_poly("x^2", vs)]) == [
         parse_poly("y", vs), parse_poly("x", vs)]
-    assert canonical_initial_forms([Poly.zero(vs)]) == []
+    assert initial_ideal([Poly.zero(vs)]) == []
 
 
 class _Overran(Exception):

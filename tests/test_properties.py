@@ -2,7 +2,8 @@
 
 The ring axioms, the Leibniz rule for ``partial`` and ``substitute`` as a ring
 homomorphism are checked on generated polynomials over Q in x, y, z, and so is
-Mora's initial ideal against the brute-force truncation oracle.  The
+Mora's initial ideal against the brute-force truncation oracle, and the
+initial forms of a standard basis against their Buchberger completion.  The
 fraction-free division kernel is checked against the copy-per-step reference
 loops of ``test_reduction``, the bounded ecart of a remainder against a scan
 of its terms, and the S-pairs the completion loop builds at packed monomials
@@ -24,7 +25,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 try:
     import sympy
@@ -57,10 +58,11 @@ from arcspace.polyalg.groebner import (  # noqa: E402
     _Packing,
     _Reducers,
     _Remainder,
+    buchberger,
     interreduce,
     minimalize,
+    reduces_to_zero,
 )
-from arcspace.polyalg.mora import canonical_initial_forms  # noqa: E402
 from arcspace.polyalg.oracles import initial_ideal_mismatches  # noqa: E402
 from arcspace.polyalg.orders import leading_monomial, make_monic  # noqa: E402
 from arcspace.polyalg.poly import monomial_div, monomial_divides, monomial_mul  # noqa: E402
@@ -449,13 +451,6 @@ ideals = st.lists(st.dictionaries(ideal_monomials, coefficients, min_size=1, max
     lambda terms: Poly(VS, terms)), min_size=2, max_size=3)
 
 
-def homogeneous_forms(degree):
-    monomials = st.tuples(*[st.integers(0, degree)] * len(VS)).filter(
-        lambda m: sum(m) == degree)
-    return st.dictionaries(monomials, coefficients.filter(bool), min_size=1,
-                           max_size=3).map(lambda terms: Poly(VS, terms))
-
-
 def _as_sympy(f, symbols):
     expr = sympy.Integer(0)
     for mono, c in f.terms.items():
@@ -485,15 +480,6 @@ def test_groebner_basis_ignores_the_order_of_the_generators(order, gens, data):
     assert groebner_basis(shuffled, order) == groebner_basis(gens, order)
 
 
-@checked
-@given(st.sampled_from([ANTIGRLEX, GREVLEX]),
-       st.lists(homogeneous_forms(2) | homogeneous_forms(3), min_size=2, max_size=3),
-       st.data())
-def test_canonical_initial_forms_ignore_the_order_of_the_forms(order, forms, data):
-    shuffled = data.draw(st.permutations(forms))
-    assert canonical_initial_forms(shuffled, order) == canonical_initial_forms(forms, order)
-
-
 # like local_polys, of degree <= 2: three cubics can run Mora for minutes
 local_quadrics = st.dictionaries(local_monomials.filter(lambda m: sum(m) <= 2),
                                  coefficients.filter(bool), min_size=1,
@@ -512,6 +498,33 @@ def test_mora_leading_ideal_ignores_the_order_of_the_generators(gens, data):
 
     assert leading(mora_standard_basis(shuffled, ANTIGRLEX)) \
         == leading(mora_standard_basis(gens, ANTIGRLEX))
+
+
+@checked
+@given(st.lists(local_quadrics, min_size=2, max_size=3), st.data())
+def test_initial_ideal_ignores_the_order_of_the_generators(gens, data):
+    # the standard basis depends on the order of the generators, but the
+    # reduced basis of the initial ideal does not
+    shuffled = data.draw(st.permutations(gens))
+    assert initial_ideal(shuffled, ANTIGRLEX) == initial_ideal(gens, ANTIGRLEX)
+
+
+@checked
+@given(st.lists(local_quadrics, min_size=1, max_size=3))
+# Mora's S-pair of x*y and x^2 + y^2 contributes x^3: few drawn ideals are
+# homogeneous, where a basis that missed it would fail here
+@example([Poly(VS, {(1, 1, 0): 1}), Poly(VS, {(2, 0, 0): 1, (0, 2, 0): 1})])
+def test_initial_forms_of_a_standard_basis_are_a_groebner_basis(gens):
+    # LM(g) lies in in(g) under the local degree order, so the initial forms
+    # of a standard basis G already form a Groebner basis of the initial
+    # ideal: each of their S-pairs reduces to zero, and completing them by
+    # Buchberger adds nothing that interreduction alone does not give
+    forms = [g.initial_form() for g in mora_standard_basis(gens, ANTIGRLEX)]
+    for f, g in combinations(forms, 2):
+        assert reduces_to_zero(spolynomial(f, g, ANTIGRLEX), forms, ANTIGRLEX)
+    completed = buchberger(forms, ANTIGRLEX)
+    assert initial_ideal(gens) \
+        == interreduce(minimalize(completed, ANTIGRLEX), ANTIGRLEX)
 
 
 # -- packed exponent vectors: every order kind, with and without a priority --
