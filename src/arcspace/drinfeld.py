@@ -29,11 +29,11 @@ from .errors import (
 from .jets import AffineScheme, Arc, jacobian_ideal, jet_jacobian_at, ord_along_arc
 from .localgeom import (  # noqa: F401 - edim_at_point stays importable from here
     LocalAnalysis,
+    _at_point,
     _check_window,
     ecodim_at_point,
     ecodim_window,
     edim_at_point,
-    jacobian_at,
 )
 from .polyalg.linalg import certified_rank, fraction_free_echelon, reduce_row
 from .polyalg.poly import (
@@ -176,11 +176,12 @@ def _check_resample_limit(resample_limit: int) -> None:
 
 
 def ci_reduce(X: AffineScheme, arc: Arc, d: int | None = None, seed=0,
-              resample_limit: int = DEFAULT_RESAMPLE_LIMIT) -> AffineScheme:
+              resample_limit: int = DEFAULT_RESAMPLE_LIMIT, e: int | None = None) -> AffineScheme:
     """Complete-intersection reduction: c = N - d random combinations.
 
     A hypersurface presentation is returned unchanged.  Draws are accepted
-    when the contact order of the reduced Jacobian ideal matches the original;
+    when the contact order of the reduced Jacobian ideal matches the original,
+    e, which is certified here unless the caller has certified it;
     otherwise resample, up to the limit.
     """
     _check_resample_limit(resample_limit)
@@ -193,7 +194,8 @@ def ci_reduce(X: AffineScheme, arc: Arc, d: int | None = None, seed=0,
             f"cannot present codimension {c} with {len(X.generators)} generators")
     if c == 1 and len(X.generators) == 1:
         return AffineScheme(X.ambient, X.generators, d)
-    e = _require_exact_contact_order(X, arc, d)
+    if e is None:
+        e = _require_exact_contact_order(X, arc, d)
     rng = _as_rng(seed)
     for _ in range(resample_limit + 1):
         rows = [[rng.randint(-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND) for _ in X.generators]
@@ -212,11 +214,14 @@ def ci_reduce(X: AffineScheme, arc: Arc, d: int | None = None, seed=0,
 
 
 def choose_projection(Xci: AffineScheme, arc: Arc, seed=0,
-                      resample_limit: int = DEFAULT_RESAMPLE_LIMIT) -> tuple[ProjectionMap, int]:
+                      resample_limit: int = DEFAULT_RESAMPLE_LIMIT,
+                      e: int | None = None) -> tuple[ProjectionMap, int]:
     """Coordinate change certified by ord(det(dp/dy)) = ord(Jac) = e.
 
-    Attempt 0 is the identity split (y = last c coordinates); further attempts
-    draw random unimodular changes.
+    e, the contact order of Xci's Jacobian ideal along the arc, is certified
+    here unless the caller has certified it.  Attempt 0 is the identity
+    split (y = last c coordinates); further attempts draw random unimodular
+    changes.
     """
     _check_resample_limit(resample_limit)
     N = Xci.ambient_dim
@@ -224,7 +229,8 @@ def choose_projection(Xci: AffineScheme, arc: Arc, seed=0,
     c = N - d
     if len(Xci.generators) != c:
         raise InvalidCodimError("choose_projection needs a complete intersection")
-    e = _require_exact_contact_order(Xci, arc, d)
+    if e is None:
+        e = _require_exact_contact_order(Xci, arc, d)
     rng = _as_rng(seed)
     for attempt in range(resample_limit + 1):
         if attempt == 0:
@@ -256,6 +262,13 @@ def choose_projection(Xci: AffineScheme, arc: Arc, seed=0,
 class DrinfeldModel:
     """The model scheme Z in A^m together with its base point z.
 
+    The equations are held packed, as the mod-q reducer leaves them: term
+    dicts at monomials packed in fields, integral coefficients as ints (see
+    ``_ModReducer``).  ``equations`` finishes them into Polys on first read,
+    for the callers that need Polys: the report and the local analysis.
+    jacobian holds the rows of their Jacobian at z, read off the packed
+    terms in the pass that checked that they vanish at z.
+
     e = 0 is the smooth-contact marker: no variables, no equations.
     """
 
@@ -263,9 +276,11 @@ class DrinfeldModel:
     d: int
     c: int
     varset: VarSet
-    equations: tuple[Poly, ...]
     z: tuple[Fraction, ...] = field(repr=False)
     projection: ProjectionMap
+    packed: tuple[dict[int, Fraction | int], ...] = field(repr=False)
+    fields: _Fields | None = field(repr=False, compare=False)
+    jacobian: tuple[list[Fraction | int], ...] = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -279,10 +294,15 @@ class DrinfeldModel:
         return self.varset.position(VarId("xbar", (i, n)))
 
     @cached_property
+    def equations(self) -> tuple[Poly, ...]:
+        """The equations as Polys over varset, finished on first read."""
+        return tuple(_finished(self.varset, acc, self.fields) for acc in self.packed)
+
+    @cached_property
     def jacobian_echelon(self) -> tuple[list[list[int]], list[int]]:
         """fraction_free_echelon of the equations' Jacobian at z: built once,
         shared by the edim and tangent checks."""
-        return fraction_free_echelon(jacobian_at(self.equations, self.z))
+        return fraction_free_echelon(self.jacobian)
 
 
 def model_varset(e: int, d: int, c: int) -> VarSet:
@@ -306,8 +326,9 @@ class _ModReducer:
     accumulators in one layout, fields (see the ``poly`` module), whose
     limit the caller has chosen above the degree of every product formed
     here; each entry of the table is made from the one below by
-    ``poly._accumulate``.  Only the remainder coefficients are unpacked, as
-    the Polys over varset that ``reduce`` returns.
+    ``poly._accumulate``.  The remainder coefficients that ``reduce`` returns
+    stay packed too: the model holds its equations so, and finishes them
+    into Polys over varset only on first read.
     """
 
     def __init__(self, q: list[dict[int, int]], varset: VarSet, fields: _Fields):
@@ -331,11 +352,11 @@ class _ModReducer:
             table.append(shifted)
         return table[k]
 
-    def reduce(self, g: list[dict[int, Fraction | int]]) -> list[Poly]:
-        """The dq coefficients of g mod q, for g given unfinished, as the
-        packed accumulators of ``tpoly._substituted`` in the reducer's
-        fields.  Every g_k * (t^k mod q) is added into the low accumulators
-        of g in place (g is consumed), and only those are finished."""
+    def reduce(self, g: list[dict[int, Fraction | int]]) -> list[dict[int, Fraction | int]]:
+        """The dq coefficients of g mod q, for g and the result unfinished,
+        packed accumulators in the reducer's fields as ``tpoly._substituted``
+        hands them over.  Every g_k * (t^k mod q) is added into the low
+        accumulators of g in place (g is consumed), and those are returned."""
         rem = g[:self.dq]
         rem += ({} for _ in range(self.dq - len(rem)))
         for k in range(self.dq, len(g)):
@@ -343,7 +364,7 @@ class _ModReducer:
                 for acc, r in zip(rem, self.t_power_rem(k)):
                     if r:
                         _accumulate(acc, g[k], r, 1, add)
-        return [_finished(self.varset, acc, self.fields) for acc in rem]
+        return rem
 
 
 def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
@@ -360,7 +381,7 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
     d = proj.d
     c = proj.c
     if e == 0:
-        return DrinfeldModel(0, d, c, VarSet([]), (), (), proj)
+        return DrinfeldModel(0, d, c, VarSet([]), (), proj, (), None, ())
     arc_new = proj.apply_to_arc(arc)
     prec = arc_new.precision
     if prec is not None and prec < 2 * e:
@@ -387,20 +408,19 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
     packed_q = [{fields.pack(m): a for m, a in x.terms.items()} for x in qt.coeffs]
     reducers = {1: _ModReducer(packed_q, vs, fields),
                 2: _ModReducer(_add_product([], packed_q, packed_q, 1, None, add), vs, fields)}
-    equations: list[Poly] = []
+    equations: list[dict[int, Fraction | int]] = []
     for f, p in composites:
         equations += reducers[p].reduce(_substituted(f, values, fields)[0])
-    equations = [q for q in equations if not q.is_zero()]
+    equations = [q for q in equations if q]
 
     # z: q = 0, and xbar and ybar read off the arc's x- and y-parts
     parts = {"xbar": arc_new.components[:d], "ybar": arc_new.components[d:]}
     z = tuple(Fraction(0) if v.family == "q" else
               parts[v.family][v.indices[0]].coefficient(v.indices[1]) for v in vs)
-    for q in equations:
-        if q.evaluate(z) != 0:
-            raise InternalInconsistencyError(
-                "model equation does not vanish at the base point")
-    return DrinfeldModel(e, d, c, vs, tuple(equations), z, proj)
+    at_z, jacobian = _at_point(equations, z, fields)
+    if any(at_z):
+        raise InternalInconsistencyError("model equation does not vanish at the base point")
+    return DrinfeldModel(e, d, c, vs, z, proj, tuple(equations), fields, tuple(jacobian))
 
 
 # -- verification -----------------------------------------------------------------
@@ -556,12 +576,12 @@ def drinfeld_pipeline(X: AffineScheme, arc: Arc, seed=0,
                       with_dims: bool = True) -> PipelineResult:
     """ci_reduce + choose_projection + model build + quantitative checks."""
     d = X.dim
+    # certified once: ci_reduce keeps only a draw of the same order, and a
+    # hypersurface keeps X's generators
     e = _require_exact_contact_order(X, arc, d)
     rng = _as_rng(seed)
-    Xci = ci_reduce(X, arc, d, rng, resample_limit)
-    proj, e2 = choose_projection(Xci, arc, rng, resample_limit)
-    if e2 != e:
-        raise InternalInconsistencyError(f"contact orders disagree: {e} vs {e2}")
+    Xci = ci_reduce(X, arc, d, rng, resample_limit, e=e)
+    proj, _ = choose_projection(Xci, arc, rng, resample_limit, e=e)
     model = build_drinfeld_model(Xci, proj, arc, e)
     edim = verify_drinfeld_edim(model)
     analysis = verify_drinfeld_dims(model) if with_dims else None

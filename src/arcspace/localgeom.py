@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInconsistencyError, PointNotOnSchemeError, VarsetMismatchError
 from .jets import AffineScheme, Arc, JetPoint, jet_ideal_at, jet_varset
@@ -22,7 +22,7 @@ from .polyalg.linalg import exact_rank
 from .polyalg.mora import mora_standard_basis
 from .polyalg.orders import ANTIGRLEX, leading_monomial
 from .polyalg.parse import poly_to_string
-from .polyalg.poly import Poly, rational
+from .polyalg.poly import Poly, _Fields, rational
 from .polyalg.varset import VarSet
 
 
@@ -78,36 +78,44 @@ def point_values(varset: VarSet, point) -> tuple[Fraction, ...]:
     return tuple(vals)
 
 
-def jacobian_at(gens: Sequence[Poly], point) -> list[list[Fraction]]:
-    """Jacobian matrix at a point, one row per generator (no rows for no gens).
+def _at_point(terms: Iterable[Mapping], point: Sequence[Fraction | int],
+              fields: _Fields | None = None) -> tuple[list, list[list]]:
+    """The value and the Jacobian row at a point of each polynomial given by
+    its term dict, in one pass over the terms.
 
-    All generators must share the first one's varset (else
-    VarsetMismatchError), since columns and point coordinates are read by
-    position.  Each row is read off the terms: d(c*x^a)/dx_i at p is
-    c*a_i*p_i^(a_i-1)*prod_{j!=i} p_j^a_j, which vanishes in every column
-    once two factors vanish, and lives only in column i when x_i is the one
-    vanishing factor and a_i = 1.  Otherwise it is P*a_i/p_i with
-    P = c*prod_j p_j^a_j.
+    The keys are exponent tuples aligned to the point, or monomials packed in
+    fields (read by ``fields.unpack``).  Each row is read off the terms:
+    d(c*x^a)/dx_i at p is c*a_i*p_i^(a_i-1)*prod_{j!=i} p_j^a_j, which
+    vanishes in every column once two factors vanish, and lives only in
+    column i when x_i is the one vanishing factor and a_i = 1.  Otherwise it
+    is P*a_i/p_i with P = c*prod_j p_j^a_j, the term's value.  A packed term
+    whose fields of vanishing coordinates hold anything but one exponent 1
+    adds to neither, so it is skipped before it is unpacked.
 
     Integral coefficients and coordinates are held as ints, each power p_i^k
-    is formed once per call, and the entries are summed in ints wherever the
-    inputs are ints: P // p_i is exact, since p_i^(a_i) divides P.  Every
-    entry is handed out as a Fraction.  On a seed-1 model-build pass, where
-    it runs once per model, all 16631 coefficients this reads are integral,
-    as are 224 of its 248 coordinates (161 of them 0).
+    is formed once per call, and values and entries are summed in ints
+    wherever the inputs are ints: P // p_i is exact, since p_i^(a_i)
+    divides P.  So a value or an entry is an int unless a non-integral
+    factor came in.
     """
-    if not gens:
-        return []
-    varset = gens[0].varset
-    if any(g.varset != varset for g in gens):
-        raise VarsetMismatchError("generators over different varsets")
-    values = [x.numerator if x.denominator == 1 else x for x in point_values(varset, point)]
+    values = [x.numerator if x.denominator == 1 else x for x in point]
+    nvars = len(values)
+    if fields is not None:
+        unpack = fields.unpack
+        vanishing = [fields.shift(i) for i, x in enumerate(values) if not x]
+        zmask = sum(fields.dmask << s for s in vanishing)
+        single = {1 << s for s in vanishing}
     powers: dict[tuple[int, int], Fraction | int] = {}
-    zero_entry = Fraction(0)
-    rows = []
-    for g in gens:
-        row: list[Fraction | int] = [0] * len(varset)
-        for mono, c in g.terms.items():
+    at, rows = [], []
+    for g in terms:
+        total: Fraction | int = 0
+        row: list[Fraction | int] = [0] * nvars
+        for mono, c in g.items():
+            if fields is not None:
+                v = mono & zmask
+                if v and v not in single:
+                    continue
+                mono = unpack(mono)
             zero = None
             prod = c.numerator if c.denominator == 1 else c
             for i, e in enumerate(mono):
@@ -128,6 +136,7 @@ def jacobian_at(gens: Sequence[Poly], point) -> list[list[Fraction]]:
                     break
             else:
                 if zero is None:
+                    total += prod
                     for i, e in enumerate(mono):
                         if e:
                             x = values[i]
@@ -137,8 +146,29 @@ def jacobian_at(gens: Sequence[Poly], point) -> list[list[Fraction]]:
                                 row[i] += prod * e / x
                 elif mono[zero] == 1:
                     row[zero] += prod
-        rows.append([x if type(x) is Fraction else Fraction(x) if x else zero_entry for x in row])
-    return rows
+        at.append(total)
+        rows.append(row)
+    return at, rows
+
+
+def jacobian_at(gens: Sequence[Poly], point) -> list[list[Fraction]]:
+    """Jacobian matrix at a point, one row per generator (no rows for no gens).
+
+    All generators must share the first one's varset (else
+    VarsetMismatchError), since columns and point coordinates are read by
+    position.  The rows are read off the terms by ``_at_point``, the one
+    kernel that the model's checks at its base point share, and every entry
+    is handed out as a Fraction.
+    """
+    if not gens:
+        return []
+    varset = gens[0].varset
+    if any(g.varset != varset for g in gens):
+        raise VarsetMismatchError("generators over different varsets")
+    rows = _at_point([g.terms for g in gens], point_values(varset, point))[1]
+    zero_entry = Fraction(0)
+    return [[x if type(x) is Fraction else Fraction(x) if x else zero_entry for x in row]
+            for row in rows]
 
 
 def translate_to_origin(gens: Sequence[Poly], point) -> list[Poly]:

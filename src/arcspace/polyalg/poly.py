@@ -42,9 +42,10 @@ degree of every product the composition forms, so no product overflows and
 no composition is made again; the model stays in 8-bit fields.  The
 model's t-polynomials stay packed accumulators from end to end:
 ``drinfeld._ModReducer`` builds its tables of t^k mod q(t) and mod q(t)^2 in
-the same fields and adds the reductions into them, and only the remainder
-coefficients that become model equations are unpacked and finished
-(``substitute_tpoly`` finishes every coefficient instead).
+the same fields and adds the reductions into them, and the remainder
+coefficients stay packed as the model's equations, which are finished into
+Polys only on first read (``substitute_tpoly`` finishes every coefficient
+instead).
 
 Division goes further and holds no Fraction and no exponent tuple while it
 works: ``groebner._Remainder`` keeps the polynomial under division as one
@@ -62,13 +63,18 @@ overflow them; a remainder that enters the record of a basis stays packed
 there and is unpacked only when it leaves, in a returned basis or a public
 division's result.
 
-Values at a rational point follow the same idiom: ``Poly.evaluate`` (and
-``localgeom.jacobian_at``) hold integral coefficients and coordinates as ints,
-form each power p_i^k once per call and sum in ints until a non-integral
-factor comes in, and hand out a Fraction at the end.  On a seed-1 model-build
-pass every coefficient they read is integral (33262 terms evaluated, 36546
-read for Jacobians), as are 4504 of the 4896 coordinates of the evaluation
-points and 1107 of the 1248 of the Jacobian points.
+Values at a rational point follow the same idiom: ``Poly.evaluate`` and
+``localgeom._at_point``, the one kernel behind ``localgeom.jacobian_at`` and
+the model's checks at its base point, hold integral coefficients and
+coordinates as ints, form each power p_i^k once per call and sum in ints
+until a non-integral factor comes in.  ``_at_point`` reads the value and the
+Jacobian row of each polynomial in one pass, at exponent tuples or at packed
+monomials; a packed term with a vanishing factor other than one exponent 1
+adds to neither, which a mask of the vanishing coordinates' fields shows
+before the term is unpacked.  On a seed-1 model-build pass it reads the
+model's equations once per model: 16631 terms, every coefficient integral,
+14744 of them skipped unpacked, at points with 224 of 248 coordinates
+integral and 161 of them 0.
 """
 
 from __future__ import annotations
@@ -189,6 +195,10 @@ class _Fields:
 
     def degree(self, p: int) -> int:
         return p >> self.dshift & self.dmask
+
+    def shift(self, i: int) -> int:
+        """The lowest bit of the field of variable i: F(m) holds m[i] << shift(i)."""
+        return self.width * (self.nvars - 1 - i)
 
 
 def _accumulate(acc: dict, a: Mapping, b: Mapping | None = None, c: Fraction | int = 1,

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from arcspace.errors import CertificateFailureError, VerificationError
+from arcspace.errors import (
+    CertificateFailureError,
+    InternalInconsistencyError,
+    VerificationError,
+)
 from arcspace.drinfeld import (
     DrinfeldModel,
     ProjectionMap,
@@ -170,6 +175,37 @@ def test_smooth_marker():
     assert drinfeld_tangent_check(res.model, arc) == TangentReport(0, 0)
 
 
+def test_model_of_an_arc_off_the_scheme_does_not_vanish_at_its_base_point(quadric):
+    # p(arc) = t is not 0 mod t^2: the equation p mod q(t) is t at z
+    arc = monomial_arc(quadric, 2)
+    proj, e = choose_projection(quadric, arc, seed=0)
+    assert e == 2 and proj.is_identity()
+    off = Arc.from_strings(quadric.ambient, ["t^2", "1", "t", "0"])
+    with pytest.raises(InternalInconsistencyError, match="does not vanish at the base point"):
+        build_drinfeld_model(quadric, proj, off, e)
+
+
+def test_the_pipeline_certifies_the_contact_order_once(quadric, ci_fixture, monkeypatch):
+    # ci_reduce and choose_projection take e from the pipeline: X's Jacobian
+    # ideal is ordered along the arc once, and no Jacobian ideal twice
+    targets = []
+
+    def recorded(target, arc):
+        targets.append(target)
+        return ord_along_arc(target, arc)
+
+    monkeypatch.setattr(arcspace.drinfeld, "ord_along_arc", recorded)
+    for X, seed in ((quadric, 0), (ci_fixture, 5)):
+        targets.clear()
+        result = drinfeld_pipeline(X, monomial_arc(X, 1), seed=seed, with_dims=False)
+        ideals = [t for t in targets if isinstance(t, list)]
+        assert ideals[0] == jacobian_ideal(X, X.dim)
+        assert all(a != b for a, b in combinations(ideals, 2))
+        assert result.e == ord_along_arc(ideals[0], monomial_arc(X, 1)).value
+    # for c = 2, ci_reduce orders its draws, and choose_projection none of them
+    assert len(ideals) >= 2
+
+
 def _models(quadric, ci_fixture):
     """(model, arc) pairs of the quadric (e = 1, 2) and of the CI fixture (c = 2)."""
     cases = [(quadric, monomial_arc(quadric, 1), 0), (quadric, monomial_arc(quadric, 2), 0),
@@ -179,13 +215,16 @@ def _models(quadric, ci_fixture):
 
 
 def test_model_checks_share_one_jacobian_at_z(quadric, ci_fixture, monkeypatch):
+    # one pass of the kernel at z per model, over all its packed equations,
+    # gives the vanishing check and the Jacobian that both checks rank
     calls = []
+    kernel = arcspace.drinfeld._at_point
 
-    def counted(gens, point):
-        calls.append(len(gens))
-        return jacobian_at(gens, point)
+    def counted(terms, point, fields=None):
+        calls.append(len(terms))
+        return kernel(terms, point, fields)
 
-    monkeypatch.setattr(arcspace.drinfeld, "jacobian_at", counted)
+    monkeypatch.setattr(arcspace.drinfeld, "_at_point", counted)
     pairs = _models(quadric, ci_fixture)
     reports = [drinfeld_tangent_check(model, arc) for model, arc in pairs]
     assert verify_drinfeld_edim(pairs[0][0]) == 6

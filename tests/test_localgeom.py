@@ -20,14 +20,22 @@ from arcspace.localgeom import (
     ecodim_jet,
     ecodim_window,
     edim_at_point,
+    _at_point,
     jacobian_at,
     translate_to_origin,
 )
-from arcspace.drinfeld import drinfeld_pipeline
+from arcspace.drinfeld import (
+    build_drinfeld_model,
+    choose_projection,
+    ci_reduce,
+    drinfeld_pipeline,
+)
 from arcspace.polyalg import Poly, VarSet, parse_poly
+from arcspace.polyalg.poly import _Fields, _finished
 from arcspace.polyalg.oracles import initial_ideal_mismatches
 
 from conftest import monomial_arc, random_arc, random_poly
+from test_accumulate import _model_cases
 
 
 @pytest.fixture
@@ -162,6 +170,80 @@ def test_jacobian_at_model_point(ci_fixture):
     assert all(type(x) is Fraction for row in got for x in row)
     for q in model.equations:
         assert q.evaluate(model.z) == _evaluate_reference(q, model.z) == 0
+
+
+def _packed_case(rng, vs, limit):
+    """A point with one to three vanishing coordinates, some of the others
+    non-integral, and polynomials whose exponents of a vanishing variable
+    are 1, 2 or a larger power of two below limit / 2, with small exponents
+    elsewhere."""
+    vanishing = rng.sample(range(len(vs)), rng.randint(1, 3))
+    point = [Fraction(0) if i in vanishing else
+             Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+             for i in range(len(vs))]
+    powers = [1 << k for k in range(limit.bit_length() - 2)]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            mono = tuple(rng.choice((0, 0, 1, 2, rng.choice(powers))) if i in vanishing
+                         else rng.randint(0, 2) for i in range(len(vs)))
+            if sum(mono) < limit:
+                terms[mono] = Fraction(rng.choice((-4, -1, 1, 3)), rng.choice((1, 1, 1, 2)))
+        gens.append(Poly(vs, terms))
+    return gens, point
+
+
+def test_the_point_kernel_reads_packed_terms_as_their_polys():
+    # the value and the Jacobian row that _at_point reads off packed terms,
+    # skipping terms by their fields of vanishing coordinates, are those of
+    # the finished Polys; in 8- and 16-bit fields, an exponent 2^k of a
+    # vanishing variable sets one bit off its field's lowest, as 1 does there
+    rng = random.Random(41)
+    vs = VarSet(["x", "y", "z", "w"])
+    seen = set()
+    for width in (8, 16):
+        fields = _Fields(len(vs), width)
+        for _ in range(80):
+            gens, point = _packed_case(rng, vs, fields.limit)
+            packed = [{fields.pack(m): c.numerator if c.denominator == 1 else c
+                       for m, c in g.terms.items()} for g in gens]
+            finished = [_finished(vs, acc, fields) for acc in packed]
+            assert finished == gens
+            at, rows = _at_point(packed, point, fields)
+            assert at == [g.evaluate(point) for g in finished]
+            assert rows == jacobian_at(finished, point)
+            assert _at_point([g.terms for g in gens], point) == (at, rows)
+            for mono in (m for g in gens for m in g.terms):
+                # the exponents of the vanishing factors of each term
+                zeros = [e for e, x in zip(mono, point) if e and not x]
+                kind = "two" if len(zeros) > 1 else zeros[0] if zeros else "none"
+                seen.add((width, kind if kind in ("two", "none", 1, 2) else "2^k"))
+            if any(x.denominator != 1 for x in point):
+                seen.add((width, "fraction"))
+    assert seen == {(w, k) for w in (8, 16) for k in ("none", 1, 2, "2^k", "two", "fraction")}
+
+
+def test_the_point_kernel_reads_the_models_packed_equations():
+    # the e = 3 models and the CI-fixture ones, at z and at points near it
+    # with fewer vanishing coordinates
+    rng = random.Random(43)
+    models = [build_drinfeld_model(Xci, proj, arc, e)
+              for X, arc, e in _model_cases(rng) if e == 3 or len(X.generators) == 2
+              for Xci in [ci_reduce(X, arc, seed=1)]
+              for proj, _ in [choose_projection(Xci, arc, seed=1)]]
+    assert sorted(model.c for model in models) == [1, 1, 2, 2]
+    for model in models:
+        assert model.fields.width == 8
+        eqs = model.equations
+        assert _at_point(model.packed, model.z, model.fields) == ([0] * len(eqs),
+                                                                 list(model.jacobian))
+        assert list(model.jacobian) == jacobian_at(eqs, model.z)
+        for _ in range(3):
+            point = [x or rng.choice((0, 1, Fraction(-1, 2))) for x in model.z]
+            at, rows = _at_point(model.packed, point, model.fields)
+            assert at == [q.evaluate(point) for q in eqs]
+            assert rows == jacobian_at(eqs, point)
 
 
 def test_jacobian_at_rejects_mixed_varsets():

@@ -19,7 +19,7 @@ positions.  The runs are derandomized, so every run draws the same examples.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -509,10 +509,17 @@ def test_initial_ideal_ignores_the_order_of_the_generators(gens, data):
     assert initial_ideal(shuffled, ANTIGRLEX) == initial_ideal(gens, ANTIGRLEX)
 
 
+# quadratic forms: an ideal they generate is homogeneous, its own tangent
+# cone, and there Mora's S-pairs add to the initial ideal, as x^3 does to
+# (x*y, x^2 + y^2); the quadrics above rarely make such an ideal
+homogeneous_quadrics = st.dictionaries(
+    st.sampled_from([m for m in product(range(3), repeat=len(VS)) if sum(m) == 2]),
+    coefficients.filter(bool), min_size=1, max_size=3).map(lambda terms: Poly(VS, terms))
+
+
 @checked
-@given(st.lists(local_quadrics, min_size=1, max_size=3))
-# Mora's S-pair of x*y and x^2 + y^2 contributes x^3: few drawn ideals are
-# homogeneous, where a basis that missed it would fail here
+@given(st.lists(local_quadrics, min_size=1, max_size=3)
+       | st.lists(homogeneous_quadrics, min_size=2, max_size=3))
 @example([Poly(VS, {(1, 1, 0): 1}), Poly(VS, {(2, 0, 0): 1, (0, 2, 0): 1})])
 def test_initial_forms_of_a_standard_basis_are_a_groebner_basis(gens):
     # LM(g) lies in in(g) under the local degree order, so the initial forms
