@@ -16,11 +16,11 @@ from arcspace.jets import (
 )
 from arcspace.localgeom import (
     LocalAnalysis,
+    _at_point,
     ecodim_at_point,
     ecodim_jet,
     ecodim_window,
     edim_at_point,
-    _at_point,
     jacobian_at,
     translate_to_origin,
 )
@@ -198,7 +198,8 @@ def test_the_point_kernel_reads_packed_terms_as_their_polys():
     # the value and the Jacobian row that _at_point reads off packed terms,
     # skipping terms by their fields of vanishing coordinates, are those of
     # the finished Polys; in 8- and 16-bit fields, an exponent 2^k of a
-    # vanishing variable sets one bit off its field's lowest, as 1 does there
+    # vanishing variable sets one bit of its field, as exponent 1 does, but
+    # not the lowest
     rng = random.Random(41)
     vs = VarSet(["x", "y", "z", "w"])
     seen = set()
