@@ -18,7 +18,6 @@ from arcspace.drinfeld import drinfeld_pipeline, drinfeld_tangent_check, jet_cot
 from arcspace.jets import AffineScheme, Arc
 from arcspace.localgeom import ecodim_window
 from arcspace.polyalg import VarSet, parse_poly
-from arcspace.polyalg.linalg import exact_rank
 
 vs = VarSet(["x0", "x1", "x2", "x3"])
 X = AffineScheme(vs, (parse_poly("x0*x3 + x1*x2", vs),))
@@ -43,7 +42,8 @@ for m in (1, 2):
           f"(stabilized: {window.stabilized}) -- matches the model")
     tangent = drinfeld_tangent_check(model, arc)
     print(f"  comparison tangent map rank: {tangent.rank} of expected {tangent.expected}")
-    ranks = [exact_rank(jet_cotangent_map(X, model.projection, arc, n)) for n in range(4)]
+    # jet_cotangent_map certifies that its rows have rank d(n+1), else raises
+    ranks = [len(jet_cotangent_map(X, model.projection, arc, n)) for n in range(4)]
     print(f"  jet cotangent ranks n=0..3: {ranks} (= d(n+1))")
     print()
 

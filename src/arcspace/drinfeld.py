@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import add
 
 from .errors import (
@@ -24,9 +25,10 @@ from .errors import (
     InsufficientPrecisionError,
     InternalInconsistencyError,
     InvalidCodimError,
+    VarsetMismatchError,
     VerificationError,
 )
-from .jets import AffineScheme, Arc, jacobian_ideal, jet_jacobian_at, ord_along_arc
+from .jets import AffineScheme, Arc, _jet_rows, _partial_series, jacobian_ideal, ord_along_arc
 from .localgeom import (  # noqa: F401 - edim_at_point stays importable from here
     LocalAnalysis,
     _at_point,
@@ -156,9 +158,14 @@ class ProjectionMap:
                  for row in self.inverse]
         return Arc(arc.varset, comps)
 
-    def transformed_scheme(self, X: AffineScheme) -> AffineScheme:
-        return AffineScheme(X.ambient, tuple(self.apply_to_poly(g) for g in X.generators),
-                            X.declared_dim)
+
+def _check_varsets(ambient: VarSet, proj: ProjectionMap, arc: Arc) -> None:
+    """A projection or an arc over another varset than ambient is a
+    VarsetMismatchError."""
+    if proj.ambient != ambient:
+        raise VarsetMismatchError("projection and scheme over different varsets")
+    if arc.varset != ambient:
+        raise VarsetMismatchError("arc and scheme over different varsets")
 
 
 def _require_exact_contact_order(X: AffineScheme, arc: Arc, d: int) -> int:
@@ -377,7 +384,11 @@ def build_drinfeld_model(Xci: AffineScheme, proj: ProjectionMap, arc: Arc,
     coefficients of degree at most deg f and t-degree at most
     deg f * (2e - 1), and the coefficient of t^k mod q^p has degree at most
     p * (k - pe + 1), so at most p * deg f * (2e - 1) for those k.
+
+    A projection or an arc over another varset than Xci is a
+    VarsetMismatchError, raised before any work.
     """
+    _check_varsets(Xci.ambient, proj, arc)
     d = proj.d
     c = proj.c
     if e == 0:
@@ -464,14 +475,34 @@ def jet_cotangent_map(X: AffineScheme, proj: ProjectionMap, arc: Arc, n: int):
 
     Rows are indexed by the target jet coordinates du_i^(j) (level-major) and
     expressed against the ambient jet cotangent basis modulo the row space of
-    the jet-ideal Jacobian, each as the primitive integer row of
-    ``reduce_row``.  Their rank d(n+1) is certified by ``certified_rank``;
-    below it this raises: the projection was not generic enough.
+    the jet-ideal Jacobian of X in the new coordinates, at the arc in the new
+    coordinates, each as the primitive integer row of ``reduce_row``.  Their
+    rank d(n+1) is certified by ``certified_rank``; below it this raises:
+    the projection was not generic enough.  A projection or an arc over
+    another varset than X is a VarsetMismatchError, raised before any work.
+
+    The coordinate change is read by the chain rule (see the ``jets``
+    module docstring): X's own partials are composed with the arc's n-jet,
+    each generator's series are cleared of denominators once and mixed by
+    the transform in ints, and the integer block-Toeplitz rows are
+    eliminated.  That Jacobian is the one of the transformed scheme with
+    each generator's rows scaled by a positive integer, so it has the same
+    row space, and the reduced rows, which depend on the row space alone,
+    are the same.
     """
-    Xt = proj.transformed_scheme(X)
-    arct = proj.apply_to_arc(arc)
-    ech, piv = fraction_free_echelon(jet_jacobian_at(Xt, arct, n))
+    _check_varsets(X.ambient, proj, arc)
     N = X.ambient_dim
+    T = None if proj.is_identity() else proj.transform
+    mixed = []
+    for per_coordinate in _partial_series(X, arc, n):
+        denom = lcm(*(x.denominator for s in per_coordinate for x in s))
+        ints = [[x.numerator * (denom // x.denominator) for x in s] for s in per_coordinate]
+        if T is not None:
+            # column k of the new Jacobian is sum_j T[j][k] * column j
+            ints = [[sum(T[j][k] * ints[j][p] for j in range(N) if T[j][k]) for p in range(n + 1)]
+                    for k in range(N)]
+        mixed.append(ints)
+    ech, piv = fraction_free_echelon(_jet_rows(mixed, n, 0))
     nvars = N * (n + 1)
     rows = []
     for j in range(n + 1):
@@ -498,8 +529,10 @@ def tangent_matrix_rows(model: DrinfeldModel, arc: Arc) -> list[list[Fraction]]:
     Row (i, n) carries dxbar_i^(n) plus, for n >= e, the dq-block entries
     2 a_i^(k+2e) on dq^(l) with k + l = n - e (the differential of
     xbar(t) + c(t) q(t)^2 at the base point, truncated mod t^(2e)).  The
-    coordinate q_l is column l: ``model_varset`` puts the q's first.
+    coordinate q_l is column l: ``model_varset`` puts the q's first.  An
+    arc over another varset than the projection is a VarsetMismatchError.
     """
+    _check_varsets(model.projection.ambient, model.projection, arc)
     e, d = model.e, model.d
     arct = model.projection.apply_to_arc(arc)
     prec = arct.precision
@@ -528,7 +561,10 @@ def drinfeld_tangent_check(model: DrinfeldModel, arc: Arc) -> TangentReport:
     at the base point is dxbar_i(t) + 2 c_i(t) t^e dq(t).  The induced map onto
     the cotangent space of (Z, z) must be surjective, i.e. of rank 2de, which
     ``certified_rank`` certifies on the rows reduced modulo the Jacobian.
+    An arc over another varset than the projection is a
+    VarsetMismatchError, raised before any work.
     """
+    _check_varsets(model.projection.ambient, model.projection, arc)
     if model.is_smooth_marker:
         return TangentReport(0, 0)
     e, d = model.e, model.d

@@ -21,6 +21,18 @@ The Jacobian of the jet ideal at a truncated arc needs no jet ideal: by the
 chain rule dD_k(g)/dx_i_j = D_(k-j)(dg/dx_i), so at the arc's order-n jet its
 entry in row D_k(g), column x_i_j is the t^(k-j) coefficient of
 (dg/dx_i)(alpha(t)) for j <= k, and 0 for j > k.
+
+A linear change of coordinates x = T w needs no transformed scheme or arc
+either.  The partials of g(T w) at T^-1 alpha are the row (dg/dx)(alpha)
+times T, so the jet Jacobian of the transformed scheme at the transformed
+arc is the one above times diag(T, ..., T), one block per level: the N
+series of each generator are mixed by T before the rows are filled
+(``drinfeld.jet_cotangent_map``).  Scaling a generator's rows by a nonzero
+constant (to clear its denominators) leaves their row space alone, and
+the primitive rows ``linalg.reduce_row`` leaves against an echelon basis
+depend on that space alone: its pivot columns are the leading columns of
+the reduced echelon form, and a remainder is the one vector of its coset
+that vanishes there.
 """
 
 from __future__ import annotations
@@ -340,25 +352,60 @@ def jet_ideal_at(X: AffineScheme, arc: Arc, n: int) -> list[Poly]:
     return out
 
 
+def _partial_series(X: AffineScheme, arc: Arc, n: int) -> list[list[list[Fraction | int]]]:
+    """The coefficients of t^0..t^n of (dg/dx_i)(alpha(t)), alpha the arc's
+    n-jet: one list per coordinate x_i, one list of those per generator g.
+
+    An arc over another varset is a VarsetMismatchError and an arc known
+    below t^(n+1) an InsufficientPrecisionError (``truncate_arc``).  Each
+    partial is composed once with the n-jet by the composition kernel over
+    no variables; integral arc coefficients enter as ints, so a coefficient
+    is an int unless a non-integral factor came in.
+    """
+    if arc.varset != X.ambient:
+        raise VarsetMismatchError("scheme and arc over different varsets")
+    values = truncate_arc(arc, n).values
+    N = len(X.ambient)
+    jet = [[{0: c.numerator if c.denominator == 1 else c} if c else {} for c in values[i::N]]
+           for i in range(N)]
+    precisions = [n + 1] * N
+    out = []
+    for g in X.generators:
+        per_coordinate = []
+        for v in X.ambient:
+            accs, _ = _composed(g.partial(v), jet, precisions, _NO_VARIABLES)
+            coeffs = [acc.get(0, 0) for acc in accs]
+            per_coordinate.append(coeffs + [0] * (n + 1 - len(coeffs)))
+        out.append(per_coordinate)
+    return out
+
+
+def _jet_rows(series: Sequence[Sequence[Sequence[Fraction | int]]], n: int,
+              zero: Fraction | int) -> list[list[Fraction | int]]:
+    """The block-Toeplitz rows of the jet Jacobian: for each generator's N
+    series s_0..s_(N-1) (coefficients of t^0..t^n), the rows D_0(g)..D_n(g),
+    whose entry in column x_i_j (level-major) is the t^(k-j) coefficient of
+    s_i in row D_k(g) for j <= k, and zero for j > k."""
+    rows = []
+    for per_coordinate in series:
+        N = len(per_coordinate)
+        for k in range(n + 1):
+            row = [zero] * (N * (n + 1))
+            for j in range(k + 1):
+                row[j * N:(j + 1) * N] = [s[k - j] for s in per_coordinate]
+            rows.append(row)
+    return rows
+
+
 def jet_jacobian_at(X: AffineScheme, arc: Arc, n: int) -> list[list[Fraction]]:
     """jacobian_at(jet_ideal(X, n), truncate_arc(arc, n)), read off the arc.
 
     Rows follow jet_ideal (generator-major, then k) and columns the
     level-major jet varset.  By the chain rule in the module docstring each
-    partial dg/dx_i is composed once with the arc mod t^(n+1), and its
-    coefficient of t^(k-j) fills row D_k(g), column x_i_j for every j <= k.
+    partial dg/dx_i is composed once with the arc mod t^(n+1)
+    (``_partial_series``), and its coefficient of t^(k-j) fills row D_k(g),
+    column x_i_j for every j <= k (``_jet_rows``).  Every entry is a Fraction.
     """
-    jp = truncate_arc(arc, n)
-    N = len(arc.varset)
-    truncated = Arc(arc.varset, [TruncSeries(jp.values[i::N], n + 1) for i in range(N)])
-    zero = Fraction(0)
-    rows = []
-    for g in X.generators:
-        series = [eval_along_arc(g.partial(v), truncated) for v in X.ambient]
-        for k in range(n + 1):
-            row = [zero] * len(jp.varset)
-            for j in range(k + 1):
-                for i, s in enumerate(series):
-                    row[j * N + i] = s.coefficient(k - j)
-            rows.append(row)
-    return rows
+    series = [[[x if type(x) is Fraction else Fraction(x) for x in s] for s in per_coordinate]
+              for per_coordinate in _partial_series(X, arc, n)]
+    return _jet_rows(series, n, Fraction(0))

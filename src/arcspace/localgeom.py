@@ -151,20 +151,27 @@ def _at_point(terms: Iterable[Mapping], point: Sequence[Fraction | int],
     return at, rows
 
 
+def _shared_varset(gens: Sequence[Poly]) -> VarSet:
+    """The varset of gens, which must be nonempty and share the first one's
+    (else VarsetMismatchError): columns and point coordinates are read by
+    position."""
+    varset = gens[0].varset
+    if any(g.varset != varset for g in gens):
+        raise VarsetMismatchError("generators over different varsets")
+    return varset
+
+
 def jacobian_at(gens: Sequence[Poly], point) -> list[list[Fraction]]:
     """Jacobian matrix at a point, one row per generator (no rows for no gens).
 
     All generators must share the first one's varset (else
-    VarsetMismatchError), since columns and point coordinates are read by
-    position.  The rows are read off the terms by ``_at_point``, the one
-    kernel that the model's checks at its base point share, and every entry
-    is handed out as a Fraction.
+    VarsetMismatchError).  The rows are read off the terms by ``_at_point``,
+    the one kernel that the model's checks at its base point share, and
+    every entry is handed out as a Fraction.
     """
     if not gens:
         return []
-    varset = gens[0].varset
-    if any(g.varset != varset for g in gens):
-        raise VarsetMismatchError("generators over different varsets")
+    varset = _shared_varset(gens)
     rows = _at_point([g.terms for g in gens], point_values(varset, point))[1]
     zero_entry = Fraction(0)
     return [[x if type(x) is Fraction else Fraction(x) if x else zero_entry for x in row]
@@ -197,16 +204,22 @@ def translate_to_origin(gens: Sequence[Poly], point) -> list[Poly]:
 
 
 def edim_at_point(gens: Sequence[Poly], point) -> int:
-    """dim of the Zariski cotangent space: nvars minus the Jacobian rank."""
+    """dim of the Zariski cotangent space: nvars minus the Jacobian rank.
+
+    One ``_at_point`` pass reads the values, which must vanish (else
+    PointNotOnSchemeError, naming the first generator that does not), and
+    the Jacobian rows.  As in ``jacobian_at``, generators over different
+    varsets are a VarsetMismatchError.
+    """
     if not gens:
         raise ValueError("empty generator list")
-    varset = gens[0].varset
-    values = point_values(varset, point)
-    for g in gens:
-        if g.evaluate(values) != 0:
+    varset = _shared_varset(gens)
+    values, rows = _at_point([g.terms for g in gens], point_values(varset, point))
+    for g, value in zip(gens, values):
+        if value:
             raise PointNotOnSchemeError(
                 f"generator {poly_to_string(g)} does not vanish at the point")
-    return len(varset) - exact_rank(jacobian_at(gens, values))
+    return len(varset) - exact_rank(rows)
 
 
 def ecodim_at_point(gens: Sequence[Poly], point,

@@ -34,7 +34,7 @@ def _as_integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]
         if out and len(row) != len(out[0]):
             raise ValueError(f"ragged matrix: row {k} has {len(row)} entries, "
                              f"row 0 has {len(out[0])}")
-        if all(type(x) is int for x in row):
+        if set(map(type, row)) == {int}:
             out.append(list(row))
             continue
         denom = 1

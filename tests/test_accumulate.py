@@ -428,9 +428,12 @@ def test_integer_rows_match_the_fraction_loop():
         width = rng.randint(1, 6)
         rows = [[rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
                  for _ in range(width)] for _ in range(rng.randint(0, 5))]
+        # an all-int row, which is copied as it is
+        rows.insert(rng.randint(0, len(rows)), [rng.randint(-9, 9) for _ in range(width)])
         got = _as_integer_rows(rows)
         assert got == copy_integer_rows(rows)
         assert all(type(x) is int for row in got for x in row)
+        assert not any(g is r for g, r in zip(got, rows))
 
 
 def test_a_product_names_the_product_of_its_monomials():

@@ -6,7 +6,9 @@ import pytest
 
 from arcspace.errors import (
     CertificateFailureError,
+    InsufficientPrecisionError,
     InternalInconsistencyError,
+    VarsetMismatchError,
     VerificationError,
 )
 from arcspace.drinfeld import (
@@ -24,12 +26,13 @@ from arcspace.drinfeld import (
     verify_dgk,
     verify_drinfeld_dims,
     verify_drinfeld_edim,
+    _random_unimodular,
 )
 import arcspace.drinfeld
 import arcspace.jets
 from arcspace.jets import AffineScheme, Arc, jacobian_ideal, jet_ideal, ord_along_arc, truncate_arc
 from arcspace.localgeom import edim_at_point, jacobian_at
-from arcspace.polyalg import TPoly, TruncSeries, VarSet, parse_poly
+from arcspace.polyalg import Poly, TPoly, TruncSeries, VarSet, parse_poly
 from arcspace.polyalg.linalg import exact_rank, fraction_free_echelon, reduce_row
 from arcspace.polyalg.tpoly import substitute_tpoly
 
@@ -242,27 +245,117 @@ def test_model_checks_share_one_jacobian_at_z(quadric, ci_fixture, monkeypatch):
         assert report.rank == expected
 
 
+def _fraction_arcs(quadric, ci_fixture):
+    """(scheme, arc, e) with rational arc coefficients: the quadric, the sum
+    of squares x0*x3 + x1^2 + x2^2 and the CI fixture."""
+    vs = quadric.ambient
+    sos = AffineScheme(vs, (parse_poly("x0*x3 + x1^2 + x2^2", vs),))
+    def series(*cs):
+        return TruncSeries([Fraction(c) for c in cs])
+
+    # (a*c, a*d, b*c, -b*d) lies on the cone, with e = 1 + 0
+    a, b, c, d = series(0, "1/2"), series(0, 1, "3/4"), series("2/3", 1), series(0, "-1/5")
+    on_cone = Arc(vs, [a * c, a * d, b * c, -(b * d)])
+    # x3 = -(x1^2 + x2^2)/x0, e = 1
+    on_sos = Arc.from_strings(vs, ["2*t", "t - t^2", "3*t + 1/2*t^2",
+                                   "-5*t - 1/2*t^2 - 5/8*t^3"])
+    on_line = Arc.from_strings(vs, ["3/2*t - 2/3*t^2", "0", "0", "0"])
+    return [(quadric, on_cone, 1), (sos, on_sos, 1), (ci_fixture, on_line, 2)]
+
+
+def _reference_cotangent_rows(X, proj, arc, n):
+    """The rows reduced against the Jacobian of the whole jet ideal of the
+    transformed scheme at the transformed arc, as they were computed before
+    the coordinate change was read by the chain rule; None below full rank."""
+    Xt = AffineScheme(X.ambient, tuple(map(proj.apply_to_poly, X.generators)), X.declared_dim)
+    jp = truncate_arc(proj.apply_to_arc(arc), n)
+    ech, piv = fraction_free_echelon(jacobian_at(jet_ideal(Xt, n), jp))
+    units = [[Fraction(int(k == j * X.ambient_dim + i)) for k in range(len(jp.varset))]
+             for j in range(n + 1) for i in range(proj.d)]
+    rows = [reduce_row(u, ech, piv) for u in units]
+    return rows if exact_rank(rows) == len(rows) else None
+
+
 def test_jet_cotangent_rows_match_the_jet_ideal_jacobian(quadric, ci_fixture, monkeypatch):
-    # the rows reduced against the Jacobian of the whole jet ideal, as they
-    # were computed before the Jacobian was read off the arc
-    expected = []
+    # the pipeline's projections, and random unimodular ones drawn on arcs
+    # with rational coefficients, at levels 0..2e+1
+    cases = []
     for X, (model, arc) in zip((quadric, quadric, ci_fixture), _models(quadric, ci_fixture)):
-        proj = model.projection
-        for n in (model.e, 2 * model.e - 1, 2 * model.e + 1):
-            jp = truncate_arc(proj.apply_to_arc(arc), n)
-            ech, piv = fraction_free_echelon(
-                jacobian_at(jet_ideal(proj.transformed_scheme(X), n), jp))
-            units = [[Fraction(int(k == j * X.ambient_dim + i)) for k in range(len(jp.varset))]
-                     for j in range(n + 1) for i in range(proj.d)]
-            expected.append((X, proj, arc, n, [reduce_row(u, ech, piv) for u in units]))
+        cases += [(X, model.projection, arc, n)
+                  for n in (model.e, 2 * model.e - 1, 2 * model.e + 1)]
+    rng = random.Random(2801)
+    arcs = _fraction_arcs(quadric, ci_fixture)
+    for X, arc, e in arcs:
+        for _ in range(2):
+            T, Tinv = _random_unimodular(X.ambient_dim, rng, 3)
+            proj = ProjectionMap(X.ambient, X.dim, tuple(map(tuple, T)), tuple(map(tuple, Tinv)))
+            cases += [(X, proj, arc, n) for n in range(2 * e + 2)]
+    expected = [(case, _reference_cotangent_rows(*case)) for case in cases]
+    assert sum(rows is not None for _, rows in expected) > len(expected) // 2
+    assert sum(not case[1].is_identity() for case, _ in expected) > len(expected) // 2
+    # one component known mod t^3: a transformed component is short iff an
+    # original one is, so the map raises from level 3 on, as before
+    exact = arcs[0][1]
+    proj = next(p for _, p, arc, _ in cases if arc is exact)
+    comps = list(exact.components)
+    comps[1] = TruncSeries(comps[1].coeffs, 3)
+    short = Arc(quadric.ambient, comps)
+    expected += [((quadric, proj, short, n), _reference_cotangent_rows(quadric, proj, short, n))
+                 for n in range(3)]
+    for n in (3, 4):
+        with pytest.raises(InsufficientPrecisionError):
+            truncate_arc(proj.apply_to_arc(short), n)
 
-    def refused(*args):
-        raise AssertionError("jet_cotangent_map composed with the universal jet")
+    def refused(*args, **kwargs):
+        raise AssertionError("jet_cotangent_map transformed the scheme, the arc or the jet")
 
-    # every jet ideal and Hasse-Schmidt derivative composes with this jet
+    # no transformed generator or arc, and no composition with the universal
+    # jet, which every jet ideal and Hasse-Schmidt derivative makes
+    monkeypatch.setattr(ProjectionMap, "apply_to_poly", refused)
+    monkeypatch.setattr(ProjectionMap, "apply_to_arc", refused)
+    monkeypatch.setattr(Poly, "substitute", refused)
     monkeypatch.setattr(arcspace.jets, "_universal_jet", refused)
-    for X, proj, arc, n, rows in expected:
-        assert jet_cotangent_map(X, proj, arc, n) == rows
+    for case, rows in expected:
+        if rows is None:
+            with pytest.raises(VerificationError):
+                jet_cotangent_map(*case)
+        else:
+            assert jet_cotangent_map(*case) == rows
+    for n in (3, 4):
+        with pytest.raises(InsufficientPrecisionError):
+            jet_cotangent_map(quadric, proj, short, n)
+
+
+def test_a_projection_or_arc_over_another_ambient_is_refused(quadric, monkeypatch):
+    arc = monomial_arc(quadric, 1)
+    model = drinfeld_pipeline(quadric, arc, seed=0, with_dims=False).model
+    other = VarSet(["a", "b", "c", "d"])
+    wider = VarSet(["x0", "x1", "x2", "x3", "x4"])
+    projections = [ProjectionMap(other, 3, _identity(4), _identity(4)),
+                   ProjectionMap(wider, 4, _identity(5), _identity(5))]
+    arcs = [Arc.from_strings(other, ["t", "0", "0", "0"]),
+            Arc.from_strings(wider, ["t", "0", "0", "0", "0"])]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("work began before the varsets were checked")
+
+    monkeypatch.setattr(arcspace.drinfeld, "_partial_series", refused)
+    monkeypatch.setattr(ProjectionMap, "apply_to_poly", refused)
+    monkeypatch.setattr(ProjectionMap, "apply_to_arc", refused)
+    for proj in projections:
+        with pytest.raises(VarsetMismatchError):
+            jet_cotangent_map(quadric, proj, arc, 1)
+        with pytest.raises(VarsetMismatchError):
+            build_drinfeld_model(quadric, proj, arc, 1)
+    for bad in arcs:
+        with pytest.raises(VarsetMismatchError):
+            jet_cotangent_map(quadric, model.projection, bad, 1)
+        with pytest.raises(VarsetMismatchError):
+            build_drinfeld_model(quadric, model.projection, bad, 1)
+        with pytest.raises(VarsetMismatchError):
+            drinfeld_tangent_check(model, bad)
+        with pytest.raises(VarsetMismatchError):
+            tangent_matrix_rows(model, bad)
 
 
 def test_jet_cotangent_identity_on_affine_space():

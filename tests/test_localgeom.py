@@ -289,6 +289,35 @@ def test_edim_node_and_smooth_point(plane):
         edim_at_point([parse_poly("x - 1", plane)], [2, 0])
 
 
+def test_edim_reads_values_and_rows_in_one_pass(plane, monkeypatch):
+    # one kernel pass gives both the vanishing check and the Jacobian, and
+    # generators over different varsets are refused before the point is read
+    from arcspace import localgeom
+
+    calls = []
+    kernel = localgeom._at_point
+
+    def counted(terms, point, fields=None):
+        calls.append(len(terms))
+        return kernel(terms, point, fields)
+
+    def refused(*args):
+        raise AssertionError("edim_at_point evaluated a generator by itself")
+
+    monkeypatch.setattr(localgeom, "_at_point", counted)
+    monkeypatch.setattr(Poly, "evaluate", refused)
+    gens = [parse_poly("x*y", plane), parse_poly("x^2 - y^3", plane)]
+    assert edim_at_point(gens, [0, 0]) == 2
+    with pytest.raises(PointNotOnSchemeError, match="x - 1 does not vanish"):
+        edim_at_point([parse_poly("y", plane), parse_poly("x - 1", plane)], [0, 0])
+    assert calls == [2, 2]
+    line = VarSet(["x"])
+    for mixed in ([gens[0], parse_poly("x", line)], [parse_poly("x", line), gens[0]]):
+        with pytest.raises(VarsetMismatchError):
+            edim_at_point(mixed, [0, 0])
+    assert calls == [2, 2]
+
+
 def test_edim_jet_formula(quadric):
     # edim of the level-N jet scheme at (t^m, 0,0,0) is 3(N+1) + m for m <= N
     for m, N in [(1, 1), (1, 3), (2, 3), (3, 4)]:
