@@ -235,6 +235,8 @@ def ecodim_at_point(gens: Sequence[Poly], point,
     whose lead is the lead of one of below.initial_forms, already reduced a
     level down, is replaced by that form first.  The leads stay the same and
     the reduced basis is unique, so the result is the same as without below.
+    A standard basis whose elements are all homogeneous is taken as it is:
+    ``mora_standard_basis`` has interreduced it, so it is that reduced basis.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -251,15 +253,21 @@ def ecodim_at_point(gens: Sequence[Poly], point,
             basis=[g.extended(varset) for g in below.standard_basis])
     lms = [leading_monomial(g, ANTIGRLEX) for g in basis]
     tangent_cone_dim = monomial_dim(lms, nvars)
-    # LM(g) lies in in(g), so the initial forms are already a minimal Groebner
-    # basis of the initial ideal and interreduction makes it the reduced one;
-    # a form of the level below with the same lead is already reduced
-    forms = [g.initial_form() for g in basis]
-    if below is not None:
-        extended = [f.extended(varset) for f in below.initial_forms]
-        reduced = {leading_monomial(f, ANTIGRLEX): f for f in extended}
-        forms = [reduced.get(m, f) for m, f in zip(lms, forms)]
-    forms = interreduce(forms, ANTIGRLEX)
+    if all(g.is_homogeneous() for g in basis):
+        # Mora has interreduced a homogeneous basis: it is its own initial
+        # forms, and already the reduced basis of the initial ideal
+        forms = basis
+    else:
+        # LM(g) lies in in(g), so the initial forms are already a minimal
+        # Groebner basis of the initial ideal and interreduction makes it the
+        # reduced one; a form of the level below with the same lead is
+        # already reduced
+        forms = [g.initial_form() for g in basis]
+        if below is not None:
+            extended = [f.extended(varset) for f in below.initial_forms]
+            reduced = {leading_monomial(f, ANTIGRLEX): f for f in extended}
+            forms = [reduced.get(m, f) for m, f in zip(lms, forms)]
+        forms = interreduce(forms, ANTIGRLEX)
     # cross-check between the pipelines: the reduced initial basis must carry
     # exactly jacobian_rank independent linear forms
     linear_count = sum(1 for f in forms if f.total_degree() == 1)

@@ -4,9 +4,16 @@ Every basis is built by one completion loop, ``_complete``, written once, with
 the normal form as its argument (Greuel-Pfister, ch. 1): ``buchberger`` passes
 the full normal form and ``mora.mora_standard_basis`` Mora's weak one.  The
 loop first reduces each generator in turn against the elements kept before it,
-and only the nonzero remainders enter; then it completes by S-pairs.  Pair
-selection is the normal strategy (smallest lcm under the active order, ties by
-pair index); pair elimination uses the lcm and chain criteria, as is standard.
+and only the nonzero remainders enter; then it completes by S-pairs.  The
+pair taken next is the one of least lcm degree, ties by the order's key of
+the lcm and then by pair index (``_pair_key``).  Under grevlex and grlex that
+is the normal strategy, the smallest lcm under the order.  Under the local
+order the normal strategy would take the lcm of highest degree first, the
+opposite of the sugar (ecart) choice that local standard-basis algorithms
+make (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.7
+and 2.3; Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube,
+please", ISSAC 1991).  Pair elimination uses the lcm and chain criteria, as
+is standard; both hold under any selection order.
 Each pair is keyed once, when it is formed, on a heap, and kept with its lcm
 in the set of live pairs, which the criteria read; a pair the chain criterion
 drops later is skipped when it reaches the top.  The basis under construction
@@ -622,11 +629,24 @@ def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     return _finished(f.varset, acc)
 
 
+def _pair_key(L: Monomial, order: MonomialOrder) -> tuple:
+    """The selection key of an S-pair whose leading monomials have lcm L:
+    its total degree first, then its order key.  A proper divisor of L has
+    a smaller key under every order, which the minimal-lcm scan of
+    ``_update_pairs`` needs; and the least key is the pair of least degree,
+    the sugar choice, also under the local order, where the order key alone
+    would put the pair of highest degree first.  Under grevlex and grlex the
+    order key already reads the degree first, so nothing changes there."""
+    return monomial_degree(L), order.key(L)
+
+
 def _update_pairs(lms: list, P: dict, heap: list, order: MonomialOrder) -> None:
     """Gebauer-Moeller style update of the live pairs P, a dict from each
     pair to the lcm of its leading monomials, in place, when the last of the
-    leading monomials lms enters the basis.  Each new pair is also pushed
-    onto heap as (order key of its lcm, pair); a pair the chain criterion
+    leading monomials lms enters the basis.  Of the new pairs' lcms only the
+    ones no other divides are kept, found by one scan by ``_pair_key``, which
+    meets every proper divisor first.  Each new pair is also pushed onto
+    heap as (``_pair_key`` of its lcm, pair); a pair the chain criterion
     removes from P stays on heap until it is popped."""
     f_index = len(lms) - 1
     lmf = lms[f_index]
@@ -639,16 +659,16 @@ def _update_pairs(lms: list, P: dict, heap: list, order: MonomialOrder) -> None:
     for i, L in enumerate(with_f):
         lcms.setdefault(L, []).append(i)
     minimal = []
-    for L in sorted(lcms, key=order.key):
-        if all(not monomial_divides(M, L) for M in minimal):
-            minimal.append(L)
-    for L in minimal:
+    for key, L in sorted((_pair_key(L, order), L) for L in lcms):
+        if any(monomial_divides(M, L) for M in minimal):
+            continue
+        minimal.append(L)
         # lcm (product) criterion: skip coprime leading monomials
         if any(L == monomial_mul(lms[i], lmf) for i in lcms[L]):
             continue
         pair = (min(lcms[L]), f_index)
         P[pair] = L
-        heappush(heap, (order.key(L), pair))
+        heappush(heap, (key, pair))
 
 
 def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
@@ -661,9 +681,10 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
     remainder enters packed, as the division left it, and an element's
     leading monomial is made once, when it enters, and its integer multiple
     once, when a division or an S-pair first needs it.  Then the pair of
-    least lcm under the order (ties by pair index) is taken next: it is
-    handed to nf as its positions (i, j) in the record, which builds
-    S(g_i, g_j) packed, and the remainder enters the same way.
+    least lcm degree, ties by the order's key of the lcm and then by pair
+    index (``_pair_key``), is taken next: it is handed to nf as its
+    positions (i, j) in the record, which builds S(g_i, g_j) packed, and the
+    remainder enters the same way.
 
     The S-pairs among the elements of basis must already be known to reduce
     (basis is a Groebner or standard basis of its own ideal): they open the

@@ -39,6 +39,11 @@ The standard basis is groebner's completion loop, ``_complete``, with the
 weak normal form in place of the full one: each generator is first replaced
 by its weak normal form against those kept before it, which stays in the
 ideal (unit multipliers) and makes the reducers of the pair loop smaller.
+The loop takes the S-pair of least lcm degree first (``groebner._pair_key``):
+under the local order the smallest lcm has the highest degree, so the
+normal strategy of the global orders would divide the pairs of highest
+degree first and form many pairs that a low-degree remainder found later
+makes useless.
 Given a ``basis`` that is already a standard basis, such as the one of the
 jet ideal a level down, the loop reduces the generators against it too and
 forms only the S-pairs with the new elements.  The minimalization, the

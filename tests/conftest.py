@@ -452,8 +452,10 @@ def dividend_poly(f, basis, order, ints=None):
 
 def reference_update_pairs(G, lmG, P, f_index, order):
     """Gebauer-Moeller pair update as groebner._update_pairs was written: a
-    new pair set, with every lcm of the chain criterion computed afresh."""
-    from arcspace.polyalg.poly import monomial_divides, monomial_lcm, monomial_mul
+    new pair set, with every lcm of the chain criterion computed afresh.  The
+    minimal lcms are found by a scan by (total degree, order key)."""
+    from arcspace.polyalg.poly import (
+        monomial_degree, monomial_divides, monomial_lcm, monomial_mul)
 
     lmf = lmG[f_index]
     P = {
@@ -467,7 +469,7 @@ def reference_update_pairs(G, lmG, P, f_index, order):
     for i in range(f_index):
         lcms.setdefault(monomial_lcm(lmG[i], lmf), []).append(i)
     minimal = []
-    for L in sorted(lcms, key=order.key):
+    for L in sorted(lcms, key=lambda L: (monomial_degree(L), order.key(L))):
         if all(not monomial_divides(M, L) for M in minimal):
             minimal.append(L)
     for L in minimal:
@@ -477,6 +479,15 @@ def reference_update_pairs(G, lmG, P, f_index, order):
     return P
 
 
+def pair_key(lmG, pair, order):
+    """(total degree, order key) of the lcm of the pair's leading monomials:
+    the reference loops take the pair of least key, ties by pair."""
+    from arcspace.polyalg.poly import monomial_degree, monomial_lcm
+
+    L = monomial_lcm(lmG[pair[0]], lmG[pair[1]])
+    return monomial_degree(L), order.key(L)
+
+
 def reference_buchberger(gens, order, work_limit=None):
     """groebner.buchberger with its own S-pair loop, as first written, with
     every division paid from one budget.  Each generator is first reduced
@@ -484,7 +495,6 @@ def reference_buchberger(gens, order, work_limit=None):
     two references differ only in their normal form."""
     from arcspace.polyalg import groebner
     from arcspace.polyalg.orders import leading_monomial, make_monic
-    from arcspace.polyalg.poly import monomial_lcm
 
     if work_limit is None:
         work_limit = groebner.DEFAULT_WORK_LIMIT
@@ -501,7 +511,7 @@ def reference_buchberger(gens, order, work_limit=None):
         lmG.append(leading_monomial(f, order))
         P = reference_update_pairs(G, lmG, P, len(G) - 1, order)
     while P:
-        i, j = min(P, key=lambda p: (order.key(monomial_lcm(lmG[p[0]], lmG[p[1]])), p))
+        i, j = min(P, key=lambda p: (pair_key(lmG, p, order), p))
         P.remove((i, j))
         s = groebner.spolynomial(G[i], G[j], order)
         r = groebner.normal_form(s, G, order, budget=budget)
@@ -517,7 +527,6 @@ def reference_mora_standard_basis(gens, order, work_limit=None):
     with every division, interreduction included, paid from one budget."""
     from arcspace.polyalg import groebner, mora
     from arcspace.polyalg.orders import leading_monomial, make_monic
-    from arcspace.polyalg.poly import monomial_lcm
 
     if work_limit is None:
         work_limit = groebner.DEFAULT_WORK_LIMIT
@@ -536,7 +545,7 @@ def reference_mora_standard_basis(gens, order, work_limit=None):
     if not G:
         return []
     while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(monomial_lcm(lmG[p[0]], lmG[p[1]])), p))
+        i, j = min(pairs, key=lambda p: (pair_key(lmG, p, order), p))
         pairs.remove((i, j))
         s = groebner.spolynomial(G[i], G[j], order)
         h = mora.mora_normal_form(s, G, order, budget=budget)

@@ -19,6 +19,7 @@ from arcspace.polyalg import groebner, mora, orders
 from arcspace.polyalg.groebner import _Budget, buchberger, groebner_basis, interreduce
 from arcspace.polyalg.mora import mora_standard_basis
 from arcspace.polyalg.orders import leading_monomial
+from arcspace.polyalg.poly import monomial_degree, monomial_divides, monomial_lcm, monomial_mul
 
 from conftest import (
     dividend_poly,
@@ -326,3 +327,109 @@ def test_buchberger_computes_each_leading_monomial_once(monkeypatch):
     # the comparison is not vacuous: S-pair remainders enter, the
     # interreductions return elements, and some standard bases are only sorted
     assert grown and interreduced and sorted_only
+
+
+_KINDS = [MonomialOrder(kind, priority) for kind in ("grevlex", "grlex", "lex", "antigrlex")
+          for priority in (None, (2, 0, 3, 1))]
+_KIND_IDS = [f"{o.kind}{'-priority' if o.priority else ''}" for o in _KINDS]
+
+
+@pytest.mark.parametrize("order", _KINDS, ids=_KIND_IDS)
+def test_new_pairs_have_divisibility_minimal_lcms(order):
+    """When a leading monomial enters, ``_update_pairs`` forms a pair for each
+    lcm with it that no other such lcm divides, save the coprime ones, one
+    pair per lcm (the least partner), keyed by its lcm's degree first.  The
+    leads x*y*w, x*y, x*z are the case the order key alone missed under the
+    local order: the pair of x*y*w and x*z, lcm x*y*z*w, was kept although
+    x*y*z, the lcm of x*y and x*z, divides it."""
+    rng = random.Random(29)
+    cases = [[(1, 1, 0, 1), (1, 1, 0, 0), (1, 0, 1, 0)]]
+    for _ in range(40):
+        cases.append([tuple(rng.randint(0, 2) for _ in range(4))
+                      for _ in range(rng.randint(3, 7))])
+    dropped = 0
+    for lms in cases:
+        P: dict = {}
+        heap: list = []
+        for f in range(len(lms)):
+            before = set(P)
+            groebner._update_pairs(lms[:f + 1], P, heap, order)
+            with_f: dict = {}
+            for i in range(f):
+                with_f.setdefault(monomial_lcm(lms[i], lms[f]), []).append(i)
+            minimal = [L for L in with_f
+                       if not any(M != L and monomial_divides(M, L) for M in with_f)]
+            want = {(min(with_f[L]), f): L for L in minimal
+                    if all(L != monomial_mul(lms[i], lms[f]) for i in with_f[L])}
+            assert {p: L for p, L in P.items() if p not in before} == want
+            pushed = {pair: key for key, pair in heap if pair[1] == f}
+            assert pushed == {p: (monomial_degree(L), order.key(L)) for p, L in want.items()}
+            dropped += len(minimal) < len(with_f)
+    assert dropped
+    # the named case: of the lcms x*y*z*w and x*y*z with x*z, only the second
+    P, heap = {}, []
+    for f in range(3):
+        groebner._update_pairs(cases[0][:f + 1], P, heap, order)
+    assert (0, 2) not in P and (1, 2) in P
+
+
+def _selections(monkeypatch):
+    """For each S-pair the completion loop hands to a normal form, the lcm of
+    its leading monomials and the lcms of the pairs still live then."""
+    live: dict = {}
+    selected = []
+    update = groebner._update_pairs
+
+    def recording(lms, P, heap, order):
+        live["lms"], live["P"] = lms, P
+        update(lms, P, heap, order)
+
+    def divided(original):
+        def divide(f, *args, **kwargs):
+            if isinstance(f, tuple):
+                lms = live["lms"]
+                selected.append((monomial_lcm(lms[f[0]], lms[f[1]]), list(live["P"].values())))
+            return original(f, *args, **kwargs)
+        return divide
+
+    monkeypatch.setattr(groebner, "_update_pairs", recording)
+    for module, name in ((groebner, "normal_form"), (mora, "mora_normal_form")):
+        monkeypatch.setattr(module, name, divided(getattr(module, name)))
+    return selected
+
+
+@pytest.mark.parametrize("order", [ANTIGRLEX, MonomialOrder("antigrlex", (2, 0, 1))],
+                         ids=["antigrlex", "antigrlex-priority"])
+def test_mora_divides_the_pair_of_least_lcm_degree_first(monkeypatch, order):
+    """Under the local order the pair taken next has the least lcm degree of
+    the live pairs (the sugar choice), not the least lcm under the order,
+    which is one of the highest degree."""
+    selected = _selections(monkeypatch)
+    for gens in _ideals(5, 12, (2, 3), 2):
+        mora_standard_basis(gens, order)
+    higher = 0
+    for L, others in selected:
+        assert all(monomial_degree(L) <= monomial_degree(M) for M in others)
+        higher += any(monomial_degree(L) < monomial_degree(M) for M in others)
+    # the comparison is not vacuous: pairs of higher degree were waiting
+    assert higher
+
+
+@pytest.mark.parametrize("order", [
+    GREVLEX, GRLEX, MonomialOrder("grevlex", (2, 0, 1)), MonomialOrder("grlex", (1, 2, 0)),
+], ids=["grevlex", "grlex", "grevlex-priority", "grlex-priority"])
+def test_degree_orders_select_pairs_as_by_the_order_key_alone(monkeypatch, order):
+    """Under grevlex and grlex the order key reads the degree first, so
+    keying a pair by its lcm's degree before the order key changes nothing:
+    Buchberger divides the same inputs, in the same order, as the loop keyed
+    by the order key of the lcm alone."""
+    pairs = 0
+    for gens in _ideals(5, 12, (2, 3), 2):
+        got = _traced(monkeypatch, buchberger, gens, order)
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_pair_key", lambda L, order: order.key(L))
+            want = _traced(monkeypatch, buchberger, gens, order)
+        assert got == want
+        pairs += len(got[1]) > len(gens)
+    # the comparison is not vacuous: S-pairs were divided
+    assert pairs

@@ -412,21 +412,28 @@ def _sum_of_squares_arc(X, e):
 
 def _window_matches_single_levels(monkeypatch, X, arc, n_lo, n_hi):
     """Assert that every level of the window equals ecodim_jet at that level;
-    returns how many levels started Mora from the level below, and at how
-    many levels above the lowest the initial forms handed to the
-    interreduction reused the reduced forms of the level below.  A level
-    that reuses one of them must reuse them all."""
+    returns how many levels started Mora from the level below, at how many
+    levels above the lowest the initial forms handed to the interreduction
+    reused the reduced forms of the level below, and how many levels found a
+    standard basis of homogeneous elements.  Such a level hands nothing to
+    the interreduction, since Mora has interreduced its basis already; every
+    other level hands its forms once.  A level that reuses one of the forms
+    below must reuse them all."""
     from arcspace import localgeom
 
-    seeded, handed = [], []
+    seeded, handed, homogeneous = [], [], []
     standard_basis, interreduce = localgeom.mora_standard_basis, localgeom.interreduce
 
     def seeding(*args, **kwargs):
         seeded.append(bool(kwargs.get("basis")))
-        return standard_basis(*args, **kwargs)
+        basis = standard_basis(*args, **kwargs)
+        homogeneous.append(all(g.is_homogeneous() for g in basis))
+        handed.append(None)
+        return basis
 
     def handing(forms, *args):
-        handed.append(list(forms))
+        assert handed[-1] is None
+        handed[-1] = list(forms)
         return interreduce(forms, *args)
 
     with monkeypatch.context() as m:
@@ -435,8 +442,11 @@ def _window_matches_single_levels(monkeypatch, X, arc, n_lo, n_hi):
         window = ecodim_window(X, arc, n_lo, n_hi)
     levels = n_hi - n_lo + 1
     assert len(seeded) == len(handed) == levels and not seeded[0]
+    assert [forms is None for forms in handed] == homogeneous
     reused = 0
     for n, forms in zip(range(n_lo + 1, n_hi + 1), handed[1:]):
+        if forms is None:
+            continue
         varset = jet_varset(X.ambient, n)
         found = [f.extended(varset) in forms for f in window.per_level[n - 1].initial_forms]
         assert all(found) or not any(found)
@@ -446,7 +456,7 @@ def _window_matches_single_levels(monkeypatch, X, arc, n_lo, n_hi):
         assert window.per_level[n].initial_forms == single.initial_forms
         # every invariant; the basis found is not compared
         assert window.per_level[n] == single
-    return sum(seeded), reused
+    return sum(seeded), reused, sum(homogeneous)
 
 
 @pytest.mark.parametrize("e", [1, 2])
@@ -457,12 +467,15 @@ def test_window_levels_equal_single_levels(monkeypatch, quadric, e):
     arcs += [(quadric, monomial_arc(quadric, e)), (S, _sum_of_squares_arc(S, e))]
     for X, arc in arcs:
         assert ord_along_arc(jacobian_ideal(X), arc).value == e
-        assert _window_matches_single_levels(monkeypatch, X, arc, 2 * e, 2 * e + 2) == (2, 2)
+        assert _window_matches_single_levels(monkeypatch, X, arc, 2 * e, 2 * e + 2) == (2, 2, 0)
 
 
 def test_window_levels_equal_single_levels_node(monkeypatch, node):
+    # the jet ideals of the node at the zero arc are homogeneous, so every
+    # level's standard basis is the reduced basis of its initial ideal and
+    # no level hands forms to the interreduction
     arc = Arc.from_strings(node.ambient, ["0", "0"])
-    assert _window_matches_single_levels(monkeypatch, node, arc, 0, 4) == (4, 4)
+    assert _window_matches_single_levels(monkeypatch, node, arc, 0, 4) == (4, 0, 5)
 
 
 def test_window_levels_with_smooth_directions_start_from_the_level_below(monkeypatch):
@@ -472,7 +485,7 @@ def test_window_levels_with_smooth_directions_start_from_the_level_below(monkeyp
     vs = VarSet(["x", "y"])
     X = AffineScheme(vs, (parse_poly("x - y^2", vs),))
     arc = Arc.from_strings(vs, ["t^2", "t"])
-    assert _window_matches_single_levels(monkeypatch, X, arc, 0, 3) == (3, 3)
+    assert _window_matches_single_levels(monkeypatch, X, arc, 0, 3) == (3, 3, 0)
     window = ecodim_window(X, arc, 0, 3)
     for a in window.per_level.values():
         assert isinstance(a.standard_basis, tuple) and a.standard_basis
