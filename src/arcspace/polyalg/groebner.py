@@ -43,16 +43,18 @@ one layout the composition kernel packs in too, and puts the order's rank
 above them.  A product is one int addition, divisibility one subtraction
 and mask, and the int order is the monomial order, so the heap holds the
 packed monomials themselves.  A division reads the record of its reducers:
-their packed leading monomials and ecarts, made once when each enters, and
-their integer multiples, made the first time a step needs one and kept for
-the rest of the basis computation.  The dividends the loop makes itself come
-packed too: an S-pair is handed to the normal form as the pair of its
-positions in the record and built there from the two integer multiples, each
-term shifted by one int addition (``_Reducers.spair``), and an element being
-interreduced starts from a copy of its own integer multiple.  The results go back packed
-as well: a remainder the loop keeps enters the record as its int terms, its
-integer multiple made by dividing out their content, its lead the least
-packed key (``_Reducers.append``), and an interreduced element is made a
+their packed leading monomials, ecarts and integer multiples, made once when
+each enters and kept for the rest of the basis computation.  Every element
+enters the record one way, as its packed primitive form
+(``_Reducers.append``): a generator or an element of a seeded basis is
+cleared of its denominators and packed once, a remainder the loop keeps
+brings the int terms its division left, and either is divided by its
+content and signed so that its leading coefficient, at the least packed key,
+is positive.  The dividends the loop makes itself come packed too: an S-pair
+is handed to the normal form as the pair of its positions in the record and
+built there from the two integer multiples, each term shifted by one int
+addition (``_Reducers.spair``), and an element being interreduced starts
+from a copy of its own integer multiple; an interreduced element is made a
 monic Poly once, from its packed remainder.  So no S-polynomial and no
 intermediate remainder is ever a ``Poly``: only what leaves the record, the
 returned basis and the result of a public division, is made Fractions at
@@ -74,7 +76,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from ..errors import ResourceLimitError, VarsetMismatchError
-from .orders import ANTIGRLEX, MonomialOrder, leading_monomial, make_monic
+from .orders import ANTIGRLEX, MonomialOrder, leading_monomial
 from .poly import (
     Monomial,
     Poly,
@@ -160,8 +162,8 @@ class _Packing(_Fields):
 
 def _cleared(f: Poly, pack: Callable[[Monomial], int]) -> tuple[dict[int, int], int]:
     """(F, L) with f = F / L: L the lcm of the denominators of f and F a dict
-    of ints at the packed monomials of f.  F is primitive when f is monic,
-    since then no prime of L divides every coefficient of F."""
+    of ints at the packed monomials of f; raises _Overflow when a monomial
+    does not fit the fields of pack."""
     terms = f.terms
     L = lcm(*(c.denominator for c in terms.values()))
     if L == 1:
@@ -180,28 +182,26 @@ class _Reducers:
     """One record of a basis: each element and what a division reads of it.
 
     ``lms[i]`` is the leading monomial of element i, ``leads[i]`` that
-    monomial packed and ``ecarts[i]`` the element's ecart, all made when it
-    enters.  ``forms[i]`` is its integer multiple at packed monomials (see
-    ``_cleared``), and ``polys[i]`` the element itself, monic, as a Poly.
-    An element enters in one of two ways (``append``).  A Poly, a generator
-    or an element of the basis the record opens with, is made monic there
-    and its lead computed once; its form is made the first time a step or an
-    S-pair needs it (``form``) and is None until then, since most reducers
-    of a basis computation never divide anything.  A division's nonzero
-    remainder enters packed: its int terms divided by their content, signed
-    so that the leading one is positive, are its form, exactly the one
-    ``_cleared`` makes of the monic remainder, so every later step does the
-    same arithmetic and pays the same charge.  Its lead is the least packed
-    key, unpacked once, and its ecart is read off the packed degree fields.
-    Its Poly is None until it leaves the record (``poly``), as part of the
-    returned basis.  So an element always has its Poly or its form, and
-    often both.  Since an element is monic, the leading coefficient of its
-    form is the scale it was multiplied by.  The completion loop keeps one
-    record as its basis, so each of these is made at most once per basis
+    monomial packed, ``ecarts[i]`` the element's ecart and ``forms[i]`` its
+    packed primitive form: its integer multiple at packed monomials, the
+    content divided out and the leading coefficient positive.  Every element
+    enters one way (``append``), as that form, and everything else is read
+    off it: the lead is the least packed key, unpacked once, and the ecart
+    comes from the packed degree fields.  A Poly, a generator or an element
+    of the basis the record opens with, is cleared and packed once on entry
+    (``_cleared``); a division's nonzero remainder brings its int terms, its
+    scale dropped.  ``polys[i]`` is the element as a monic Poly: the Poly it
+    entered as when that was monic, as the elements of a seeded standard
+    basis are, and otherwise None until the element leaves the record
+    (``poly``), as part of the returned basis.  An element has one signed
+    primitive form, whichever way it entered, so every step does the same
+    arithmetic and pays the same charge.  The completion loop keeps one
+    record as its basis, so each of these is made once per basis
     computation.  Zero elements are dropped.  The packing is made for the
     number of variables of the first element, and its variable set is the
-    record's: a Poly over another one raises VarsetMismatchError.  ``widen``
-    repacks the leads and the forms made so far in fields twice as wide.
+    record's: a Poly over another one raises VarsetMismatchError.
+    ``widen`` repacks the leads and the forms in fields twice as wide, and
+    ``append`` widens until every term of a Poly fits.
 
     A record also makes the dividends of the divisions it serves
     (``dividend``): an S-pair from the forms of its two elements, and the
@@ -220,49 +220,42 @@ class _Reducers:
         self.lms: list[Monomial] = []
         self.leads: list[int] = []
         self.ecarts: list[int] = []
-        self.forms: list[dict[int, int] | None] = []
+        self.forms: list[dict[int, int]] = []
         self.held: tuple[dict[int, int], int] | None = None
         for g in basis:
             if not g.is_zero():
                 self.append(g)
 
     def append(self, g: Poly | _Remainder) -> None:
-        """Add the nonzero g, made monic: a Poly, or the remainder a division
-        by this record returned, whose int terms enter packed as they are,
-        its scale dropped."""
+        """Add the nonzero g, a Poly or the remainder a division by this
+        record returned, as its packed primitive form (see ``_Reducers``)."""
         if isinstance(g, _Remainder):
-            packing, terms = self.packing, g.terms
-            lead = min(terms)
-            content = gcd(*terms.values())
-            if terms[lead] < 0:
-                content = -content
-            self.polys.append(None)
-            self.lms.append(packing.unpack(lead))
-            self.leads.append(lead)
-            dshift, dmask = packing.dshift, packing.dmask
-            self.ecarts.append(max(m >> dshift & dmask for m in terms) - packing.degree(lead))
-            self.forms.append(terms if content == 1 else
-                              {m: c // content for m, c in terms.items()})
-            return
-        if self.varset is None:
-            self.varset = g.varset
-        elif g.varset != self.varset:
-            raise VarsetMismatchError(
-                f"reducer over a different variable set: {g.varset!r} vs {self.varset!r}")
-        lm = leading_monomial(g, self.order)
-        c = g.terms[lm]
-        self.polys.append(g if c == 1 else g.scale(1 / c))
+            terms = g.terms
+        else:
+            if self.varset is None:
+                self.varset = g.varset
+                self.packing = _Packing(self.order, len(g.varset))
+            elif g.varset != self.varset:
+                raise VarsetMismatchError(
+                    f"reducer over a different variable set: {g.varset!r} vs {self.varset!r}")
+            while True:
+                try:
+                    terms = _cleared(g, self.packing.pack)[0]
+                    break
+                except _Overflow:
+                    self.widen()
+        packing = self.packing
+        lead = min(terms)
+        lm = packing.unpack(lead)
+        content = gcd(*terms.values())
+        if terms[lead] < 0:
+            content = -content
+        self.polys.append(g if isinstance(g, Poly) and g.terms[lm] == 1 else None)
         self.lms.append(lm)
-        if self.packing is None:
-            self.packing = _Packing(self.order, len(lm))
-        while True:
-            try:
-                self.leads.append(self.packing.pack(lm))
-                break
-            except _Overflow:
-                self.widen()
-        self.ecarts.append(g.total_degree() - sum(lm))
-        self.forms.append(None)
+        self.leads.append(lead)
+        dshift, dmask = packing.dshift, packing.dmask
+        self.ecarts.append(max(m >> dshift & dmask for m in terms) - packing.degree(lead))
+        self.forms.append(terms if content == 1 else {m: c // content for m, c in terms.items()})
 
     def poly(self, i: int) -> Poly:
         """Element i as a monic Poly, made from its form the first time."""
@@ -276,24 +269,6 @@ class _Reducers:
         """Every element as a monic Poly (see ``poly``)."""
         return [self.poly(i) for i in range(len(self.polys))]
 
-    def form(self, i: int) -> dict[int, int]:
-        """The integer multiple of polys[i] at packed monomials; raises
-        _Overflow when a term of it does not fit the fields."""
-        G = self.forms[i]
-        if G is None:
-            G = self.forms[i] = _cleared(self.polys[i], self.packing.pack)[0]
-        return G
-
-    def make_forms(self) -> None:
-        """Make every form, widening the fields until they all fit."""
-        while True:
-            try:
-                for i in range(len(self.forms)):
-                    self.form(i)
-                return
-            except _Overflow:
-                self.widen()
-
     def widen(self) -> None:
         old = self.packing
         self.packing = new = _Packing(self.order, old.nvars, 2 * old.width)
@@ -302,7 +277,7 @@ class _Reducers:
             return {new.pack(old.unpack(m)): c for m, c in F.items()}
 
         self.leads = [new.pack(old.unpack(p)) for p in self.leads]
-        self.forms = [None if F is None else repacked(F) for F in self.forms]
+        self.forms = [repacked(F) for F in self.forms]
         if self.held is not None:
             F, lead = self.held
             self.held = repacked(F), new.pack(old.unpack(lead))
@@ -322,7 +297,7 @@ class _Reducers:
         the element is held, so a division of it, f = i, starts from its
         form."""
         view = self.kept([k for k in range(len(self.polys)) if k != i])
-        view.held = (self.form(i), self.leads[i])
+        view.held = (self.forms[i], self.leads[i])
         return view
 
     def spair(self, i: int, j: int) -> tuple[dict[int, int], int | Fraction]:
@@ -341,7 +316,7 @@ class _Reducers:
         L = packing.pack(monomial_lcm(self.lms[i], self.lms[j]))
         if packing.degree(L) + max(ecarts[i], ecarts[j]) >= packing.limit:
             raise _Overflow
-        Fi, Fj = self.form(i), self.form(j)
+        Fi, Fj = self.forms[i], self.forms[j]
         li, lj = leads[i], leads[j]
         ci, cj = Fi[li], Fj[lj]
         q = gcd(ci, cj)
@@ -538,7 +513,7 @@ def _divided(f: Poly | tuple[int, int] | int, basis: list[Poly], order: Monomial
         return f
     record = _Reducers(order, basis) if ints is None else ints
     if isinstance(f, Poly):
-        if not record.polys:
+        if not record.leads:
             return f
         if f.varset != record.varset:
             raise VarsetMismatchError(
@@ -559,9 +534,9 @@ def normal_form(f: Poly | tuple[int, int] | int, basis: list[Poly], order: Monom
                 ints: _Reducers | None = None) -> Poly | _Remainder:
     """Full remainder of f on division by basis, paid from budget (a fresh
     default one when None).  ints, when given, is the record of basis (see
-    ``_Reducers``), which the division reads in place of basis and fills in
-    with the integer multiples it makes; it is made from basis when None,
-    which drops zero elements.  Each element divides as its monic multiple,
+    ``_Reducers``), whose packed leads, ecarts and integer multiples the
+    division reads in place of basis; it is made from basis when None, which
+    drops zero elements.  Each element divides as its packed primitive form,
     which changes neither the remainder nor the charge.  f may also be a
     pair (i, j) of positions in ints, which the completion loop passes: the
     dividend is then S(basis[i], basis[j]) (see ``spolynomial``), built by
@@ -588,7 +563,7 @@ def normal_form(f: Poly | tuple[int, int] | int, basis: list[Poly], order: Monom
             probe = lm | guard
             for i, lmg in enumerate(leads):
                 if (probe - lmg) & guard == guard:  # lmg divides lm
-                    h.reduce(record.form(i), lmg, ecarts[i], lm)
+                    h.reduce(record.forms[i], lmg, ecarts[i], lm)
                     break
             else:
                 # later leading monomials are smaller, so lm is a new term here
@@ -675,15 +650,16 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
               basis: Sequence[Poly] = ()) -> _Reducers:
     """The record of the S-pair completion of basis + gens, made monic.
     Zeros are skipped.  The basis under construction is one record, a
-    ``_Reducers``, which opens with the elements of basis.  Each generator,
-    made monic, is first replaced by its remainder nf(f, record) against the
-    elements kept before it, and enters the record unless that is zero; the
-    remainder enters packed, as the division left it, and an element's
-    leading monomial is made once, when it enters, and its integer multiple
-    once, when a division or an S-pair first needs it.  Then the pair of
-    least lcm degree, ties by the order's key of the lcm and then by pair
-    index (``_pair_key``), is taken next: it is handed to nf as its
-    positions (i, j) in the record, which builds S(g_i, g_j) packed, and the
+    ``_Reducers``, which opens with the elements of basis.  Each generator is
+    first replaced by its remainder nf(f, record) against the elements kept
+    before it, and enters the record unless that is zero; the remainder
+    enters packed, as the division left it, and a generator that meets an
+    empty record enters as it is.  Either way an element enters as its
+    packed primitive form, once, and its lead, ecart and integer multiple
+    are read off it (see ``_Reducers``).  Then the pair of least lcm
+    degree, ties by the order's key of the lcm and then by pair index
+    (``_pair_key``), is taken next: it is handed to nf as its positions
+    (i, j) in the record, which builds S(g_i, g_j) packed, and the
     remainder enters the same way.
 
     The S-pairs among the elements of basis must already be known to reduce
@@ -705,7 +681,7 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
 
     for f in gens:
         if record.polys and not f.is_zero():
-            f = nf(make_monic(f, order), record)
+            f = nf(f, record)
         if not f.is_zero():
             enter(f)
     while P:
@@ -759,14 +735,13 @@ def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 def _interreduced(record: _Reducers, budget: _Budget) -> list[Poly]:
     """``interreduce`` of the elements of record.
 
-    Every integer multiple is made once, first, and shared by the views that
-    leave one element out: each element is divided by its view, passed as
-    its position, starting from a copy of its own multiple.  Each nonzero
-    remainder comes back packed and is made a monic Poly once, its lead the
-    least packed key.
+    Every integer multiple, made when its element entered the record, is
+    shared by the views that leave one element out: each element is divided
+    by its view, passed as its position, starting from a copy of its own
+    multiple.  Each nonzero remainder comes back packed and is made a monic
+    Poly once, its lead the least packed key.
     """
     order = record.order
-    record.make_forms()
     out = []
     for i in range(len(record.polys)):
         others = record.without(i)
@@ -788,9 +763,10 @@ def interreduce(basis: list[Poly], order: MonomialOrder,
     when basis is not minimal, that is when the leading monomial of one
     element divides another's (see ``minimalize``): reducing both by each
     other would lose the ideal.  The basis is recorded once (see
-    ``_Reducers``), for all of the divisions: each element's leading
-    monomial and integer multiple are made once, and the division of an
-    element starts from a copy of its own multiple (see ``_interreduced``)."""
+    ``_Reducers``), for all of the divisions: each element enters as its
+    packed primitive form, its integer multiple, from which its leading
+    monomial is read, and the division of an element starts from a copy of
+    its own multiple (see ``_interreduced``)."""
     record = _Reducers(order, basis)
     if len(_minimal(record.lms)) < len(record.lms):
         raise ValueError("interreduce needs a minimal Groebner basis; use minimalize first")

@@ -23,9 +23,9 @@ h.  Every monomial of the division is one packed int (``groebner._Packing``),
 ordered as the monomial order ranks it: the pool is keyed by the negated
 packed leading monomial in place of the order key, and its divisibility scan
 is one subtraction and mask per entry.  The elements of the basis enter the
-pool from the completion loop's record (``groebner._Reducers``), their packed
-leading monomials and ecarts made once per basis computation and their
-integer multiples when a step or an S-pair first needs them.  The loop hands
+pool from the completion loop's record (``groebner._Reducers``), where each
+element entered once as its packed primitive form, its integer multiple,
+with its packed leading monomial and ecart read off it.  The loop hands
 each S-pair in as its positions in the record, and the record builds the
 S-polynomial from the two integer multiples at packed monomials, so it is
 never a Poly.  A remainder that joins the pool joins as a copy of its
@@ -98,14 +98,13 @@ def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
     def divide(h: _Remainder, record: _Reducers) -> _Remainder:
         guard = record.packing.guard
         # (ecart, minus the packed leading monomial, which sorts as its order
-        # key does, pool position, packed leading monomial, integer terms of a
-        # pooled remainder or None for an element of basis), sorted: tuple
-        # order is the reducer tie-break
-        data = sorted((eg, -lmg, i, lmg, None)
-                      for i, (lmg, eg) in enumerate(zip(record.leads, record.ecarts)))
+        # key does, pool position, packed leading monomial, integer terms),
+        # sorted: tuple order is the reducer tie-break
+        data = sorted((eg, -lmg, i, lmg, G) for i, (lmg, eg, G)
+                      in enumerate(zip(record.leads, record.ecarts, record.forms)))
         while (lm := h.lead()) is not None:
             probe = lm | guard
-            for eg, _, i, lmg, G in data:
+            for eg, _, _, lmg, G in data:
                 if (probe - lmg) & guard == guard:  # lmg divides lm
                     break
             else:
@@ -113,7 +112,7 @@ def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
             if (eh := h.ecart_below(lm, eg)) is not None:
                 # h joins as its integer terms: the scale plays no part in a reducer
                 insort(data, (eh, -lm, len(data), lm, dict(h.terms)))
-            h.reduce(record.form(i) if G is None else G, lmg, eg, lm)
+            h.reduce(G, lmg, eg, lm)
         return h
 
     return _divided(f, basis, order, budget, ints, divide)

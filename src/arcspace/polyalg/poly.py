@@ -59,9 +59,11 @@ jet-ecodim, 20-22% of the reducer terms a step reads and 38-39% of the
 remainder terms they meet are not integral.  The dicts of a division are
 keyed by packed monomials too, in 16-bit ``_Fields`` with the rank of the
 order above them (``groebner._Packing``), widened when a division would
-overflow them; a remainder that enters the record of a basis stays packed
-there and is unpacked only when it leaves, in a returned basis or a public
-division's result.
+overflow them.  Every element of the record of a basis, a generator or a
+remainder, enters it once as its packed primitive form and stays packed
+there.  Its monic Poly is kept only when it entered as one, and is made
+otherwise when it leaves, in a returned basis; a public division's result
+is unpacked the same way.
 
 Values at a rational point follow the same idiom: ``Poly.evaluate`` and
 ``localgeom._at_point``, the one kernel behind ``localgeom.jacobian_at`` and

@@ -429,8 +429,9 @@ def _monic_from_form(ints, F, lead):
 
 def record_elements(ints):
     """The elements of the basis record ints as monic Polys, read without
-    storing them in it: one that entered packed, and has no Poly yet, is
-    made from its form, so the record stays as the division leaves it."""
+    storing them in it: one that has no Poly yet, since it entered packed or
+    not monic, is made from its form, so the record stays as the division
+    leaves it."""
     return [g if g is not None else _monic_from_form(ints, F, lead)
             for g, F, lead in zip(ints.polys, ints.forms, ints.leads)]
 
@@ -499,7 +500,7 @@ def reference_buchberger(gens, order, work_limit=None):
     if work_limit is None:
         work_limit = groebner.DEFAULT_WORK_LIMIT
     budget = groebner._Budget(work_limit)
-    seeds = [make_monic(g, order) for g in gens if not g.is_zero()]
+    seeds = [g for g in gens if not g.is_zero()]
     pre = []
     for g in seeds:
         h = groebner.normal_form(g, pre, order, budget=budget) if pre else g
@@ -531,7 +532,7 @@ def reference_mora_standard_basis(gens, order, work_limit=None):
     if work_limit is None:
         work_limit = groebner.DEFAULT_WORK_LIMIT
     budget = groebner._Budget(work_limit)
-    seeds = [make_monic(g, order) for g in gens if not g.is_zero()]
+    seeds = [g for g in gens if not g.is_zero()]
     pre = []
     for g in seeds:
         h = mora.mora_normal_form(g, pre, order, budget=budget) if pre else g

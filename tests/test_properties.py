@@ -9,12 +9,14 @@ loops of ``test_reduction``, the bounded ecart of a remainder against a scan
 of its terms, and the S-pairs the completion loop builds at packed monomials
 against ``spolynomial``.  A remainder that enters a basis record packed is
 checked against the same remainder appended as a monic Poly, also when the
-record widens after it entered.  The one completion loop behind every basis is
-checked against sympy's reduced Groebner bases (when sympy is installed) and
-for independence of the order of the generators.  The packed exponent vectors
-of the division kernel are checked against the tuple operations and order
-keys they stand for, and the parser against the printer and its error
-positions.  The runs are derandomized, so every run draws the same examples.
+record widens after it entered, and an element of the basis a record opens
+with against the same element entered as a remainder.  The one completion
+loop behind every basis is checked against sympy's reduced Groebner bases
+(when sympy is installed) and for independence of the order of the
+generators.  The packed exponent vectors of the division kernel are checked
+against the tuple operations and order keys they stand for, and the parser
+against the printer and its error positions.  The runs are derandomized, so
+every run draws the same examples.
 """
 
 import math
@@ -244,7 +246,7 @@ def _entered_alike(packed, plain):
     assert packed.ecarts == plain.ecarts
     assert packed.elements() == plain.elements()
     for i, g in enumerate(plain.elements()):
-        assert packed.form(i) == plain.form(i) == _cleared(g, packed.packing.pack)[0]
+        assert packed.forms[i] == plain.forms[i] == _cleared(g, packed.packing.pack)[0]
 
 
 @checked
@@ -280,9 +282,10 @@ def test_a_remainder_enters_packed_as_its_monic_poly_would(order, integral, data
 
 
 def _entered_and_widened(monkeypatch):
-    """Counts the widenings of a record holding an element that entered
-    packed and has no Poly yet, and the widenings inside an interreduction.
-    A widening repacks the forms, so it makes no element a Poly."""
+    """Counts the widenings of a record holding an element that has no Poly
+    yet, since it entered packed or not monic, and the widenings inside an
+    interreduction.  A widening repacks the forms, so it makes no element a
+    Poly."""
     seen = {"packed": 0, "interreducing": 0}
     widen, interreduced = _Reducers.widen, groebner._interreduced
     inside = [False]
@@ -344,6 +347,35 @@ def test_a_record_widens_after_a_packed_entry(order, f, basis, monkeypatch):
     assert budget.remaining == ref_budget.remaining
     assert seen["packed"] > 0
     _entered_alike(record, _Reducers(order, elements))
+
+
+# -6*x^2 + 4*y has content 2 and, under grevlex, a negative leading
+# coefficient; x^40000*y + z is past the 16-bit fields, which widen on entry
+BASIS_ENTRIES = [(order, g) for g in ("-6*x^2 + 4*y", "x^40000*y + z")
+                 for order in (GREVLEX, ANTIGRLEX)]
+
+
+@pytest.mark.parametrize("order, g", BASIS_ENTRIES)
+def test_a_record_opened_from_a_basis_holds_every_form_on_entry(order, g):
+    """Every element of the basis a record opens with enters as its packed
+    primitive form, made on entry, with a positive leading coefficient: the
+    form, lead and ecart the same element has when it enters as the
+    remainder of a division by the record.  Its Poly is kept when it is
+    monic, as w^5 is, and made from the form when read otherwise."""
+    w5, g = parse_poly("w^5", VSW), parse_poly(g, VSW)
+    monic = make_monic(g, order)
+    plain = _Reducers(order, [w5, g])
+    assert plain.polys[0] is w5 and plain.polys[1] is (g if monic is g else None)
+    assert (plain.packing.width > 16) == (g.total_degree() >= 2**15)
+    for F, lead in zip(plain.forms, plain.leads):
+        assert F[lead] > 0 and math.gcd(*F.values()) == 1
+    packed = _Reducers(order, [w5])
+    divide = mora_normal_form if order.is_local else normal_form
+    r = divide(g, packed.polys, order, ints=packed)
+    assert isinstance(r, _Remainder)
+    packed.append(r)
+    _entered_alike(packed, plain)
+    assert plain.poly(1) == monic
 
 
 # x - y^3 steps to x - y*z^40000, past the 16-bit fields, when the
