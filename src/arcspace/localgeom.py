@@ -11,16 +11,16 @@ linear data; a mismatch signals a basis bug and is reported as such.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInconsistencyError, PointNotOnSchemeError, VarsetMismatchError
 from .jets import AffineScheme, Arc, JetPoint, jet_ideal_at, jet_varset
 from .polyalg.dimension import monomial_dim
-from .polyalg.groebner import interreduce
 from .polyalg.linalg import exact_rank
-from .polyalg.mora import mora_standard_basis
-from .polyalg.orders import ANTIGRLEX, leading_monomial
+from .polyalg.mora import _reduced_initial_forms, mora_standard_basis
+from .polyalg.orders import ANTIGRLEX
 from .polyalg.parse import poly_to_string
 from .polyalg.poly import Poly, _Fields, rational
 from .polyalg.varset import VarSet
@@ -30,12 +30,15 @@ from .polyalg.varset import VarSet
 class LocalAnalysis:
     """Report at a rational point; `stabilized` is set only by window reports.
 
-    `standard_basis` is the Mora standard basis of the generators translated
-    to the origin, kept so that a jet level above can start from it.
+    `packed` holds the Mora standard basis of the generators translated to
+    the origin and the reduced basis of its initial ideal, as packed records
+    (``groebner._Basis``), so that a jet level above starts from them with
+    no Poly made; `standard_basis` is made from the first on first read, and
+    `initial_forms` are the second made Polys, for the report.
     `generators` are the generators translated to the origin, kept so that a
     check of the initial forms (the CLI's truncation oracle) needs no second
-    translation.  Neither is part of the report: two analyses with equal
-    invariants compare equal whatever basis each found.
+    translation.  None but `initial_forms` is part of the report: two
+    analyses with equal invariants compare equal whatever basis each found.
     """
 
     nvars: int
@@ -45,8 +48,14 @@ class LocalAnalysis:
     ecodim: int
     initial_forms: tuple[Poly, ...]
     stabilized: bool | None = None
-    standard_basis: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
     generators: tuple[Poly, ...] = field(default=(), compare=False, repr=False)
+    packed: tuple[Sequence[Poly], ...] = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def standard_basis(self) -> tuple[Poly, ...]:
+        """The Mora standard basis of the generators translated to the origin,
+        made Polys on first read."""
+        return tuple(self.packed[0]) if self.packed else ()
 
     def to_json(self) -> dict:
         return {
@@ -183,10 +192,12 @@ def translate_to_origin(gens: Sequence[Poly], point) -> list[Poly]:
 
     The substituted generators vanish at 0 iff the originals vanish at the
     point; a nonzero constant term therefore means the point is off the scheme.
+    Generators over different varsets are a VarsetMismatchError, at the origin
+    too, as in ``jacobian_at``.
     """
     if not gens:
         raise ValueError("empty generator list")
-    varset = gens[0].varset
+    varset = _shared_varset(gens)
     values = point_values(varset, point)
     mapping = {
         v: Poly.variable(varset, v) + Poly.const(varset, c)
@@ -229,48 +240,37 @@ def ecodim_at_point(gens: Sequence[Poly], point,
     below, when given, is the analysis of the generators that involve only the
     first below.nvars variables, at the point's first below.nvars coordinates:
     the jet scheme one level down, along the same arc.  Mora then starts from
-    its standard basis and adds only the other generators, so no S-pair of the
-    level below is reduced again.  The initial forms of the standard basis are
-    interreduced into the reduced basis of the initial ideal; an initial form
-    whose lead is the lead of one of below.initial_forms, already reduced a
-    level down, is replaced by that form first.  The leads stay the same and
-    the reduced basis is unique, so the result is the same as without below.
-    A standard basis whose elements are all homogeneous is taken as it is:
-    ``mora_standard_basis`` has interreduced it, so it is that reduced basis.
+    its standard basis, lifted to these variables still packed
+    (``groebner._Basis.extended``), and adds only the other generators, so no
+    S-pair of the level below is reduced again and no element of its basis
+    is cleared or made a Poly again.  The leading monomials, the homogeneity
+    test and the initial forms are read off the packed standard basis, and
+    the initial forms are interreduced on a record of the same packing,
+    reusing each reduced form of the level below whose packed lead they
+    share (``mora._reduced_initial_forms``); the reduced basis is unique, so
+    the result is the same as without below.  Only the reported initial
+    forms are made Polys here.
     """
-    if not gens:
-        raise ValueError("empty generator list")
-    varset = gens[0].varset
-    nvars = len(varset)
     translated = translate_to_origin(gens, point)
+    varset = translated[0].varset
+    nvars = len(varset)
     jacobian_rank = exact_rank(jacobian_at(translated, (Fraction(0),) * nvars))
     if below is None:
         basis = mora_standard_basis(translated)
+        forms = _reduced_initial_forms(basis)
     else:
         k = below.nvars
+        below_basis, below_forms = below.packed
         basis = mora_standard_basis(
             [g for g in translated if any(any(m[k:]) for m in g.terms)],
-            basis=[g.extended(varset) for g in below.standard_basis])
-    lms = [leading_monomial(g, ANTIGRLEX) for g in basis]
-    tangent_cone_dim = monomial_dim(lms, nvars)
-    if all(g.is_homogeneous() for g in basis):
-        # Mora has interreduced a homogeneous basis: it is its own initial
-        # forms, and already the reduced basis of the initial ideal
-        forms = basis
-    else:
-        # LM(g) lies in in(g), so the initial forms are already a minimal
-        # Groebner basis of the initial ideal and interreduction makes it the
-        # reduced one; a form of the level below with the same lead is
-        # already reduced
-        forms = [g.initial_form() for g in basis]
-        if below is not None:
-            extended = [f.extended(varset) for f in below.initial_forms]
-            reduced = {leading_monomial(f, ANTIGRLEX): f for f in extended}
-            forms = [reduced.get(m, f) for m, f in zip(lms, forms)]
-        forms = interreduce(forms, ANTIGRLEX)
+            basis=below_basis.extended(varset))
+        forms = _reduced_initial_forms(basis, below_forms)
+    tangent_cone_dim = monomial_dim(basis.record.lms, nvars)
     # cross-check between the pipelines: the reduced initial basis must carry
-    # exactly jacobian_rank independent linear forms
-    linear_count = sum(1 for f in forms if f.total_degree() == 1)
+    # exactly jacobian_rank independent linear forms; each form is
+    # homogeneous, so its degree is its lead's
+    packing = forms.record.packing
+    linear_count = sum(1 for lead in forms.record.leads if packing.degree(lead) == 1)
     if linear_count != jacobian_rank:
         raise InternalInconsistencyError(
             f"initial ideal shows {linear_count} linear forms, "
@@ -288,8 +288,8 @@ def ecodim_at_point(gens: Sequence[Poly], point,
         tangent_cone_dim=tangent_cone_dim,
         ecodim=ecodim,
         initial_forms=tuple(forms),
-        standard_basis=tuple(basis),
         generators=tuple(translated),
+        packed=(basis, forms),
     )
 
 
@@ -343,7 +343,10 @@ def ecodim_window(X: AffineScheme, arc: Arc, n_lo: int, n_hi: int) -> WindowRepo
     variables, so each level above n_lo starts its standard basis from the
     one of the level below and reuses the reduced initial forms found there
     (the ``below`` of ``ecodim_at_point``), paying only for the work beyond
-    them.
+    them.  Both are handed up packed, as the records the level below left
+    (``LocalAnalysis.packed``), and lifted to the new variables by a shift
+    of their packed monomials: no level clears or repacks the basis of the
+    level below from Polys.
     """
     _check_window(n_lo, n_hi)
     top = jet_ideal_at(X, arc, n_hi)

@@ -26,7 +26,11 @@ whose own S-pairs are known to reduce, such as the standard basis of a
 smaller ideal: the generators are reduced against it too, so one already in
 its ideal never enters, and only the pairs with the new elements are formed,
 under the same criteria.  This is how ``mora.mora_standard_basis`` climbs a
-jet tower.
+jet tower, and the level below comes up packed: its basis leaves as a
+``_Basis``, a sequence over its record, and the next level opens with that
+record lifted to the new variables (``_Reducers.lifted``), which come last,
+so under antigrlex every packed key moves by one shift (``_mover``).  No
+element is cleared of its denominators or made a Poly again.
 
 Division works on a ``_Remainder``, which ``normal_form`` here and
 ``mora.mora_normal_form`` share: the remainder's terms live in one dict that a
@@ -72,7 +76,6 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from ..errors import ResourceLimitError, VarsetMismatchError
@@ -171,6 +174,27 @@ def _cleared(f: Poly, pack: Callable[[Monomial], int]) -> tuple[dict[int, int], 
     return {pack(m): c.numerator * (L // c.denominator) for m, c in terms.items()}, L
 
 
+def _mover(old: _Packing, new: _Packing) -> Callable[[int], int]:
+    """The map from a monomial packed by old to the same monomial, padded
+    with zeros for the variables new has after old's, packed by new, whose
+    fields are as wide or wider.  Without a rank in either packing and with
+    equal widths it is one shift: F(m) holds m[i] at bit width*(nvars-1-i)
+    and the degree above (``poly._Fields``), so k more variables move every
+    field up by width*k.  Otherwise it unpacks, pads and packs."""
+    k = new.nvars - old.nvars
+    if old._rank is None and new._rank is None and old.width == new.width:
+        s = new.width * k
+        return lambda p: p << s
+    pad = (0,) * k
+    unpack, pack = old.unpack, new.pack
+    return lambda p: pack(unpack(p) + pad)
+
+
+def _moved(F: dict[int, int], move: Callable[[int], int]) -> dict[int, int]:
+    """The terms F with every packed monomial moved (see ``_mover``)."""
+    return {move(m): c for m, c in F.items()}
+
+
 def _monic_poly(varset: VarSet, F: dict[int, int], lead: int, packing: _Packing) -> Poly:
     """The monic Poly F / F[lead] of the int terms F at packed monomials."""
     c = F[lead]
@@ -201,7 +225,9 @@ class _Reducers:
     number of variables of the first element, and its variable set is the
     record's: a Poly over another one raises VarsetMismatchError.
     ``widen`` repacks the leads and the forms in fields twice as wide, and
-    ``append`` widens until every term of a Poly fits.
+    ``append`` widens until every term of a Poly fits; ``lifted`` repacks
+    them for more variables (both through ``_repack``).  A record that opens
+    with a ``_Basis`` of its own order takes its elements as they are.
 
     A record also makes the dividends of the divisions it serves
     (``dividend``): an S-pair from the forms of its two elements, and the
@@ -222,15 +248,27 @@ class _Reducers:
         self.ecarts: list[int] = []
         self.forms: list[dict[int, int]] = []
         self.held: tuple[dict[int, int], int] | None = None
+        if isinstance(basis, _Basis) and basis.record.order == order:
+            self._take(basis.record, range(len(basis)))
+            return
         for g in basis:
             if not g.is_zero():
                 self.append(g)
 
-    def append(self, g: Poly | _Remainder) -> None:
-        """Add the nonzero g, a Poly or the remainder a division by this
-        record returned, as its packed primitive form (see ``_Reducers``)."""
-        if isinstance(g, _Remainder):
+    def append(self, g: Poly | _Remainder | dict[int, int]) -> None:
+        """Add the nonzero g, a Poly, the remainder a division by this record
+        or a view of it returned, or int terms at monomials packed by this
+        record, as its packed primitive form (see ``_Reducers``).  The record
+        and the remainder of a view that widened on its own are brought to
+        the wider of their fields."""
+        if isinstance(g, dict):
+            terms = g
+        elif isinstance(g, _Remainder):
             terms = g.terms
+            if g.packing.width > self.packing.width:
+                self._repack(g.packing)
+            elif g.packing.width < self.packing.width:
+                terms = _moved(terms, _mover(g.packing, self.packing))
         else:
             if self.varset is None:
                 self.varset = g.varset
@@ -270,26 +308,51 @@ class _Reducers:
         return [self.poly(i) for i in range(len(self.polys))]
 
     def widen(self) -> None:
+        """Repack the record in fields twice as wide."""
         old = self.packing
-        self.packing = new = _Packing(self.order, old.nvars, 2 * old.width)
+        self._repack(_Packing(self.order, old.nvars, 2 * old.width))
 
-        def repacked(F: dict[int, int]) -> dict[int, int]:
-            return {new.pack(old.unpack(m)): c for m, c in F.items()}
-
-        self.leads = [new.pack(old.unpack(p)) for p in self.leads]
-        self.forms = [repacked(F) for F in self.forms]
+    def _repack(self, packing: _Packing) -> None:
+        """Move the leads, the forms and the held element into packing (see
+        ``_mover``)."""
+        move = _mover(self.packing, packing)
+        self.packing = packing
+        self.leads = [move(p) for p in self.leads]
+        self.forms = [_moved(F, move) for F in self.forms]
         if self.held is not None:
             F, lead = self.held
-            self.held = repacked(F), new.pack(old.unpack(lead))
+            self.held = _moved(F, move), move(lead)
+
+    def lifted(self, varset: VarSet, order: MonomialOrder) -> _Reducers:
+        """The record of the same elements over varset, which the record's
+        variable set must be a prefix of, under order, which must rank the
+        record's monomials as its order does: what appending the elements
+        made Polys over varset (``Poly.extended``) would hold, in fields as
+        wide, with no element cleared or made a Poly."""
+        if not self.varset.is_prefix_of(varset):
+            raise VarsetMismatchError(
+                f"record over {self.varset!r}, which is not a prefix of {varset!r}")
+        pad = (0,) * (len(varset) - len(self.varset))
+        record = self.kept(range(len(self.leads)))
+        record.order, record.varset = order, varset
+        record.polys = [None] * len(self.leads)
+        record.lms = [lm + pad for lm in self.lms]
+        record._repack(_Packing(order, len(varset), self.packing.width))
+        return record
+
+    def _take(self, record: _Reducers, positions: Sequence[int]) -> None:
+        """Hold the elements of record at positions, in that order, sharing
+        what is made there, in record's variable set and packing."""
+        self.varset, self.packing = record.varset, record.packing
+        for name in ("polys", "lms", "leads", "ecarts", "forms"):
+            items = getattr(record, name)
+            setattr(self, name, [items[k] for k in positions])
 
     def kept(self, positions: Sequence[int]) -> _Reducers:
         """The record of the elements at positions, in that order, sharing
         what is made here."""
         view = _Reducers(self.order)
-        view.varset, view.packing = self.varset, self.packing
-        for name in ("polys", "lms", "leads", "ecarts", "forms"):
-            items = getattr(self, name)
-            setattr(view, name, [items[k] for k in positions])
+        view._take(self, positions)
         return view
 
     def without(self, i: int) -> _Reducers:
@@ -356,6 +419,43 @@ class _Reducers:
             return dict(F), 1 if c == 1 else Fraction(1, c)
         terms, L = _cleared(f, self.packing.pack)
         return terms, 1 if L == 1 else Fraction(1, L)
+
+
+class _Basis(Sequence[Poly]):
+    """The elements of a record as a read-only sequence of monic Polys, each
+    made on first read (``_Reducers.poly``), equal to a list of the same
+    Polys.  A record of the same order opens with ``record`` as it is (see
+    ``_Reducers``), and ``extended`` lifts it to more variables.
+    """
+
+    __slots__ = ("record",)
+
+    def __init__(self, record: _Reducers):
+        self.record = record
+
+    def __len__(self) -> int:
+        return len(self.record.leads)
+
+    def __getitem__(self, i):
+        positions = range(len(self))[i]
+        if isinstance(i, slice):
+            return [self.record.poly(k) for k in positions]
+        return self.record.poly(positions)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _Basis)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def extended(self, varset: VarSet) -> _Basis:
+        """The same elements over varset, of which theirs is a prefix, still
+        packed (see ``_Reducers.lifted``)."""
+        return _Basis(self.record.lifted(varset, self.record.order))
 
 
 class _Remainder:
@@ -732,26 +832,24 @@ def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
     return [basis[k] for k in _minimal([leading_monomial(g, order) for g in basis])]
 
 
-def _interreduced(record: _Reducers, budget: _Budget) -> list[Poly]:
-    """``interreduce`` of the elements of record.
+def _interreduced(record: _Reducers, budget: _Budget) -> _Reducers:
+    """The record of ``interreduce`` of the elements of record.
 
     Every integer multiple, made when its element entered the record, is
     shared by the views that leave one element out: each element is divided
     by its view, passed as its position, starting from a copy of its own
-    multiple.  Each nonzero remainder comes back packed and is made a monic
-    Poly once, its lead the least packed key.
+    multiple.  Each nonzero remainder comes back packed and enters the
+    returned record as it is (``_Reducers.append``), which is sorted by
+    packed lead, the greatest leading monomial first; its elements are made
+    Polys only when read.
     """
-    order = record.order
-    out = []
+    out = record.kept(())
     for i in range(len(record.polys)):
         others = record.without(i)
-        r = normal_form(i, others.polys, order, budget=budget, ints=others)
+        r = normal_form(i, others.polys, record.order, budget=budget, ints=others)
         if not r.is_zero():
-            lead = min(r.terms)
-            out.append((order.key(r.packing.unpack(lead)),
-                        _monic_poly(record.varset, r.terms, lead, r.packing)))
-    out.sort(key=itemgetter(0), reverse=True)
-    return [g for _, g in out]
+            out.append(r)
+    return out.kept(sorted(range(len(out.leads)), key=out.leads.__getitem__))
 
 
 def interreduce(basis: list[Poly], order: MonomialOrder,
@@ -770,7 +868,7 @@ def interreduce(basis: list[Poly], order: MonomialOrder,
     record = _Reducers(order, basis)
     if len(_minimal(record.lms)) < len(record.lms):
         raise ValueError("interreduce needs a minimal Groebner basis; use minimalize first")
-    return _interreduced(record, budget or _Budget())
+    return _interreduced(record, budget or _Budget()).elements()
 
 
 def groebner_basis(gens: list[Poly], order: MonomialOrder,
@@ -783,7 +881,7 @@ def groebner_basis(gens: list[Poly], order: MonomialOrder,
         raise ValueError("groebner_basis needs a global order; use mora_standard_basis")
     budget = _Budget(work_limit)
     record = _buchberger(gens, order, budget)
-    return _interreduced(record.kept(_minimal(record.lms)), budget)
+    return _interreduced(record.kept(_minimal(record.lms)), budget).elements()
 
 
 def reduces_to_zero(f: Poly, basis: list[Poly], order: MonomialOrder) -> bool:

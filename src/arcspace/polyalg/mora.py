@@ -46,7 +46,10 @@ degree first and form many pairs that a low-degree remainder found later
 makes useless.
 Given a ``basis`` that is already a standard basis, such as the one of the
 jet ideal a level down, the loop reduces the generators against it too and
-forms only the S-pairs with the new elements.  The minimalization, the
+forms only the S-pairs with the new elements.  A standard basis leaves
+packed, as a sequence over its record (``groebner._Basis``), and comes back
+in as it is, or lifted to the variables of the level above (``extended``):
+no element is cleared or made a Poly again.  The minimalization, the
 interreduction and the final sort read the leading monomials the loop
 computed as each element entered, and the homogeneity test its ecarts.  A
 standard basis spends one groebner ``_Budget`` across all of its divisions;
@@ -59,25 +62,27 @@ forms of a standard basis G of I are a Groebner basis of the initial ideal
 in(I), minimal when G is (Greuel-Pfister, *A Singular Introduction to
 Commutative Algebra*, 5.5; Mora, "An algorithm to compute the equations of
 tangent cones", EUROCAM 1982).  Interreducing them gives its reduced basis.
+They are read off the packed forms (``_reduced_initial_forms``).
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from operator import itemgetter
 from typing import Sequence
 
 from .orders import ANTIGRLEX, MonomialOrder
 from .groebner import (
     DEFAULT_WORK_LIMIT,
+    _Basis,
     _Budget,
     _complete,
     _divided,
     _interreduced,
     _minimal,
+    _moved,
+    _mover,
     _Reducers,
     _Remainder,
-    interreduce,
 )
 from .poly import Poly
 
@@ -120,16 +125,18 @@ def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
 
 def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
                         work_limit: int = DEFAULT_WORK_LIMIT,
-                        basis: Sequence[Poly] = ()) -> list[Poly]:
+                        basis: Sequence[Poly] = ()) -> Sequence[Poly]:
     """Standard basis of the ideal generated by basis + gens in the localization
     at 0, computed within one budget of work_limit terms touched.
 
     basis, when given, must be a standard basis of its own ideal under the
     order: its S-pairs are not formed again, and gens are reduced against it
-    (see ``groebner._complete``).  Leading terms of the output generate the
-    leading-term ideal.  The result is minimal and monic; tails are fully
-    interreduced only when every element is homogeneous (tail reduction need
-    not terminate under a local order).
+    (see ``groebner._complete``); a basis this function returned enters
+    packed, as it is.  Leading terms of the output generate the leading-term
+    ideal.  The result is minimal and monic, greatest leading monomial first,
+    a read-only sequence over the packed record (``groebner._Basis``); tails
+    are fully interreduced only when every element is homogeneous (tail
+    reduction need not terminate under a local order).
     """
     if not order.is_local:
         raise ValueError("mora_standard_basis needs the local order")
@@ -140,12 +147,46 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
         return mora_normal_form(f, record.polys, order, budget=budget, ints=record)
 
     record = _complete(gens, order, nf, basis)
-    record = record.kept(_minimal(record.lms))
+    kept = _minimal(record.lms)
     # under the local order an element is homogeneous exactly when its ecart is 0
-    if not any(record.ecarts):
-        return _interreduced(record, budget)  # sorted as below
+    if not any(record.ecarts[k] for k in kept):
+        return _Basis(_interreduced(record.kept(kept), budget))  # sorted as below
     # the least packed lead is the greatest leading monomial
-    return [g for _, g in sorted(zip(record.leads, record.elements()), key=itemgetter(0))]
+    return _Basis(record.kept(sorted(kept, key=record.leads.__getitem__)))
+
+
+def _reduced_initial_forms(basis: _Basis, below: _Basis | None = None) -> _Basis:
+    """The reduced basis of the initial ideal, read off basis, a minimal
+    standard basis as ``mora_standard_basis`` returns it.
+
+    A homogeneous basis (every ecart 0) is that reduced basis already and
+    is returned as it is.  Otherwise the initial form of each element, the
+    terms of its packed form whose degree field is the lead's, enters a
+    record of the same packing, interreduced within one default budget.
+    below, when given, is this function's result for a smaller ideal over a
+    prefix of the variables (the jet ideal a level down): an element whose
+    packed lead is one of its leads, moved to this packing, hands on that
+    form, already reduced, in place of its own.  The reduced basis is
+    unique, so the result is the same without below.
+    """
+    record = basis.record
+    if not any(record.ecarts):
+        return basis
+    packing = record.packing
+    dshift, dmask = packing.dshift, packing.dmask
+    reduced = {}
+    if below is not None:
+        move = _mover(below.record.packing, packing)
+        reduced = {move(lead): F for lead, F in zip(below.record.leads, below.record.forms)}
+    forms = record.kept(())
+    for lead, F in zip(record.leads, record.forms):
+        G = reduced.get(lead)
+        if G is not None:
+            forms.append(_moved(G, move))
+        else:
+            d = lead >> dshift & dmask
+            forms.append({m: c for m, c in F.items() if m >> dshift & dmask == d})
+    return _Basis(_interreduced(forms, _Budget()))
 
 
 def initial_ideal(gens: list[Poly], order: MonomialOrder = ANTIGRLEX) -> list[Poly]:
@@ -155,11 +196,10 @@ def initial_ideal(gens: list[Poly], order: MonomialOrder = ANTIGRLEX) -> list[Po
     initial forms of its minimal standard basis are a minimal Groebner basis
     of ini(a) (see the module docstring), and the returned forms are their
     interreduction, the reduced Groebner basis of ini(a) for the same local
-    order.  The standard basis and the interreduction each spend one default
-    budget.
+    order (see ``_reduced_initial_forms``).  The standard basis and the
+    interreduction each spend one default budget.
     """
-    basis = mora_standard_basis(gens, order)
-    return interreduce([g.initial_form() for g in basis], order)
+    return list(_reduced_initial_forms(mora_standard_basis(gens, order)))
 
 
 def mora_reduces_to_zero(f: Poly, basis: list[Poly], order: MonomialOrder = ANTIGRLEX) -> bool:

@@ -188,6 +188,36 @@ def test_mora_from_a_standard_basis_skips_its_ideal(monkeypatch, order, degree):
     assert grew
 
 
+@pytest.mark.parametrize("degrees, terms", [((2,), 3), ((2, 3), 2)],
+                         ids=["quadrics", "binomials"])
+def test_mora_from_a_packed_basis_matches_from_its_polys(monkeypatch, degrees, terms):
+    """The standard basis mora_standard_basis returns is a read-only
+    sequence over its packed record, which a later call opens with as it is,
+    also lifted to more variables (``extended``): the completion hands the
+    normal forms the same dividends, spends the same work and returns the
+    same basis as from the same elements as a list of Polys, made Polys
+    over the larger varset by ``Poly.extended``."""
+    below_vs = VarSet(["x", "y"])
+    grew = 0
+    for gens in _ideals(17, 12, degrees, terms):
+        # the terms of the first generators free of z make an ideal in x, y
+        low = [Poly(below_vs, {m[:2]: c for m, c in g.terms.items() if not m[2]})
+               for g in gens[:2]]
+        B = mora_standard_basis(low)
+        assert len(B) == len(list(B)) and B == list(B) == B[:] and B[-1] == list(B)[-1]
+        for new, basis, polys in ((low[1:], B, list(B)),
+                                  (gens[2:], B.extended(VS), [g.extended(VS) for g in B])):
+            W = work_spent(monkeypatch, mora_standard_basis, new, ANTIGRLEX,
+                           groebner.DEFAULT_WORK_LIMIT, polys)
+            for limit in (W - 1, W):
+                got = _traced(monkeypatch, mora_standard_basis, new, ANTIGRLEX, limit, basis)
+                want = _traced(monkeypatch, mora_standard_basis, new, ANTIGRLEX, limit, polys)
+                assert got == want
+        grew += len(mora_standard_basis(gens[2:], basis=B.extended(VS))) > len(B)
+    # the comparison is not vacuous: the new generators enlarge the basis
+    assert grew
+
+
 def _chain_removals(monkeypatch):
     """The pairs the chain criterion removes from the live pairs P (a dict
     from each pair to its lcm), recorded while the completion loops run;

@@ -34,7 +34,7 @@ from arcspace.polyalg import Poly, VarSet, parse_poly
 from arcspace.polyalg.poly import _Fields, _finished
 from arcspace.polyalg.oracles import initial_ideal_mismatches
 
-from conftest import monomial_arc, random_arc, random_poly
+from conftest import monomial_arc, random_arc, random_poly, record_elements
 from test_accumulate import _model_cases
 
 
@@ -315,6 +315,12 @@ def test_edim_reads_values_and_rows_in_one_pass(plane, monkeypatch):
     for mixed in ([gens[0], parse_poly("x", line)], [parse_poly("x", line), gens[0]]):
         with pytest.raises(VarsetMismatchError):
             edim_at_point(mixed, [0, 0])
+        # the translation checks the varsets first, at the origin as anywhere
+        # else, and so does the local analysis that starts from it
+        for point in ([0, 0], [1, 0]):
+            for analyse in (translate_to_origin, ecodim_at_point):
+                with pytest.raises(VarsetMismatchError, match="generators over different varsets"):
+                    analyse(mixed, point)
     assert calls == [2, 2]
 
 
@@ -418,27 +424,58 @@ def _window_matches_single_levels(monkeypatch, X, arc, n_lo, n_hi):
     standard basis of homogeneous elements.  Such a level hands nothing to
     the interreduction, since Mora has interreduced its basis already; every
     other level hands its forms once.  A level that reuses one of the forms
-    below must reuse them all."""
+    below must reuse them all.
+
+    The level below is handed up packed: a seeded level opens Mora with the
+    packed standard basis below, lifted to its variables with no element
+    made a Poly (``groebner._Basis``), and only the level's own generators
+    are cleared of their denominators (``groebner._cleared``), each once; no
+    Poly is extended.  The forms handed to the interreduction are the
+    elements of the packed record it is given."""
     from arcspace import localgeom
+    from arcspace.polyalg import groebner, mora
 
-    seeded, handed, homogeneous = [], [], []
-    standard_basis, interreduce = localgeom.mora_standard_basis, localgeom.interreduce
+    seeded, handed, homogeneous, cleared = [], [], [], []
+    standard_basis, interreduced = localgeom.mora_standard_basis, mora._interreduced
+    clear = groebner._cleared
+    inside = [False]
 
-    def seeding(*args, **kwargs):
-        seeded.append(bool(kwargs.get("basis")))
-        basis = standard_basis(*args, **kwargs)
-        homogeneous.append(all(g.is_homogeneous() for g in basis))
+    def seeding(gens, *args, **kwargs):
+        basis = kwargs.get("basis")
+        seeded.append(bool(basis))
+        if basis:
+            assert isinstance(basis, groebner._Basis)
+            assert all(g is None for g in basis.record.polys)
+        cleared.clear()
+        inside[0] = True
+        try:
+            out = standard_basis(gens, *args, **kwargs)
+        finally:
+            inside[0] = False
+        assert [id(f) for f in cleared] == [id(g) for g in gens if not g.is_zero()]
+        homogeneous.append(all(g.is_homogeneous() for g in out))
         handed.append(None)
-        return basis
+        return out
 
-    def handing(forms, *args):
-        assert handed[-1] is None
-        handed[-1] = list(forms)
-        return interreduce(forms, *args)
+    def handing(record, budget):
+        # mora_standard_basis interreduces a homogeneous basis itself
+        if not inside[0]:
+            assert handed[-1] is None
+            handed[-1] = record_elements(record)
+        return interreduced(record, budget)
+
+    def counted_clear(f, pack):
+        cleared.append(f)
+        return clear(f, pack)
+
+    def refused(*args):
+        raise AssertionError("a basis was handed up as Polys over more variables")
 
     with monkeypatch.context() as m:
         m.setattr(localgeom, "mora_standard_basis", seeding)
-        m.setattr(localgeom, "interreduce", handing)
+        m.setattr(mora, "_interreduced", handing)
+        m.setattr(groebner, "_cleared", counted_clear)
+        m.setattr(Poly, "extended", refused)
         window = ecodim_window(X, arc, n_lo, n_hi)
     levels = n_hi - n_lo + 1
     assert len(seeded) == len(handed) == levels and not seeded[0]

@@ -34,7 +34,7 @@ try:
 except ImportError:  # the sympy cross-check is skipped, the rest runs
     sympy = None
 
-from arcspace.errors import ParseError, ResourceLimitError  # noqa: E402
+from arcspace.errors import ParseError, ResourceLimitError, VarsetMismatchError  # noqa: E402
 from arcspace.polyalg import (  # noqa: E402
     ANTIGRLEX,
     GREVLEX,
@@ -376,6 +376,54 @@ def test_a_record_opened_from_a_basis_holds_every_form_on_entry(order, g):
     packed.append(r)
     _entered_alike(packed, plain)
     assert plain.poly(1) == monic
+
+
+# -- a record lifted to more variables, as a jet window hands a level up ---------
+
+VS2 = VarSet(["x", "y"])
+PRIORITY = MonomialOrder("antigrlex", (2, 0, 1))
+# (width the record over x, y opens with, its elements, order over x, y, z):
+# 8-bit fields, the default 16-bit ones, and ones that widen to 32 bits as
+# x - y^40000 enters; under the priority order, which ranks z first and
+# x, y as antigrlex does, the packed keys carry a rank, so the lift repacks
+LIFTS = [
+    (8, ["x - y^2 + 3*x*y", "2*x*y + y^3", "-4*y^2 + 1/3*x^2*y"], ANTIGRLEX),
+    (16, ["x - y^2 + 3*x*y", "2*x*y + y^3", "-4*y^2 + 1/3*x^2*y"], ANTIGRLEX),
+    (16, ["x - y^40000", "2*x*y + y^3"], ANTIGRLEX),
+    (16, ["x - y^2 + 3*x*y", "2*x*y + y^3", "-4*y^2 + 1/3*x^2*y"], PRIORITY),
+    (16, ["x - y^40000", "2*x*y + y^3"], PRIORITY),
+]
+
+
+def _opened(order, polys, width):
+    """The record of polys, with fields of width bits to start with."""
+    record = _Reducers(order)
+    record.varset, record.packing = polys[0].varset, _Packing(order, len(polys[0].varset), width)
+    for g in polys:
+        record.append(g)
+    return record
+
+
+@pytest.mark.parametrize("width, basis, order", LIFTS)
+def test_a_lifted_record_holds_what_the_extended_elements_would(width, basis, order):
+    """A record over x, y lifted to x, y, z under order holds what the record
+    of its elements made Polys over x, y, z (``Poly.extended``) and appended
+    holds, in fields as wide: leads, packed leads, ecarts, Polys and forms.
+    Under antigrlex in declaration order each packed key is the one below
+    shifted up by one field; under the priority order it is repacked, and
+    the shift would be wrong.  No element is made a Poly by the lift."""
+    below = _opened(ANTIGRLEX, [parse_poly(g, VS2) for g in basis], width)
+    assert below.packing.width == (32 if "40000" in basis[0] else width)
+    lifted = below.lifted(VS, order)
+    assert (lifted.varset, lifted.order) == (VS, order)
+    assert lifted.packing.width == below.packing.width
+    assert lifted.polys == [None] * len(below.leads)
+    shifted = [p << below.packing.width for p in below.leads]
+    assert (lifted.leads == shifted) == (order == ANTIGRLEX)
+    extended = [g.extended(VS) for g in below.elements()]
+    _entered_alike(lifted, _opened(order, extended, width))
+    with pytest.raises(VarsetMismatchError):
+        below.lifted(VarSet(["y", "x", "z"]), order)
 
 
 # x - y^3 steps to x - y*z^40000, past the 16-bit fields, when the
