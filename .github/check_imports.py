@@ -1,14 +1,15 @@
-"""Fail on names imported in src/arcspace that their module never uses, and
-on private functions and classes that no module there reads.
+"""Fail on names imported in src/arcspace or tests that their module never
+uses, and on private functions and classes that no module under src/arcspace
+reads.
 
     python3 .github/check_imports.py
 
 A stdlib stand-in for flake8's F401, so that CI needs no linter.  Each
-module under src/arcspace is parsed with ``ast``; a name bound by an import
-is reported unless the module reads it somewhere (a name, or the root of an
-attribute chain, also inside a quoted annotation), lists it in ``__all__``,
-or carries ``# noqa: F401`` on the import's first line or on the line of the
-name.  ``from __future__`` imports and star imports are not checked.
+module under src/arcspace and tests is parsed with ``ast``; a name bound by
+an import is reported unless the module reads it somewhere (a name, or the
+root of an attribute chain, also inside a quoted annotation), lists it in
+``__all__``, or carries ``# noqa: F401`` on the import's first line or on
+the line of the name.  ``from __future__`` imports and star imports are not checked.
 
 A function or class defined at module level with a private name (one
 leading underscore, not a dunder) is reported unless a module under
@@ -26,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "arcspace"
+TESTS = ROOT / "tests"
 NOQA = "# noqa: F401"
 
 
@@ -143,7 +145,8 @@ def unread_private_definitions(paths: list[Path]) -> list[tuple[Path, int, str]]
 def main() -> int:
     paths = sorted(SRC.rglob("*.py"))
     problems = [f"{path.relative_to(ROOT)}:{line}: {name} imported but unused"
-                for path in paths for line, name in unused_imports(path)]
+                for path in paths + sorted(TESTS.rglob("*.py"))
+                for line, name in unused_imports(path)]
     problems += [f"{path.relative_to(ROOT)}:{line}: {what}"
                  for path, line, what in unread_private_definitions(paths)]
     print("\n".join(problems) or "no unused imports or private definitions")

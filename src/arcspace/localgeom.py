@@ -1,11 +1,12 @@
 """Local invariants of a finite-type ring at a rational point.
 
-Everything reduces to exact computations after translating the point to the
-origin: the embedding dimension is the ambient count minus the Jacobian rank,
-the tangent cone is cut out by the initial ideal of a local standard basis,
-and the embedding codimension is their difference.  Two independent pipelines
-(fraction-free linear algebra and Mora standard bases) must agree on the
-linear data; a mismatch signals a basis bug and is reported as such.
+Everything reduces to exact computations: the embedding dimension is the
+ambient count minus the Jacobian rank at the point, the tangent cone is cut
+out by the initial ideal of a local standard basis after translating the
+point to the origin, and the embedding codimension is their difference.
+Two independent pipelines (fraction-free linear algebra and Mora standard
+bases) must agree on the linear data; a mismatch signals a basis bug and is
+reported as such.
 """
 
 from __future__ import annotations
@@ -235,8 +236,12 @@ def edim_at_point(gens: Sequence[Poly], point) -> int:
 
 def ecodim_at_point(gens: Sequence[Poly], point,
                     below: LocalAnalysis | None = None) -> LocalAnalysis:
-    """Full local analysis with both embedding-codimension formulas checked.
+    """Full local analysis, the Jacobian rank checked against the standard
+    basis.
 
+    The Jacobian rank is read by ``edim_at_point`` on gens at the point, in
+    the one ``_at_point`` pass that checks that every generator vanishes
+    there; only then are the generators translated to the origin for Mora.
     below, when given, is the analysis of the generators that involve only the
     first below.nvars variables, at the point's first below.nvars coordinates:
     the jet scheme one level down, along the same arc.  Mora then starts from
@@ -251,10 +256,11 @@ def ecodim_at_point(gens: Sequence[Poly], point,
     the result is the same as without below.  Only the reported initial
     forms are made Polys here.
     """
+    edim = edim_at_point(gens, point)
     translated = translate_to_origin(gens, point)
     varset = translated[0].varset
     nvars = len(varset)
-    jacobian_rank = exact_rank(jacobian_at(translated, (Fraction(0),) * nvars))
+    jacobian_rank = nvars - edim
     if below is None:
         basis = mora_standard_basis(translated)
         forms = _reduced_initial_forms(basis)
@@ -275,12 +281,7 @@ def ecodim_at_point(gens: Sequence[Poly], point,
         raise InternalInconsistencyError(
             f"initial ideal shows {linear_count} linear forms, "
             f"Jacobian rank is {jacobian_rank}")
-    edim = nvars - jacobian_rank
     ecodim = edim - tangent_cone_dim
-    ecodim_by_height = (nvars - tangent_cone_dim) - jacobian_rank
-    if ecodim != ecodim_by_height:
-        raise InternalInconsistencyError(
-            f"ecodim formulas disagree: {ecodim} vs {ecodim_by_height}")
     return LocalAnalysis(
         nvars=nvars,
         jacobian_rank=jacobian_rank,

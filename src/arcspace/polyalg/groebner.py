@@ -57,8 +57,9 @@ content and signed so that its leading coefficient, at the least packed key,
 is positive.  The dividends the loop makes itself come packed too: an S-pair
 is handed to the normal form as the pair of its positions in the record and
 built there from the two integer multiples, each term shifted by one int
-addition (``_Reducers.spair``), and an element being interreduced starts
-from a copy of its own integer multiple; an interreduced element is made a
+addition (``_Reducers.spair``), and an element being interreduced is handed
+in as its position, starts from a copy of its own integer multiple and is
+divided by the rest of the same record; an interreduced element is made a
 monic Poly once, from its packed remainder.  So no S-polynomial and no
 intermediate remainder is ever a ``Poly``: only what leaves the record, the
 returned basis and the result of a public division, is made Fractions at
@@ -98,8 +99,8 @@ from .varset import VarSet
 DEFAULT_WORK_LIMIT = 20_000_000
 
 # nf(f, record): the normal form the completion loop divides each generator
-# and each S-pair, given as its positions (i, j) in the record, by; it
-# returns the remainder packed (see ``_divided``)
+# and each S-pair, given as its positions (i, j) in the record, by; the
+# record is the basis, so the remainder comes back packed (see ``_divided``)
 _NormalForm = Callable[[Poly | tuple[int, int], "_Reducers"], "Poly | _Remainder"]
 
 
@@ -228,15 +229,15 @@ class _Reducers:
     ``append`` widens until every term of a Poly fits; ``lifted`` repacks
     them for more variables (both through ``_repack``).  A record that opens
     with a ``_Basis`` of its own order takes its elements as they are.
+    ``len`` is the number of elements.
 
     A record also makes the dividends of the divisions it serves
-    (``dividend``): an S-pair from the forms of its two elements, and the
-    element a ``without`` view leaves out, ``held`` as its form and packed
-    lead, from a copy of that form.
+    (``dividend``): an S-pair from the forms of its two elements, and an
+    element being interreduced, given as its position, from a copy of its
+    form.
     """
 
-    __slots__ = ("order", "varset", "packing", "polys", "lms", "leads", "ecarts", "forms",
-                 "held")
+    __slots__ = ("order", "varset", "packing", "polys", "lms", "leads", "ecarts", "forms")
 
     def __init__(self, order: MonomialOrder, basis: Sequence[Poly] = ()):
         self.order = order
@@ -247,7 +248,6 @@ class _Reducers:
         self.leads: list[int] = []
         self.ecarts: list[int] = []
         self.forms: list[dict[int, int]] = []
-        self.held: tuple[dict[int, int], int] | None = None
         if isinstance(basis, _Basis) and basis.record.order == order:
             self._take(basis.record, range(len(basis)))
             return
@@ -255,12 +255,15 @@ class _Reducers:
             if not g.is_zero():
                 self.append(g)
 
+    def __len__(self) -> int:
+        return len(self.leads)
+
     def append(self, g: Poly | _Remainder | dict[int, int]) -> None:
-        """Add the nonzero g, a Poly, the remainder a division by this record
-        or a view of it returned, or int terms at monomials packed by this
-        record, as its packed primitive form (see ``_Reducers``).  The record
-        and the remainder of a view that widened on its own are brought to
-        the wider of their fields."""
+        """Add the nonzero g, a Poly, the remainder of a division by this or
+        another record, or int terms at monomials packed by this record, as
+        its packed primitive form (see ``_Reducers``).  The record and a
+        remainder whose record widened on its own are brought to the wider
+        of their fields."""
         if isinstance(g, dict):
             terms = g
         elif isinstance(g, _Remainder):
@@ -305,7 +308,7 @@ class _Reducers:
 
     def elements(self) -> list[Poly]:
         """Every element as a monic Poly (see ``poly``)."""
-        return [self.poly(i) for i in range(len(self.polys))]
+        return [self.poly(i) for i in range(len(self))]
 
     def widen(self) -> None:
         """Repack the record in fields twice as wide."""
@@ -313,31 +316,26 @@ class _Reducers:
         self._repack(_Packing(self.order, old.nvars, 2 * old.width))
 
     def _repack(self, packing: _Packing) -> None:
-        """Move the leads, the forms and the held element into packing (see
-        ``_mover``)."""
+        """Move the leads and the forms into packing (see ``_mover``)."""
         move = _mover(self.packing, packing)
         self.packing = packing
         self.leads = [move(p) for p in self.leads]
         self.forms = [_moved(F, move) for F in self.forms]
-        if self.held is not None:
-            F, lead = self.held
-            self.held = _moved(F, move), move(lead)
 
-    def lifted(self, varset: VarSet, order: MonomialOrder) -> _Reducers:
+    def lifted(self, varset: VarSet) -> _Reducers:
         """The record of the same elements over varset, which the record's
-        variable set must be a prefix of, under order, which must rank the
-        record's monomials as its order does: what appending the elements
-        made Polys over varset (``Poly.extended``) would hold, in fields as
-        wide, with no element cleared or made a Poly."""
+        variable set must be a prefix of: what appending the elements made
+        Polys over varset (``Poly.extended``) would hold, in fields as wide,
+        with no element cleared or made a Poly."""
         if not self.varset.is_prefix_of(varset):
             raise VarsetMismatchError(
                 f"record over {self.varset!r}, which is not a prefix of {varset!r}")
         pad = (0,) * (len(varset) - len(self.varset))
         record = self.kept(range(len(self.leads)))
-        record.order, record.varset = order, varset
+        record.varset = varset
         record.polys = [None] * len(self.leads)
         record.lms = [lm + pad for lm in self.lms]
-        record._repack(_Packing(order, len(varset), self.packing.width))
+        record._repack(_Packing(self.order, len(varset), self.packing.width))
         return record
 
     def _take(self, record: _Reducers, positions: Sequence[int]) -> None:
@@ -353,14 +351,6 @@ class _Reducers:
         what is made here."""
         view = _Reducers(self.order)
         view._take(self, positions)
-        return view
-
-    def without(self, i: int) -> _Reducers:
-        """The record with its element i removed, sharing what is made here;
-        the element is held, so a division of it, f = i, starts from its
-        form."""
-        view = self.kept([k for k in range(len(self.polys)) if k != i])
-        view.held = (self.forms[i], self.leads[i])
         return view
 
     def spair(self, i: int, j: int) -> tuple[dict[int, int], int | Fraction]:
@@ -408,14 +398,14 @@ class _Reducers:
     def dividend(self, f: Poly | tuple[int, int] | int) -> tuple[dict[int, int], int | Fraction]:
         """(terms, scale) with f = scale * terms, terms a fresh dict of ints
         at packed monomials: the S-pair (``spair``) when f is a pair of
-        positions, a copy of the held form when f is the position of the held
-        element, and f cleared of its denominators (``_cleared``) otherwise.
-        Raises _Overflow when a term does not fit the fields."""
+        positions, a copy of the form of element f when f is a position, and
+        f cleared of its denominators (``_cleared``) otherwise.  Raises
+        _Overflow when a term does not fit the fields."""
         if isinstance(f, tuple):
             return self.spair(*f)
         if isinstance(f, int):
-            F, lead = self.held
-            c = F[lead]
+            F = self.forms[f]
+            c = F[self.leads[f]]
             return dict(F), 1 if c == 1 else Fraction(1, c)
         terms, L = _cleared(f, self.packing.pack)
         return terms, 1 if L == 1 else Fraction(1, L)
@@ -434,7 +424,7 @@ class _Basis(Sequence[Poly]):
         self.record = record
 
     def __len__(self) -> int:
-        return len(self.record.leads)
+        return len(self.record)
 
     def __getitem__(self, i):
         positions = range(len(self))[i]
@@ -455,7 +445,7 @@ class _Basis(Sequence[Poly]):
     def extended(self, varset: VarSet) -> _Basis:
         """The same elements over varset, of which theirs is a prefix, still
         packed (see ``_Reducers.lifted``)."""
-        return _Basis(self.record.lifted(varset, self.record.order))
+        return _Basis(self.record.lifted(varset))
 
 
 class _Remainder:
@@ -465,7 +455,7 @@ class _Remainder:
     is one exact Fraction; the polynomial is their product at every step.
     Both come from the record of the reducers (``_Reducers.dividend``): an
     S-pair is built there from the integer multiples of its two elements, an
-    element the record holds starts from a copy of its own, and any other
+    element of the record starts from a copy of its own, and any other
     dividend is cleared of its denominators once, on entry.  A reducer
     comes in as an integer multiple G (see ``_Reducers``), and a step cancels
     the leading term with terms <- a*terms - b*x^shift*G, where a and b are
@@ -481,7 +471,7 @@ class _Remainder:
     one int addition, P(m) + P(lm) - P(lmg).  A division returns the
     remainder itself, its terms still packed ints (``normal_form`` puts the
     terms it moved out in their place); ``snapshot`` makes it a Poly of
-    Fractions at exponent tuples for a caller that passed no record.
+    Fractions at exponent tuples for a caller that passed a list of Polys.
     ``heap`` holds the packed monomials, whose int order is the order's rank
     order; an entry whose term has since cancelled is dropped when it reaches
     the top.  The ecart is read off the terms on demand, by Mora's pool test
@@ -586,22 +576,22 @@ class _Remainder:
                          self.packing)
 
 
-def _divided(f: Poly | tuple[int, int] | int, basis: list[Poly], order: MonomialOrder,
-             budget: _Budget | None, ints: _Reducers | None,
+def _divided(f: Poly | tuple[int, int] | int, basis: list[Poly] | _Reducers,
+             order: MonomialOrder, budget: _Budget | None,
              divide: Callable[[_Remainder, _Reducers], _Remainder]) -> Poly | _Remainder:
     """divide(h, record) on the remainder h of f: the one entry of
     ``normal_form`` and ``mora.mora_normal_form``, with their arguments.
 
-    A zero Poly f comes back as it is, and so does a Poly f when the record
-    (ints, or made from basis when None, zero elements dropped) is empty; a
-    held position is divided by an empty view too.  A record over another
-    varset than a Poly f raises VarsetMismatchError, and so does a basis
-    whose elements do not share one (see ``_Reducers``): a step reads
-    exponent positions, so it would be applied at the wrong variables.
-    h starts from the record's dividend (see ``_Reducers.dividend``) and is
-    paid from budget, a fresh default one when None.  The result is h made a
-    Poly when ints is None, and h itself otherwise: the completion loop and
-    the interreduction hand it on packed (see ``_Reducers.append``).
+    basis is a list of Polys, recorded here with its zero elements dropped,
+    or a record itself (see ``_Reducers``).  A zero Poly f comes back as it
+    is, and so does a Poly f when the record is empty.  A record over
+    another varset than a Poly f raises VarsetMismatchError, and so does a
+    list whose elements do not share one: a step reads exponent positions,
+    so it would be applied at the wrong variables.  h starts from the
+    record's dividend (see ``_Reducers.dividend``) and is paid from budget,
+    a fresh default one when None.  The result is h made a Poly when basis
+    is a list, and h itself when it is a record: the completion loop and the
+    interreduction hand it on packed (see ``_Reducers.append``).
 
     When a field overflows (an entry, a shifted term of an S-pair or a
     product of degree 2^(width-1) or more), the budget is given back what
@@ -611,7 +601,7 @@ def _divided(f: Poly | tuple[int, int] | int, basis: list[Poly], order: Monomial
     """
     if isinstance(f, Poly) and f.is_zero():
         return f
-    record = _Reducers(order, basis) if ints is None else ints
+    record = basis if isinstance(basis, _Reducers) else _Reducers(order, basis)
     if isinstance(f, Poly):
         if not record.leads:
             return f
@@ -623,33 +613,34 @@ def _divided(f: Poly | tuple[int, int] | int, basis: list[Poly], order: Monomial
     while True:
         try:
             h = divide(_Remainder(f, record, budget), record)
-            return h if ints is not None else h.snapshot()
+            return h if record is basis else h.snapshot()
         except _Overflow:
             budget.remaining = remaining
             record.widen()
 
 
-def normal_form(f: Poly | tuple[int, int] | int, basis: list[Poly], order: MonomialOrder,
-                budget: _Budget | None = None,
-                ints: _Reducers | None = None) -> Poly | _Remainder:
+def normal_form(f: Poly | tuple[int, int] | int, basis: list[Poly] | _Reducers,
+                order: MonomialOrder, budget: _Budget | None = None) -> Poly | _Remainder:
     """Full remainder of f on division by basis, paid from budget (a fresh
-    default one when None).  ints, when given, is the record of basis (see
-    ``_Reducers``), whose packed leads, ecarts and integer multiples the
-    division reads in place of basis; it is made from basis when None, which
-    drops zero elements.  Each element divides as its packed primitive form,
-    which changes neither the remainder nor the charge.  f may also be a
-    pair (i, j) of positions in ints, which the completion loop passes: the
-    dividend is then S(basis[i], basis[j]) (see ``spolynomial``), built by
-    the record at packed monomials and never made a Poly; and f may be the
-    position i of the element a ``without`` view ints holds, which the
-    interreduction passes: the dividend is then that element, a copy of its
-    integer multiple.  The checks, and the result, a Poly unless ints is
-    given, are ``_divided``'s.
+    default one when None).  basis is a list of Polys, or the record of a
+    basis (see ``_Reducers``), whose packed leads, ecarts and integer
+    multiples the division reads.  Each element divides as its packed
+    primitive form, which changes neither the remainder nor the charge.
+    When basis is a record, f may also be a pair (i, j) of its positions,
+    which the completion loop passes: the dividend is then S(g_i, g_j) (see
+    ``spolynomial``), built by the record at packed monomials and never
+    made a Poly; and f may be the position i of one of its elements, which
+    the interreduction passes: the dividend is then that element, a copy of
+    its integer multiple, divided by the others (the scan skips position
+    i).  The checks, and the result, a Poly when basis is a list and packed
+    when it is a record, are ``_divided``'s.
 
     Terminates for any global order; for the local order it is safe only on
     homogeneous inputs (used that way by the standard-basis interreduction).
     Moving a leading term to the remainder costs nothing.
     """
+
+    skip = f if isinstance(f, int) else -1
 
     def divide(h: _Remainder, record: _Reducers) -> _Remainder:
         leads, ecarts, guard = record.leads, record.ecarts, record.packing.guard
@@ -662,7 +653,7 @@ def normal_form(f: Poly | tuple[int, int] | int, basis: list[Poly], order: Monom
         while (lm := h.lead()) is not None:
             probe = lm | guard
             for i, lmg in enumerate(leads):
-                if (probe - lmg) & guard == guard:  # lmg divides lm
+                if (probe - lmg) & guard == guard and i != skip:  # lmg divides lm
                     h.reduce(record.forms[i], lmg, ecarts[i], lm)
                     break
             else:
@@ -681,7 +672,7 @@ def normal_form(f: Poly | tuple[int, int] | int, basis: list[Poly], order: Monom
         h.terms, h.scale = out, out_scale
         return h
 
-    return _divided(f, basis, order, budget, ints, divide)
+    return _divided(f, basis, order, budget, divide)
 
 
 def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -780,7 +771,7 @@ def _complete(gens: list[Poly], order: MonomialOrder, nf: _NormalForm,
         _update_pairs(record.lms, P, heap, order)
 
     for f in gens:
-        if record.polys and not f.is_zero():
+        if record and not f.is_zero():
             f = nf(f, record)
         if not f.is_zero():
             enter(f)
@@ -799,7 +790,7 @@ def _buchberger(gens: list[Poly], order: MonomialOrder, budget: _Budget) -> _Red
 
     def nf(f: Poly | tuple[int, int], record: _Reducers) -> Poly | _Remainder:
         # normal_form is read from the globals at each call: a wrapper must see every division
-        return normal_form(f, record.polys, order, budget=budget, ints=record)
+        return normal_form(f, record, order, budget=budget)
 
     return _complete(gens, order, nf)
 
@@ -835,18 +826,17 @@ def minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 def _interreduced(record: _Reducers, budget: _Budget) -> _Reducers:
     """The record of ``interreduce`` of the elements of record.
 
-    Every integer multiple, made when its element entered the record, is
-    shared by the views that leave one element out: each element is divided
-    by its view, passed as its position, starting from a copy of its own
-    multiple.  Each nonzero remainder comes back packed and enters the
-    returned record as it is (``_Reducers.append``), which is sorted by
-    packed lead, the greatest leading monomial first; its elements are made
-    Polys only when read.
+    Each element is divided inside record itself, passed as its position:
+    the division starts from a copy of its integer multiple, made when it
+    entered, and the scan for a divisor skips it, so every other element
+    reduces it in the order it has in record.  Each nonzero remainder comes
+    back packed and enters the returned record as it is
+    (``_Reducers.append``), which is sorted by packed lead, the greatest
+    leading monomial first; its elements are made Polys only when read.
     """
     out = record.kept(())
-    for i in range(len(record.polys)):
-        others = record.without(i)
-        r = normal_form(i, others.polys, record.order, budget=budget, ints=others)
+    for i in range(len(record)):
+        r = normal_form(i, record, record.order, budget=budget)
         if not r.is_zero():
             out.append(r)
     return out.kept(sorted(range(len(out.leads)), key=out.leads.__getitem__))

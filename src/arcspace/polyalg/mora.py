@@ -30,10 +30,11 @@ each S-pair in as its positions in the record, and the record builds the
 S-polynomial from the two integer multiples at packed monomials, so it is
 never a Poly.  A remainder that joins the pool joins as a copy of its
 integer terms, scale left behind (a reducer's multiple plays no part in the
-step), because pool entries must not change under later steps.  The
-remainder goes back to the loop packed and enters its record as its int
-terms (``groebner._Reducers.append``); only a caller that passed no record
-gets it as a Poly of Fractions at exponent tuples.
+step), because pool entries must not change under later steps.  The loop
+hands in its record as the basis, so the remainder goes back to it packed
+and enters the record as its int terms (``groebner._Reducers.append``);
+only a caller that passed a list of Polys gets it as a Poly of Fractions
+at exponent tuples.
 
 The standard basis is groebner's completion loop, ``_complete``, with the
 weak normal form in place of the full one: each generator is first replaced
@@ -87,13 +88,13 @@ from .groebner import (
 from .poly import Poly
 
 
-def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
-                     order: MonomialOrder = ANTIGRLEX, budget: _Budget | None = None,
-                     ints: _Reducers | None = None) -> Poly | _Remainder:
+def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly] | _Reducers,
+                     order: MonomialOrder = ANTIGRLEX,
+                     budget: _Budget | None = None) -> Poly | _Remainder:
     """Weak normal form of f against basis (Mora reduction).  The arguments,
-    the checks, the record and the result, a Poly unless ints is given, are
-    those of ``groebner.normal_form``, through the same entry,
-    ``groebner._divided``.
+    the checks, the record and the result, a Poly when basis is a list and
+    packed when it is a record, are those of ``groebner.normal_form``,
+    through the same entry, ``groebner._divided``; f is a Poly or an S-pair.
 
     Reducer selection: minimal ecart, ties by leading monomial under the
     order, then by position in the pool (kept sorted, see the module
@@ -120,7 +121,7 @@ def mora_normal_form(f: Poly | tuple[int, int], basis: list[Poly],
             h.reduce(G, lmg, eg, lm)
         return h
 
-    return _divided(f, basis, order, budget, ints, divide)
+    return _divided(f, basis, order, budget, divide)
 
 
 def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
@@ -144,7 +145,7 @@ def mora_standard_basis(gens: list[Poly], order: MonomialOrder = ANTIGRLEX,
 
     def nf(f: Poly | tuple[int, int], record: _Reducers) -> Poly | _Remainder:
         # mora_normal_form is read from the globals at each call (see groebner._buchberger)
-        return mora_normal_form(f, record.polys, order, budget=budget, ints=record)
+        return mora_normal_form(f, record, order, budget=budget)
 
     record = _complete(gens, order, nf, basis)
     kept = _minimal(record.lms)

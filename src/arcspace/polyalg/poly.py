@@ -66,10 +66,10 @@ otherwise when it leaves, in a returned basis; a public division's result
 is unpacked the same way.
 
 Values at a rational point follow the same idiom: ``Poly.evaluate`` and
-``localgeom._at_point``, the one kernel behind ``localgeom.jacobian_at`` and
-the model's checks at its base point, hold integral coefficients and
-coordinates as ints, form each power p_i^k once per call and sum in ints
-until a non-integral factor comes in.  ``_at_point`` reads the value and the
+``localgeom._at_point``, the one kernel behind ``jacobian_at``,
+``edim_at_point`` and the model's checks at its base point, hold integral
+coefficients and coordinates as ints, form each power p_i^k once per call
+and sum in ints until a non-integral factor comes in.  ``_at_point`` reads the value and the
 Jacobian row of each polynomial in one pass, at exponent tuples or at packed
 monomials; a packed term with a vanishing factor other than one exponent 1
 adds to neither, which a mask of the vanishing coordinates' fields shows

@@ -418,37 +418,44 @@ def copy_reduce_row(row, echelon, pivot_cols):
 # the reference and of the library alike.
 
 
-def _monic_from_form(ints, F, lead):
-    """The monic Poly of the int terms F at the packed monomials of the
-    record ints, lead the packed leading monomial."""
+def _monic_from_form(record, i):
+    """Element i of the basis record as a monic Poly, made from its form."""
     from arcspace.polyalg import Poly
 
-    unpack, c = ints.packing.unpack, F[lead]
-    return Poly(ints.varset, {unpack(m): Fraction(x, c) for m, x in F.items()})
+    F, lead = record.forms[i], record.leads[i]
+    unpack, c = record.packing.unpack, F[lead]
+    return Poly(record.varset, {unpack(m): Fraction(x, c) for m, x in F.items()})
 
 
-def record_elements(ints):
-    """The elements of the basis record ints as monic Polys, read without
-    storing them in it: one that has no Poly yet, since it entered packed or
-    not monic, is made from its form, so the record stays as the division
+def record_elements(record):
+    """The elements of the basis record as monic Polys, read without storing
+    them in it: one that has no Poly yet, since it entered packed or not
+    monic, is made from its form, so the record stays as the division
     leaves it."""
-    return [g if g is not None else _monic_from_form(ints, F, lead)
-            for g, F, lead in zip(ints.polys, ints.forms, ints.leads)]
+    return [g if g is not None else _monic_from_form(record, i)
+            for i, g in enumerate(record.polys)]
 
 
-def dividend_poly(f, basis, order, ints=None):
-    """The Poly a dividend of the normal forms stands for: the completion loop
-    hands in an S-pair as its positions (i, j) in basis, which is the
-    S-polynomial the reference loops build, and the interreduction the
-    element its record ints holds as its position, which is that element."""
+def division_inputs(f, basis, order):
+    """(dividend, divisors): the Poly a dividend of the normal forms stands
+    for and the Polys it is divided by, in their order.  basis is a list of
+    Polys, or the record of a basis (``groebner._Reducers``), which the
+    completion loop and the interreduction hand in, read by
+    ``record_elements``.  The completion loop hands in an S-pair as its
+    positions (i, j) in the record, which is the S-polynomial the reference
+    loops build, and the interreduction an element as its position i, which
+    is that element, divided by every other one."""
     from arcspace.polyalg import groebner
 
+    if not isinstance(basis, groebner._Reducers):
+        return f, basis
+    elements = record_elements(basis)
     if isinstance(f, tuple):
         i, j = f
-        return groebner.spolynomial(basis[i], basis[j], order)
+        return groebner.spolynomial(elements[i], elements[j], order), elements
     if isinstance(f, int):
-        return _monic_from_form(ints, *ints.held)
-    return f
+        return elements[f], elements[:f] + elements[f + 1:]
+    return f, elements
 
 
 def reference_update_pairs(G, lmG, P, f_index, order):

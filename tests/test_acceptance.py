@@ -9,12 +9,9 @@ import itertools
 import json
 import random
 import time
-from fractions import Fraction
-
-import pytest
 
 from arcspace.cli import main
-from arcspace.drinfeld import choose_projection, drinfeld_pipeline, jet_cotangent_map
+from arcspace.drinfeld import drinfeld_pipeline, jet_cotangent_map
 from arcspace.errors import ResourceLimitError
 from arcspace.jets import (
     Arc,
@@ -27,7 +24,6 @@ from arcspace.jets import (
 )
 from arcspace.localgeom import ecodim_at_point, ecodim_jet, ecodim_window, translate_to_origin
 from arcspace.polyalg import (
-    ANTIGRLEX,
     GREVLEX,
     Poly,
     TPoly,

@@ -22,8 +22,7 @@ from arcspace.polyalg.orders import leading_monomial
 from arcspace.polyalg.poly import monomial_degree, monomial_divides, monomial_lcm, monomial_mul
 
 from conftest import (
-    dividend_poly,
-    record_elements,
+    division_inputs,
     reference_buchberger,
     reference_mora_standard_basis,
     tuple_leading_monomial,
@@ -38,23 +37,23 @@ def _traced(monkeypatch, fn, *args):
     mora.mora_normal_form it made, the name, the inputs and the work budget
     left after the call (None without a budget).  A pair dividend is
     recorded, before the call, as the S-polynomial it stands for.  The
-    completion loop hands in the record of its basis (``ints``), whose
-    elements are Polys only once they leave it: the basis is recorded as the
-    record's elements, read without storing them in it, and it must be as
-    long as they are, since the benchmark's spans read its size."""
+    completion loop and the interreduction hand in the record of their
+    basis, whose elements are Polys only once they leave it: the divisors
+    are recorded as the record's elements, read without storing them in it
+    (``division_inputs``), and the record must be as long as they are, with
+    the element being interreduced, since the benchmark's spans read its
+    size."""
     calls = []
 
     def recorder(name, original):
         def record(f, basis, order, *rest, **kwargs):
-            ints = kwargs.get("ints")
-            elements = basis if ints is None else record_elements(ints)
-            assert len(basis) == len(elements)
-            dividend = dividend_poly(f, elements, order, ints)
+            dividend, divisors = division_inputs(f, basis, order)
+            assert len(basis) == len(divisors) + isinstance(f, int)
             try:
                 return original(f, basis, order, *rest, **kwargs)
             finally:
                 budget = kwargs.get("budget")
-                calls.append((name, dividend, tuple(elements),
+                calls.append((name, dividend, tuple(divisors),
                               None if budget is None else budget.remaining))
         return record
 

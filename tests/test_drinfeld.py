@@ -12,7 +12,6 @@ from arcspace.errors import (
     VerificationError,
 )
 from arcspace.drinfeld import (
-    DrinfeldModel,
     ProjectionMap,
     TangentReport,
     build_drinfeld_model,
@@ -24,7 +23,6 @@ from arcspace.drinfeld import (
     model_varset,
     tangent_matrix_rows,
     verify_dgk,
-    verify_drinfeld_dims,
     verify_drinfeld_edim,
     _random_unimodular,
 )

@@ -26,7 +26,6 @@ from arcspace.jets import (
 )
 from arcspace.localgeom import jacobian_at, translate_to_origin
 from arcspace.polyalg import OrdResult, Poly, TPoly, TruncSeries, VarSet, parse_poly
-from arcspace.polyalg.poly import poly_det
 from arcspace.polyalg.tpoly import substitute_tpoly
 
 from conftest import convolution_hs_derivative, monomial_arc, random_arc, random_poly

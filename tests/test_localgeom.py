@@ -324,6 +324,36 @@ def test_edim_reads_values_and_rows_in_one_pass(plane, monkeypatch):
     assert calls == [2, 2]
 
 
+def test_ecodim_reads_the_jacobian_in_the_one_pass_at_the_point(monkeypatch):
+    # the local analysis reads its Jacobian rank off the one kernel pass that
+    # checks the generators vanish, on them as given at the point; it makes
+    # no second Jacobian of the generators translated to the origin
+    from arcspace import localgeom
+    from arcspace.polyalg.linalg import exact_rank
+
+    vs = VarSet(["x", "y", "z"])
+    gens = [parse_poly("x*y - 2", vs), parse_poly("z - x^2", vs), parse_poly("(z - 1)^2", vs)]
+    point = [1, 2, 1]
+    calls = []
+    kernel = localgeom._at_point
+
+    def counted(terms, at, fields=None):
+        calls.append(([dict(g) for g in terms], list(at), fields))
+        return kernel(terms, at, fields)
+
+    def refused(*args):
+        raise AssertionError("ecodim_at_point made a second Jacobian")
+
+    with monkeypatch.context() as m:
+        m.setattr(localgeom, "_at_point", counted)
+        m.setattr(localgeom, "jacobian_at", refused)
+        a = ecodim_at_point(gens, point)
+    assert calls == [([g.terms for g in gens], point, None)]
+    translated = translate_to_origin(gens, point)
+    assert a.jacobian_rank == exact_rank(jacobian_at(translated, [0, 0, 0])) == 2
+    assert (a.nvars, a.edim, a.tangent_cone_dim, a.ecodim) == (3, 1, 0, 1)
+
+
 def test_edim_jet_formula(quadric):
     # edim of the level-N jet scheme at (t^m, 0,0,0) is 3(N+1) + m for m <= N
     for m, N in [(1, 1), (1, 3), (2, 3), (3, 4)]:

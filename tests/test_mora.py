@@ -9,7 +9,6 @@ from arcspace.polyalg import (
     GREVLEX,
     Poly,
     VarSet,
-    groebner_basis,
     initial_ideal,
     mora_normal_form,
     mora_reduces_to_zero,

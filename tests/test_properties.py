@@ -267,12 +267,12 @@ def test_a_remainder_enters_packed_as_its_monic_poly_would(order, integral, data
     record = _Reducers(order, basis)
     divide = mora_normal_form if order.is_local else normal_form
     budget = _Budget(MORA_WORK)
-    r = _outcome(lambda: divide(f, record.polys, order, budget=budget, ints=record), budget)[0]
+    r = _outcome(lambda: divide(f, record, order, budget=budget), budget)[0]
     if r == "exhausted" or r.is_zero():
         return
     assert isinstance(r, _Remainder)
     h = r.snapshot()
-    n = len(record.polys)
+    n = len(record)
     record.append(r)
     assert record.polys[n] is None  # made when read
     F, lead = record.forms[n], record.leads[n]
@@ -331,14 +331,14 @@ def test_a_record_widens_after_a_packed_entry(order, f, basis, monkeypatch):
     local = order.is_local
     divide = mora_normal_form if local else normal_form
     record = _Reducers(order, [parse_poly("w^5", VSW)])
-    r = divide(parse_poly("2*w^3 - 4*w^2", VSW), record.polys, order, ints=record)
+    r = divide(parse_poly("2*w^3 - 4*w^2", VSW), record, order)
     assert isinstance(r, _Remainder)
     elements = [*record.elements(), *(make_monic(g, order) for g in (r.snapshot(), *basis))]
     record.append(r)
     for g in basis:
         record.append(g)
     budget, ref_budget = _Budget(), _Budget()
-    got = divide(f, record.polys, order, budget=budget, ints=record)
+    got = divide(f, record, order, budget=budget)
     if local:
         expected = reference_mora_normal_form(f, elements, order, ref_budget, [])
     else:
@@ -371,7 +371,7 @@ def test_a_record_opened_from_a_basis_holds_every_form_on_entry(order, g):
         assert F[lead] > 0 and math.gcd(*F.values()) == 1
     packed = _Reducers(order, [w5])
     divide = mora_normal_form if order.is_local else normal_form
-    r = divide(g, packed.polys, order, ints=packed)
+    r = divide(g, packed, order)
     assert isinstance(r, _Remainder)
     packed.append(r)
     _entered_alike(packed, plain)
@@ -381,17 +381,16 @@ def test_a_record_opened_from_a_basis_holds_every_form_on_entry(order, g):
 # -- a record lifted to more variables, as a jet window hands a level up ---------
 
 VS2 = VarSet(["x", "y"])
-PRIORITY = MonomialOrder("antigrlex", (2, 0, 1))
-# (width the record over x, y opens with, its elements, order over x, y, z):
+# (width the record over x, y opens with, its elements, the record's order):
 # 8-bit fields, the default 16-bit ones, and ones that widen to 32 bits as
-# x - y^40000 enters; under the priority order, which ranks z first and
-# x, y as antigrlex does, the packed keys carry a rank, so the lift repacks
+# x - y^40000 enters; under grlex the packed keys carry a rank, so the lift
+# repacks
 LIFTS = [
     (8, ["x - y^2 + 3*x*y", "2*x*y + y^3", "-4*y^2 + 1/3*x^2*y"], ANTIGRLEX),
     (16, ["x - y^2 + 3*x*y", "2*x*y + y^3", "-4*y^2 + 1/3*x^2*y"], ANTIGRLEX),
     (16, ["x - y^40000", "2*x*y + y^3"], ANTIGRLEX),
-    (16, ["x - y^2 + 3*x*y", "2*x*y + y^3", "-4*y^2 + 1/3*x^2*y"], PRIORITY),
-    (16, ["x - y^40000", "2*x*y + y^3"], PRIORITY),
+    (16, ["x - y^2 + 3*x*y", "2*x*y + y^3", "-4*y^2 + 1/3*x^2*y"], GRLEX),
+    (16, ["x - y^40000", "2*x*y + y^3"], GRLEX),
 ]
 
 
@@ -406,15 +405,15 @@ def _opened(order, polys, width):
 
 @pytest.mark.parametrize("width, basis, order", LIFTS)
 def test_a_lifted_record_holds_what_the_extended_elements_would(width, basis, order):
-    """A record over x, y lifted to x, y, z under order holds what the record
-    of its elements made Polys over x, y, z (``Poly.extended``) and appended
-    holds, in fields as wide: leads, packed leads, ecarts, Polys and forms.
-    Under antigrlex in declaration order each packed key is the one below
-    shifted up by one field; under the priority order it is repacked, and
-    the shift would be wrong.  No element is made a Poly by the lift."""
-    below = _opened(ANTIGRLEX, [parse_poly(g, VS2) for g in basis], width)
+    """A record over x, y lifted to x, y, z, under its own order, holds what
+    the record of its elements made Polys over x, y, z (``Poly.extended``)
+    and appended holds, in fields as wide: leads, packed leads, ecarts,
+    Polys and forms.  Under antigrlex in declaration order each packed key
+    is the one below shifted up by one field; under grlex it is repacked,
+    and the shift would be wrong.  No element is made a Poly by the lift."""
+    below = _opened(order, [parse_poly(g, VS2) for g in basis], width)
     assert below.packing.width == (32 if "40000" in basis[0] else width)
-    lifted = below.lifted(VS, order)
+    lifted = below.lifted(VS)
     assert (lifted.varset, lifted.order) == (VS, order)
     assert lifted.packing.width == below.packing.width
     assert lifted.polys == [None] * len(below.leads)
@@ -423,7 +422,7 @@ def test_a_lifted_record_holds_what_the_extended_elements_would(width, basis, or
     extended = [g.extended(VS) for g in below.elements()]
     _entered_alike(lifted, _opened(order, extended, width))
     with pytest.raises(VarsetMismatchError):
-        below.lifted(VarSet(["y", "x", "z"]), order)
+        below.lifted(VarSet(["y", "x", "z"]))
 
 
 # x - y^3 steps to x - y*z^40000, past the 16-bit fields, when the

@@ -36,7 +36,7 @@ from arcspace.polyalg.groebner import _Budget, _Remainder, normal_form
 from arcspace.polyalg.mora import mora_normal_form
 
 from conftest import (
-    dividend_poly,
+    division_inputs,
     monomial_arc,
     random_poly,
     record_elements,
@@ -211,29 +211,19 @@ def _value(remainder):
     return {unpack(p): s * c for p, c in remainder.terms.items()}
 
 
-def _handed(result, ints):
+def _handed(result, basis):
     """What a division returned, as a Poly: the completion loop and the
-    interreduction pass their record as ints and get the remainder back
-    packed, at the monomials of the record's packing; any other call gets
-    a Poly."""
-    if ints is None:
+    interreduction pass their record as the basis and get the remainder back
+    packed, at the monomials of the record's packing; a call with a list of
+    Polys gets a Poly."""
+    if not isinstance(basis, groebner._Reducers):
         assert isinstance(result, Poly)
         return result
     if isinstance(result, Poly):  # a dividend returned as it is
         return result
-    assert result.packing is ints.packing
+    assert result.packing is basis.packing
     assert all(type(c) is int for c in result.terms.values())
     return Poly(result.varset, _value(result))
-
-
-def _elements(basis, ints):
-    """The Polys a division divides by: basis, or the elements of the record
-    ints, read without storing them in it (``record_elements``).  ints holds
-    as many elements as basis, whose size the benchmark's spans read."""
-    if ints is None:
-        return basis
-    assert len(basis) == len(ints.polys)
-    return record_elements(ints)
 
 
 def _proportional(G, h, packing):
@@ -400,56 +390,57 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     spy = RemainderSpy(monkeypatch)
     seen = {"mora": 0, "pooled": 0, "groebner": 0, "forwarded": 0, "integral": 0, "pairs": 0}
 
-    def forwarded(basis, order, ints):
-        # leading monomials the completion loop hands in are those of basis
-        assert ints is None or list(ints.lms) \
-            == [tuple_leading_monomial(g, order) for g in _elements(basis, ints)]
-        seen["forwarded"] += ints is not None
+    def forwarded(basis, order):
+        # leading monomials the completion loop hands in are those of the
+        # elements of its record
+        if isinstance(basis, groebner._Reducers):
+            assert list(basis.lms) \
+                == [tuple_leading_monomial(g, order) for g in record_elements(basis)]
+            seen["forwarded"] += 1
 
-    def integral(basis, ints):
-        # the record handed in holds its own list of elements as basis and,
-        # in its positions, the packed leading monomials and ecarts of its
-        # elements, and their integer multiples, each made when its element
-        # entered and kept for every later division of the basis computation
-        if ints is not None:
-            packing, elements = ints.packing, _elements(basis, ints)
-            assert ints.polys is basis
-            assert [packing.unpack(p) for p in ints.leads] \
+    def integral(basis):
+        # the record handed in as the basis holds, in its positions, the
+        # packed leading monomials and ecarts of its elements, and their
+        # integer multiples, each made when its element entered and kept for
+        # every later division of the basis computation; its length, which
+        # the benchmark's spans read, is the number of its elements
+        if isinstance(basis, groebner._Reducers):
+            packing, elements = basis.packing, record_elements(basis)
+            assert len(basis) == len(elements)
+            assert [packing.unpack(p) for p in basis.leads] \
                 == [tuple_leading_monomial(g, ANTIGRLEX) for g in elements]
-            assert ints.ecarts == [_ecart(g, ANTIGRLEX) for g in elements]
-            assert len(ints.forms) == len(basis)
+            assert basis.ecarts == [_ecart(g, ANTIGRLEX) for g in elements]
+            assert len(basis.forms) == len(elements)
             assert all(G is not None and _proportional(G, g, packing)
-                       for G, g in zip(ints.forms, elements))
+                       for G, g in zip(basis.forms, elements))
             seen["integral"] += 1
-        return ints
+        return basis
 
-    def checked_mora(f, basis, order=ANTIGRLEX, budget=None, ints=None):
+    def checked_mora(f, basis, order=ANTIGRLEX, budget=None):
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
         appended: list = []
         seen["pairs"] += isinstance(f, tuple)
-        elements = _elements(basis, ints)
-        expected = reference_mora_normal_form(dividend_poly(f, elements, order, ints),
-                                              elements, order, ref_budget, appended)
-        forwarded(basis, order, ints)
-        got = mora_normal_form(f, basis, order, budget=budget, ints=integral(basis, ints))
-        integral(basis, ints)
-        assert _handed(got, ints) == expected
+        dividend, divisors = division_inputs(f, basis, order)
+        expected = reference_mora_normal_form(dividend, divisors, order, ref_budget, appended)
+        forwarded(basis, order)
+        got = mora_normal_form(f, integral(basis), order, budget=budget)
+        integral(basis)
+        assert _handed(got, basis) == expected
         assert budget.remaining == ref_budget.remaining
         seen["mora"] += 1
         seen["pooled"] += len(appended)
         return got
 
-    def checked_nf(f, basis, order, budget=None, ints=None):
+    def checked_nf(f, basis, order, budget=None):
         budget = budget if budget is not None else _Budget()
         ref_budget = _Budget(budget.remaining)
-        forwarded(basis, order, ints)
-        elements = _elements(basis, ints)
-        got = normal_form(f, basis, order, budget, ints=integral(basis, ints))
-        integral(basis, ints)
+        forwarded(basis, order)
+        dividend, divisors = division_inputs(f, basis, order)
+        got = normal_form(f, integral(basis), order, budget)
+        integral(basis)
         seen["pairs"] += isinstance(f, tuple)
-        assert _handed(got, ints) == reference_normal_form(
-            dividend_poly(f, elements, order, ints), elements, order, ref_budget)
+        assert _handed(got, basis) == reference_normal_form(dividend, divisors, order, ref_budget)
         assert budget.remaining == ref_budget.remaining
         seen["groebner"] += 1
         return got
@@ -470,10 +461,8 @@ def test_jet_ideal_reductions_match_the_copy_per_step_loops(quadric, monkeypatch
     new = [_outcome(lambda: mora.mora_standard_basis(gens, work_limit=w))
            for w in (work - 1, work)]
 
-    def reference(f, basis, order=ANTIGRLEX, budget=None, ints=None):
-        elements = _elements(basis, ints)
-        return reference_mora_normal_form(dividend_poly(f, elements, order, ints), elements,
-                                          order, budget, [])
+    def reference(f, basis, order=ANTIGRLEX, budget=None):
+        return reference_mora_normal_form(*division_inputs(f, basis, order), order, budget, [])
 
     monkeypatch.setattr(mora, "mora_normal_form", reference)
     old = [_outcome(lambda: mora.mora_standard_basis(gens, work_limit=w))
@@ -600,34 +589,64 @@ def _pair_overflows(monkeypatch):
 @pytest.mark.parametrize("order", [GREVLEX, LEX, MonomialOrder("grevlex", (2, 0, 1))],
                          ids=["grevlex", "lex", "grevlex-priority"])
 def test_an_interreduction_divides_each_element_itself(order, monkeypatch):
-    """The interreduction hands each element in as its position in a view
-    that holds it, and the division starts from the element's integer
+    """The interreduction hands each element in as its position in the
+    record that holds it, and the division starts from the element's integer
     multiple under its own scale.  With Fraction coefficients that multiple
     is not the element, and every division still returns and charges what
-    the copy-per-step loop does on the element itself."""
+    the copy-per-step loop does on the element itself, divided by the
+    others."""
     vs = VarSet(["x", "y", "z"])
     gens = [parse_poly(g, vs)
             for g in ("x^2 - 1/3*y*z", "x*y - 2/5*z^2 + 1/7*x", "y^2 - 3/4*x*z")]
-    seen = {"held": 0, "scaled": 0}
+    seen = {"own": 0, "scaled": 0}
 
-    def checked(f, basis, order, budget=None, ints=None):
-        elements = _elements(basis, ints)
+    def checked(f, basis, order, budget=None):
+        dividend, divisors = division_inputs(f, basis, order)
         ref_budget = _Budget(budget.remaining)
-        expected = reference_normal_form(dividend_poly(f, elements, order, ints), elements,
-                                         order, ref_budget)
-        got = normal_form(f, basis, order, budget, ints)
-        assert _handed(got, ints) == expected
+        expected = reference_normal_form(dividend, divisors, order, ref_budget)
+        got = normal_form(f, basis, order, budget)
+        assert _handed(got, basis) == expected
         assert budget.remaining == ref_budget.remaining
         if isinstance(f, int):
-            F, lead = ints.held
-            seen["held"] += 1
-            seen["scaled"] += F[lead] != 1 and not expected.is_zero()
+            seen["own"] += 1
+            seen["scaled"] += basis.forms[f][basis.leads[f]] != 1 and not expected.is_zero()
         return got
 
     monkeypatch.setattr(groebner, "normal_form", checked)
     basis = groebner.groebner_basis(gens, order)
-    assert len(basis) <= seen["held"]
+    assert len(basis) <= seen["own"]
     assert seen["scaled"] > 0
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, ANTIGRLEX])
+def test_an_interreduction_divides_inside_the_record_it_is_given(order, monkeypatch):
+    """_interreduced hands normal_form the record it was given, for every
+    element in turn, as the element's position, and makes no record of the
+    others: the only records it makes are the one the remainders enter and
+    that one sorted, however many elements there are."""
+    vs = VarSet(["x", "y", "z"])
+    gens = [parse_poly(g, vs) for g in ("x^2 - 1/3*y*z", "x*y - 2/5*z^2", "y^2 - 3/4*x*z")]
+    for size in (2, 3):
+        record = groebner._Reducers(order, gens[:size])
+        assert len(groebner._minimal(record.lms)) == size
+        calls, made = [], []
+        divide, init = groebner.normal_form, groebner._Reducers.__init__
+
+        def handed(f, basis, *args, **kwargs):
+            calls.append((f, basis is record, len(basis)))
+            return divide(f, basis, *args, **kwargs)
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "normal_form", handed)
+            m.setattr(groebner._Reducers, "__init__", counted)
+            out = groebner._interreduced(record, _Budget())
+        assert calls == [(i, True, size) for i in range(size)]
+        assert len(made) == 2 and out is made[-1]
+        assert out.elements() == groebner.interreduce(gens[:size], order)
 
 
 def test_a_basis_computation_keeps_its_widened_reducers(monkeypatch):
@@ -649,16 +668,15 @@ def test_a_basis_computation_keeps_its_widened_reducers(monkeypatch):
     reduced = groebner.groebner_basis(gens, LEX)
     divisions = {"packed": 0, "wide": 0}
 
-    def checked(f, basis, order, budget=None, ints=None):
-        elements = _elements(basis, ints)
+    def checked(f, basis, order, budget=None):
+        dividend, divisors = division_inputs(f, basis, order)
         ref_budget = _Budget(budget.remaining)
-        expected = reference_normal_form(dividend_poly(f, elements, order, ints), elements,
-                                         order, ref_budget)
-        got = normal_form(f, basis, order, budget, ints)
-        assert _handed(got, ints) == expected
+        expected = reference_normal_form(dividend, divisors, order, ref_budget)
+        got = normal_form(f, basis, order, budget)
+        assert _handed(got, basis) == expected
         assert budget.remaining == ref_budget.remaining
         divisions["packed"] += not isinstance(got, Poly)
-        divisions["wide"] += ints.packing.width > 16
+        divisions["wide"] += basis.packing.width > 16
         return got
 
     monkeypatch.setattr(groebner, "normal_form", checked)
